@@ -1,7 +1,6 @@
 #include "attack/common.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <tuple>
 
@@ -54,26 +53,44 @@ void FlipFeature(Matrix* features, int v, int j) {
   (*features)(v, j) = (*features)(v, j) > 0.5f ? 0.0f : 1.0f;
 }
 
-EdgeCandidate BestEdgeFlip(const Matrix& grad,
-                           const Matrix& dense_adjacency,
+EdgeCandidate BestEdgeFlip(const Matrix& grad, const Matrix& dense_adjacency,
                            const AccessControl& access,
                            const FlipSet* exclude) {
-  return BestEdgeFlipScored(
-      dense_adjacency.rows(), access, exclude, [&](int u, int v) {
-        const float direction =
-            1.0f - 2.0f * dense_adjacency(u, v);  // +1 add, -1 del
+  const int n = dense_adjacency.rows();
+  const std::vector<FlipCandidate> best = TopFlips</*is_feature=*/false>(
+      n, n, access, exclude, 1, [&](int u, int v) {
+        const float direction = 1.0f - 2.0f * dense_adjacency(u, v);
         return direction * (grad(u, v) + grad(v, u));
       });
+  if (best.empty()) return {-1, -1, -std::numeric_limits<float>::infinity()};
+  return {best[0].flip.a, best[0].flip.b, best[0].score};
 }
 
 FeatureCandidate BestFeatureFlip(const Matrix& grad, const Matrix& features,
                                  const AccessControl& access,
                                  const FlipSet* exclude) {
-  return BestFeatureFlipScored(
-      features.rows(), features.cols(), access, exclude, [&](int v, int j) {
+  const std::vector<FlipCandidate> best = TopFlips</*is_feature=*/true>(
+      features.rows(), features.cols(), access, exclude, 1,
+      [&](int v, int j) {
         const float direction = 1.0f - 2.0f * features(v, j);
         return direction * grad(v, j);
       });
+  if (best.empty()) return {-1, -1, -std::numeric_limits<float>::infinity()};
+  return {best[0].flip.a, best[0].flip.b, best[0].score};
+}
+
+bool RanksBefore(const FlipCandidate& lhs, const FlipCandidate& rhs) {
+  if (lhs.score != rhs.score) return lhs.score > rhs.score;
+  return std::tie(lhs.flip.is_feature, lhs.flip.a, lhs.flip.b) <
+         std::tie(rhs.flip.is_feature, rhs.flip.a, rhs.flip.b);
+}
+
+void KeepTop(std::vector<FlipCandidate>* candidates, int keep) {
+  if (keep <= 0) return;
+  const size_t take = std::min(candidates->size(), static_cast<size_t>(keep));
+  std::partial_sort(candidates->begin(), candidates->begin() + take,
+                    candidates->end(), RanksBefore);
+  candidates->resize(take);
 }
 
 SparseMatrix DenseToAdjacency(const Matrix& dense) {

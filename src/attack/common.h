@@ -4,9 +4,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
+#include "attack/attacker.h"
 #include "graph/graph.h"
 #include "linalg/matrix.h"
 #include "obs/metrics.h"
@@ -102,18 +102,10 @@ void FlipEdge(linalg::Matrix* dense_adjacency, int u, int v);
 /// Flips X[v][j] between 0 and 1.
 void FlipFeature(linalg::Matrix* features, int v, int j);
 
-/// Scans a dense gradient-score matrix over node pairs (u < v) and
-/// returns the best allowed flip. The score of flipping (u, v) is
-/// grad[u][v] * (1 - 2 A[u][v]) summed with its symmetric mirror.
-/// Coordinates in `exclude` (the committed-flip freeze set) are
-/// skipped — greedy attackers would otherwise oscillate on a single
-/// edge after reaching a local optimum. Returns {-1, -1, -inf} when no
-/// pair is allowed.
-///
-/// Parallelized over row chunks with a per-chunk argmax merged in chunk
-/// order; ties resolve to the lowest (u, v), so the returned flip — and
-/// hence the greedy commit order of every attacker built on it — is
-/// bitwise-identical at any thread count.
+/// Best allowed edge flip (u < v) of a dense gradient, scored
+/// (grad[u][v] + grad[v][u]) * (1 - 2 A[u][v]), skipping the freeze set
+/// `exclude`; {-1, -1, -inf} when none is allowed. `TopFlips` with
+/// keep = 1: ties go to the lowest (u, v) at any thread count.
 struct EdgeCandidate {
   int u = -1;
   int v = -1;
@@ -124,9 +116,8 @@ EdgeCandidate BestEdgeFlip(const linalg::Matrix& grad,
                            const AccessControl& access,
                            const FlipSet* exclude = nullptr);
 
-/// Best allowed feature flip: score = grad[v][j] * (1 - 2 X[v][j]);
-/// coordinates in `exclude` are skipped. Parallelized like
-/// `BestEdgeFlip` with the same lowest-index tie-break guarantee.
+/// Best allowed feature flip: score = grad[v][j] * (1 - 2 X[v][j]); same
+/// contract as `BestEdgeFlip`.
 struct FeatureCandidate {
   int node = -1;
   int dim = -1;
@@ -140,105 +131,97 @@ FeatureCandidate BestFeatureFlip(const linalg::Matrix& grad,
 /// Rebuilds a binary symmetric SparseMatrix from a dense 0/1 adjacency.
 linalg::SparseMatrix DenseToAdjacency(const linalg::Matrix& dense);
 
+/// A flip and the greedy score of committing it.
+struct FlipCandidate {
+  Flip flip;
+  float score = 0.0f;
+};
+
+/// Strict total order of the greedy ranking: score descending, then
+/// edge before feature, then lowest (a, b). Being total, it makes the
+/// best k of any candidate set unique at any partition or thread count.
+bool RanksBefore(const FlipCandidate& lhs, const FlipCandidate& rhs);
+
+/// Shrinks `candidates` to its best `keep` under RanksBefore, in rank
+/// order. `keep` <= 0 leaves the list as it is.
+void KeepTop(std::vector<FlipCandidate>* candidates, int keep);
+
 namespace internal {
 
-/// Rows (u) per chunk of the parallel candidate scans. Any partition is
-/// deterministic here: per-chunk argmax keeps the lowest (u, v) on ties
-/// (strict '>'), and the ordered chunk merge keeps the earlier chunk on
-/// ties, which together reproduce the serial scan's lowest-index winner
-/// at any thread count (the greedy commit order must not depend on the
-/// machine — see DESIGN.md, "Determinism & threading").
+/// Rows per chunk of `TopFlips`; any partition gives the serial result.
 constexpr int64_t kScanRowGrain = 32;
+
+/// Adds `candidate` to a chunk's best `cap`; returns the bar for the next.
+inline float Admit(const FlipCandidate& candidate, size_t cap,
+                   std::vector<FlipCandidate>* top) {
+  const auto worst = [&] {
+    return std::max_element(top->begin(), top->end(), RanksBefore);
+  };
+  if (top->size() < cap) top->push_back(candidate);
+  else *worst() = candidate;
+  return top->size() == cap ? worst()->score
+                            : -std::numeric_limits<float>::infinity();
+}
 
 }  // namespace internal
 
-/// Generic form of `BestEdgeFlip`: the same chunked parallel argmax with
-/// the same skip conditions and lowest-(u, v) tie-break, but flip scores
-/// come from a caller-supplied callable `score(u, v)` (u < v) instead of
-/// a dense gradient matrix. The incremental PEEGA engine plugs in its
-/// sparse closed-form score provider here; `BestEdgeFlip` delegates with
-/// the historical dense-gradient score.
-template <typename ScoreFn>
-EdgeCandidate BestEdgeFlipScored(int num_nodes, const AccessControl& access,
-                                 const FlipSet* exclude,
-                                 const ScoreFn& score) {
-  const obs::TraceSpan span("attack.best_edge_flip");
-  static obs::Counter* const scans = obs::GetCounter("attack.edge_scans");
-  static obs::Counter* const scanned =
-      obs::GetCounter("attack.edges_scanned");
-  scans->Add(1);
-  EdgeCandidate identity;
-  identity.score = -std::numeric_limits<float>::infinity();
-  EdgeCandidate best = parallel::ParallelReduce<EdgeCandidate>(
-      0, num_nodes, internal::kScanRowGrain, identity,
-      [&](int64_t u0, int64_t u1) {
-        EdgeCandidate local;
-        local.score = -std::numeric_limits<float>::infinity();
-        // Candidate count accumulated per chunk, published once: the
-        // total is a function of the scan inputs alone (deterministic
-        // at any thread count) and the atomic add stays off the inner
-        // loop.
-        uint64_t considered = 0;
-        for (int u = static_cast<int>(u0); u < static_cast<int>(u1); ++u) {
-          for (int v = u + 1; v < num_nodes; ++v) {
-            if (!access.EdgeAllowed(u, v)) continue;
-            if (exclude != nullptr && exclude->Contains(u, v)) continue;
-            ++considered;
-            const float s = score(u, v);
-            if (s > local.score) {
-              local = {u, v, s};
+/// The greedy candidate scan: scores each allowed flip not in `exclude` —
+/// edges a < b < rows or, if `is_feature`, bits (a < rows, b < cols) —
+/// with `score(a, b)` and returns the best `keep` under RanksBefore, in
+/// rank order; `keep` <= 0 returns all, in row-major order, for Gumbel
+/// noise drawn in that order. NaN and -inf scores are never returned.
+/// Row chunks keep their best `keep` and take only a candidate beating
+/// the worst kept (a tie comes later, so ranks after it), then merge in
+/// order: the result is the serial scan's at any thread count. keep = 1
+/// is a plain argmax: one float compare per candidate.
+template <bool is_feature, typename ScoreFn>
+std::vector<FlipCandidate> TopFlips(int rows, int cols,
+                                    const AccessControl& access,
+                                    const FlipSet* exclude, int keep,
+                                    const ScoreFn& score) {
+  const obs::TraceSpan span(is_feature ? "attack.best_feature_flip"
+                                       : "attack.best_edge_flip");
+  static obs::Counter* const scans[2] = {
+      obs::GetCounter("attack.edge_scans"),
+      obs::GetCounter("attack.feature_scans")};
+  static obs::Counter* const scanned[2] = {
+      obs::GetCounter("attack.edges_scanned"),
+      obs::GetCounter("attack.features_scanned")};
+  scans[is_feature]->Add(1);
+  const size_t cap = keep > 0 ? static_cast<size_t>(keep) : SIZE_MAX;
+  std::vector<std::vector<FlipCandidate>> per_chunk(static_cast<size_t>(
+      parallel::NumChunks(rows, internal::kScanRowGrain)));
+  parallel::ParallelForChunked(
+      0, rows, internal::kScanRowGrain,
+      [&](int64_t a0, int64_t a1, int64_t chunk) {
+        auto& top = per_chunk[static_cast<size_t>(chunk)];
+        uint64_t considered = 0;  // one atomic add per chunk
+        const auto scan = [&](const auto& admit) {
+          float bar = -std::numeric_limits<float>::infinity();
+          for (int a = static_cast<int>(a0); a < static_cast<int>(a1); ++a) {
+            if (is_feature && !access.FeatureAllowed(a)) continue;
+            for (int b = is_feature ? 0 : a + 1; b < cols; ++b) {
+              if (!is_feature && !access.EdgeAllowed(a, b)) continue;
+              if (exclude != nullptr && exclude->Contains(a, b)) continue;
+              ++considered;
+              const float s = score(a, b);
+              if (s > bar) bar = admit(FlipCandidate{{is_feature, a, b}, s});
             }
           }
-        }
-        scanned->Add(considered);
-        return local;
-      },
-      [](const EdgeCandidate& acc, const EdgeCandidate& chunk) {
-        return chunk.score > acc.score ? chunk : acc;
+        };
+        // Locals, not `top`: a store or call in the loop blocks hoisting.
+        FlipCandidate best;
+        if (keep == 1) scan([&](auto c) { return (best = c).score; });
+        else scan([&](auto c) { return internal::Admit(c, cap, &top); });
+        if (best.flip.a >= 0) top.push_back(best);
+        scanned[is_feature]->Add(considered);
       });
-  if (best.u < 0) best.score = -std::numeric_limits<float>::infinity();
-  return best;
-}
-
-/// Generic form of `BestFeatureFlip` over a `score(v, j)` callable; same
-/// contract as `BestEdgeFlipScored`.
-template <typename ScoreFn>
-FeatureCandidate BestFeatureFlipScored(int num_nodes, int num_features,
-                                       const AccessControl& access,
-                                       const FlipSet* exclude,
-                                       const ScoreFn& score) {
-  const obs::TraceSpan span("attack.best_feature_flip");
-  static obs::Counter* const scans = obs::GetCounter("attack.feature_scans");
-  static obs::Counter* const scanned =
-      obs::GetCounter("attack.features_scanned");
-  scans->Add(1);
-  FeatureCandidate identity;
-  identity.score = -std::numeric_limits<float>::infinity();
-  FeatureCandidate best = parallel::ParallelReduce<FeatureCandidate>(
-      0, num_nodes, internal::kScanRowGrain, identity,
-      [&](int64_t v0, int64_t v1) {
-        FeatureCandidate local;
-        local.score = -std::numeric_limits<float>::infinity();
-        uint64_t considered = 0;
-        for (int v = static_cast<int>(v0); v < static_cast<int>(v1); ++v) {
-          if (!access.FeatureAllowed(v)) continue;
-          for (int j = 0; j < num_features; ++j) {
-            if (exclude != nullptr && exclude->Contains(v, j)) continue;
-            ++considered;
-            const float s = score(v, j);
-            if (s > local.score) {
-              local = {v, j, s};
-            }
-          }
-        }
-        scanned->Add(considered);
-        return local;
-      },
-      [](const FeatureCandidate& acc, const FeatureCandidate& chunk) {
-        return chunk.score > acc.score ? chunk : acc;
-      });
-  if (best.node < 0) best.score = -std::numeric_limits<float>::infinity();
-  return best;
+  std::vector<FlipCandidate> merged;
+  for (const auto& chunk : per_chunk) {
+    merged.insert(merged.end(), chunk.begin(), chunk.end());
+  }
+  KeepTop(&merged, keep);
+  return merged;
 }
 
 }  // namespace repro::attack

@@ -1,12 +1,16 @@
 #include "core/peega.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "attack/common.h"
 #include "autograd/tape.h"
+#include "core/peega_batch.h"
 #include "core/peega_checkpoint.h"
 #include "core/peega_engine.h"
 #include "graph/graph.h"
@@ -22,10 +26,6 @@ namespace repro::core {
 using attack::AccessControl;
 using attack::AttackOptions;
 using attack::AttackResult;
-using attack::BestEdgeFlip;
-using attack::BestFeatureFlip;
-using attack::EdgeCandidate;
-using attack::FeatureCandidate;
 using autograd::Tape;
 using autograd::Var;
 using linalg::Matrix;
@@ -96,33 +96,118 @@ Var ObjectiveOnTape(Tape* tape, Var a, Var x, const Matrix& reference,
   return tape->Add(self_view, tape->Scale(global_view, lambda));
 }
 
+// Alg. 1's score oracle on the autograd tape: every RefreshScores
+// re-derives the objective's gradients through a fresh tape, O(N²F) per
+// pass. It is the reference PeegaEngine is held to flip for flip
+// (tests/engine_equiv_test.cc), and has the engine's member names so
+// GreedyCampaign runs on either.
+class TapeOracle {
+ public:
+  TapeOracle(const graph::Graph& g, const PeegaAttack::Options& options)
+      : options_(options),
+        clean_adjacency_(g.adjacency),
+        // Black-box inputs only: adjacency and features, never labels.
+        reference_(PeegaAttack::SurrogateRepresentation(
+            g.adjacency, g.features, options.layers)),
+        self_pairs_(SelfPairs(g, options.target_nodes)),
+        neighbor_pairs_(NeighborPairs(g, options.target_nodes)),
+        dense_(g.adjacency.ToDense()),
+        features_(g.features) {}
+
+  // Mirrors the engine's latched-fault contract: NaN gradients would make
+  // every scan comparison false and the loop would end silently OK.
+  status::Status RefreshScores() {
+    if (!status_.ok()) return status_;
+    const bool topology = options_.mode != PeegaAttack::Mode::kFeaturesOnly;
+    const bool features = options_.mode != PeegaAttack::Mode::kTopologyOnly;
+    tape_.emplace();
+    Var a = tape_->Input(dense_, /*requires_grad=*/topology);
+    Var x = tape_->Input(features_, /*requires_grad=*/features);
+    Var obj = ObjectiveOnTape(&*tape_, a, x, reference_, self_pairs_,
+                              neighbor_pairs_, options_.layers,
+                              options_.norm_p, options_.lambda);
+    tape_->Backward(obj);
+    grad_a_ = topology ? &a.grad() : nullptr;
+    grad_x_ = features ? &x.grad() : nullptr;
+    objective_ = obj.value()(0, 0);
+    if (!std::isfinite(objective_)) {
+      status_ = status::NumericFault("non-finite PEEGA objective on the tape");
+    }
+    return status_;
+  }
+
+  float EdgeScore(int u, int v) const {
+    const float direction = 1.0f - 2.0f * dense_(u, v);  // +1 add, -1 del
+    return direction * ((*grad_a_)(u, v) + (*grad_a_)(v, u));
+  }
+  float FeatureScore(int v, int j) const {
+    const float direction = 1.0f - 2.0f * features_(v, j);
+    return direction * (*grad_x_)(v, j);
+  }
+
+  void FlipEdge(int u, int v) {
+    attack::FlipEdge(&dense_, u, v);
+    edge_flips_.emplace_back(u, v);
+  }
+  void FlipFeature(int v, int j) { attack::FlipFeature(&features_, v, j); }
+
+  double Objective() const { return objective_; }
+  // Toggles the committed edge flips on the clean CSR rather than
+  // rescanning the N x N tape matrix; bitwise-identical to
+  // DenseToAdjacency(dense) (tests/scale_test.cc holds both to that).
+  SparseMatrix PoisonedAdjacency() const {
+    return graph::WithFlips(clean_adjacency_, edge_flips_);
+  }
+  const Matrix& features() const { return features_; }
+
+ private:
+  const PeegaAttack::Options& options_;
+  const SparseMatrix& clean_adjacency_;
+  const Matrix reference_;
+  const std::vector<std::pair<int, int>> self_pairs_;
+  const std::vector<std::pair<int, int>> neighbor_pairs_;
+  Matrix dense_;
+  Matrix features_;
+  std::vector<std::pair<int, int>> edge_flips_;
+  std::optional<Tape> tape_;  // the latest pass; owns the gradients below
+  const Matrix* grad_a_ = nullptr;
+  const Matrix* grad_x_ = nullptr;
+  double objective_ = 0.0;
+  status::Status status_;
+};
+
 std::string RngStateString(linalg::Rng* rng) {
   std::ostringstream out;
   out << rng->engine();
   return out.str();
 }
 
-// Campaign checkpointing shared by the engine and tape paths: resume
-// validation/replay bookkeeping and the periodic save. The greedy loop
-// is deterministic, so replaying the recorded flips onto the clean
-// graph reconstructs the exact pre-interrupt state and the continuation
-// is bitwise-identical to an uninterrupted run.
+// Campaign checkpointing: resume validation/replay bookkeeping and the
+// periodic save. The greedy loop is deterministic, so replaying the
+// recorded flips onto the clean graph reconstructs the exact
+// pre-interrupt state and the continuation is bitwise-identical to an
+// uninterrupted run.
 class CheckpointContext {
  public:
-  CheckpointContext(const PeegaAttack::Options& options,
+  CheckpointContext(const PeegaBatchAttack::Options& options,
                     const graph::Graph& g,
                     const AttackOptions& attack_options)
-      : path_(options.checkpoint_path),
-        every_(options.checkpoint_every < 1 ? 1 : options.checkpoint_every) {
+      : path_(options.peega.checkpoint_path),
+        every_(options.peega.checkpoint_every) {
+    const PeegaAttack::Options& peega = options.peega;
     header_.num_nodes = g.num_nodes;
     header_.feature_dim = g.features.cols();
-    header_.layers = options.layers;
-    header_.norm_p = options.norm_p;
-    header_.lambda = options.lambda;
-    header_.mode = static_cast<int>(options.mode);
-    header_.engine = static_cast<int>(options.engine);
+    header_.layers = peega.layers;
+    header_.norm_p = peega.norm_p;
+    header_.lambda = peega.lambda;
+    header_.mode = static_cast<int>(peega.mode);
+    header_.engine = static_cast<int>(peega.engine);
     header_.perturbation_rate = attack_options.perturbation_rate;
     header_.feature_cost = attack_options.feature_cost;
+    header_.target_nodes = peega.target_nodes;
+    header_.attacker_nodes = attack_options.attacker_nodes;
+    header_.batch_size = options.batch_size;
+    header_.gumbel_scale = options.gumbel_scale;
   }
 
   bool enabled() const { return !path_.empty(); }
@@ -157,6 +242,12 @@ class CheckpointContext {
         ck.feature_cost != header_.feature_cost) {
       return stale("budget options");
     }
+    if (ck.target_nodes != header_.target_nodes) return stale("target_nodes");
+    if (ck.attacker_nodes != header_.attacker_nodes) {
+      return stale("attacker_nodes");
+    }
+    if (ck.batch_size != header_.batch_size) return stale("batch_size");
+    if (ck.gumbel_scale != header_.gumbel_scale) return stale("gumbel_scale");
     *replay = ck.flips;
     if (!ck.rng_state.empty() && rng != nullptr) {
       std::istringstream in(ck.rng_state);
@@ -169,10 +260,15 @@ class CheckpointContext {
     return status::Status::Ok();
   }
 
-  // Saves after every `checkpoint_every`-th committed flip.
-  status::Status MaybeSave(const std::vector<attack::Flip>& flips,
+  // Saves once the committed flips cross a multiple of `checkpoint_every`
+  // (for one flip per iteration: after every `checkpoint_every`-th flip).
+  // `before` is the flip count at the start of the iteration, so saves
+  // land on whole-iteration boundaries, where a resume can pick up.
+  status::Status MaybeSave(size_t before,
+                           const std::vector<attack::Flip>& flips,
                            double spent, linalg::Rng* rng) const {
-    if (!enabled() || flips.size() % static_cast<size_t>(every_) != 0) {
+    const size_t every = static_cast<size_t>(every_);
+    if (!enabled() || flips.size() / every == before / every) {
       return status::Status::Ok();
     }
     PeegaCheckpoint ck = header_;
@@ -190,9 +286,9 @@ class CheckpointContext {
   PeegaCheckpoint header_;
 };
 
-// Deadline / cancellation / injected-interrupt poll shared by both
-// greedy loops; returns the status that should stop the loop, OK to
-// keep going.
+// Deadline / cancellation / injected-interrupt poll, once per greedy
+// iteration; returns the status that should stop the loop, OK to keep
+// going.
 status::Status CheckInterrupt(const status::Deadline& deadline,
                               size_t committed_flips) {
   status::Status status = deadline.Check(
@@ -203,62 +299,99 @@ status::Status CheckInterrupt(const status::Deadline& deadline,
   return status;
 }
 
-// Alg. 1 on the incremental engine: same loop structure, budget
-// accounting, freeze sets, and tie-breaks as the tape path below,
-// but scores come from PeegaEngine's cached closed-form gradients and
-// flips are committed as sparse delta updates. The two paths produce
-// the same flip sequence (tests/engine_equiv_test.cc).
-AttackResult AttackWithEngine(const PeegaAttack::Options& options,
-                              const graph::Graph& g,
-                              const AttackOptions& attack_options,
-                              linalg::Rng* rng) {
-  const obs::TraceSpan attack_span("peega.attack");
-  const obs::StopWatch watch;
+float GumbelNoise(float scale, linalg::Rng* rng) {
+  const double u = std::max(1e-12, rng->Uniform(0.0, 1.0));
+  return static_cast<float>(-scale * std::log(-std::log(u)));
+}
+
+// Rejects option values the campaign cannot run with, before any work,
+// naming the field and the value.
+status::Status ValidateOptions(const PeegaBatchAttack::Options& options,
+                               int num_nodes) {
+  const auto bad = [](const char* field, int value, const std::string& want) {
+    return status::InvalidInput(std::string("invalid PEEGA option ") + field +
+                                " = " + std::to_string(value) + ", must be " +
+                                want);
+  };
+  const PeegaAttack::Options& peega = options.peega;
+  if (peega.layers < 1) return bad("layers", peega.layers, ">= 1");
+  if (peega.norm_p < 1) return bad("norm_p", peega.norm_p, ">= 1");
+  if (options.batch_size < 1) {
+    return bad("batch_size", options.batch_size, ">= 1");
+  }
+  if (peega.checkpoint_every < 1) {
+    return bad("checkpoint_every", peega.checkpoint_every, ">= 1");
+  }
+  for (const int v : peega.target_nodes) {
+    if (v < 0 || v >= num_nodes) {
+      return bad("target_nodes", v,
+                 "in [0, " + std::to_string(num_nodes) + ")");
+    }
+  }
+  return status::Status::Ok();
+}
+
+// The greedy loop of Alg. 1 and of its top-k extension, over a score
+// oracle: PeegaEngine's cached closed-form gradients, or TapeOracle's
+// autograd reference. Each iteration refreshes the scores, scans the
+// flip kinds the remaining budget can afford, ranks the candidates under
+// attack::RanksBefore, and commits the best `batch_size` in rank order,
+// skipping any that the batch's earlier flips made unaffordable. With
+// batch_size = 1 and no Gumbel noise this is Alg. 1 exactly: edges win
+// ties, and within one kind the lowest (a, b) wins.
+//
+// A template rather than a virtual interface: the scan calls the oracle
+// once per candidate, O(N²) times per iteration, and must inline it.
+template <typename Oracle>
+void GreedyCampaign(const PeegaBatchAttack::Options& options,
+                    const graph::Graph& g,
+                    const AttackOptions& attack_options, linalg::Rng* rng,
+                    Oracle* oracle, AttackResult* result) {
   const int budget = attack::ComputeBudget(g, attack_options.perturbation_rate);
   const AccessControl access(g.num_nodes, attack_options.attacker_nodes);
-  const bool attack_topology = options.mode != PeegaAttack::Mode::kFeaturesOnly;
-  const bool attack_features = options.mode != PeegaAttack::Mode::kTopologyOnly;
+  const bool attack_topology =
+      options.peega.mode != PeegaAttack::Mode::kFeaturesOnly;
+  const bool attack_features =
+      options.peega.mode != PeegaAttack::Mode::kTopologyOnly;
   const float beta = static_cast<float>(attack_options.feature_cost);
+  // Every candidate survives the scan when Gumbel noise is drawn over the
+  // whole list; otherwise each kind contributes its best batch_size.
+  const int keep = options.gumbel_scale > 0.0f ? 0 : options.batch_size;
 
-  PeegaEngine::Config config;
-  config.layers = options.layers;
-  config.norm_p = options.norm_p;
-  config.lambda = options.lambda;
-  config.attack_topology = attack_topology;
-  config.attack_features = attack_features;
-  config.target_nodes = options.target_nodes;
-  PeegaEngine engine(g, config);
-
+  // Freeze once-flipped entries: without this the greedy loop oscillates
+  // on one edge after the objective's local optimum is reached.
   attack::FlipSet edge_done(g.num_nodes);
   attack::FlipSet feature_done(g.features.cols());
-  AttackResult result;
   double spent = 0.0;
+  const auto commit = [&](const attack::Flip& flip) {
+    if (flip.is_feature) {
+      oracle->FlipFeature(flip.a, flip.b);
+      feature_done.Insert(flip.a, flip.b);
+      ++result->feature_modifications;
+      spent += beta;
+    } else {
+      oracle->FlipEdge(flip.a, flip.b);
+      edge_done.InsertSymmetric(flip.a, flip.b);
+      ++result->edge_modifications;
+      spent += 1.0;
+    }
+    result->flips.push_back(flip);
+  };
 
   const CheckpointContext checkpoint(options, g, attack_options);
   std::vector<attack::Flip> replay;
-  result.status = checkpoint.Resume(&replay, rng);
-  if (!result.status.ok()) {
+  result->status = checkpoint.Resume(&replay, rng);
+  if (!result->status.ok()) {
     // A rejected checkpoint must be loud, not silently restarted: the
     // caller decides whether to delete the stale file and rerun.
-    result.poisoned = g;
-    result.elapsed_seconds = watch.Seconds();
-    return result;
+    result->poisoned = g;
+    return;
   }
-  for (const attack::Flip& flip : replay) {
-    if (flip.is_feature) {
-      engine.FlipFeature(flip.a, flip.b);
-      feature_done.Insert(flip.a, flip.b);
-      ++result.feature_modifications;
-      spent += beta;
-    } else {
-      engine.FlipEdge(flip.a, flip.b);
-      edge_done.InsertSymmetric(flip.a, flip.b);
-      ++result.edge_modifications;
-      spent += 1.0;
-    }
-    result.flips.push_back(flip);
-  }
+  for (const attack::Flip& flip : replay) commit(flip);
 
+  // Alg. 1 phase instrumentation: score = gradient refresh, scan =
+  // candidate search, flip = commit. These are the rows of the paper's
+  // Tab. VII cost breakdown.
   static obs::Counter* const iterations = obs::GetCounter("peega.iterations");
   static obs::Counter* const edge_flips = obs::GetCounter("peega.edge_flips");
   static obs::Counter* const feature_flips =
@@ -269,79 +402,107 @@ AttackResult AttackWithEngine(const PeegaAttack::Options& options,
     const bool can_feature =
         attack_features && beta > 0.0f && spent + beta <= budget + 1e-9;
     if (!can_edge && !can_feature) break;
-    result.status = CheckInterrupt(attack_options.deadline,
-                                   result.flips.size());
-    if (!result.status.ok()) break;  // best-so-far: flips are a prefix
+    result->status = CheckInterrupt(attack_options.deadline,
+                                    result->flips.size());
+    if (!result->status.ok()) break;  // best-so-far: flips are a prefix
 
     const obs::TraceSpan iteration_span("peega.iteration");
     iterations->Add(1);
     {
       const obs::TraceSpan score_span("peega.score");
-      result.status = engine.RefreshScores();
+      result->status = oracle->RefreshScores();
     }
-    if (!result.status.ok()) {
-      result.status = result.status.WithContext("PEEGA engine refresh");
+    if (!result->status.ok()) {
+      result->status = result->status.WithContext("PEEGA score refresh");
       break;
     }
 
-    EdgeCandidate edge;
-    FeatureCandidate feature;
+    std::vector<attack::FlipCandidate> candidates;
     {
       const obs::TraceSpan scan_span("peega.scan");
       if (can_edge) {
-        edge = attack::BestEdgeFlipScored(
-            g.num_nodes, access, &edge_done,
-            [&](int u, int v) { return engine.EdgeScore(u, v); });
+        candidates = attack::TopFlips</*is_feature=*/false>(
+            g.num_nodes, g.num_nodes, access, &edge_done, keep,
+            [&](int u, int v) { return oracle->EdgeScore(u, v); });
       }
       if (can_feature) {
-        feature = attack::BestFeatureFlipScored(
-            g.num_nodes, g.features.cols(), access, &feature_done,
-            [&](int v, int j) { return engine.FeatureScore(v, j); });
         // Normalized feature score S_f / beta (Sec. V-D1).
-        feature.score /= beta;
+        const std::vector<attack::FlipCandidate> features =
+            attack::TopFlips</*is_feature=*/true>(
+                g.num_nodes, g.features.cols(), access, &feature_done, keep,
+                [&](int v, int j) {
+                  return oracle->FeatureScore(v, j) / beta;
+                });
+        candidates.insert(candidates.end(), features.begin(), features.end());
       }
     }
-    if (edge.u < 0 && feature.node < 0) break;
+    if (candidates.empty()) break;
 
     const obs::TraceSpan flip_span("peega.flip");
-    const bool pick_feature =
-        feature.node >= 0 && (edge.u < 0 || edge.score < feature.score);
-    if (pick_feature) {
-      engine.FlipFeature(feature.node, feature.dim);
-      feature_done.Insert(feature.node, feature.dim);
-      ++result.feature_modifications;
-      feature_flips->Add(1);
-      result.flips.push_back({true, feature.node, feature.dim});
-      spent += beta;
-    } else {
-      engine.FlipEdge(edge.u, edge.v);
-      edge_done.InsertSymmetric(edge.u, edge.v);
-      ++result.edge_modifications;
-      edge_flips->Add(1);
-      result.flips.push_back({false, edge.u, edge.v});
-      spent += 1.0;
+    if (options.gumbel_scale > 0.0f) {
+      // Drawn on the calling thread in candidate-list order: the same RNG
+      // sequence as a serial scan, so seeded runs reproduce at any
+      // thread count.
+      for (attack::FlipCandidate& c : candidates) {
+        c.score += GumbelNoise(options.gumbel_scale, rng);
+      }
+    }
+    attack::KeepTop(&candidates, options.batch_size);
+    const size_t before = result->flips.size();
+    for (const attack::FlipCandidate& c : candidates) {
+      if (spent + (c.flip.is_feature ? beta : 1.0) > budget + 1e-9) continue;
+      commit(c.flip);
+      (c.flip.is_feature ? feature_flips : edge_flips)->Add(1);
     }
     const status::Status saved =
-        checkpoint.MaybeSave(result.flips, spent, rng);
+        checkpoint.MaybeSave(before, result->flips, spent, rng);
     if (!saved.ok()) {
-      result.status = saved;
+      result->status = saved;
       break;
     }
   }
 
-  // Bring the cached objective terms up to date with the final flip and
-  // emit the sparse poisoned adjacency straight from the engine's
-  // neighbor lists — no dense O(N²) rescan. After a numeric fault the
-  // refresh stays latched; the committed graph state is still valid but
-  // the objective is not, so it is left at 0 for the degraded result.
-  const status::Status final_refresh = engine.RefreshScores();
+  // Bring the scores up to date with the final flip for the objective.
+  // After a numeric fault the refresh stays latched; the committed graph
+  // state is still valid but the objective is not, so it is left at 0
+  // for the degraded result.
+  const status::Status final_refresh = oracle->RefreshScores();
   if (final_refresh.ok()) {
-    result.final_objective = engine.Objective();
-  } else if (result.status.ok()) {
-    result.status = final_refresh.WithContext("PEEGA final refresh");
+    result->final_objective = oracle->Objective();
+  } else if (result->status.ok()) {
+    result->status = final_refresh.WithContext("PEEGA final refresh");
   }
-  result.poisoned =
-      g.WithAdjacency(engine.PoisonedAdjacency()).WithFeatures(engine.features());
+  result->poisoned = g.WithAdjacency(oracle->PoisonedAdjacency())
+                         .WithFeatures(oracle->features());
+}
+
+// Entry of both attackers: validates the options, builds the oracle the
+// engine option names, and runs the campaign on it.
+AttackResult RunCampaign(const PeegaBatchAttack::Options& options,
+                         const graph::Graph& g,
+                         const AttackOptions& attack_options,
+                         linalg::Rng* rng) {
+  const obs::TraceSpan attack_span("peega.attack");
+  const obs::StopWatch watch;
+  AttackResult result;
+  result.status = ValidateOptions(options, g.num_nodes);
+  if (!result.status.ok()) {
+    result.poisoned = g;
+  } else if (options.peega.engine == PeegaAttack::Engine::kIncremental) {
+    const PeegaAttack::Options& peega = options.peega;
+    PeegaEngine::Config config;
+    config.layers = peega.layers;
+    config.norm_p = peega.norm_p;
+    config.lambda = peega.lambda;
+    config.attack_topology = peega.mode != PeegaAttack::Mode::kFeaturesOnly;
+    config.attack_features = peega.mode != PeegaAttack::Mode::kTopologyOnly;
+    config.target_nodes = peega.target_nodes;
+    PeegaEngine engine(g, config);
+    GreedyCampaign(options, g, attack_options, rng, &engine, &result);
+  } else {
+    TapeOracle tape(g, options.peega);
+    GreedyCampaign(options, g, attack_options, rng, &tape, &result);
+  }
   result.elapsed_seconds = watch.Seconds();
   return result;
 }
@@ -368,154 +529,24 @@ AttackResult PeegaAttack::Attack(const graph::Graph& g,
                                  const AttackOptions& attack_options,
                                  linalg::Rng* rng) {
   // PEEGA is deterministic: greedy over exact gradient scores, and the
-  // parallel scans below (BestEdgeFlip/BestFeatureFlip plus the tape's
-  // row-parallel kernels) are bitwise-reproducible at any thread count.
-  // `rng` is only read for checkpointing (its stream state rides along
-  // so a resumed campaign continues the exact random sequence).
-  if (options_.engine == Engine::kIncremental) {
-    return AttackWithEngine(options_, g, attack_options, rng);
-  }
-  const obs::TraceSpan attack_span("peega.attack");
-  const obs::StopWatch watch;
-  const int budget = attack::ComputeBudget(g, attack_options.perturbation_rate);
-  const AccessControl access(g.num_nodes, attack_options.attacker_nodes);
+  // parallel scans and kernels are bitwise-reproducible at any thread
+  // count. `rng` is only read for checkpointing (its stream state rides
+  // along so a resumed campaign continues the exact random sequence).
+  PeegaBatchAttack::Options options;
+  options.peega = options_;
+  options.batch_size = 1;
+  options.gumbel_scale = 0.0f;
+  return RunCampaign(options, g, attack_options, rng);
+}
 
-  // Black-box inputs only: adjacency and features. Labels are never read.
-  const Matrix reference = SurrogateRepresentation(
-      g.adjacency, g.features, options_.layers);
-  const auto self_pairs = SelfPairs(g, options_.target_nodes);
-  const auto neighbor_pairs = NeighborPairs(g, options_.target_nodes);
+PeegaBatchAttack::PeegaBatchAttack() : options_(Options()) {}
+PeegaBatchAttack::PeegaBatchAttack(const Options& options)
+    : options_(options) {}
 
-  const bool attack_topology = options_.mode != Mode::kFeaturesOnly;
-  const bool attack_features = options_.mode != Mode::kTopologyOnly;
-  const float beta = static_cast<float>(attack_options.feature_cost);
-
-  Matrix dense = g.adjacency.ToDense();
-  Matrix features = g.features;
-  // Freeze once-flipped entries: without this the greedy loop oscillates
-  // on one edge after the objective's local optimum is reached.
-  attack::FlipSet edge_done(g.num_nodes);
-  attack::FlipSet feature_done(g.features.cols());
-  AttackResult result;
-  double spent = 0.0;
-
-  const CheckpointContext checkpoint(options_, g, attack_options);
-  std::vector<attack::Flip> replay;
-  result.status = checkpoint.Resume(&replay, rng);
-  if (!result.status.ok()) {
-    result.poisoned = g;
-    result.elapsed_seconds = watch.Seconds();
-    return result;
-  }
-  for (const attack::Flip& flip : replay) {
-    if (flip.is_feature) {
-      attack::FlipFeature(&features, flip.a, flip.b);
-      feature_done.Insert(flip.a, flip.b);
-      ++result.feature_modifications;
-      spent += beta;
-    } else {
-      attack::FlipEdge(&dense, flip.a, flip.b);
-      edge_done.InsertSymmetric(flip.a, flip.b);
-      ++result.edge_modifications;
-      spent += 1.0;
-    }
-    result.flips.push_back(flip);
-  }
-
-  // Alg. 1 phase instrumentation: score = objective forward+backward on
-  // the tape, scan = greedy candidate search, flip = commit. These are
-  // the rows of the paper's Tab. VII cost breakdown.
-  static obs::Counter* const iterations = obs::GetCounter("peega.iterations");
-  static obs::Counter* const edge_flips = obs::GetCounter("peega.edge_flips");
-  static obs::Counter* const feature_flips =
-      obs::GetCounter("peega.feature_flips");
-
-  while (true) {
-    const bool can_edge = attack_topology && spent + 1.0 <= budget + 1e-9;
-    const bool can_feature =
-        attack_features && beta > 0.0f && spent + beta <= budget + 1e-9;
-    if (!can_edge && !can_feature) break;
-    result.status = CheckInterrupt(attack_options.deadline,
-                                   result.flips.size());
-    if (!result.status.ok()) break;  // best-so-far: flips are a prefix
-
-    const obs::TraceSpan iteration_span("peega.iteration");
-    iterations->Add(1);
-    Tape tape;
-    Var a = tape.Input(dense, /*requires_grad=*/attack_topology);
-    Var x = tape.Input(features, /*requires_grad=*/attack_features);
-    {
-      const obs::TraceSpan score_span("peega.score");
-      Var obj =
-          ObjectiveOnTape(&tape, a, x, reference, self_pairs, neighbor_pairs,
-                          options_.layers, options_.norm_p, options_.lambda);
-      tape.Backward(obj);
-      // Mirror of the engine's latched-fault check: NaN gradients make
-      // every scan comparison false and the loop would end silently OK.
-      if (!std::isfinite(static_cast<double>(obj.value()(0, 0)))) {
-        result.status = status::NumericFault(
-            "non-finite PEEGA objective on the tape");
-        break;
-      }
-    }
-
-    EdgeCandidate edge;
-    FeatureCandidate feature;
-    {
-      const obs::TraceSpan scan_span("peega.scan");
-      if (can_edge) {
-        edge = BestEdgeFlip(a.grad(), dense, access, &edge_done);
-      }
-      if (can_feature) {
-        feature = BestFeatureFlip(x.grad(), features, access, &feature_done);
-        // Normalized feature score S_f / beta (Sec. V-D1).
-        feature.score /= beta;
-      }
-    }
-    if (edge.u < 0 && feature.node < 0) break;
-
-    // Alg. 1 lines 9-12: commit whichever candidate scores higher.
-    const obs::TraceSpan flip_span("peega.flip");
-    const bool pick_feature =
-        feature.node >= 0 && (edge.u < 0 || edge.score < feature.score);
-    if (pick_feature) {
-      attack::FlipFeature(&features, feature.node, feature.dim);
-      feature_done.Insert(feature.node, feature.dim);
-      ++result.feature_modifications;
-      feature_flips->Add(1);
-      result.flips.push_back({true, feature.node, feature.dim});
-      spent += beta;
-    } else {
-      attack::FlipEdge(&dense, edge.u, edge.v);
-      edge_done.InsertSymmetric(edge.u, edge.v);
-      ++result.edge_modifications;
-      edge_flips->Add(1);
-      result.flips.push_back({false, edge.u, edge.v});
-      spent += 1.0;
-    }
-    const status::Status saved =
-        checkpoint.MaybeSave(result.flips, spent, rng);
-    if (!saved.ok()) {
-      result.status = saved;
-      break;
-    }
-  }
-
-  result.final_objective = Objective(g, dense, features);
-  // Commit sparsely: toggle the recorded edge flips on the clean CSR
-  // rather than rescanning the N x N tape matrix. graph::WithFlips is
-  // bitwise-identical to DenseToAdjacency(dense) here (tests/
-  // scale_test.cc holds both paths to that equality).
-  std::vector<std::pair<int, int>> edge_flip_pairs;
-  edge_flip_pairs.reserve(result.flips.size());
-  for (const attack::Flip& flip : result.flips) {
-    if (!flip.is_feature) edge_flip_pairs.emplace_back(flip.a, flip.b);
-  }
-  result.poisoned =
-      g.WithAdjacency(graph::WithFlips(g.adjacency, edge_flip_pairs))
-          .WithFeatures(features);
-  result.elapsed_seconds = watch.Seconds();
-  return result;
+AttackResult PeegaBatchAttack::Attack(const graph::Graph& g,
+                                      const AttackOptions& attack_options,
+                                      linalg::Rng* rng) {
+  return RunCampaign(options_, g, attack_options, rng);
 }
 
 }  // namespace repro::core

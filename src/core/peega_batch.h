@@ -13,11 +13,17 @@ namespace repro::core {
 ///
 /// Instead of committing ONE flip per gradient evaluation (Alg. 1,
 /// complexity O(delta) gradient passes), each pass commits the top
-/// `batch_size` non-conflicting candidates ranked by the same
-/// S = grad ⊙ (-2Â + 1) score, optionally perturbing scores with Gumbel
-/// noise for exploration. Complexity drops to O(delta / batch_size)
-/// gradient passes at a small effectiveness cost — quantified by the
+/// `batch_size` candidates ranked by the same S = grad ⊙ (-2Â + 1)
+/// score, optionally perturbing scores with Gumbel noise for
+/// exploration. Complexity drops to O(delta / batch_size) gradient
+/// passes at a small effectiveness cost — quantified by the
 /// `ablation_batch` bench.
+///
+/// It runs PEEGA's own greedy loop, of which PeegaAttack is the
+/// batch_size = 1, noise-free case, so it honours the whole PEEGA
+/// contract: `peega.target_nodes`, `peega.checkpoint_path` resume
+/// (checkpoints land on batch boundaries), the deadline and the
+/// `peega.interrupt` failpoint, polled once per batch.
 class PeegaBatchAttack : public attack::Attacker {
  public:
   struct Options {

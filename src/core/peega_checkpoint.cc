@@ -1,9 +1,11 @@
 #include "core/peega_checkpoint.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdint>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -39,6 +41,30 @@ Status ReadInt(const Json& doc, const char* key, int* out) {
   return Status::Ok();
 }
 
+Json IntArray(const std::vector<int>& values) {
+  Json array = Json::MakeArray();
+  for (const int v : values) array.array.push_back(Json::MakeNumber(v));
+  return array;
+}
+
+Status ReadIntArray(const Json& doc, const char* key, std::vector<int>* out) {
+  const Json* field = doc.Find(key);
+  if (field == nullptr || field->type != Json::Type::kArray) {
+    return InvalidInput(std::string("missing or non-array field '") + key +
+                        "'");
+  }
+  for (const Json& entry : field->array) {
+    // The range test also rejects NaN, so the cast below is defined.
+    if (entry.type != Json::Type::kNumber ||
+        !(std::fabs(entry.number_value) <=
+          std::numeric_limits<int>::max())) {
+      return InvalidInput(std::string("non-int entry in '") + key + "'");
+    }
+    out->push_back(static_cast<int>(entry.number_value));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 status::Status SavePeegaCheckpoint(const PeegaCheckpoint& checkpoint,
@@ -56,6 +82,10 @@ status::Status SavePeegaCheckpoint(const PeegaCheckpoint& checkpoint,
   doc.object["perturbation_rate"] =
       Json::MakeNumber(checkpoint.perturbation_rate);
   doc.object["feature_cost"] = Json::MakeNumber(checkpoint.feature_cost);
+  doc.object["target_nodes"] = IntArray(checkpoint.target_nodes);
+  doc.object["attacker_nodes"] = IntArray(checkpoint.attacker_nodes);
+  doc.object["batch_size"] = Json::MakeNumber(checkpoint.batch_size);
+  doc.object["gumbel_scale"] = Json::MakeNumber(checkpoint.gumbel_scale);
   doc.object["iteration"] = Json::MakeNumber(checkpoint.iteration);
   doc.object["spent"] = Json::MakeNumber(checkpoint.spent);
   doc.object["rng_state"] = Json::MakeString(checkpoint.rng_state);
@@ -139,6 +169,7 @@ status::StatusOr<PeegaCheckpoint> LoadPeegaCheckpoint(
 
   PeegaCheckpoint checkpoint;
   double lambda = 0.0;
+  double gumbel_scale = 0.0;
   for (const auto& [key, out] :
        std::initializer_list<std::pair<const char*, int*>>{
            {"num_nodes", &checkpoint.num_nodes},
@@ -147,6 +178,7 @@ status::StatusOr<PeegaCheckpoint> LoadPeegaCheckpoint(
            {"norm_p", &checkpoint.norm_p},
            {"mode", &checkpoint.mode},
            {"engine", &checkpoint.engine},
+           {"batch_size", &checkpoint.batch_size},
            {"iteration", &checkpoint.iteration}}) {
     status = ReadInt(doc, key, out);
     if (!status.ok()) return status.WithContext("checkpoint " + path);
@@ -160,6 +192,13 @@ status::StatusOr<PeegaCheckpoint> LoadPeegaCheckpoint(
   status = ReadNumber(doc, "feature_cost", &checkpoint.feature_cost);
   if (!status.ok()) return status.WithContext("checkpoint " + path);
   status = ReadNumber(doc, "spent", &checkpoint.spent);
+  if (!status.ok()) return status.WithContext("checkpoint " + path);
+  status = ReadNumber(doc, "gumbel_scale", &gumbel_scale);
+  if (!status.ok()) return status.WithContext("checkpoint " + path);
+  checkpoint.gumbel_scale = static_cast<float>(gumbel_scale);
+  status = ReadIntArray(doc, "target_nodes", &checkpoint.target_nodes);
+  if (!status.ok()) return status.WithContext("checkpoint " + path);
+  status = ReadIntArray(doc, "attacker_nodes", &checkpoint.attacker_nodes);
   if (!status.ok()) return status.WithContext("checkpoint " + path);
 
   const Json* rng = doc.Find("rng_state");

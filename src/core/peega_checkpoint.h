@@ -31,8 +31,12 @@ namespace repro::core {
 /// silently resuming from corrupt state. Structural corruption keeps
 /// the kInvalidInput "corrupt checkpoint" contract, with the parser's
 /// byte offset surfaced in the message.
+///
+/// Version 3 added target_nodes, attacker_nodes, batch_size and
+/// gumbel_scale to the echo, so every PEEGA variant (PeegaAttack and
+/// PeegaBatchAttack) resumes only into the campaign that wrote it.
 struct PeegaCheckpoint {
-  static constexpr int kVersion = 2;
+  static constexpr int kVersion = 3;
 
   // Config echo, validated on resume.
   int num_nodes = 0;
@@ -44,6 +48,10 @@ struct PeegaCheckpoint {
   int engine = 0;  // PeegaAttack::Engine as int
   double perturbation_rate = 0.0;
   double feature_cost = 1.0;
+  std::vector<int> target_nodes;    // PeegaAttack::Options::target_nodes
+  std::vector<int> attacker_nodes;  // AttackOptions::attacker_nodes
+  int batch_size = 1;               // 1 for PEEGA
+  float gumbel_scale = 0.0f;        // 0 for PEEGA
 
   // Campaign state.
   int iteration = 0;    // committed flips == flips.size()

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -141,6 +142,17 @@ struct EnvInit {
 };
 const EnvInit g_env_init;
 
+// Recorded nanoseconds as microseconds with exactly three decimals,
+// whatever the stream's precision or float format: full resolution at
+// any trace length.
+void WriteMicros(uint64_t ns, std::ostream& out) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  out << buf;
+}
+
 }  // namespace
 
 void SetTracing(bool enabled) {
@@ -180,8 +192,11 @@ void FlushTraceTo(std::ostream& out) {
     out << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << tid << ",\"cat\":\"peega\""
         << ",\"name\":\"";
     JsonEscape(event.name, out);
-    out << "\",\"ts\":" << static_cast<double>(event.start_ns) / 1e3
-        << ",\"dur\":" << static_cast<double>(event.dur_ns) / 1e3 << "}";
+    out << "\",\"ts\":";
+    WriteMicros(event.start_ns, out);
+    out << ",\"dur\":";
+    WriteMicros(event.dur_ns, out);
+    out << "}";
   });
   out << "]}";
 }

@@ -148,6 +148,33 @@ TEST(CapiErrorTest, CodesMapAndLastErrorCarriesContext) {
   gg_free(gg);
 }
 
+// A PEEGA option the campaign cannot run with is invalid input, not an
+// abort, and the context's graph stays exactly as loaded.
+TEST(CapiErrorTest, InvalidPeegaOptionLeavesGraphUnchanged) {
+  gg_ctx* gg = gg_init();
+  ASSERT_NE(gg, nullptr);
+  const std::string graph_path = MakeGraphFile("invalid_option");
+  ASSERT_EQ(gg_load_graph(gg, graph_path.c_str()), GG_OK);
+  const std::string before = TempPath("invalid_option_before.txt");
+  const std::string after = TempPath("invalid_option_after.txt");
+  ASSERT_EQ(gg_save_graph(gg, before.c_str()), GG_OK);
+
+  gg_attack_options options;
+  gg_attack_options_init(&options);
+  options.layers = 0;
+  EXPECT_EQ(gg_attack(gg, &options), GG_INVALID_INPUT);
+  EXPECT_NE(std::string(gg_last_error(gg)).find("layers = 0"),
+            std::string::npos)
+      << gg_last_error(gg);
+  EXPECT_EQ(gg_num_flips(gg), 0);
+  ASSERT_EQ(gg_save_graph(gg, after.c_str()), GG_OK);
+  EXPECT_EQ(ReadFileBytes(before), ReadFileBytes(after));
+  gg_free(gg);
+  std::remove(before.c_str());
+  std::remove(after.c_str());
+  std::remove(graph_path.c_str());
+}
+
 TEST(CapiCancelTest, PendingCancelStopsTheNextAttack) {
   const std::string graph_path = MakeGraphFile("cancel");
   gg_ctx* gg = gg_init();

@@ -14,6 +14,7 @@
 
 #include "attack/attacker.h"
 #include "core/peega.h"
+#include "core/peega_batch.h"
 #include "debug/failpoints.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
@@ -188,6 +189,117 @@ TEST_F(CheckpointTest, StaleOptionsAreRejectedToo) {
   EXPECT_EQ(rejected.status.code(), status::Code::kInvalidInput)
       << rejected.status.ToString();
   EXPECT_NE(rejected.status.message().find("stale"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+// PEEGA-Batch resumes like PEEGA, for both oracles. Interrupted after
+// two batches, the resumed campaign must reproduce the uninterrupted one
+// bit for bit; the Gumbel case also needs the restored RNG stream.
+TEST_F(CheckpointTest, BatchResumeIsBitwiseIdenticalToUninterruptedRun) {
+  const Graph g = CampaignGraph();
+  attack::AttackOptions attack_options = CampaignOptions();
+  attack_options.perturbation_rate = 0.15;  // several batches of 3
+  for (const auto& engine : {core::PeegaAttack::Engine::kIncremental,
+                             core::PeegaAttack::Engine::kTape}) {
+    for (const float gumbel_scale : {0.0f, 0.05f}) {
+      const std::string tag =
+          std::string(engine == core::PeegaAttack::Engine::kIncremental
+                          ? "incremental"
+                          : "tape") +
+          (gumbel_scale > 0.0f ? "_gumbel" : "");
+      SCOPED_TRACE(tag);
+      core::PeegaBatchAttack::Options batch;
+      batch.batch_size = 3;
+      batch.gumbel_scale = gumbel_scale;
+      batch.peega.engine = engine;
+      Rng golden_rng(kAttackSeed);
+      const attack::AttackResult golden =
+          core::PeegaBatchAttack(batch).Attack(g, attack_options,
+                                               &golden_rng);
+      ASSERT_TRUE(golden.status.ok()) << golden.status.ToString();
+      ASSERT_GT(golden.flips.size(), 6u);
+
+      const std::string path = TempCheckpoint("batch_" + tag);
+      std::remove(path.c_str());
+      batch.peega.checkpoint_path = path;
+      batch.peega.checkpoint_every = 1;
+      debug::ArmFailpoint("peega.interrupt", "3");
+      Rng interrupted_rng(kAttackSeed);
+      const attack::AttackResult interrupted =
+          core::PeegaBatchAttack(batch).Attack(g, attack_options,
+                                               &interrupted_rng);
+      debug::DisarmAllFailpoints();
+      ASSERT_EQ(interrupted.status.code(), status::Code::kCancelled)
+          << interrupted.status.ToString();
+      ASSERT_EQ(interrupted.flips.size(), 6u);
+      ASSERT_TRUE(std::ifstream(path).good())
+          << "no checkpoint written to " << path;
+
+      Rng resumed_rng(kAttackSeed);
+      const attack::AttackResult resumed =
+          core::PeegaBatchAttack(batch).Attack(g, attack_options,
+                                               &resumed_rng);
+      EXPECT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+      ASSERT_EQ(resumed.flips.size(), golden.flips.size());
+      for (size_t i = 0; i < golden.flips.size(); ++i) {
+        EXPECT_EQ(resumed.flips[i], golden.flips[i]) << "flip " << i;
+      }
+      EXPECT_EQ(resumed.final_objective, golden.final_objective);
+      EXPECT_EQ(graph::ComputeEdgeDiff(golden.poisoned, resumed.poisoned)
+                    .total(),
+                0);
+      std::remove(path.c_str());
+    }
+  }
+}
+
+// Version 3 echoes the targets, the attacker's access and the batch
+// shape: a checkpoint resumed under any other value of one of them is
+// stale, and the field is named.
+TEST_F(CheckpointTest, StaleTargetsAccessAndBatchShapeAreRejected) {
+  const Graph g = CampaignGraph();
+  const attack::AttackOptions attack_options = CampaignOptions();
+  const std::string path = TempCheckpoint("stale_v3");
+  std::remove(path.c_str());
+
+  core::PeegaBatchAttack::Options options;
+  options.batch_size = 2;
+  options.peega.checkpoint_path = path;
+  options.peega.checkpoint_every = 1;
+  debug::ArmFailpoint("peega.interrupt", "3");
+  Rng rng(kAttackSeed);
+  (void)core::PeegaBatchAttack(options).Attack(g, attack_options, &rng);
+  debug::DisarmAllFailpoints();
+  ASSERT_TRUE(std::ifstream(path).good());
+
+  struct Row {
+    const char* field;
+    core::PeegaBatchAttack::Options options;
+    attack::AttackOptions attack_options;
+  };
+  std::vector<Row> rows(4, Row{"", options, attack_options});
+  rows[0].field = "target_nodes";
+  rows[0].options.peega.target_nodes = {1, 2, 3};
+  rows[1].field = "attacker_nodes";
+  rows[1].attack_options.attacker_nodes = {0, 4, 5};
+  rows[2].field = "batch_size";
+  rows[2].options.batch_size = 3;
+  rows[3].field = "gumbel_scale";
+  rows[3].options.gumbel_scale = 0.1f;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.field);
+    Rng resume_rng(kAttackSeed);
+    const attack::AttackResult rejected =
+        core::PeegaBatchAttack(row.options)
+            .Attack(g, row.attack_options, &resume_rng);
+    EXPECT_EQ(rejected.status.code(), status::Code::kInvalidInput)
+        << rejected.status.ToString();
+    EXPECT_NE(rejected.status.message().find(
+                  std::string("stale checkpoint: ") + row.field),
+              std::string::npos)
+        << rejected.status.ToString();
+    EXPECT_TRUE(rejected.flips.empty());
+  }
   std::remove(path.c_str());
 }
 

@@ -250,5 +250,52 @@ TEST(BatchEngineEquivalence, AgreesAtOneTwoAndEightThreads) {
   parallel::SetNumThreads(0);
 }
 
+TEST(BatchEngineEquivalence, TargetedBatch) {
+  PeegaBatchAttack::Options batch;
+  batch.batch_size = 4;
+  batch.peega.target_nodes = {3, 8, 21, 40};
+  AttackOptions options;
+  options.perturbation_rate = 0.12;
+  const Graph g = SbmGraph(28);
+  ExpectBatchEnginesAgree(g, batch, options);
+  // The targets reach the objective: the campaign differs from the
+  // untargeted one.
+  PeegaBatchAttack::Options untargeted = batch;
+  untargeted.peega.target_nodes.clear();
+  Rng rng_targeted(7), rng_untargeted(7);
+  EXPECT_NE(
+      FlipString(PeegaBatchAttack(batch).Attack(g, options, &rng_targeted)
+                     .flips),
+      FlipString(PeegaBatchAttack(untargeted)
+                     .Attack(g, options, &rng_untargeted)
+                     .flips));
+}
+
+// PEEGA is PEEGA-Batch at batch_size = 1 without Gumbel noise: the same
+// flips in the same order and the same objective, whatever beta. Near
+// the end of the budget only the cheaper kind may be affordable; the
+// batch loop must then keep scanning that kind, as Alg. 1 does.
+TEST(BatchEngineEquivalence, BatchOfOneIsPeegaFlipForFlip) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const Graph g = SbmGraph(seed);
+    for (const double beta : {1.0, 0.5, 0.3}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", beta " +
+                   std::to_string(beta));
+      AttackOptions options;
+      options.perturbation_rate = 0.1;
+      options.feature_cost = beta;
+      PeegaBatchAttack::Options batch;
+      batch.batch_size = 1;
+      Rng rng_peega(7), rng_batch(7);
+      const AttackResult peega =
+          PeegaAttack(batch.peega).Attack(g, options, &rng_peega);
+      const AttackResult batched =
+          PeegaBatchAttack(batch).Attack(g, options, &rng_batch);
+      EXPECT_EQ(FlipString(peega.flips), FlipString(batched.flips));
+      EXPECT_EQ(peega.final_objective, batched.final_objective);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace repro::core

@@ -11,6 +11,7 @@
 
 #include "attack/attacker.h"
 #include "core/peega.h"
+#include "core/peega_batch.h"
 #include "debug/failpoints.h"
 #include "defense/model_defenders.h"
 #include "graph/generators.h"
@@ -146,6 +147,44 @@ TEST(FailpointSweepTest, InterruptedPeegaFlipsArePrefixOfFullRun) {
     EXPECT_EQ(interrupted.status.code(), status::Code::kCancelled)
         << interrupted.status.ToString();
     ASSERT_EQ(interrupted.flips.size(), 3u);
+    for (size_t i = 0; i < interrupted.flips.size(); ++i) {
+      EXPECT_EQ(interrupted.flips[i], full.flips[i]) << "flip " << i;
+    }
+    interrupted.poisoned.CheckInvariants();
+  }
+}
+
+// PEEGA-Batch polls the same failpoint once per batch: armed at hit K it
+// commits exactly K-1 whole batches, a prefix of the unbounded run.
+TEST(FailpointSweepTest, InterruptedBatchFlipsArePrefixOfFullRun) {
+  const Graph g = SweepGraph();
+  attack::AttackOptions options;
+  options.perturbation_rate = 0.1;  // several batches of 4
+
+  for (const auto& engine : {core::PeegaAttack::Engine::kIncremental,
+                             core::PeegaAttack::Engine::kTape}) {
+    SCOPED_TRACE(engine == core::PeegaAttack::Engine::kIncremental
+                     ? "incremental"
+                     : "tape");
+    debug::DisarmAllFailpoints();
+    core::PeegaBatchAttack::Options batch;
+    batch.batch_size = 4;
+    batch.peega.engine = engine;
+    Rng full_rng(7);
+    const attack::AttackResult full =
+        core::PeegaBatchAttack(batch).Attack(g, options, &full_rng);
+    ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+    ASSERT_GT(full.flips.size(), 8u);
+
+    debug::ArmFailpoint("peega.interrupt", "3");
+    Rng rng(7);
+    const attack::AttackResult interrupted =
+        core::PeegaBatchAttack(batch).Attack(g, options, &rng);
+    debug::DisarmAllFailpoints();
+
+    EXPECT_EQ(interrupted.status.code(), status::Code::kCancelled)
+        << interrupted.status.ToString();
+    ASSERT_EQ(interrupted.flips.size(), 8u);
     for (size_t i = 0; i < interrupted.flips.size(); ++i) {
       EXPECT_EQ(interrupted.flips[i], full.flips[i]) << "flip " << i;
     }

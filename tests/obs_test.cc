@@ -228,6 +228,44 @@ TEST(Trace, ExportIsValidChromeTraceJson) {
   EXPECT_TRUE(found);
 }
 
+// Timestamps keep nanosecond resolution (three decimals of µs) however
+// late in the trace they fall and whatever the caller's stream state: a
+// stream at precision(2) must not round them or switch to exponents.
+TEST(Trace, TimestampsPrintThreeDecimalsAtAnyStreamPrecision) {
+  const ScopedTracing tracing;
+  const auto busy_wait_ms = [](double ms) {
+    const obs::StopWatch watch;
+    while (watch.Millis() < ms) {
+    }
+  };
+  busy_wait_ms(2.0);  // every later ts is past 1000 µs
+  {
+    const obs::TraceSpan span("long");
+    busy_wait_ms(1.5);
+  }
+  std::ostringstream out;
+  out.precision(2);
+  obs::FlushTraceTo(out);
+  const std::string text = out.str();
+  ParseOrDie(text);
+  int checked = 0;
+  for (const std::string key : {"\"ts\":", "\"dur\":"}) {
+    for (size_t at = text.find(key); at != std::string::npos;
+         at = text.find(key, at + 1)) {
+      const size_t begin = at + key.size();
+      const size_t end = text.find_first_of(",}", begin);
+      const std::string value = text.substr(begin, end - begin);
+      const size_t dot = value.find('.');
+      ASSERT_NE(dot, std::string::npos) << value;
+      EXPECT_EQ(value.size() - dot - 1, 3u) << value;
+      EXPECT_EQ(value.find_first_not_of("0123456789."), std::string::npos)
+          << value;
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 2);
+}
+
 // ---------------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "attack/random_attack.h"
 #include "core/peega.h"
+#include "core/peega_batch.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
 #include "linalg/ops.h"
 #include "nn/gcn.h"
 #include "nn/trainer.h"
+#include "status/status.h"
 
 namespace repro::core {
 namespace {
@@ -209,6 +215,53 @@ TEST_F(PeegaContract, NoOscillationNetDiffEqualsBudgetSpent) {
       graph::FeatureDiffCount(g, result.poisoned);
   EXPECT_EQ(diff.total() + feature_diff,
             result.edge_modifications + result.feature_modifications);
+}
+
+// Out-of-range options are rejected before any work, through both
+// attackers, with INVALID_INPUT naming the field and the value and the
+// clean graph returned; none aborts the process.
+TEST(PeegaOptionsTest, InvalidOptionsAreRejectedNotAborted) {
+  const Graph g = SmallGraph(4, 0.1);
+  using BatchOptions = PeegaBatchAttack::Options;
+  struct Row {
+    std::string message;  // "<field> = <value>"
+    std::function<void(BatchOptions*)> set;
+    bool batch_only;  // PeegaAttack has no batch_size
+  };
+  const std::vector<Row> rows = {
+      {"layers = 0", [](BatchOptions* o) { o->peega.layers = 0; }, false},
+      {"norm_p = 0", [](BatchOptions* o) { o->peega.norm_p = 0; }, false},
+      {"batch_size = -3", [](BatchOptions* o) { o->batch_size = -3; }, true},
+      {"batch_size = 0", [](BatchOptions* o) { o->batch_size = 0; }, true},
+      {"checkpoint_every = 0",
+       [](BatchOptions* o) { o->peega.checkpoint_every = 0; }, false},
+      {"target_nodes = -1",
+       [](BatchOptions* o) { o->peega.target_nodes = {0, -1}; }, false},
+      {"target_nodes = " + std::to_string(g.num_nodes),
+       [&](BatchOptions* o) { o->peega.target_nodes = {g.num_nodes}; },
+       false},
+  };
+  AttackOptions options;
+  options.perturbation_rate = 0.05;
+  for (const Row& row : rows) {
+    BatchOptions batch;
+    row.set(&batch);
+    for (const bool use_batch : {false, true}) {
+      if (row.batch_only && !use_batch) continue;
+      SCOPED_TRACE(row.message + (use_batch ? " (PEEGA-Batch)" : " (PEEGA)"));
+      Rng rng(5);
+      const AttackResult result =
+          use_batch ? PeegaBatchAttack(batch).Attack(g, options, &rng)
+                    : PeegaAttack(batch.peega).Attack(g, options, &rng);
+      EXPECT_EQ(result.status.code(), status::Code::kInvalidInput)
+          << result.status.ToString();
+      EXPECT_NE(result.status.message().find(row.message), std::string::npos)
+          << result.status.ToString();
+      EXPECT_TRUE(result.flips.empty());
+      EXPECT_EQ(graph::ComputeEdgeDiff(g, result.poisoned).total(), 0);
+      EXPECT_EQ(graph::FeatureDiffCount(g, result.poisoned), 0);
+    }
+  }
 }
 
 TEST(PeegaEffectTest, BeatsRandomAttackOnGcn) {

@@ -194,7 +194,6 @@ void DenseRoundtrip(const AnalysisContext& ctx, std::vector<Finding>* out) {
       "src/attack/metattack.cc",  // bilevel meta-gradients are dense
       "src/attack/gf_attack.cc",  // spectral scoring is dense
       "src/core/peega.cc",        // tape autograd reference path
-      "src/core/peega_batch.cc",  // tape autograd reference path
   };
   const PassInfo* info = FindPass("dense-roundtrip");
   for (const SourceFile& file : *ctx.files) {

@@ -3,6 +3,7 @@
 //   graphguard generate --dataset cora --scale 1.0 --seed 42 --out g.txt
 //   graphguard attack   --in g.txt --out poisoned.txt --attacker peega
 //                       --rate 0.1 [--lambda 0.01 --p 2 --layers 2]
+//                       [--batch 16]
 //                       [--deadline SECONDS] [--checkpoint FILE
 //                        --checkpoint-every K]
 //   graphguard defend   --in poisoned.txt --defender gnat [--runs 3]
@@ -17,9 +18,9 @@
 // `attack --deadline` caps the wall-clock budget: on expiry the
 // best-so-far poisoned graph is still written and the exit stays 0, but
 // the status line reports DEADLINE_EXCEEDED. `--checkpoint` makes PEEGA
-// periodically persist its campaign state; re-running the same command
-// after an interruption resumes from the file and reproduces the
-// uninterrupted flip sequence bit for bit.
+// and PEEGA-Batch periodically persist their campaign state; re-running
+// the same command after an interruption resumes from the file and
+// reproduces the uninterrupted flip sequence bit for bit.
 //
 // The one-shot attack/defend paths run through the stable C ABI
 // (capi/graphguard.h) rather than the C++ library directly: the CLI is
@@ -54,6 +55,7 @@ int Usage() {
       "           [--attacker peega|peega-batch|metattack|pgd|minmax|\n"
       "            gf|dice|random] [--rate R] [--lambda L] [--p P]\n"
       "           [--layers K] [--mode both|tm|fp] [--seed N]\n"
+      "           [--batch K] (peega-batch: flips per gradient pass)\n"
       "           [--deadline SECONDS]\n"
       "           [--checkpoint FILE] [--checkpoint-every K]\n"
       "  defend   --in FILE [--defender gnat|gcn|gat|jaccard|svd|rgcn|\n"
