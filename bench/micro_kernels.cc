@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "autograd/tape.h"
 #include "bench_common.h"
@@ -22,6 +23,7 @@
 #include "graph/generators.h"
 #include "linalg/dispatch.h"
 #include "linalg/eigen.h"
+#include "linalg/incremental.h"
 #include "linalg/ops.h"
 #include "nn/gcn.h"
 #include "nn/optim.h"
@@ -169,6 +171,54 @@ void BM_PeegaGreedyStepThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PeegaGreedyStepThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// The incremental engine's U_k refresh at the peega-cora shape: n = 2500
+// nodes, F = 1450 features, 185 rows (or columns) per refresh, the
+// traced core.rows_per_refresh. Items are FLOPs, so items_per_second is
+// the kernel's GF/s ×1e9; compare variants with PEEGA_SIMD=generic.
+constexpr int kDotNodes = 2500, kDotFeatures = 1450, kDotSubset = 185;
+
+struct DotCase {
+  Matrix a, b, out;
+  std::vector<int> subset;
+  std::vector<char> nonzero;
+};
+
+DotCase MakeDotCase() {
+  Rng rng(11);
+  DotCase c{linalg::RandomNormal(kDotNodes, kDotFeatures, 1.0f, &rng),
+            linalg::RandomNormal(kDotNodes, kDotFeatures, 1.0f, &rng),
+            Matrix(kDotNodes, kDotNodes), rng.Permutation(kDotNodes),
+            std::vector<char>(kDotNodes, 1)};
+  c.subset.resize(kDotSubset);
+  return c;
+}
+
+void BM_DotRowsInto(benchmark::State& state) {
+  const ScopedThreads scope(state, static_cast<int>(state.range(0)));
+  DotCase c = MakeDotCase();
+  for (auto _ : state) {
+    linalg::DotRowsInto(c.a, c.b, c.subset, &c.nonzero, &c.out);
+    benchmark::DoNotOptimize(c.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * int64_t{kDotSubset} *
+                          kDotNodes * kDotFeatures);
+}
+BENCHMARK(BM_DotRowsInto)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+void BM_DotColsInto(benchmark::State& state) {
+  const ScopedThreads scope(state, static_cast<int>(state.range(0)));
+  DotCase c = MakeDotCase();
+  for (auto _ : state) {
+    linalg::DotColsInto(c.a, c.b, c.subset, &c.nonzero, &c.out);
+    benchmark::DoNotOptimize(c.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * int64_t{kDotSubset} *
+                          kDotNodes * kDotFeatures);
+}
+BENCHMARK(BM_DotColsInto)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // --------------------------------------------------------------------------
 // SIMD-variant sweeps of the dispatched kernels. Registered dynamically

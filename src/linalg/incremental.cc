@@ -1,5 +1,8 @@
 #include "linalg/incremental.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "debug/check.h"
 #include "debug/numerics.h"
 #include "linalg/kernels/kernels.h"
@@ -11,11 +14,9 @@ namespace repro::linalg {
 
 namespace {
 
-// Chunk grains over the row/column subsets. Outputs are disjoint per
-// row (or per column set within a row), so the partition only affects
-// load balance, never the result.
+// Chunk grain over the row subset. Outputs are disjoint per row, so the
+// partition only affects load balance, never the result.
 constexpr int64_t kSpmmRowGrain = 16;  // O(deg * cols) work per row
-constexpr int64_t kDotRowGrain = 2;    // O(b.rows * cols) work per row
 
 // Scans the freshly written rows for NaN/Inf in debug-numerics builds;
 // checking only the touched rows keeps the guard proportional to the
@@ -87,28 +88,24 @@ void DotRowsInto(const Matrix& a, const Matrix& b,
       obs::GetCounter("linalg.incremental.flops");
   calls->Add(1);
   const int n = b.rows(), k = a.cols();
-  // The AVX2 variant gathers 8 consecutive B-rows per step through
-  // 32-bit offsets of at most 8·k elements; fall back to generic when
-  // that could overflow (the variants are bitwise-equal either way).
-  const kernels::DotRowFn kernel = kernels::GatherOffsetsFit(7, k)
-                                       ? kernels::DotRowTable().Select()
-                                       : kernels::DotRowTable().generic;
-  parallel::ParallelFor(
-      0, static_cast<int64_t>(rows.size()), kDotRowGrain,
-      [&](int64_t i0, int64_t i1) {
-        uint64_t dots = 0;
-        for (int64_t i = i0; i < i1; ++i) {
-          const int r = rows[static_cast<size_t>(i)];
-          float* crow = out->row(r);
-          if (row_nonzero != nullptr && !(*row_nonzero)[r]) {
-            for (int j = 0; j < n; ++j) crow[j] = 0.0f;
-            continue;
-          }
-          kernel(a.row(r), b.data(), n, k, crow);
-          dots += static_cast<uint64_t>(n);
-        }
-        flops->Add(2 * dots * static_cast<uint64_t>(k));
-      });
+  // Rows flagged all-zero are cleared here and skipped by the kernel.
+  std::vector<int> active;
+  active.reserve(rows.size());
+  for (const int r : rows) {
+    if (row_nonzero == nullptr || (*row_nonzero)[r]) {
+      active.push_back(r);
+    } else {
+      std::fill_n(out->row(r), n, 0.0f);
+    }
+  }
+  flops->Add(2ull * active.size() * static_cast<uint64_t>(n) *
+             static_cast<uint64_t>(k));
+  // Parallel over column panels: each task packs its own 16 B rows and
+  // sweeps the whole active row subset, which stays in L2.
+  std::vector<int> cols(static_cast<size_t>(n));
+  std::iota(cols.begin(), cols.end(), 0);
+  kernels::DotPanels(kernels::DotRowsTable().Select(), a.data(), active,
+                     b.data(), cols, k, out->data(), n);
   CheckRowsFinite(*out, rows, "DotRowsInto");
 }
 
@@ -127,24 +124,20 @@ void DotColsInto(const Matrix& a, const Matrix& b,
   const int k = a.cols();
   flops->Add(2ull * static_cast<uint64_t>(a.rows()) *
              static_cast<uint64_t>(cols.size()) * static_cast<uint64_t>(k));
-  // The AVX2 variant gathers through ABSOLUTE 32-bit offsets col·k, so
-  // the largest addressable B row index bounds the guard here.
-  const kernels::DotColsRowFn kernel =
-      kernels::GatherOffsetsFit(b.rows() > 0 ? b.rows() - 1 : 0, k)
-          ? kernels::DotColsRowTable().Select()
-          : kernels::DotColsRowTable().generic;
-  parallel::ParallelFor(0, a.rows(), kSpmmRowGrain, [&](int64_t r0,
-                                                        int64_t r1) {
-    for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
+  std::vector<int> active;
+  active.reserve(static_cast<size_t>(a.rows()));
+  for (int i = 0; i < a.rows(); ++i) {
+    if (row_nonzero == nullptr || (*row_nonzero)[i]) {
+      active.push_back(i);
+    } else {
       float* crow = out->row(i);
-      if (row_nonzero != nullptr && !(*row_nonzero)[i]) {
-        for (const int j : cols) crow[j] = 0.0f;
-        continue;
-      }
-      kernel(a.row(i), b.data(), cols.data(),
-             static_cast<int64_t>(cols.size()), k, crow);
+      for (const int j : cols) crow[j] = 0.0f;
     }
-  });
+  }
+  // Row blocks × the subset's column panels: every task packs the
+  // (few) subset columns it needs and sweeps its block of rows.
+  kernels::DotPanels(kernels::DotColsTable().Select(), a.data(), active,
+                     b.data(), cols, k, out->data(), out->cols());
   if constexpr (debug::NumericsGuardEnabled()) {
     for (int i = 0; i < out->rows(); ++i) {
       for (const int j : cols) {

@@ -3,13 +3,53 @@
 // a table can never reference a symbol the link does not provide; at
 // runtime KernelTable::Select() narrows further to what the CPU
 // supports. AllKernelTables() exposes the wiring to the op registry's
-// self-check and to gen_op_docs.
+// self-check and to gen_op_docs. Also home of DotPanels, the chunking
+// the three dot-family ops share.
 
 #include "linalg/kernels/kernels.h"
 
+#include <algorithm>
+
 #include "linalg/kernels/variants.h"
+#include "parallel/thread_pool.h"
 
 namespace repro::linalg::kernels {
+
+namespace {
+
+// Rows per dot task. A whole row subset of the engine's U_k refresh
+// (about 185 rows at Cora scale) fits one block, so each column panel
+// is packed once and its A rows stay in L2; full-height products
+// (MatMulTransB, DotColsInto over all rows) split into blocks so a
+// one-panel product still spreads over the pool.
+constexpr int64_t kDotRowBlock = 256;
+
+}  // namespace
+
+void DotPanels(DotPanelFn kernel, const float* a, const std::vector<int>& rows,
+               const float* b, const std::vector<int>& cols, int k, float* c,
+               int64_t ldc) {
+  const int64_t m = static_cast<int64_t>(rows.size());
+  const int64_t n = static_cast<int64_t>(cols.size());
+  if (m == 0 || n == 0) return;
+  const int64_t row_blocks = (m + kDotRowBlock - 1) / kDotRowBlock;
+  const int64_t panels = (n + kDotPanelWidth - 1) / kDotPanelWidth;
+  parallel::ParallelFor(0, panels * row_blocks, 1, [&](int64_t t0,
+                                                       int64_t t1) {
+    // Per-thread scratch, grown once to the largest k seen.
+    thread_local std::vector<float> panel;
+    panel.resize(static_cast<size_t>(kDotPanelWidth) *
+                 static_cast<size_t>(k));
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t r0 = (t % row_blocks) * kDotRowBlock;
+      const int64_t c0 = (t / row_blocks) * kDotPanelWidth;
+      kernel(a, rows.data() + r0, std::min(kDotRowBlock, m - r0), b,
+             cols.data() + c0,
+             static_cast<int>(std::min<int64_t>(kDotPanelWidth, n - c0)), k,
+             c, ldc, panel.data());
+    }
+  });
+}
 
 #if defined(PEEGA_HAVE_AVX2)
 #define PEEGA_AVX2_FN(fn) (&avx2::fn)
@@ -37,10 +77,10 @@ const KernelTable<MatMulTransAColsFn>& MatMulTransATable() {
   return table;
 }
 
-const KernelTable<MatMulTransBRowsFn>& MatMulTransBTable() {
-  static const KernelTable<MatMulTransBRowsFn> table = {
-      "linalg.matmul_tb", &generic::MatMulTransBRows,
-      PEEGA_AVX2_FN(MatMulTransBRows), nullptr};
+const KernelTable<DotPanelFn>& MatMulTransBTable() {
+  static const KernelTable<DotPanelFn> table = {
+      "linalg.matmul_tb", &generic::DotPanel, PEEGA_AVX2_FN(DotPanel),
+      nullptr};
   return table;
 }
 
@@ -74,16 +114,15 @@ const KernelTable<NormalizedSpMMRowFn>& NormalizedSpMMRowTable() {
   return table;
 }
 
-const KernelTable<DotRowFn>& DotRowTable() {
-  static const KernelTable<DotRowFn> table = {
-      "linalg.dot_rows", &generic::DotRow, PEEGA_AVX2_FN(DotRow), nullptr};
+const KernelTable<DotPanelFn>& DotRowsTable() {
+  static const KernelTable<DotPanelFn> table = {
+      "linalg.dot_rows", &generic::DotPanel, PEEGA_AVX2_FN(DotPanel), nullptr};
   return table;
 }
 
-const KernelTable<DotColsRowFn>& DotColsRowTable() {
-  static const KernelTable<DotColsRowFn> table = {
-      "linalg.dot_cols", &generic::DotColsRow, PEEGA_AVX2_FN(DotColsRow),
-      nullptr};
+const KernelTable<DotPanelFn>& DotColsTable() {
+  static const KernelTable<DotPanelFn> table = {
+      "linalg.dot_cols", &generic::DotPanel, PEEGA_AVX2_FN(DotPanel), nullptr};
   return table;
 }
 
@@ -109,8 +148,8 @@ std::vector<KernelTableInfo> AllKernelTables() {
       InfoOf(MatMulTable()),        InfoOf(MatMulTransATable()),
       InfoOf(MatMulTransBTable()),  InfoOf(SpMMTable()),
       InfoOf(SpMVTable()),          InfoOf(RowSoftmaxTable()),
-      InfoOf(NormalizedSpMMRowTable()), InfoOf(DotRowTable()),
-      InfoOf(DotColsRowTable()),
+      InfoOf(NormalizedSpMMRowTable()), InfoOf(DotRowsTable()),
+      InfoOf(DotColsTable()),
   };
 }
 

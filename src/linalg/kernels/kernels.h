@@ -15,12 +15,13 @@ namespace repro::linalg::kernels {
 /// The public kernels keep their orchestration (shape checks, tracing,
 /// FLOP counters, `parallel::ParallelFor` chunking) and resolve ONE
 /// function pointer per call from the op's `KernelTable`; the pointed-to
-/// functions below do the arithmetic for one chunk (dense ops) or one
-/// row (the row-subset repair ops). Signatures are raw pointers + sizes
-/// on purpose: the AVX2/NEON translation units are compiled with
-/// instruction-set flags the rest of the tree must not assume, so they
-/// must not instantiate inline class members that could be ODR-merged
-/// into baseline code.
+/// functions below do the arithmetic for one chunk (dense ops), one row
+/// (the normalized SpMM repair op) or one column panel (the dot family,
+/// whose chunking `DotPanels` below shares between its three ops).
+/// Signatures are raw pointers + sizes on purpose: the AVX2/NEON
+/// translation units are compiled with instruction-set flags the rest
+/// of the tree must not assume, so they must not instantiate inline
+/// class members that could be ODR-merged into baseline code.
 ///
 /// Variant contract (DESIGN.md, "Kernel dispatch & determinism
 /// classes"): every non-generic variant reproduces the generic float
@@ -47,11 +48,6 @@ using MatMulTransAColsFn = void (*)(const float* a, const float* b, float* c,
                                     int64_t j0, int64_t j1, int k_rows, int m,
                                     int n);
 
-/// Rows [r0, r1) of C(m×n) = A(m×k) · B(n×k)ᵀ; each element is an
-/// ascending-k dot product.
-using MatMulTransBRowsFn = void (*)(const float* a, const float* b, float* c,
-                                    int64_t r0, int64_t r1, int k, int n);
-
 /// Rows [r0, r1) of C = S · B for CSR S; each row accumulates its
 /// nonzeros in stored (ascending-column) order.
 using SpMMRowsFn = void (*)(const int64_t* row_ptr, const int* col_idx,
@@ -69,7 +65,7 @@ using RowSoftmaxRowsFn = void (*)(const float* a, float* c, int64_t r0,
                                   int64_t r1, int n);
 
 // ---------------------------------------------------------------------------
-// Row kernels (row-subset repair ops of the incremental engine)
+// Row kernel (row-subset repair op of the incremental engine)
 // ---------------------------------------------------------------------------
 
 /// Row `r` of A_n · B for the GCN-normalized adjacency implied by
@@ -80,16 +76,32 @@ using NormalizedSpMMRowFn = void (*)(const int* neighbors, int degree, int r,
                                      const float* scale, const float* b,
                                      int cols, float* out_row);
 
-/// One row of A · Bᵀ: out_row[j] = dot(a_row, b + j·k) for j in [0, n),
-/// each dot ascending-k.
-using DotRowFn = void (*)(const float* a_row, const float* b, int64_t n,
-                          int k, float* out_row);
+// ---------------------------------------------------------------------------
+// Dot panels (linalg::MatMulTransB, DotRowsInto, DotColsInto)
+// ---------------------------------------------------------------------------
 
-/// Subset-column companion: out_row[cols[c]] = dot(a_row, b + cols[c]·k)
-/// for c in [0, num_cols); untouched columns keep their values.
-using DotColsRowFn = void (*)(const float* a_row, const float* b,
-                              const int* cols, int64_t num_cols, int k,
-                              float* out_row);
+/// One column panel of C = A · Bᵀ over a row subset:
+///   c[rows[i]·ldc + cols[l]] = dot(a + rows[i]·k, b + cols[l]·k)
+/// for i in [0, num_rows) and l in [0, num_cols), with num_cols at most
+/// kDotPanelWidth (16, variants.h). Every dot starts from 0.0f and
+/// ascends k. `panel` is scratch of kDotPanelWidth·k floats: packing
+/// variants copy the num_cols B rows into it k-major and compute
+/// register tiles from it; the generic reference reads `b` directly, so
+/// the differential tests also check the packing.
+using DotPanelFn = void (*)(const float* a, const int* rows, int64_t num_rows,
+                            const float* b, const int* cols, int num_cols,
+                            int k, float* c, int64_t ldc, float* panel);
+
+/// The dot family's shared driver: computes c[r·ldc + j] =
+/// dot(a + r·k, b + j·k) for every r in `rows` and j in `cols` with
+/// `kernel`, in parallel over (column panel × row block) tasks (sizes in
+/// kernels.cc). Each task packs its own panel into a per-thread scratch
+/// buffer; no packed copy of B as a whole is ever built. Outputs are
+/// disjoint per task and each is one full ascending-k chain, so the
+/// result is bitwise-identical at any thread count.
+void DotPanels(DotPanelFn kernel, const float* a, const std::vector<int>& rows,
+               const float* b, const std::vector<int>& cols, int k, float* c,
+               int64_t ldc);
 
 // ---------------------------------------------------------------------------
 // Per-op tables
@@ -97,20 +109,13 @@ using DotColsRowFn = void (*)(const float* a_row, const float* b,
 
 const KernelTable<MatMulRowsFn>& MatMulTable();
 const KernelTable<MatMulTransAColsFn>& MatMulTransATable();
-const KernelTable<MatMulTransBRowsFn>& MatMulTransBTable();
+const KernelTable<DotPanelFn>& MatMulTransBTable();
 const KernelTable<SpMMRowsFn>& SpMMTable();
 const KernelTable<SpMVRowsFn>& SpMVTable();
 const KernelTable<RowSoftmaxRowsFn>& RowSoftmaxTable();
 const KernelTable<NormalizedSpMMRowFn>& NormalizedSpMMRowTable();
-const KernelTable<DotRowFn>& DotRowTable();
-const KernelTable<DotColsRowFn>& DotColsRowTable();
-
-/// The AVX2 dot-family kernels address B rows through 32-bit gather
-/// offsets (lane l reads b[row_l·k + kk]); callers fall back to the
-/// generic kernel when `max_row·k + k` could exceed INT32_MAX.
-inline bool GatherOffsetsFit(int64_t max_row, int64_t k) {
-  return max_row * k + k <= int64_t{INT32_MAX};
-}
+const KernelTable<DotPanelFn>& DotRowsTable();
+const KernelTable<DotPanelFn>& DotColsTable();
 
 /// Introspection row for the registry self-check and gen_op_docs: which
 /// variants of each dispatched op this binary actually compiled.

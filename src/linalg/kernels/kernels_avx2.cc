@@ -5,9 +5,10 @@
 // Bitwise-equality discipline (DESIGN.md, "Kernel dispatch &
 // determinism classes"): every vector lane owns ONE output element and
 // replays the generic kernel's accumulation sequence for that element —
-// saxpy kernels vectorize across the contiguous j (output-column) loop,
-// dot kernels keep the ascending-k scan per output and spread EIGHT
-// DIFFERENT outputs across lanes via strided gathers. Multiplies and
+// saxpy kernels vectorize across the contiguous j (output-column) loop;
+// the dot kernel keeps the ascending-k scan per output and spreads the
+// 16 outputs of a packed B panel across two vectors, for up to four A
+// rows at once (a register tile). Multiplies and
 // adds round separately (_mm256_mul_ps + _mm256_add_ps, never
 // _mm256_fmadd_ps): the baseline x86-64 scalar reference has no FMA, so
 // a fused variant would differ in the last bit and flip greedy argmax
@@ -38,27 +39,138 @@ inline void AxpyRow(float av, const float* brow, float* crow, int n) {
   for (; j < n; ++j) crow[j] += av * brow[j];
 }
 
-// Eight ascending-k dot products at once: lane l accumulates
-// dot(a_row, b + (base_row + l)·k) through a stride-k gather, exactly
-// the generic per-output order. Caller guarantees (base-relative)
-// gather offsets fit int32 (kernels.h GatherOffsetsFit).
-inline __m256 DotEight(const float* a_row, const float* b_tile, int k) {
-  const __m256i vidx =
-      _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-                         _mm256_set1_epi32(k));
-  __m256 acc = _mm256_setzero_ps();
-  for (int kk = 0; kk < k; ++kk) {
-    const __m256 va = _mm256_set1_ps(a_row[kk]);
-    const __m256 vb = _mm256_i32gather_ps(b_tile + kk, vidx, 4);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
+// Rows per register tile: 4 rows × 2 vectors = 8 independent
+// accumulator chains, enough to hide the add latency without spilling.
+constexpr int kTileRows = 4;
+
+// Copies B rows cols[0, num_cols) into `panel` k-major,
+// panel[kk·kDotPanelWidth + l] = b[cols[l]·k + kk], so one k-step of a
+// tile is two contiguous loads. Lanes past num_cols are zeroed: their
+// results are discarded, and zeros keep them finite. Each group of 8
+// lanes moves in 8×8 blocks: 8 row loads, an in-register transpose,
+// 8 panel stores.
+void PackPanel(const float* b, const int* cols, int num_cols, int k,
+               float* panel) {
+  for (int l0 = 0; l0 < kDotPanelWidth; l0 += 8) {
+    const float* brow[8] = {};
+    for (int l = 0; l < 8 && l0 + l < num_cols; ++l) {
+      brow[l] = b + static_cast<int64_t>(cols[l0 + l]) * k;
+    }
+    const auto row = [&](int l, int kk) {
+      return brow[l] != nullptr ? _mm256_loadu_ps(brow[l] + kk)
+                                : _mm256_setzero_ps();
+    };
+    int kk = 0;
+    for (; kk + 8 <= k; kk += 8) {
+      // r_l holds lane l0 + l at k-steps kk..kk+7; after the transpose
+      // t_j holds lanes l0..l0+7 at k-step kk + j.
+      const __m256 r0 = row(0, kk), r1 = row(1, kk), r2 = row(2, kk),
+                   r3 = row(3, kk), r4 = row(4, kk), r5 = row(5, kk),
+                   r6 = row(6, kk), r7 = row(7, kk);
+      const __m256 u0 = _mm256_unpacklo_ps(r0, r1);
+      const __m256 u1 = _mm256_unpackhi_ps(r0, r1);
+      const __m256 u2 = _mm256_unpacklo_ps(r2, r3);
+      const __m256 u3 = _mm256_unpackhi_ps(r2, r3);
+      const __m256 u4 = _mm256_unpacklo_ps(r4, r5);
+      const __m256 u5 = _mm256_unpackhi_ps(r4, r5);
+      const __m256 u6 = _mm256_unpacklo_ps(r6, r7);
+      const __m256 u7 = _mm256_unpackhi_ps(r6, r7);
+      const __m256 v0 = _mm256_shuffle_ps(u0, u2, 0x44);
+      const __m256 v1 = _mm256_shuffle_ps(u0, u2, 0xEE);
+      const __m256 v2 = _mm256_shuffle_ps(u1, u3, 0x44);
+      const __m256 v3 = _mm256_shuffle_ps(u1, u3, 0xEE);
+      const __m256 v4 = _mm256_shuffle_ps(u4, u6, 0x44);
+      const __m256 v5 = _mm256_shuffle_ps(u4, u6, 0xEE);
+      const __m256 v6 = _mm256_shuffle_ps(u5, u7, 0x44);
+      const __m256 v7 = _mm256_shuffle_ps(u5, u7, 0xEE);
+      const __m256 t[8] = {
+          _mm256_permute2f128_ps(v0, v4, 0x20),
+          _mm256_permute2f128_ps(v1, v5, 0x20),
+          _mm256_permute2f128_ps(v2, v6, 0x20),
+          _mm256_permute2f128_ps(v3, v7, 0x20),
+          _mm256_permute2f128_ps(v0, v4, 0x31),
+          _mm256_permute2f128_ps(v1, v5, 0x31),
+          _mm256_permute2f128_ps(v2, v6, 0x31),
+          _mm256_permute2f128_ps(v3, v7, 0x31)};
+      float* dst = panel + static_cast<int64_t>(kk) * kDotPanelWidth + l0;
+      for (int j = 0; j < 8; ++j) {
+        _mm256_storeu_ps(dst + j * kDotPanelWidth, t[j]);
+      }
+    }
+    for (; kk < k; ++kk) {
+      float* dst = panel + static_cast<int64_t>(kk) * kDotPanelWidth + l0;
+      for (int l = 0; l < 8; ++l) {
+        dst[l] = brow[l] != nullptr ? brow[l][kk] : 0.0f;
+      }
+    }
   }
-  return acc;
 }
 
-inline float DotScalar(const float* a_row, const float* brow, int k) {
-  float dot = 0.0f;
-  for (int kk = 0; kk < k; ++kk) dot += a_row[kk] * brow[kk];
-  return dot;
+// One k-step of one tile row: acc[v] += a · b_v for the NV panel vectors.
+template <int NV>
+inline void MulAdd(__m256 (&acc)[2], const float* a, __m256 b0, __m256 b1) {
+  const __m256 va = _mm256_broadcast_ss(a);
+  acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(va, b0));
+  if (NV == 2) acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(va, b1));
+}
+
+// Writes one tile row's real columns to C.
+template <int NV>
+inline void StoreRow(const __m256 (&acc)[2], const int* cols, int num_cols,
+                     float* crow) {
+  alignas(32) float lanes[kDotPanelWidth];
+  _mm256_store_ps(lanes, acc[0]);
+  if (NV == 2) _mm256_store_ps(lanes + 8, acc[1]);
+  for (int l = 0; l < num_cols; ++l) crow[cols[l]] = lanes[l];
+}
+
+// An MR × 8·NV register tile: lane l of acc[r][v] runs the ascending-k
+// chain of output (rows[r], cols[8v + l]) — the generic reference's
+// scalar chain for that output, mul and add rounded separately. Rows
+// are written out by constant index so the accumulators stay in
+// registers.
+template <int MR, int NV>
+void DotTile(const float* a, const int* rows, const float* panel,
+             const int* cols, int num_cols, int k, float* c, int64_t ldc) {
+  const float* arow[kTileRows] = {};
+  for (int r = 0; r < MR; ++r) arow[r] = a + static_cast<int64_t>(rows[r]) * k;
+  __m256 acc[kTileRows][2] = {};
+  for (int kk = 0; kk < k; ++kk) {
+    const float* p = panel + static_cast<int64_t>(kk) * kDotPanelWidth;
+    const __m256 b0 = _mm256_loadu_ps(p);
+    const __m256 b1 = NV == 2 ? _mm256_loadu_ps(p + 8) : b0;
+    MulAdd<NV>(acc[0], arow[0] + kk, b0, b1);
+    if (MR > 1) MulAdd<NV>(acc[1], arow[1] + kk, b0, b1);
+    if (MR > 2) MulAdd<NV>(acc[2], arow[2] + kk, b0, b1);
+    if (MR > 3) MulAdd<NV>(acc[3], arow[3] + kk, b0, b1);
+  }
+  StoreRow<NV>(acc[0], cols, num_cols, c + rows[0] * ldc);
+  if (MR > 1) StoreRow<NV>(acc[1], cols, num_cols, c + rows[1] * ldc);
+  if (MR > 2) StoreRow<NV>(acc[2], cols, num_cols, c + rows[2] * ldc);
+  if (MR > 3) StoreRow<NV>(acc[3], cols, num_cols, c + rows[3] * ldc);
+}
+
+template <int NV>
+void DotPanelRows(const float* a, const int* rows, int64_t num_rows,
+                  const float* panel, const int* cols, int num_cols, int k,
+                  float* c, int64_t ldc) {
+  int64_t i = 0;
+  for (; i + kTileRows <= num_rows; i += kTileRows) {
+    DotTile<kTileRows, NV>(a, rows + i, panel, cols, num_cols, k, c, ldc);
+  }
+  switch (num_rows - i) {
+    case 3:
+      DotTile<3, NV>(a, rows + i, panel, cols, num_cols, k, c, ldc);
+      break;
+    case 2:
+      DotTile<2, NV>(a, rows + i, panel, cols, num_cols, k, c, ldc);
+      break;
+    case 1:
+      DotTile<1, NV>(a, rows + i, panel, cols, num_cols, k, c, ldc);
+      break;
+    default:
+      break;
+  }
 }
 
 }  // namespace
@@ -99,22 +211,6 @@ void MatMulTransACols(const float* a, const float* b, float* c, int64_t j0,
         _mm256_storeu_ps(crow + j, _mm256_add_ps(vc, _mm256_mul_ps(vav, vb)));
       }
       for (; j < je; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-void MatMulTransBRows(const float* a, const float* b, float* c, int64_t r0,
-                      int64_t r1, int k, int n) {
-  for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-    const float* arow = a + static_cast<int64_t>(i) * k;
-    float* crow = c + static_cast<int64_t>(i) * n;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-      _mm256_storeu_ps(crow + j,
-                       DotEight(arow, b + static_cast<int64_t>(j) * k, k));
-    }
-    for (; j < n; ++j) {
-      crow[j] = DotScalar(arow, b + static_cast<int64_t>(j) * k, k);
     }
   }
 }
@@ -196,36 +292,15 @@ void NormalizedSpMMRow(const int* neighbors, int degree, int r,
   if (!self_done) apply(r);
 }
 
-void DotRow(const float* a_row, const float* b, int64_t n, int k,
-            float* out_row) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(out_row + j, DotEight(a_row, b + j * k, k));
-  }
-  for (; j < n; ++j) out_row[j] = DotScalar(a_row, b + j * k, k);
-}
-
-void DotColsRow(const float* a_row, const float* b, const int* cols,
-                int64_t num_cols, int k, float* out_row) {
-  const __m256i vk = _mm256_set1_epi32(k);
-  int64_t c = 0;
-  for (; c + 8 <= num_cols; c += 8) {
-    const __m256i vcols = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(cols + c));
-    const __m256i vidx = _mm256_mullo_epi32(vcols, vk);
-    __m256 acc = _mm256_setzero_ps();
-    for (int kk = 0; kk < k; ++kk) {
-      const __m256 va = _mm256_set1_ps(a_row[kk]);
-      const __m256 vb = _mm256_i32gather_ps(b + kk, vidx, 4);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, acc);
-    for (int l = 0; l < 8; ++l) out_row[cols[c + l]] = lanes[l];
-  }
-  for (; c < num_cols; ++c) {
-    const int j = cols[c];
-    out_row[j] = DotScalar(a_row, b + static_cast<int64_t>(j) * k, k);
+void DotPanel(const float* a, const int* rows, int64_t num_rows,
+              const float* b, const int* cols, int num_cols, int k, float* c,
+              int64_t ldc, float* panel) {
+  PackPanel(b, cols, num_cols, k, panel);
+  // A panel of at most 8 real columns needs only its first vector.
+  if (num_cols <= 8) {
+    DotPanelRows<1>(a, rows, num_rows, panel, cols, num_cols, k, c, ldc);
+  } else {
+    DotPanelRows<2>(a, rows, num_rows, panel, cols, num_cols, k, c, ldc);
   }
 }
 

@@ -47,20 +47,6 @@ void MatMulTransACols(const float* a, const float* b, float* c, int64_t j0,
   }
 }
 
-void MatMulTransBRows(const float* a, const float* b, float* c, int64_t r0,
-                      int64_t r1, int k, int n) {
-  for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-    const float* arow = a + static_cast<int64_t>(i) * k;
-    float* crow = c + static_cast<int64_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<int64_t>(j) * k;
-      float dot = 0.0f;
-      for (int kk = 0; kk < k; ++kk) dot += arow[kk] * brow[kk];
-      crow[j] = dot;
-    }
-  }
-}
-
 void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
               const float* b, float* c, int64_t r0, int64_t r1, int n) {
   for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
@@ -126,26 +112,20 @@ void NormalizedSpMMRow(const int* neighbors, int degree, int r,
   if (!self_done) apply(r);
 }
 
-void DotRow(const float* a_row, const float* b, int64_t n, int k,
-            float* out_row) {
-  // Ascending-k float dots, the accumulation order of
-  // linalg::MatMulTransB.
-  for (int64_t j = 0; j < n; ++j) {
-    const float* brow = b + j * k;
-    float dot = 0.0f;
-    for (int kk = 0; kk < k; ++kk) dot += a_row[kk] * brow[kk];
-    out_row[j] = dot;
-  }
-}
-
-void DotColsRow(const float* a_row, const float* b, const int* cols,
-                int64_t num_cols, int k, float* out_row) {
-  for (int64_t c = 0; c < num_cols; ++c) {
-    const int j = cols[c];
-    const float* brow = b + static_cast<int64_t>(j) * k;
-    float dot = 0.0f;
-    for (int kk = 0; kk < k; ++kk) dot += a_row[kk] * brow[kk];
-    out_row[j] = dot;
+void DotPanel(const float* a, const int* rows, int64_t num_rows,
+              const float* b, const int* cols, int num_cols, int k, float* c,
+              int64_t ldc, float* /*panel*/) {
+  // Ascending-k float dots straight from B: the order every packed
+  // variant replays per output lane.
+  for (int64_t i = 0; i < num_rows; ++i) {
+    const float* arow = a + static_cast<int64_t>(rows[i]) * k;
+    float* crow = c + static_cast<int64_t>(rows[i]) * ldc;
+    for (int l = 0; l < num_cols; ++l) {
+      const float* brow = b + static_cast<int64_t>(cols[l]) * k;
+      float dot = 0.0f;
+      for (int kk = 0; kk < k; ++kk) dot += arow[kk] * brow[kk];
+      crow[cols[l]] = dot;
+    }
   }
 }
 

@@ -13,13 +13,17 @@
 
 namespace repro::linalg::kernels {
 
+/// Column-panel width of the dot family (`DotPanelFn` in kernels.h): the
+/// driver hands each kernel call at most this many B rows, and packing
+/// variants lay them out k-major in a scratch panel of
+/// kDotPanelWidth · k floats.
+inline constexpr int kDotPanelWidth = 16;
+
 namespace generic {
 void MatMulRows(const float* a, const float* b, float* c, int64_t r0,
                 int64_t r1, int k, int n);
 void MatMulTransACols(const float* a, const float* b, float* c, int64_t j0,
                       int64_t j1, int k_rows, int m, int n);
-void MatMulTransBRows(const float* a, const float* b, float* c, int64_t r0,
-                      int64_t r1, int k, int n);
 void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
               const float* b, float* c, int64_t r0, int64_t r1, int n);
 void SpMVRows(const int64_t* row_ptr, const int* col_idx, const float* values,
@@ -28,10 +32,9 @@ void RowSoftmaxRows(const float* a, float* c, int64_t r0, int64_t r1, int n);
 void NormalizedSpMMRow(const int* neighbors, int degree, int r,
                        const float* scale, const float* b, int cols,
                        float* out_row);
-void DotRow(const float* a_row, const float* b, int64_t n, int k,
-            float* out_row);
-void DotColsRow(const float* a_row, const float* b, const int* cols,
-                int64_t num_cols, int k, float* out_row);
+void DotPanel(const float* a, const int* rows, int64_t num_rows,
+              const float* b, const int* cols, int num_cols, int k, float* c,
+              int64_t ldc, float* panel);
 }  // namespace generic
 
 #if defined(PEEGA_HAVE_AVX2)
@@ -40,18 +43,15 @@ void MatMulRows(const float* a, const float* b, float* c, int64_t r0,
                 int64_t r1, int k, int n);
 void MatMulTransACols(const float* a, const float* b, float* c, int64_t j0,
                       int64_t j1, int k_rows, int m, int n);
-void MatMulTransBRows(const float* a, const float* b, float* c, int64_t r0,
-                      int64_t r1, int k, int n);
 void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
               const float* b, float* c, int64_t r0, int64_t r1, int n);
 void RowSoftmaxRows(const float* a, float* c, int64_t r0, int64_t r1, int n);
 void NormalizedSpMMRow(const int* neighbors, int degree, int r,
                        const float* scale, const float* b, int cols,
                        float* out_row);
-void DotRow(const float* a_row, const float* b, int64_t n, int k,
-            float* out_row);
-void DotColsRow(const float* a_row, const float* b, const int* cols,
-                int64_t num_cols, int k, float* out_row);
+void DotPanel(const float* a, const int* rows, int64_t num_rows,
+              const float* b, const int* cols, int num_cols, int k, float* c,
+              int64_t ldc, float* panel);
 }  // namespace avx2
 #endif  // PEEGA_HAVE_AVX2
 

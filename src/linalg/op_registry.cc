@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <string_view>
 #include <tuple>
 
 #include "linalg/incremental.h"
@@ -94,11 +95,19 @@ void ProbeMatMulTransA(std::vector<float>* out) {
 void ProbeMatMulTransB(std::vector<float>* out) {
   Rng rng(103);
   for (const int n : kProbeDims) {
-    // n B-rows → n dot products per A-row; the gather path needs >= 8.
+    // n B rows → n dot products per A row: below, at and past one
+    // 8-float vector of a panel.
     Append(MatMulTransB(ProbeMatrix(5, 9, &rng), ProbeMatrix(n, 9, &rng)),
            out);
   }
   Append(MatMulTransB(ProbeMatrix(4, 65, &rng), ProbeMatrix(19, 65, &rng)),
+         out);
+  // Full 4-row tiles plus a 1-row remainder, panels of 16 plus 5
+  // columns, and k past any k-block.
+  Append(MatMulTransB(ProbeMatrix(13, 131, &rng), ProbeMatrix(37, 131, &rng)),
+         out);
+  // More rows than one task's row block, ending in a 3-row remainder.
+  Append(MatMulTransB(ProbeMatrix(303, 5, &rng), ProbeMatrix(17, 5, &rng)),
          out);
 }
 
@@ -186,6 +195,20 @@ void ProbeDotRows(std::vector<float>* out) {
     DotRowsInto(a, b, {0, 2, 4, 6}, &nonzero, &c);
     Append(c, out);
   }
+  // An unsorted 11-row subset of a 13-row A: two full 4-row tiles plus
+  // a 2-row remainder once the zero-flag row (5, inside the first tile)
+  // is dropped; n straddles one 16-column panel, and k = 131 passes any
+  // k-block.
+  const std::vector<int> rows = {12, 5, 0, 7, 3, 9, 1, 11, 4, 8, 2};
+  for (const int n : {15, 16, 17, 37}) {
+    const Matrix a = ProbeMatrix(13, 131, &rng);
+    const Matrix b = ProbeMatrix(n, 131, &rng);
+    Matrix c(a.rows(), b.rows());
+    std::vector<char> nonzero(a.rows(), 1);
+    nonzero[5] = 0;
+    DotRowsInto(a, b, rows, &nonzero, &c);
+    Append(c, out);
+  }
 }
 
 void ProbeDotCols(std::vector<float>* out) {
@@ -194,13 +217,28 @@ void ProbeDotCols(std::vector<float>* out) {
   const Matrix b = ProbeMatrix(21, 9, &rng);
   std::vector<char> nonzero(a.rows(), 1);
   nonzero[4] = 0;
-  // Unsorted column subsets of varying size exercise the gathered
-  // (8 at a time) and scalar-tail paths.
+  // Unsorted column subsets: one column, a part-filled first vector of
+  // a panel, and one spilling into its second vector.
   const std::vector<std::vector<int>> col_sets = {
       {5}, {2, 19, 7}, {0, 1, 2, 3, 4, 5, 6, 7, 20, 11, 9}};
   for (const auto& cols : col_sets) {
     Matrix c(a.rows(), b.rows());
     DotColsInto(a, b, cols, &nonzero, &c);
+    Append(c, out);
+  }
+  // Unsorted subsets of 17 and 21 columns span two panels; 13 rows
+  // with a zero-flag row inside the first tile; k = 131.
+  const Matrix a2 = ProbeMatrix(13, 131, &rng);
+  const Matrix b2 = ProbeMatrix(37, 131, &rng);
+  std::vector<char> nonzero2(a2.rows(), 1);
+  nonzero2[2] = 0;
+  const std::vector<std::vector<int>> wide_sets = {
+      {36, 0, 17, 5, 22, 9, 31, 14, 2, 27, 11, 33, 6, 19, 25, 1, 30},
+      {3, 35, 8, 16, 29, 12, 21, 0, 34, 7, 26, 15, 32, 4, 23, 10, 28, 18,
+       36, 13, 24}};
+  for (const auto& cols : wide_sets) {
+    Matrix c(a2.rows(), b2.rows());
+    DotColsInto(a2, b2, cols, &nonzero2, &c);
     Append(c, out);
   }
 }
@@ -220,9 +258,11 @@ std::vector<OpInfo> BuildRegistry() {
                  DeterminismClass::kLanePerOutput, true, true, true,
                  &ProbeMatMulTransA});
   ops.push_back({"linalg.matmul_tb", "linalg::MatMulTransB",
-                 "Dense C = A · Bᵀ as ascending-k float dot products.",
+                 "Dense C = A · Bᵀ as ascending-k float dot products, in "
+                 "register tiles over packed 16-row panels of B.",
                  "O(m · k · n)",
-                 "row-parallel; each chunk owns rows [r0, r1) of C",
+                 "tasks of one 16-column panel × 256 rows of C; disjoint "
+                 "outputs",
                  DeterminismClass::kLanePerOutput, true, true, false,
                  &ProbeMatMulTransB});
   ops.push_back({"linalg.spmm", "linalg::SpMM",
@@ -250,15 +290,19 @@ std::vector<OpInfo> BuildRegistry() {
                  DeterminismClass::kLanePerOutput, true, true, true,
                  &ProbeNormalizedSpMMRows});
   ops.push_back({"linalg.dot_rows", "linalg::DotRowsInto",
-                 "Row subset of A · Bᵀ as ascending-k dot products.",
+                 "Row subset of A · Bᵀ as ascending-k dot products, in "
+                 "register tiles over packed 16-row panels of B.",
                  "O(|rows| · n · k)",
-                 "parallel over the requested row subset; disjoint rows",
+                 "tasks of one 16-column panel × 256 rows of the subset; "
+                 "disjoint outputs",
                  DeterminismClass::kLanePerOutput, true, true, false,
                  &ProbeDotRows});
   ops.push_back({"linalg.dot_cols", "linalg::DotColsInto",
-                 "Column subset of A · Bᵀ as ascending-k dot products.",
+                 "Column subset of A · Bᵀ as ascending-k dot products, in "
+                 "register tiles over packed 16-row panels of B.",
                  "O(m · |cols| · k)",
-                 "row-parallel; disjoint column sets within each row",
+                 "tasks of one 16-column panel of the subset × 256 rows; "
+                 "disjoint outputs",
                  DeterminismClass::kLanePerOutput, true, true, false,
                  &ProbeDotCols});
   return ops;
@@ -301,7 +345,8 @@ std::string ValidateOpRegistry() {
     }
     const kernels::KernelTableInfo* table = nullptr;
     for (const kernels::KernelTableInfo& t : tables) {
-      if (op.name == t.op) {
+      // By value: identical literals in two TUs need not share storage.
+      if (std::string_view(op.name) == t.op) {
         table = &t;
         break;
       }

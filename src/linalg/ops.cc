@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include "debug/check.h"
 #include "debug/failpoints.h"
@@ -26,6 +28,12 @@ constexpr int64_t kMatMulRowGrain = 8;    // rows per chunk, O(k*n) work/row
 constexpr int64_t kRowGrain = 64;         // rows per chunk, O(n) work/row
 constexpr int64_t kElemGrain = 1 << 14;   // flat elements per chunk
 constexpr int64_t kReduceGrain = 1 << 15; // flat elements per reduce chunk
+
+std::vector<int> Iota(int n) {
+  std::vector<int> v(static_cast<size_t>(n));
+  std::iota(v.begin(), v.end(), 0);
+  return v;
+}
 
 }  // namespace
 
@@ -82,17 +90,10 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
              static_cast<uint64_t>(a.cols()) *
              static_cast<uint64_t>(b.rows()));
   Matrix c(a.rows(), b.rows());
-  const int n = b.rows(), k = a.cols();
-  // The AVX2 variant gathers 8 B-rows per step through 32-bit offsets
-  // of at most 8·k elements; fall back to generic when that could
-  // overflow (same results either way — the variants are bitwise-equal).
-  const kernels::MatMulTransBRowsFn kernel =
-      kernels::GatherOffsetsFit(7, k) ? kernels::MatMulTransBTable().Select()
-                                      : kernels::MatMulTransBTable().generic;
-  parallel::ParallelFor(0, a.rows(), kMatMulRowGrain, [&](int64_t r0,
-                                                          int64_t r1) {
-    kernel(a.data(), b.data(), c.data(), r0, r1, k, n);
-  });
+  // The all-rows, all-columns case of the dot family's panel driver.
+  kernels::DotPanels(kernels::MatMulTransBTable().Select(), a.data(),
+                     Iota(a.rows()), b.data(), Iota(b.rows()), a.cols(),
+                     c.data(), c.cols());
   PEEGA_CHECK_FINITE_MAT(c, "MatMulTransB");
   return c;
 }

@@ -79,12 +79,17 @@ class Pool {
     std::unique_lock<std::mutex> lock(mu_);
     while (static_cast<int>(workers_.size()) < want) {
       const int executor_id = static_cast<int>(workers_.size()) + 1;
-      workers_.emplace_back([this, executor_id] { WorkerLoop(executor_id); });
+      // A new worker starts at the current generation: pending_ counts
+      // it only from the next region on, and a check-out for a region
+      // it was not counted in would end the next one early, with a
+      // worker still running its chunks.
+      const uint64_t seen = generation_;
+      workers_.emplace_back(
+          [this, executor_id, seen] { WorkerLoop(executor_id, seen); });
     }
   }
 
-  void WorkerLoop(int executor_id) {
-    uint64_t seen = 0;
+  void WorkerLoop(int executor_id, uint64_t seen) {
     while (true) {
       const std::function<void(int)>* task = nullptr;
       {

@@ -17,8 +17,12 @@
 #include "graph/generators.h"
 #include "graph/metrics.h"
 #include "linalg/dispatch.h"
+#include "linalg/incremental.h"
 #include "linalg/kernels/kernels.h"
+#include "linalg/matrix.h"
 #include "linalg/op_registry.h"
+#include "linalg/ops.h"
+#include "linalg/random.h"
 #include "parallel/thread_pool.h"
 
 namespace repro::linalg {
@@ -111,14 +115,6 @@ TEST(SimdDispatch, ForcedVariantSelectsDistinctKernel) {
   }
 }
 
-TEST(SimdDispatch, GatherOffsetGuard) {
-  EXPECT_TRUE(kernels::GatherOffsetsFit(7, 64));
-  EXPECT_TRUE(kernels::GatherOffsetsFit(0, 0));
-  // (2^28)·16 + 16 > INT32_MAX: a 16-wide feature matrix with 2^28 rows
-  // must take the generic path.
-  EXPECT_FALSE(kernels::GatherOffsetsFit(int64_t{1} << 28, 16));
-}
-
 // The heart of the PR: every op in the registry, probed under every
 // usable variant, must produce a bit-identical output stream to the
 // generic reference. A new op added to the registry is covered here
@@ -175,6 +171,47 @@ TEST(SimdDifferential, BitwiseEqualAcrossVariantsAndThreadCounts) {
             << "at " << threads << " threads";
       }
     }
+  }
+  parallel::SetNumThreads(0);
+}
+
+// The dot family at the engine's scale: row subsets and column subsets
+// of a few hundred, many 16-column panels, more rows than one task's
+// row block, and zero-flag rows, under the default variant at several
+// pool sizes against generic at one thread. This pins the
+// (panel × row block) task partition, which the small registry probes
+// barely split.
+TEST(SimdDifferential, DotFamilyBitwiseEqualAtCoraScale) {
+  const int n = 300, k = 200;
+  Rng rng(2024);
+  const Matrix a = RandomNormal(n, k, 1.0f, &rng);
+  const Matrix b = RandomNormal(n, k, 1.0f, &rng);
+  std::vector<char> nonzero(n, 1);
+  for (int i = 0; i < n; i += 7) nonzero[static_cast<size_t>(i)] = 0;
+  std::vector<int> rows = rng.Permutation(n);
+  rows.resize(185);
+  std::vector<int> cols = rng.Permutation(n);
+  cols.resize(37);
+  const auto run = [&] {
+    Matrix c(n, n, 1.0f);
+    DotRowsInto(a, b, rows, &nonzero, &c);
+    DotColsInto(a, b, cols, &nonzero, &c);
+    const Matrix full = MatMulTransB(a, b);
+    std::vector<float> got(c.data(), c.data() + c.size());
+    got.insert(got.end(), full.data(), full.data() + full.size());
+    return got;
+  };
+  std::vector<float> reference;
+  {
+    parallel::SetNumThreads(1);
+    ScopedSimdVariant forced(SimdVariant::kGeneric);
+    reference = run();
+  }
+  for (const int threads : {1, 2, 8}) {
+    parallel::SetNumThreads(threads);
+    EXPECT_TRUE(StreamsBitwiseEqual(reference, run(), "dot family",
+                                    ActiveSimdVariant()))
+        << "at " << threads << " threads";
   }
   parallel::SetNumThreads(0);
 }
