@@ -5,6 +5,7 @@
 // a stored message — the `capi-boundary` analyzer pass checks the
 // wrapper is present and that no C++ type appears in a gg_ signature.
 #include "capi/graphguard.h"
+#include "capi/attack_options.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -18,7 +19,7 @@
 
 #include "attack/attacker.h"
 #include "defense/defender.h"
-#include "eval/pipeline.h"
+#include "eval/op_schema.h"
 #include "eval/registry.h"
 #include "graph/graph.h"
 #include "graph/io.h"
@@ -138,20 +139,6 @@ struct OpGuard {
 };
 
 std::string CStr(const char* s) { return s == nullptr ? "" : s; }
-
-repro::eval::AttackerSpec SpecFromOptions(
-    const gg_attack_options& options) {
-  repro::eval::AttackerSpec spec;
-  spec.name = CStr(options.attacker);
-  spec.lambda = options.lambda;
-  spec.norm_p = options.norm_p;
-  spec.layers = options.layers;
-  spec.batch_size = options.batch_size;
-  spec.mode = CStr(options.mode);
-  spec.checkpoint_path = CStr(options.checkpoint_path);
-  spec.checkpoint_every = options.checkpoint_every;
-  return spec;
-}
 
 // Hex-float (%a) rendering: lossless and locale-independent, so model
 // files round-trip bitwise.
@@ -401,19 +388,11 @@ extern "C" const char* gg_graph_name(const gg_ctx* ctx) {
 extern "C" void gg_attack_options_init(gg_attack_options* options) {
   try {
     if (options == nullptr) return;
-    options->attacker = "peega";
-    options->rate = 0.1;
-    options->feature_cost = 1.0;
-    options->lambda = 0.01;
-    options->norm_p = 2;
-    options->layers = 2;
-    options->batch_size = 16;
-    options->mode = "both";
-    options->checkpoint_path = nullptr;
-    options->checkpoint_every = 16;
-    options->seed = 42;
+    // Static, so the strings it lends the caller outlive every call.
+    static const repro::eval::AttackerSpec defaults;
+    repro::capi::ToAttackOptions(defaults, options);
   } catch (...) {
-    // Plain stores cannot throw; keep the boundary contract anyway.
+    // Nothing here should throw; keep the boundary contract anyway.
   }
 }
 
@@ -427,30 +406,24 @@ extern "C" gg_status gg_attack(gg_ctx* ctx,
     if (!ctx->has_graph) {
       return Fail(ctx, GG_INVALID_INPUT, "gg_attack: no graph loaded");
     }
-    std::unique_ptr<repro::attack::Attacker> attacker =
-        repro::eval::MakeAttackerByName(SpecFromOptions(*options));
-    if (attacker == nullptr) {
-      return Fail(ctx, GG_INVALID_INPUT,
-                  "gg_attack: unknown attacker \"" +
-                      CStr(options->attacker) + "\"");
+    const repro::eval::AttackerSpec spec =
+        repro::capi::FromAttackOptions(*options);
+    // Checked before the deadline is armed, so a refused call does not
+    // consume a pending gg_cancel.
+    if (const Status valid = repro::eval::Validate(spec); !valid.ok()) {
+      return Settle(ctx, valid.WithContext("gg_attack"));
     }
-    repro::attack::AttackOptions attack_options;
-    attack_options.perturbation_rate = options->rate;
-    attack_options.feature_cost = options->feature_cost;
-    attack_options.deadline = ArmDeadline(ctx);
     OpGuard guard(ctx);
-    repro::linalg::Rng rng(options->seed);
-    repro::attack::AttackResult result =
-        attacker->Attack(ctx->graph, attack_options, &rng);
-    if (!result.status.ok() &&
-        result.status.code() == Code::kInvalidInput) {
+    repro::eval::AttackRun run =
+        repro::eval::RunAttackOp(ctx->graph, spec, ArmDeadline(ctx));
+    if (run.result.status.code() == Code::kInvalidInput) {
       // Nothing was attacked (e.g. a rejected checkpoint): leave the
       // current graph and any previous result untouched.
-      return Settle(ctx, result.status);
+      return Settle(ctx, run.result.status);
     }
-    ctx->result_name = attacker->name();
-    ctx->graph = result.poisoned;
-    ctx->result = std::move(result);
+    ctx->result_name = run.attacker;
+    ctx->graph = run.result.poisoned;
+    ctx->result = std::move(run.result);
     ctx->has_result = true;
     return Settle(ctx, ctx->result.status);
   } catch (...) {
@@ -545,13 +518,12 @@ extern "C" gg_status gg_defend(gg_ctx* ctx, const char* defender,
     if (!ctx->has_graph) {
       return Fail(ctx, GG_INVALID_INPUT, "gg_defend: no graph loaded");
     }
-    std::unique_ptr<repro::defense::Defender> d =
-        repro::eval::MakeDefenderByName(CStr(defender));
-    if (d == nullptr) {
-      return Fail(ctx, GG_INVALID_INPUT,
-                  "gg_defend: unknown defender \"" + CStr(defender) +
-                      "\"");
+    const repro::eval::EvalSpec spec{.defender = CStr(defender), .seed = seed};
+    if (const Status valid = repro::eval::Validate(spec); !valid.ok()) {
+      return Settle(ctx, valid.WithContext("gg_defend"));
     }
+    std::unique_ptr<repro::defense::Defender> d =
+        repro::eval::MakeDefenderByName(spec.defender);
     repro::nn::TrainOptions train;
     train.deadline = ArmDeadline(ctx);
     OpGuard guard(ctx);
@@ -578,22 +550,14 @@ extern "C" gg_status gg_eval(gg_ctx* ctx, const char* defender,
     if (!ctx->has_graph) {
       return Fail(ctx, GG_INVALID_INPUT, "gg_eval: no graph loaded");
     }
-    if (runs <= 0) {
-      return Fail(ctx, GG_INVALID_INPUT, "gg_eval: runs must be >= 1");
+    const repro::eval::EvalSpec spec{
+        .defender = CStr(defender), .runs = runs, .seed = seed};
+    if (const Status valid = repro::eval::Validate(spec); !valid.ok()) {
+      return Settle(ctx, valid.WithContext("gg_eval"));
     }
-    std::unique_ptr<repro::defense::Defender> d =
-        repro::eval::MakeDefenderByName(CStr(defender));
-    if (d == nullptr) {
-      return Fail(ctx, GG_INVALID_INPUT,
-                  "gg_eval: unknown defender \"" + CStr(defender) + "\"");
-    }
-    repro::eval::PipelineOptions pipeline;
-    pipeline.runs = runs;
-    pipeline.seed = seed;
-    pipeline.train.deadline = ArmDeadline(ctx);
     OpGuard guard(ctx);
     const repro::eval::DefenseEvaluation evaluation =
-        repro::eval::EvaluateDefense(d.get(), ctx->graph, pipeline);
+        repro::eval::RunEvalOp(ctx->graph, spec, ArmDeadline(ctx)).evaluation;
     out->accuracy_mean = evaluation.accuracy.mean;
     out->accuracy_std = evaluation.accuracy.std;
     out->mean_train_seconds = evaluation.mean_train_seconds;

@@ -113,23 +113,32 @@ const char* gg_graph_name(const gg_ctx* ctx);
 
 /* ---- attack --------------------------------------------------------- */
 
+/* The attack op's fields (DESIGN.md "One op schema"). gg_attack
+ * checks every field before it runs anything: a value outside the
+ * range given below (NaN included) returns GG_INVALID_INPUT, with
+ * gg_last_error naming the field, and attacks nothing.
+ * The int32_t fields take any value here; PEEGA itself refuses
+ * values < 1 with GG_INVALID_INPUT when the campaign starts. */
 typedef struct gg_attack_options {
   /* "peega", "peega-batch", "metattack", "pgd", "minmax", "gf",
    * "dice", "random". */
   const char* attacker;
-  double rate;          /* perturbation rate (budget = rate * #edges) */
-  double feature_cost;  /* beta: cost of one feature flip vs one edge */
-  double lambda;        /* PEEGA objective trade-off */
+  double rate;          /* perturbation rate (budget = rate * #edges):
+                           finite, in [0, 1] */
+  double feature_cost;  /* beta, cost of one feature flip vs one edge:
+                           finite, > 0 */
+  double lambda;        /* PEEGA objective trade-off: finite */
   int32_t norm_p;       /* PEEGA norm order */
   int32_t layers;       /* PEEGA surrogate depth */
   int32_t batch_size;   /* peega-batch only */
   const char* mode;     /* "both", "tm" (topology), "fp" (features) */
   const char* checkpoint_path;  /* NULL/"" = no checkpointing */
   int32_t checkpoint_every;
-  uint64_t seed;
+  uint64_t seed;        /* < 2^53 */
 } gg_attack_options;
 
-/* Fills defaults (peega, rate 0.1, paper hyper-parameters, seed 42). */
+/* Fills the defaults every front end shares (peega, rate 0.1, the
+ * paper's hyper-parameters, seed 42; checkpoint_path NULL). */
 void gg_attack_options_init(gg_attack_options* options);
 
 /* Runs the attack on the current graph. On GG_OK — and on the
@@ -182,7 +191,8 @@ typedef struct gg_eval_result {
 } gg_eval_result;
 
 /* Repeated-run evaluation (paper protocol: re-seed the defender per
- * run, aggregate mean±std over the runs that completed). */
+ * run, aggregate mean±std over the runs that completed). `runs` must be
+ * >= 1 and `seed` < 2^53 (also for gg_defend), else GG_INVALID_INPUT. */
 gg_status gg_eval(gg_ctx* ctx, const char* defender, int32_t runs,
                   uint64_t seed, gg_eval_result* out);
 

@@ -5,12 +5,17 @@
 #include <string>
 #include <vector>
 
+#include "status/status.h"
+
 namespace repro::eval {
 
 /// Minimal command-line parser for the tools:
 /// `prog <command> --key value --flag ...`.
-/// Unknown keys are kept (callers validate); `--key=value` is also
-/// accepted. Bare tokens after the command become positional arguments.
+/// `--key=value` is also accepted, and a flag with no value reads as
+/// "true". Bare tokens after the command become positional arguments.
+/// Parse keeps every flag; CheckFlags rejects the ones a command does
+/// not declare, and the numeric getters reject values that do not
+/// parse in full.
 class Args {
  public:
   /// Parses argv (argv[0] skipped). The first bare token is the command.
@@ -22,8 +27,16 @@ class Args {
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key,
                         const std::string& fallback = "") const;
-  double GetDouble(const std::string& key, double fallback) const;
-  int GetInt(const std::string& key, int fallback) const;
+  /// `fallback` when `--key` is absent; INVALID_INPUT naming the flag
+  /// when its whole value is not a finite number.
+  status::StatusOr<double> GetDouble(const std::string& key,
+                                     double fallback) const;
+  /// As GetDouble, and the value must be an integer in int's range.
+  status::StatusOr<int> GetInt(const std::string& key, int fallback) const;
+
+  /// INVALID_INPUT naming the first flag not in `declared`, or the first
+  /// positional argument (no command takes any).
+  status::Status CheckFlags(const std::vector<std::string>& declared) const;
 
  private:
   std::string command_;

@@ -16,52 +16,101 @@
 
 namespace repro::eval {
 
+namespace {
+
+std::unique_ptr<attack::Attacker> MakePeega(const AttackerSpec& spec) {
+  core::PeegaAttack::Options options;
+  options.lambda = static_cast<float>(spec.lambda);
+  options.norm_p = spec.norm_p;
+  options.layers = spec.layers;
+  options.checkpoint_path = spec.checkpoint_path;
+  options.checkpoint_every = spec.checkpoint_every;
+  if (spec.mode == "tm") {
+    options.mode = core::PeegaAttack::Mode::kTopologyOnly;
+  }
+  if (spec.mode == "fp") {
+    options.mode = core::PeegaAttack::Mode::kFeaturesOnly;
+  }
+  if (spec.name == "peega-batch") {
+    core::PeegaBatchAttack::Options batch;
+    batch.peega = options;
+    batch.batch_size = spec.batch_size;
+    return std::make_unique<core::PeegaBatchAttack>(batch);
+  }
+  return std::make_unique<core::PeegaAttack>(options);
+}
+
+template <typename T>
+std::unique_ptr<attack::Attacker> MakeAttacker(const AttackerSpec&) {
+  return std::make_unique<T>();
+}
+
+template <typename T>
+std::unique_ptr<defense::Defender> MakeDefender() {
+  return std::make_unique<T>();
+}
+
+struct AttackerEntry {
+  const char* name;
+  std::unique_ptr<attack::Attacker> (*make)(const AttackerSpec&);
+};
+
+constexpr AttackerEntry kAttackers[] = {
+    {"peega", &MakePeega},
+    {"peega-batch", &MakePeega},
+    {"metattack", &MakeAttacker<attack::Metattack>},
+    {"pgd", &MakeAttacker<attack::PgdAttack>},
+    {"minmax", &MakeAttacker<attack::MinMaxAttack>},
+    {"gf", &MakeAttacker<attack::GfAttack>},
+    {"dice", &MakeAttacker<attack::DiceAttack>},
+    {"random", &MakeAttacker<attack::RandomAttack>},
+};
+
+struct DefenderEntry {
+  const char* name;
+  std::unique_ptr<defense::Defender> (*make)();
+};
+
+constexpr DefenderEntry kDefenders[] = {
+    {"gnat", &MakeDefender<core::GnatDefender>},
+    {"gcn", &MakeDefender<defense::GcnDefender>},
+    {"gat", &MakeDefender<defense::GatDefender>},
+    {"jaccard", &MakeDefender<defense::JaccardDefender>},
+    {"svd", &MakeDefender<defense::SvdDefender>},
+    {"rgcn", &MakeDefender<defense::RGcnDefender>},
+    {"prognn", &MakeDefender<defense::ProGnnDefender>},
+    {"simpgcn", &MakeDefender<defense::SimPGcnDefender>},
+    {"gnnguard", &MakeDefender<defense::GnnGuardDefender>},
+};
+
+}  // namespace
+
 std::unique_ptr<attack::Attacker> MakeAttackerByName(
     const AttackerSpec& spec) {
-  if (spec.name == "peega" || spec.name == "peega-batch") {
-    core::PeegaAttack::Options options;
-    options.lambda = static_cast<float>(spec.lambda);
-    options.norm_p = spec.norm_p;
-    options.layers = spec.layers;
-    options.checkpoint_path = spec.checkpoint_path;
-    options.checkpoint_every = spec.checkpoint_every;
-    if (spec.mode == "tm") {
-      options.mode = core::PeegaAttack::Mode::kTopologyOnly;
-    }
-    if (spec.mode == "fp") {
-      options.mode = core::PeegaAttack::Mode::kFeaturesOnly;
-    }
-    if (spec.name == "peega-batch") {
-      core::PeegaBatchAttack::Options batch;
-      batch.peega = options;
-      batch.batch_size = spec.batch_size;
-      return std::make_unique<core::PeegaBatchAttack>(batch);
-    }
-    return std::make_unique<core::PeegaAttack>(options);
+  for (const AttackerEntry& entry : kAttackers) {
+    if (spec.name == entry.name) return entry.make(spec);
   }
-  if (spec.name == "metattack") return std::make_unique<attack::Metattack>();
-  if (spec.name == "pgd") return std::make_unique<attack::PgdAttack>();
-  if (spec.name == "minmax") return std::make_unique<attack::MinMaxAttack>();
-  if (spec.name == "gf") return std::make_unique<attack::GfAttack>();
-  if (spec.name == "dice") return std::make_unique<attack::DiceAttack>();
-  if (spec.name == "random") return std::make_unique<attack::RandomAttack>();
   return nullptr;
 }
 
 std::unique_ptr<defense::Defender> MakeDefenderByName(
     const std::string& name) {
-  if (name == "gnat") return std::make_unique<core::GnatDefender>();
-  if (name == "gcn") return std::make_unique<defense::GcnDefender>();
-  if (name == "gat") return std::make_unique<defense::GatDefender>();
-  if (name == "jaccard") return std::make_unique<defense::JaccardDefender>();
-  if (name == "svd") return std::make_unique<defense::SvdDefender>();
-  if (name == "rgcn") return std::make_unique<defense::RGcnDefender>();
-  if (name == "prognn") return std::make_unique<defense::ProGnnDefender>();
-  if (name == "simpgcn") return std::make_unique<defense::SimPGcnDefender>();
-  if (name == "gnnguard") {
-    return std::make_unique<defense::GnnGuardDefender>();
+  for (const DefenderEntry& entry : kDefenders) {
+    if (name == entry.name) return entry.make();
   }
   return nullptr;
+}
+
+std::vector<std::string> AttackerNames() {
+  std::vector<std::string> names;
+  for (const AttackerEntry& entry : kAttackers) names.push_back(entry.name);
+  return names;
+}
+
+std::vector<std::string> DefenderNames() {
+  std::vector<std::string> names;
+  for (const DefenderEntry& entry : kDefenders) names.push_back(entry.name);
+  return names;
 }
 
 }  // namespace repro::eval

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "eval/registry.h"
 #include "obs/json.h"
 #include "status/status.h"
 
@@ -32,10 +33,34 @@ struct Request {
 };
 
 /// Parses one request line. Enforces the envelope: a JSON object with a
-/// string "op", an optional numeric "id" (default 0) and an optional
-/// well-formed "tenant" (default "default"; max 32 chars of
+/// string "op", an optional integer "id" (default 0) and an optional
+/// well-formed string "tenant" (default "default"; max 32 chars of
 /// [A-Za-z0-9_-], keeping per-tenant metric names bounded and clean).
+/// Anything else is INVALID_INPUT naming the field.
 status::Status ParseRequest(const std::string& line, Request* out);
+/// The same for a request already decoded (a journaled one).
+status::Status ParseRequest(obs::Json object, Request* out);
+
+/// An "attack" or "eval" job: its envelope fields and its op's fields.
+struct JobRequest {
+  std::string graph;          // required: path of the graph to run on
+  double deadline_ms = 0.0;   // > 0 when set; armed at admission
+  std::string out;            // attack: write the poisoned graph here
+  bool return_flips = false;  // attack: echo the flip sequence
+  eval::AttackerSpec attack;  // op "attack" (eval/op_schema.h)
+  eval::EvalSpec eval;        // op "eval"
+};
+
+/// Reads a parsed attack/eval request into `out`. The server runs it at
+/// admission, so a malformed job is never queued or journaled, and again
+/// for each job recovered from the journal. A key that is neither an
+/// envelope field nor a field of the op, a value of the wrong type or
+/// out of range, and any other op are INVALID_INPUT naming the field.
+status::Status ParseJob(const Request& request, JobRequest* out);
+
+/// The integer "target_id" of a cancel request (INVALID_INPUT if absent
+/// or not an integer).
+status::StatusOr<int64_t> CancelTarget(const Request& request);
 
 /// Response envelope for `status`; callers attach op-specific fields
 /// ("result", "queue_ms", ...) before encoding.
@@ -45,7 +70,9 @@ obs::Json MakeResponse(int64_t id, const std::string& tenant,
 /// Compact one-line encoding with the trailing newline appended.
 std::string EncodeLine(const obs::Json& message);
 
-/// Field accessors with defaults (absent key or wrong type -> default).
+/// Lenient field accessors for clients reading responses (absent key or
+/// wrong type -> default). Requests are read strictly, by ParseRequest
+/// and ParseJob.
 std::string GetString(const obs::Json& object, const std::string& key,
                       const std::string& fallback);
 double GetNumber(const obs::Json& object, const std::string& key,

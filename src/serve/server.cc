@@ -19,11 +19,9 @@
 
 #include "attack/attacker.h"
 #include "debug/failpoints.h"
-#include "eval/pipeline.h"
-#include "eval/registry.h"
+#include "eval/op_schema.h"
 #include "graph/graph.h"
 #include "graph/io.h"
-#include "linalg/random.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/stopwatch.h"
@@ -54,22 +52,6 @@ void SetNonBlocking(int fd) {
 double RemainingMsOf(const status::Deadline& deadline) {
   const double left = deadline.RemainingSeconds();
   return std::isinf(left) ? -1.0 : left * 1e3;
-}
-
-// Inverse of the response envelope's "code" string; false for "INTERNAL"
-// and anything else CodeName never produces.
-bool CodeFromName(const std::string& name, status::Code* out) {
-  for (const status::Code code :
-       {status::Code::kOk, status::Code::kInvalidInput,
-        status::Code::kNumericFault, status::Code::kDeadlineExceeded,
-        status::Code::kCancelled, status::Code::kIoError,
-        status::Code::kResourceExhausted, status::Code::kUnavailable}) {
-    if (name == status::CodeName(code)) {
-      *out = code;
-      return true;
-    }
-  }
-  return false;
 }
 
 // Per-tenant obs instruments, created on first use and cached; the
@@ -104,7 +86,8 @@ struct Server::Impl {
     int64_t uid = 0;  // journal identity; 0 when the journal is off
     std::string tenant;
     std::string op;
-    obs::Json raw;
+    obs::Json raw;      // as journaled
+    JobRequest spec;    // raw, read and validated by ParseJob
     int conn_id = -1;  // -1: recovered job, no client to respond to
     status::Deadline deadline;  // armed at admission
     obs::StopWatch waited;      // queue-wait clock
@@ -260,66 +243,26 @@ struct Server::Impl {
   }
 
   void Admit(int conn_id, const Request& request) {
-    std::unique_lock<std::mutex> lock(mu);
-    TenantStats* tenant = GetTenant(request.tenant);
-    if (draining || stopping) {
-      tenant->rejected->Add(1);
-      lock.unlock();
-      Respond(conn_id,
-              MakeResponse(request.id, request.tenant,
-                           status::Unavailable("server is draining")));
-      return;
-    }
-    if (static_cast<int>(queue.size()) >= options.max_queue) {
-      tenant->rejected->Add(1);
-      lock.unlock();
-      Respond(conn_id,
-              MakeResponse(
-                  request.id, request.tenant,
-                  status::ResourceExhausted(
-                      "job queue is full (max_queue=" +
-                      std::to_string(options.max_queue) + ")")));
-      return;
-    }
     Job job;
     job.id = request.id;
     job.tenant = request.tenant;
     job.op = request.op;
     job.raw = request.raw;
     job.conn_id = conn_id;
-    const double deadline_ms = GetNumber(request.raw, "deadline_ms", 0.0);
+    Status admitted = ParseJob(request, &job.spec);
     // Armed here, at admission: queue wait spends the budget too.
-    job.deadline = deadline_ms > 0.0
-                       ? status::Deadline::AfterSeconds(deadline_ms / 1e3)
-                       : status::Deadline::Cancellable();
-    if (journal != nullptr) {
-      job.uid = journal->NextUid();
-      // Attack jobs get a server-assigned checkpoint path unless the
-      // client chose one: that file is what lets a crash-recovered
-      // campaign resume from its last committed flip.
-      if (job.op == "attack" &&
-          GetString(job.raw, "checkpoint", "").empty()) {
-        job.raw.object["checkpoint"] =
-            Str(Journal::CheckpointPath(journal->dir(), job.uid));
-      }
-      JournalRecord record;
-      record.uid = job.uid;
-      record.state = JobState::kAccepted;
-      record.client_id = job.id;
-      record.tenant = job.tenant;
-      record.attempt = 0;
-      record.remaining_ms = RemainingMsOf(job.deadline);
-      record.request = job.raw;
-      const Status logged = journal->AppendRecord(std::move(record));
-      if (!logged.ok()) {
-        // The durability promise cannot be kept; refuse the job rather
-        // than silently accept it non-durably.
-        tenant->rejected->Add(1);
-        lock.unlock();
-        Respond(conn_id, MakeResponse(request.id, request.tenant,
-                                      logged.WithContext("journal accept")));
-        return;
-      }
+    job.deadline =
+        job.spec.deadline_ms > 0.0
+            ? status::Deadline::AfterSeconds(job.spec.deadline_ms / 1e3)
+            : status::Deadline::Cancellable();
+    std::unique_lock<std::mutex> lock(mu);
+    if (admitted.ok()) admitted = Accept(&job);
+    TenantStats* tenant = GetTenant(request.tenant);
+    if (!admitted.ok()) {
+      tenant->rejected->Add(1);
+      lock.unlock();
+      Respond(conn_id, MakeResponse(request.id, request.tenant, admitted));
+      return;
     }
     tenant->accepted->Add(1);
     queue.push_back(std::move(job));
@@ -330,9 +273,49 @@ struct Server::Impl {
     // No response yet — it arrives when the job completes.
   }
 
+  // Under `mu`: refuses a well-formed job the server cannot take now, or
+  // journals its acceptance.
+  Status Accept(Job* job) {
+    if (draining || stopping) {
+      return status::Unavailable("server is draining");
+    }
+    if (static_cast<int>(queue.size()) >= options.max_queue) {
+      return status::ResourceExhausted("job queue is full (max_queue=" +
+                                       std::to_string(options.max_queue) +
+                                       ")");
+    }
+    if (journal == nullptr) return Status::Ok();
+    job->uid = journal->NextUid();
+    // Attack jobs get a server-assigned checkpoint path unless the
+    // client chose one: that file is what lets a crash-recovered
+    // campaign resume from its last committed flip.
+    std::string& checkpoint = job->spec.attack.checkpoint_path;
+    if (job->op == "attack" && checkpoint.empty()) {
+      checkpoint = Journal::CheckpointPath(journal->dir(), job->uid);
+      job->raw.object["checkpoint"] = Str(checkpoint);
+    }
+    JournalRecord record;
+    record.uid = job->uid;
+    record.state = JobState::kAccepted;
+    record.client_id = job->id;
+    record.tenant = job->tenant;
+    record.attempt = 0;
+    record.remaining_ms = RemainingMsOf(job->deadline);
+    record.request = job->raw;
+    // If the record cannot be made durable the job is refused rather
+    // than silently accepted non-durably.
+    return journal->AppendRecord(std::move(record))
+        .WithContext("journal accept");
+  }
+
   void HandleCancel(int conn_id, const Request& request) {
-    const int64_t target =
-        static_cast<int64_t>(GetNumber(request.raw, "target_id", -1));
+    const status::StatusOr<int64_t> parsed = CancelTarget(request);
+    if (!parsed.ok()) {
+      Respond(conn_id,
+              MakeResponse(request.id, request.tenant, parsed.status()));
+      return;
+    }
+    const int64_t target = *parsed;
     bool found = false;
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -445,49 +428,24 @@ struct Server::Impl {
                 .first->second;
   }
 
-  obs::Json RunAttackJob(const Job& job, const graph::Graph& g) {
-    const obs::Json& r = job.raw;
-    eval::AttackerSpec spec;
-    spec.name = GetString(r, "attacker", "peega");
-    spec.lambda = GetNumber(r, "lambda", 0.01);
-    spec.norm_p = static_cast<int>(GetNumber(r, "p", 2));
-    spec.layers = static_cast<int>(GetNumber(r, "layers", 2));
-    spec.batch_size = static_cast<int>(GetNumber(r, "batch", 16));
-    spec.mode = GetString(r, "mode", "both");
-    spec.checkpoint_path = GetString(r, "checkpoint", "");
-    spec.checkpoint_every =
-        static_cast<int>(GetNumber(r, "checkpoint_every", 16));
-    std::unique_ptr<attack::Attacker> attacker =
-        eval::MakeAttackerByName(spec);
-    if (attacker == nullptr) {
-      return MakeResponse(job.id, job.tenant,
-                          status::InvalidInput("unknown attacker \"" +
-                                               spec.name + "\""));
+  Status RunAttackJob(const Job& job, const graph::Graph& g,
+                      obs::Json* result) {
+    const eval::AttackRun run =
+        eval::RunAttackOp(g, job.spec.attack, job.deadline);
+    if (run.result.status.code() == status::Code::kInvalidInput) {
+      return run.result.status;
     }
-    attack::AttackOptions options;
-    options.perturbation_rate = GetNumber(r, "rate", 0.1);
-    options.feature_cost = GetNumber(r, "feature_cost", 1.0);
-    options.deadline = job.deadline;
-    linalg::Rng rng(
-        static_cast<uint64_t>(GetNumber(r, "seed", 42.0)));
-    const attack::AttackResult result =
-        attacker->Attack(g, options, &rng);
-    if (!result.status.ok() &&
-        result.status.code() == status::Code::kInvalidInput) {
-      return MakeResponse(job.id, job.tenant, result.status);
-    }
-    obs::Json response = MakeResponse(job.id, job.tenant, result.status);
     obs::Json res = obs::Json::MakeObject();
-    res.object["attacker"] = Str(attacker->name());
+    res.object["attacker"] = Str(run.attacker);
     res.object["edge_modifications"] =
-        Num(static_cast<double>(result.edge_modifications));
+        Num(static_cast<double>(run.result.edge_modifications));
     res.object["feature_modifications"] =
-        Num(static_cast<double>(result.feature_modifications));
-    res.object["elapsed_seconds"] = Num(result.elapsed_seconds);
-    res.object["final_objective"] = Num(result.final_objective);
-    if (GetBool(r, "return_flips", false)) {
+        Num(static_cast<double>(run.result.feature_modifications));
+    res.object["elapsed_seconds"] = Num(run.result.elapsed_seconds);
+    res.object["final_objective"] = Num(run.result.final_objective);
+    if (job.spec.return_flips) {
       obs::Json flips = obs::Json::MakeArray();
-      for (const attack::Flip& flip : result.flips) {
+      for (const attack::Flip& flip : run.result.flips) {
         obs::Json triple = obs::Json::MakeArray();
         triple.array.push_back(Num(flip.is_feature ? 1 : 0));
         triple.array.push_back(Num(flip.a));
@@ -496,42 +454,27 @@ struct Server::Impl {
       }
       res.object["flips"] = std::move(flips);
     }
-    const std::string out = GetString(r, "out", "");
-    if (!out.empty()) {
-      const Status saved = graph::SaveGraph(result.poisoned, out);
-      if (!saved.ok()) return MakeResponse(job.id, job.tenant, saved);
-      res.object["out"] = Str(out);
+    if (!job.spec.out.empty()) {
+      const Status saved = graph::SaveGraph(run.result.poisoned, job.spec.out);
+      if (!saved.ok()) return saved;
+      res.object["out"] = Str(job.spec.out);
     }
-    response.object["result"] = std::move(res);
-    return response;
+    *result = std::move(res);
+    return run.result.status;
   }
 
-  obs::Json RunEvalJob(const Job& job, const graph::Graph& g) {
-    const obs::Json& r = job.raw;
-    const std::string name = GetString(r, "defender", "gnat");
-    std::unique_ptr<defense::Defender> defender =
-        eval::MakeDefenderByName(name);
-    if (defender == nullptr) {
-      return MakeResponse(job.id, job.tenant,
-                          status::InvalidInput("unknown defender \"" +
-                                               name + "\""));
-    }
-    eval::PipelineOptions options;
-    options.runs = static_cast<int>(GetNumber(r, "runs", 1));
-    options.seed = static_cast<uint64_t>(GetNumber(r, "seed", 42.0));
-    options.train.deadline = job.deadline;
-    const eval::DefenseEvaluation evaluation =
-        eval::EvaluateDefense(defender.get(), g, options);
-    obs::Json response =
-        MakeResponse(job.id, job.tenant, evaluation.status);
-    obs::Json res = obs::Json::MakeObject();
-    res.object["defender"] = Str(defender->name());
-    res.object["accuracy_mean"] = Num(evaluation.accuracy.mean);
-    res.object["accuracy_std"] = Num(evaluation.accuracy.std);
-    res.object["mean_train_seconds"] = Num(evaluation.mean_train_seconds);
-    res.object["ok_runs"] = Num(evaluation.ok_runs);
-    response.object["result"] = std::move(res);
-    return response;
+  Status RunEvalJob(const Job& job, const graph::Graph& g,
+                    obs::Json* result) {
+    const eval::EvalRun run = eval::RunEvalOp(g, job.spec.eval, job.deadline);
+    const eval::DefenseEvaluation& evaluation = run.evaluation;
+    *result = obs::Json::MakeObject();
+    result->object["defender"] = Str(run.defender);
+    result->object["accuracy_mean"] = Num(evaluation.accuracy.mean);
+    result->object["accuracy_std"] = Num(evaluation.accuracy.std);
+    result->object["mean_train_seconds"] =
+        Num(evaluation.mean_train_seconds);
+    result->object["ok_runs"] = Num(evaluation.ok_runs);
+    return evaluation.status;
   }
 
   // Best-effort journal append for post-admission transitions: a failed
@@ -556,44 +499,23 @@ struct Server::Impl {
   // the job terminal.
   void CleanupCheckpoint(const Job& job) {
     if (journal == nullptr || job.uid <= 0) return;
-    const std::string path = GetString(job.raw, "checkpoint", "");
+    const std::string& path = job.spec.attack.checkpoint_path;
     if (path == Journal::CheckpointPath(journal->dir(), job.uid)) {
       ::unlink(path.c_str());
     }
   }
 
-  obs::Json RunJob(const Job& job) {
+  // Runs an admitted job; its result object, if it produced one, goes
+  // to `*result`.
+  Status RunJob(const Job& job, obs::Json* result) {
     if (PEEGA_FAILPOINT("serve.execute")) {
-      return MakeResponse(
-          job.id, job.tenant,
-          status::NumericFault("injected failpoint serve.execute"));
+      return status::NumericFault("injected failpoint serve.execute");
     }
-    try {
-      const std::string path = GetString(job.raw, "graph", "");
-      if (path.empty()) {
-        return MakeResponse(
-            job.id, job.tenant,
-            status::InvalidInput("job has no \"graph\" path"));
-      }
-      Status failure;
-      const graph::Graph* g = CachedGraph(path, &failure);
-      if (g == nullptr) {
-        return MakeResponse(job.id, job.tenant,
-                            failure.WithContext("load job graph"));
-      }
-      return job.op == "attack" ? RunAttackJob(job, *g)
-                                : RunEvalJob(job, *g);
-    } catch (...) {
-      // A job must never take the server down; report and move on.
-      obs::Json response = obs::Json::MakeObject();
-      response.object["id"] = Num(static_cast<double>(job.id));
-      response.object["tenant"] = Str(job.tenant);
-      response.object["ok"] = obs::Json::MakeBool(false);
-      response.object["code"] = Str("INTERNAL");
-      response.object["error"] =
-          Str("unexpected exception while running job");
-      return response;
-    }
+    Status failure;
+    const graph::Graph* g = CachedGraph(job.spec.graph, &failure);
+    if (g == nullptr) return failure.WithContext("load job graph");
+    return job.op == "attack" ? RunAttackJob(job, *g, result)
+                              : RunEvalJob(job, *g, result);
   }
 
   // Picks the next due job, FIFO among due ones. A retry waiting out
@@ -642,33 +564,39 @@ struct Server::Impl {
       Job job;
       if (!NextJob(&job)) break;
       const double queue_ms = job.waited.Millis();
-      obs::Json response;
+      Status status;
+      obs::Json result;  // stays null unless the job produced one
       obs::StopWatch run_watch;
       bool executed = false;
+      bool internal = false;  // the job threw: INTERNAL, never retried
       if (job.cancelled) {
-        response = MakeResponse(
-            job.id, job.tenant,
-            status::Cancelled("job cancelled while queued"));
+        status = status::Cancelled("job cancelled while queued");
       } else if (const Status admission =
                      job.deadline.Check("serve queue wait");
                  !admission.ok()) {
-        response = MakeResponse(job.id, job.tenant, admission);
+        status = admission;
       } else {
         JournalTransition(job, JobState::kRunning, "");
-        response = RunJob(job);
         executed = true;
+        try {
+          status = RunJob(job, &result);
+        } catch (...) {
+          // A job must never take the server down; report and move on.
+          internal = true;
+        }
       }
       const double run_ms = run_watch.Millis();
-      const std::string code = GetString(response, "code", "INTERNAL");
+      const bool done = status.ok() && !internal;
+      const bool cancelled = status.code() == status::Code::kCancelled;
+      const std::string code =
+          internal ? "INTERNAL" : status::CodeName(status.code());
       // A transient failure re-enters the queue with deterministic
       // backoff until the attempt budget is spent; the client response
       // waits for the final attempt. Retries bypass admission (no
       // max_queue check, no accepted counter): the job was admitted
       // exactly once.
-      status::Code parsed = status::Code::kOk;
       const bool transient_failure =
-          executed && code != "OK" && CodeFromName(code, &parsed) &&
-          status::IsTransient(parsed);
+          executed && !internal && status::IsTransient(status.code());
       if (transient_failure && job.attempt < options.max_attempts) {
         JournalTransition(job, JobState::kRetrying, code);
         const RetryPolicy policy{options.max_attempts,
@@ -696,15 +624,25 @@ struct Server::Impl {
       if (transient_failure) {
         obs::GetCounter("serve.retry.exhausted")->Add(1);
       }
-      if (executed && code == "OK" && job.attempt > 1) {
+      if (executed && done && job.attempt > 1) {
         obs::GetCounter("serve.retry.succeeded")->Add(1);
       }
       JournalTransition(job,
-                        code == "OK"          ? JobState::kDone
-                        : code == "CANCELLED" ? JobState::kCancelled
-                                              : JobState::kFailed,
-                        code == "OK" ? "" : code);
+                        done        ? JobState::kDone
+                        : cancelled ? JobState::kCancelled
+                                    : JobState::kFailed,
+                        done ? "" : code);
       CleanupCheckpoint(job);
+      obs::Json response = MakeResponse(job.id, job.tenant, status);
+      if (internal) {
+        response.object["ok"] = obs::Json::MakeBool(false);
+        response.object["code"] = Str(code);
+        response.object["error"] =
+            Str("unexpected exception while running job");
+      }
+      if (result.type != obs::Json::Type::kNull) {
+        response.object["result"] = std::move(result);
+      }
       response.object["queue_ms"] = Num(queue_ms);
       response.object["run_ms"] = Num(run_ms);
       response.object["attempts"] = Num(job.attempt);
@@ -716,9 +654,9 @@ struct Server::Impl {
         TenantStats* tenant = GetTenant(job.tenant);
         tenant->queue_ms->Observe(queue_ms);
         tenant->run_ms->Observe(run_ms);
-        if (code == "OK") {
+        if (done) {
           tenant->completed->Add(1);
-        } else if (code == "CANCELLED") {
+        } else if (cancelled) {
           tenant->cancelled->Add(1);
         } else {
           tenant->failed->Add(1);
@@ -917,7 +855,6 @@ status::Status Server::Start() {
       return journal.status().WithContext("serve journal");
     }
     s.journal = std::move(journal).value();
-    s.recovery_info.requeued_jobs = static_cast<int>(replay.jobs.size());
     s.recovery_info.replayed_records = replay.replayed_records;
     s.recovery_info.corrupt_records = replay.corrupt_records;
     s.recovery_info.truncated_bytes = replay.truncated_bytes;
@@ -927,7 +864,6 @@ status::Status Server::Start() {
       job.id = recovered.client_id;
       job.uid = recovered.uid;
       job.tenant = recovered.tenant;
-      job.op = GetString(recovered.request, "op", "attack");
       job.raw = std::move(recovered.request);
       job.conn_id = -1;  // the client connection died with the old process
       job.attempt = recovered.next_attempt;
@@ -938,8 +874,22 @@ status::Status Server::Start() {
               ? status::Deadline::AfterSeconds(recovered.remaining_ms /
                                                1e3)
               : status::Deadline::Cancellable();
+      Request request;
+      Status parsed = ParseRequest(job.raw, &request);
+      if (parsed.ok()) parsed = ParseJob(request, &job.spec);
+      if (!parsed.ok()) {
+        // The job's fields are not guessed: it fails, durably.
+        s.JournalTransition(job, JobState::kFailed,
+                            status::CodeName(parsed.code()));
+        s.GetTenant(job.tenant)->failed->Add(1);
+        s.recovery_info.warnings.push_back(
+            "job uid " + std::to_string(job.uid) + ": " + parsed.ToString());
+        continue;
+      }
+      job.op = request.op;
       s.queue.push_back(std::move(job));
     }
+    s.recovery_info.requeued_jobs = static_cast<int>(s.queue.size());
     obs::GetGauge("serve.queue_depth")
         ->Set(static_cast<double>(s.queue.size()));
     obs::GetCounter("serve.recovery.requeued_jobs")

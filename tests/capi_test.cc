@@ -6,6 +6,7 @@
 // cancellation handshake, and the hex-float model round-trip.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "linalg/random.h"
+#include "op_rejections.h"
 #include "status/status.h"
 
 namespace repro {
@@ -295,6 +297,74 @@ TEST(CapiDeadlineTest, TinyBudgetDegradesNotHangs) {
   ASSERT_EQ(gg_set_deadline_ms(gg, 0.0), GG_OK);
   EXPECT_EQ(gg_attack(gg, &options), GG_OK) << gg_last_error(gg);
   gg_free(gg);
+}
+
+TEST(CapiAttackTest, OptionsInitCopiesEvalDefaults) {
+  const eval::AttackerSpec spec;
+  gg_attack_options options;
+  gg_attack_options_init(&options);
+  EXPECT_EQ(std::string(options.attacker), spec.name);
+  EXPECT_EQ(options.rate, spec.rate);
+  EXPECT_EQ(options.feature_cost, spec.feature_cost);
+  EXPECT_EQ(options.lambda, spec.lambda);
+  EXPECT_EQ(options.norm_p, spec.norm_p);
+  EXPECT_EQ(options.layers, spec.layers);
+  EXPECT_EQ(options.batch_size, spec.batch_size);
+  EXPECT_EQ(std::string(options.mode), spec.mode);
+  EXPECT_EQ(options.checkpoint_path, nullptr);  // "" = no checkpointing
+  EXPECT_EQ(options.checkpoint_every, spec.checkpoint_every);
+  EXPECT_EQ(options.seed, spec.seed);
+}
+
+// The shared rejection table through the ABI: every row the C types
+// can carry is INVALID_INPUT naming the field, before anything runs, so
+// the context's graph stays byte-identical.
+TEST(CapiErrorTest, RejectionTableRowsLeaveGraphUnchanged) {
+  gg_ctx* gg = gg_init();
+  ASSERT_NE(gg, nullptr);
+  const std::string graph_path = MakeGraphFile("rejections");
+  ASSERT_EQ(gg_load_graph(gg, graph_path.c_str()), GG_OK);
+  const std::string before = TempPath("rejections_before.txt");
+  const std::string after = TempPath("rejections_after.txt");
+  ASSERT_EQ(gg_save_graph(gg, before.c_str()), GG_OK);
+
+  for (const RejectionRow& row : RejectionTable()) {
+    if (!row.abi) continue;
+    const std::string field = row.field;
+    SCOPED_TRACE(field + " = " + row.text);
+    gg_status rc = GG_OK;
+    if (std::string(row.op) == "eval") {
+      gg_eval_result result;
+      rc = gg_eval(gg, "gcn", std::atoi(row.text), 42, &result);
+    } else {
+      gg_attack_options options;
+      gg_attack_options_init(&options);
+      if (field == "rate") {
+        options.rate = std::strtod(row.text, nullptr);
+      } else if (field == "feature_cost") {
+        options.feature_cost = std::strtod(row.text, nullptr);
+      } else if (field == "mode") {
+        options.mode = row.text;
+      } else if (field == "seed") {
+        options.seed =
+            static_cast<uint64_t>(std::strtoll(row.text, nullptr, 10));
+      } else {
+        FAIL() << "no ABI member for " << field;
+      }
+      rc = gg_attack(gg, &options);
+    }
+    EXPECT_EQ(rc, GG_INVALID_INPUT) << gg_status_name(rc);
+    EXPECT_NE(std::string(gg_last_error(gg)).find("\"" + field + "\""),
+              std::string::npos)
+        << gg_last_error(gg);
+    EXPECT_EQ(gg_num_flips(gg), 0);
+  }
+  ASSERT_EQ(gg_save_graph(gg, after.c_str()), GG_OK);
+  EXPECT_EQ(ReadFileBytes(before), ReadFileBytes(after));
+  gg_free(gg);
+  std::remove(before.c_str());
+  std::remove(after.c_str());
+  std::remove(graph_path.c_str());
 }
 
 }  // namespace

@@ -479,6 +479,54 @@ TEST_F(JournalServeTest, RecoversAcceptedJobFromJournalOnStartup) {
   std::remove(out_path.c_str());
 }
 
+// A journaled job whose op is missing or unknown is not guessed to be an
+// attack: recovery fails it INVALID_INPUT, durably, instead of running it.
+TEST_F(JournalServeTest, RecoveredJobWithoutKnownOpFailsInvalidInput) {
+  const std::string dir = FreshJournalDir("bad_op");
+  const std::string graph_path = MakeGraphFile("bad_op");
+  {
+    ReplayResult replay;
+    auto opened = Journal::Open(dir, &replay);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<Journal> journal = std::move(opened).value();
+    JournalRecord missing = AcceptedRecord(journal->NextUid(), 1, "orphan");
+    missing.request = AttackRequest(1, "orphan", graph_path);
+    missing.request.object.erase("op");
+    ASSERT_TRUE(journal->AppendRecord(std::move(missing)).ok());
+    JournalRecord unknown = AcceptedRecord(journal->NextUid(), 2, "orphan");
+    unknown.request = AttackRequest(2, "orphan", graph_path);
+    unknown.request.object["op"] = Json::MakeString("explode");
+    ASSERT_TRUE(journal->AppendRecord(std::move(unknown)).ok());
+  }
+
+  const std::string socket = StartRetryServer("bad_op", 3, dir);
+  EXPECT_EQ(server_->recovery().requeued_jobs, 0);
+  ASSERT_EQ(server_->recovery().warnings.size(), 2u);
+  for (const std::string& warning : server_->recovery().warnings) {
+    EXPECT_NE(warning.find("INVALID_INPUT"), std::string::npos) << warning;
+  }
+  serve::Client client;
+  ASSERT_TRUE(client.Connect(socket).ok());
+  auto stats = client.Call(MakeRequest(3, "orphan", "stats"));
+  ASSERT_TRUE(stats.ok());
+  const Json* result = stats->Find("result");
+  ASSERT_NE(result, nullptr);
+  const Json* tenants = result->Find("tenants");
+  ASSERT_NE(tenants, nullptr);
+  const Json* orphan = tenants->Find("orphan");
+  ASSERT_NE(orphan, nullptr) << stats->Dump();
+  EXPECT_EQ(serve::GetNumber(*orphan, "failed", -1), 2.0);
+  EXPECT_EQ(serve::GetNumber(*orphan, "completed", -1), 0.0);
+
+  server_->Shutdown();
+  server_->Wait();
+  server_.reset();
+  auto replayed = serve::ReplayJournal(dir);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed->jobs.size(), 0u);
+  EXPECT_EQ(replayed->failed, 2);
+}
+
 TEST_F(JournalServeTest, TransientFailureRetriesAndSucceeds) {
   const std::string socket = StartRetryServer("retry_ok", 3);
   const std::string graph_path = MakeGraphFile("retry_ok");
@@ -539,9 +587,12 @@ TEST_F(JournalServeTest, PermanentFailureIsNeverRetried) {
   serve::Client client;
   ASSERT_TRUE(client.Connect(socket).ok());
 
-  // No "graph" field: INVALID_INPUT, a permanent code — exactly one
+  // A PEEGA option the campaign itself rejects (layers = 0): it passes
+  // admission, then fails INVALID_INPUT, a permanent code — exactly one
   // attempt regardless of the budget.
-  auto response = client.Call(MakeRequest(5, "grace", "attack"));
+  Json request = AttackRequest(5, "grace", MakeGraphFile("permanent"));
+  request.object["layers"] = Json::MakeNumber(0);
+  auto response = client.Call(request);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(Code(*response), "INVALID_INPUT") << response->Dump();
   EXPECT_EQ(serve::GetNumber(*response, "attempts", -1), 1.0);

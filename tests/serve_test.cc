@@ -10,7 +10,9 @@
 //     deterministic thread pool per job);
 //   - drain: shutdown finishes queued work, rejects new work with
 //     UNAVAILABLE, and Wait() returns.
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,8 +24,10 @@
 #include "linalg/random.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "op_rejections.h"
 #include "parallel/worker_thread.h"
 #include "serve/client.h"
+#include "serve/journal.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "status/status.h"
@@ -68,6 +72,25 @@ std::string Code(const Json& response) {
   return serve::GetString(response, "code", "<missing>");
 }
 
+// Calls with a request written as JSON text; a null Json on failure.
+Json CallText(serve::Client* client, const std::string& text) {
+  Json request;
+  std::string error;
+  EXPECT_TRUE(Json::Parse(text, &request, &error)) << error << ": " << text;
+  auto response = client->Call(request);
+  EXPECT_TRUE(response.ok()) << text;
+  return response.ok() ? *response : Json();
+}
+
+// The "tenants" entry of a stats response for `tenant` (null if none).
+Json TenantStats(serve::Client* client, const std::string& tenant) {
+  auto stats = client->Call(MakeRequest(999, tenant, "stats"));
+  const Json* result = stats.ok() ? stats->Find("result") : nullptr;
+  const Json* tenants = result != nullptr ? result->Find("tenants") : nullptr;
+  const Json* entry = tenants != nullptr ? tenants->Find(tenant) : nullptr;
+  return entry != nullptr ? *entry : Json();
+}
+
 class ServeTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -79,10 +102,12 @@ class ServeTest : public ::testing::Test {
   }
 
   // Starts a fresh server; returns its socket path.
-  std::string StartServer(const std::string& tag, int max_queue) {
+  std::string StartServer(const std::string& tag, int max_queue,
+                          const std::string& journal_dir = "") {
     serve::ServerOptions options;
     options.socket_path = TempPath(tag + ".sock");
     options.max_queue = max_queue;
+    options.journal_dir = journal_dir;
     server_ = std::make_unique<serve::Server>(options);
     EXPECT_TRUE(server_->Start().ok());
     return options.socket_path;
@@ -295,6 +320,106 @@ TEST_F(ServeTest, GracefulDrainFinishesQueuedWorkAndRejectsNew) {
   // The contract that matters: Wait() returns — no hang on drain.
   server_->Wait();
   server_.reset();
+}
+
+// The shared rejection table through the job server: every row JSON can
+// carry is INVALID_INPUT naming the field at admission, so nothing is
+// queued or journaled and each counts as the tenant's rejected.
+TEST_F(ServeTest, RejectionTableIsRefusedAtAdmission) {
+  const std::string dir = TempPath("rejections.journal");
+  std::remove((dir + "/" + serve::kJournalFileName).c_str());
+  const std::string socket = StartServer("rejections", 8, dir);
+  const std::string graph_path = MakeGraphFile("rejections");
+  serve::Client client;
+  ASSERT_TRUE(client.Connect(socket).ok());
+
+  int sent = 0;
+  for (const RejectionRow& row : RejectionTable()) {
+    if (row.json == nullptr) continue;
+    const std::string field = row.field;
+    const std::string text =
+        "{\"id\":" + std::to_string(++sent) +
+        ",\"tenant\":\"strict\",\"op\":\"" + row.op + "\",\"graph\":\"" +
+        graph_path + "\",\"" + field + "\":" + row.json + "}";
+    const Json response = CallText(&client, text);
+    EXPECT_EQ(Code(response), "INVALID_INPUT") << text;
+    EXPECT_NE(serve::GetString(response, "error", "")
+                  .find("\"" + field + "\""),
+              std::string::npos)
+        << response.Dump();
+  }
+  // JSON cannot carry NaN; the reader refuses it all the same.
+  serve::Request request;
+  ASSERT_TRUE(serve::ParseRequest(
+                  "{\"op\":\"attack\",\"graph\":\"" + graph_path + "\"}",
+                  &request)
+                  .ok());
+  request.raw.object["rate"] =
+      Json::MakeNumber(std::numeric_limits<double>::quiet_NaN());
+  serve::JobRequest job;
+  const status::Status nan_rate = serve::ParseJob(request, &job);
+  EXPECT_EQ(nan_rate.code(), status::Code::kInvalidInput);
+  EXPECT_NE(nan_rate.message().find("\"rate\""), std::string::npos)
+      << nan_rate.ToString();
+
+  const Json strict = TenantStats(&client, "strict");
+  EXPECT_EQ(serve::GetNumber(strict, "rejected", -1), sent);
+  EXPECT_EQ(serve::GetNumber(strict, "accepted", -1), 0.0);
+  EXPECT_EQ(serve::GetNumber(strict, "failed", -1), 0.0);
+  server_->Shutdown();
+  server_->Wait();
+  server_.reset();
+  auto replayed = serve::ReplayJournal(dir);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed->replayed_records, 0);
+}
+
+// Envelope fields no longer fall back silently: each bad value is
+// INVALID_INPUT naming the field, and a refused job is the tenant's
+// rejected, never accepted or failed.
+TEST_F(ServeTest, EnvelopeFieldsAreStrict) {
+  const std::string socket = StartServer("envelope", 8);
+  const std::string graph_path = MakeGraphFile("envelope");
+  serve::Client client;
+  ASSERT_TRUE(client.Connect(socket).ok());
+  const std::string job =
+      "\"tenant\":\"env\",\"op\":\"attack\",\"graph\":\"" + graph_path + "\"";
+  struct Row {
+    std::string field;
+    std::string text;
+    bool is_job;  // counted as the tenant's rejected
+  };
+  const std::vector<Row> rows = {
+      {"id", "{\"id\":\"7\",\"op\":\"ping\"}", false},
+      {"id", "{\"id\":1.5,\"op\":\"ping\"}", false},
+      {"tenant", "{\"tenant\":5,\"op\":\"ping\"}", false},
+      {"graph", "{\"tenant\":\"env\",\"op\":\"attack\"}", true},
+      {"out", "{" + job + ",\"out\":5}", true},
+      {"return_flips", "{" + job + ",\"return_flips\":\"yes\"}", true},
+      {"deadline_ms", "{" + job + ",\"deadline_ms\":0}", true},
+      {"deadline_ms", "{" + job + ",\"deadline_ms\":\"abc\"}", true},
+      {"out",
+       "{\"tenant\":\"env\",\"op\":\"eval\",\"graph\":\"" + graph_path +
+           "\",\"out\":\"x.txt\"}",
+       true},
+      {"target_id", "{\"tenant\":\"env\",\"op\":\"cancel\"}", false},
+      {"target_id",
+       "{\"tenant\":\"env\",\"op\":\"cancel\",\"target_id\":\"7\"}", false},
+  };
+  int jobs = 0;
+  for (const Row& row : rows) {
+    const Json response = CallText(&client, row.text);
+    EXPECT_EQ(Code(response), "INVALID_INPUT") << row.text;
+    EXPECT_NE(serve::GetString(response, "error", "")
+                  .find("\"" + row.field + "\""),
+              std::string::npos)
+        << row.text << " -> " << response.Dump();
+    if (row.is_job) ++jobs;
+  }
+  const Json env = TenantStats(&client, "env");
+  EXPECT_EQ(serve::GetNumber(env, "rejected", -1), jobs);
+  EXPECT_EQ(serve::GetNumber(env, "accepted", -1), 0.0);
+  EXPECT_EQ(serve::GetNumber(env, "failed", -1), 0.0);
 }
 
 }  // namespace

@@ -2,15 +2,18 @@
 //
 //   graphguard generate --dataset cora --scale 1.0 --seed 42 --out g.txt
 //   graphguard attack   --in g.txt --out poisoned.txt --attacker peega
-//                       --rate 0.1 [--lambda 0.01 --p 2 --layers 2]
-//                       [--batch 16]
-//                       [--deadline SECONDS] [--checkpoint FILE
-//                        --checkpoint-every K]
+//                       --rate 0.1 [--deadline SECONDS] [op fields]
 //   graphguard defend   --in poisoned.txt --defender gnat [--runs 3]
 //   graphguard inspect  --in g.txt [--clean g_clean.txt]
 //   graphguard serve    --socket /tmp/graphguard.sock [--max-queue 64]
 //                       [--journal DIR] [--max-attempts 3]
 //                       [--retry-backoff-ms 100]
+//
+// The attack/defend flags are the attack/eval op fields of
+// eval/op_schema.h (flag = wire name with '_' -> '-'); `graphguard`
+// with no command prints them all with their defaults. Every command
+// refuses undeclared flags and numbers that do not parse in full,
+// exiting 1 with the flag named.
 //
 // `defend` prints mean±std test accuracy; `inspect` prints homophily and
 // (given a clean reference) the Add/Del x Same/Diff forensics of Fig. 2.
@@ -30,9 +33,12 @@
 // "Serving model & admission control").
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "capi/attack_options.h"
 #include "capi/graphguard.h"
 #include "eval/args.h"
+#include "eval/op_schema.h"
 #include "eval/stats.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -44,26 +50,41 @@ namespace {
 
 using namespace repro;
 
+// Prints `head` and then `tokens`, wrapped at 72 columns.
+void PrintUsage(const std::string& head,
+                const std::vector<std::string>& tokens) {
+  std::string line = head;
+  for (const std::string& token : tokens) {
+    if (line.size() + 1 + token.size() > 72) {
+      std::fprintf(stderr, "%s\n", line.c_str());
+      line = "          ";
+    }
+    line += " " + token;
+  }
+  std::fprintf(stderr, "%s\n", line.c_str());
+}
+
 int Usage() {
   std::fprintf(
       stderr,
       "usage: graphguard <generate|attack|defend|inspect|serve> "
       "[--flags]\n"
       "  generate --dataset cora|citeseer|polblogs|pubmed|blog\n"
-      "           [--scale S] [--seed N] --out FILE\n"
-      "  attack   --in FILE --out FILE\n"
-      "           [--attacker peega|peega-batch|metattack|pgd|minmax|\n"
-      "            gf|dice|random] [--rate R] [--lambda L] [--p P]\n"
-      "           [--layers K] [--mode both|tm|fp] [--seed N]\n"
-      "           [--batch K] (peega-batch: flips per gradient pass)\n"
-      "           [--deadline SECONDS]\n"
-      "           [--checkpoint FILE] [--checkpoint-every K]\n"
-      "  defend   --in FILE [--defender gnat|gcn|gat|jaccard|svd|rgcn|\n"
-      "            prognn|simpgcn|gnnguard] [--runs N] [--seed N]\n"
+      "           [--scale S] [--seed N] --out FILE\n");
+  PrintUsage("  attack   --in FILE --out FILE [--deadline SECONDS]",
+             eval::FlagUsage<eval::AttackerSpec>());
+  PrintUsage("  defend   --in FILE", eval::FlagUsage<eval::EvalSpec>());
+  std::fprintf(
+      stderr,
       "  inspect  --in FILE [--clean FILE]\n"
       "  serve    [--socket PATH] [--max-queue N] [--journal DIR]\n"
       "           [--max-attempts N] [--retry-backoff-ms MS]\n");
   return 2;
+}
+
+int Fail(const status::Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 1;
 }
 
 int CapiError(gg_ctx* gg) {
@@ -73,15 +94,23 @@ int CapiError(gg_ctx* gg) {
 }
 
 int Generate(const eval::Args& args) {
+  if (const status::Status known =
+          args.CheckFlags({"dataset", "scale", "seed", "out"});
+      !known.ok()) {
+    return Fail(known);
+  }
+  const status::StatusOr<double> scale = args.GetDouble("scale", 1.0);
+  if (!scale.ok()) return Fail(scale.status());
+  const status::StatusOr<int> seed = args.GetInt("seed", 42);
+  if (!seed.ok()) return Fail(seed.status());
   const std::string dataset = args.GetString("dataset", "cora");
-  const double scale = args.GetDouble("scale", 1.0);
-  linalg::Rng rng(static_cast<uint64_t>(args.GetInt("seed", 42)));
+  linalg::Rng rng(static_cast<uint64_t>(*seed));
   graph::Graph g;
-  if (dataset == "cora") g = graph::MakeCoraLike(&rng, scale);
-  else if (dataset == "citeseer") g = graph::MakeCiteseerLike(&rng, scale);
-  else if (dataset == "polblogs") g = graph::MakePolblogsLike(&rng, scale);
-  else if (dataset == "pubmed") g = graph::MakePubmedLike(&rng, scale);
-  else if (dataset == "blog") g = graph::MakeBlogLike(&rng, scale);
+  if (dataset == "cora") g = graph::MakeCoraLike(&rng, *scale);
+  else if (dataset == "citeseer") g = graph::MakeCiteseerLike(&rng, *scale);
+  else if (dataset == "polblogs") g = graph::MakePolblogsLike(&rng, *scale);
+  else if (dataset == "pubmed") g = graph::MakePubmedLike(&rng, *scale);
+  else if (dataset == "blog") g = graph::MakeBlogLike(&rng, *scale);
   else return Usage();
   const std::string out = args.GetString("out");
   if (out.empty()) {
@@ -89,8 +118,7 @@ int Generate(const eval::Args& args) {
     return 1;
   }
   if (const status::Status save = graph::SaveGraph(g, out); !save.ok()) {
-    std::fprintf(stderr, "error: %s\n", save.ToString().c_str());
-    return 1;
+    return Fail(save);
   }
   std::printf("wrote %s: %d nodes, %lld edges, homophily %.3f\n",
               out.c_str(), g.num_nodes,
@@ -100,6 +128,19 @@ int Generate(const eval::Args& args) {
 }
 
 int AttackCmd(const eval::Args& args) {
+  eval::AttackerSpec spec;
+  if (const status::Status read =
+          eval::ReadFlags(args, {"in", "out", "deadline"}, &spec);
+      !read.ok()) {
+    return Fail(read);
+  }
+  const status::StatusOr<double> deadline = args.GetDouble("deadline", 0.0);
+  if (!deadline.ok()) return Fail(deadline.status());
+  if (args.Has("deadline") && !(*deadline > 0.0)) {
+    return Fail(status::InvalidInput(
+        "flag --deadline: must be > 0 seconds, got \"" +
+        args.GetString("deadline") + "\""));
+  }
   const std::string out = args.GetString("out");
   if (out.empty()) {
     std::fprintf(stderr, "error: --out is required\n");
@@ -113,28 +154,12 @@ int AttackCmd(const eval::Args& args) {
   if (gg_load_graph(gg, args.GetString("in").c_str()) != GG_OK) {
     return CapiError(gg);
   }
-  // The option strings must outlive the gg_attack call.
-  const std::string attacker = args.GetString("attacker", "peega");
-  const std::string mode = args.GetString("mode", "both");
-  const std::string checkpoint = args.GetString("checkpoint", "");
   gg_attack_options options;
-  gg_attack_options_init(&options);
-  options.attacker = attacker.c_str();
-  options.rate = args.GetDouble("rate", 0.1);
-  options.lambda = args.GetDouble("lambda", 0.01);
-  options.norm_p = args.GetInt("p", 2);
-  options.layers = args.GetInt("layers", 2);
-  options.batch_size = args.GetInt("batch", 16);
-  options.mode = mode.c_str();
-  options.checkpoint_path = checkpoint.empty() ? nullptr
-                                               : checkpoint.c_str();
-  options.checkpoint_every = args.GetInt("checkpoint-every", 16);
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-  const double deadline = args.GetDouble("deadline", 0.0);
-  if (deadline > 0.0) gg_set_deadline_ms(gg, deadline * 1000.0);
+  capi::ToAttackOptions(spec, &options);  // borrows spec's strings
+  if (args.Has("deadline")) gg_set_deadline_ms(gg, *deadline * 1000.0);
   const gg_status attacked = gg_attack(gg, &options);
   if (attacked == GG_INVALID_INPUT) {
-    // Nothing was attacked (unknown attacker, rejected checkpoint):
+    // Nothing was attacked (rejected checkpoint, invalid PEEGA option):
     // writing the clean graph out would be misleading.
     return CapiError(gg);
   }
@@ -153,6 +178,11 @@ int AttackCmd(const eval::Args& args) {
 }
 
 int Defend(const eval::Args& args) {
+  eval::EvalSpec spec;
+  if (const status::Status read = eval::ReadFlags(args, {"in"}, &spec);
+      !read.ok()) {
+    return Fail(read);
+  }
   gg_ctx* gg = gg_init();
   if (gg == nullptr) {
     std::fprintf(stderr, "error: gg_init failed\n");
@@ -161,16 +191,14 @@ int Defend(const eval::Args& args) {
   if (gg_load_graph(gg, args.GetString("in").c_str()) != GG_OK) {
     return CapiError(gg);
   }
-  const std::string defender = args.GetString("defender", "gnat");
   gg_eval_result result;
-  const gg_status evaluated = gg_eval(
-      gg, defender.c_str(), args.GetInt("runs", 3),
-      static_cast<uint64_t>(args.GetInt("seed", 42)), &result);
+  const gg_status evaluated = gg_eval(gg, spec.defender.c_str(), spec.runs,
+                                      spec.seed, &result);
   if (evaluated == GG_INVALID_INPUT) return CapiError(gg);
   const eval::MeanStd accuracy{result.accuracy_mean,
                                result.accuracy_std};
   std::printf("%s on %s: %s test accuracy (%.2fs/run)\n",
-              defender.c_str(), gg_graph_name(gg),
+              spec.defender.c_str(), gg_graph_name(gg),
               eval::FormatMeanStd(accuracy).c_str(),
               result.mean_train_seconds);
   if (evaluated != GG_OK) {
@@ -181,6 +209,10 @@ int Defend(const eval::Args& args) {
 }
 
 int Inspect(const eval::Args& args) {
+  if (const status::Status known = args.CheckFlags({"in", "clean"});
+      !known.ok()) {
+    return Fail(known);
+  }
   status::StatusOr<graph::Graph> loaded =
       graph::LoadGraph(args.GetString("in"));
   if (!loaded.ok()) {
@@ -217,13 +249,26 @@ int Inspect(const eval::Args& args) {
 }
 
 int ServeCmd(const eval::Args& args) {
+  if (const status::Status known =
+          args.CheckFlags({"socket", "max-queue", "journal", "max-attempts",
+                           "retry-backoff-ms"});
+      !known.ok()) {
+    return Fail(known);
+  }
+  const status::StatusOr<int> max_queue = args.GetInt("max-queue", 64);
+  if (!max_queue.ok()) return Fail(max_queue.status());
+  const status::StatusOr<int> max_attempts = args.GetInt("max-attempts", 3);
+  if (!max_attempts.ok()) return Fail(max_attempts.status());
+  const status::StatusOr<double> backoff =
+      args.GetDouble("retry-backoff-ms", 100.0);
+  if (!backoff.ok()) return Fail(backoff.status());
   serve::ServerOptions options;
   options.socket_path =
       args.GetString("socket", "/tmp/graphguard.sock");
-  options.max_queue = args.GetInt("max-queue", 64);
+  options.max_queue = *max_queue;
   options.journal_dir = args.GetString("journal", "");
-  options.max_attempts = args.GetInt("max-attempts", 3);
-  options.retry_backoff_ms = args.GetDouble("retry-backoff-ms", 100.0);
+  options.max_attempts = *max_attempts;
+  options.retry_backoff_ms = *backoff;
   serve::Server server(options);
   if (const status::Status started = server.Start(); !started.ok()) {
     std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
