@@ -7,14 +7,15 @@
 #include "capi/graphguard.h"
 #include "capi/attack_options.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/attacker.h"
@@ -26,12 +27,14 @@
 #include "linalg/random.h"
 #include "nn/gcn.h"
 #include "nn/trainer.h"
+#include "obs/record.h"
 #include "status/deadline.h"
 #include "status/status.h"
 
 namespace {
 
 using repro::status::Code;
+using repro::status::InvalidInput;
 using repro::status::Status;
 
 }  // namespace
@@ -674,18 +677,10 @@ extern "C" gg_status gg_save_model(gg_ctx* ctx, const char* path) {
       }
       if (m->size() == 0) text += "\n";
     }
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      return Settle(ctx, repro::status::IoError(
-                             std::string("gg_save_model: cannot open ") +
-                             path));
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-      return Settle(ctx, repro::status::IoError(
-                             std::string("gg_save_model: write failed: ") +
-                             path));
+    std::string error;
+    if (!repro::obs::ReplaceFile(path, text, &error)) {
+      return Settle(ctx,
+                    repro::status::IoError("gg_save_model: " + error));
     }
     return Settle(ctx, Status::Ok());
   } catch (...) {
@@ -699,60 +694,92 @@ extern "C" gg_status gg_load_model(gg_ctx* ctx, const char* path) {
     if (path == nullptr) {
       return Fail(ctx, GG_INVALID_INPUT, "gg_load_model: path is NULL");
     }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Settle(ctx, repro::status::IoError(
-                             std::string("gg_load_model: cannot open ") +
-                             path));
+    repro::status::StatusOr<repro::graph::TokenReader> opened =
+        repro::graph::TokenReader::Open(path);
+    if (!opened.ok()) {
+      return Settle(ctx, opened.status().WithContext("gg_load_model"));
     }
-    const Status malformed = repro::status::InvalidInput(
-        std::string("gg_load_model: malformed model file ") + path);
-    std::string magic;
-    int version = 0;
-    if (!(in >> magic >> version) || magic != "GGMODEL" || version != 1) {
-      return Settle(ctx, malformed);
-    }
-    int in_dim = 0, classes = 0, hidden = 0, layers = 0, bias = 0;
-    if (!(in >> in_dim >> classes >> hidden >> layers >> bias) ||
-        in_dim <= 0 || classes <= 0 || hidden <= 0 || layers <= 0) {
-      return Settle(ctx, malformed);
-    }
-    size_t num_params = 0;
-    if (!(in >> num_params) || num_params > 1024) {
-      return Settle(ctx, malformed);
-    }
+    repro::graph::TokenReader& reader = *opened;
+    constexpr long long kMaxInt = std::numeric_limits<int>::max();
+    long long in_dim = 0, classes = 0, hidden = 0, layers = 0, bias = 0;
     repro::nn::Gcn::Options options;
-    options.hidden_dim = hidden;
-    options.num_layers = layers;
-    options.bias = bias != 0;
-    repro::linalg::Rng rng(0);
-    auto model =
-        std::make_unique<repro::nn::Gcn>(in_dim, classes, options, &rng);
-    const std::vector<repro::linalg::Matrix*> params =
-        model->Parameters();
-    if (params.size() != num_params) return Settle(ctx, malformed);
-    for (repro::linalg::Matrix* m : params) {
-      std::string tag;
-      int rows = 0, cols = 0;
-      if (!(in >> tag >> rows >> cols) || tag != "P" ||
-          rows != m->rows() || cols != m->cols()) {
-        return Settle(ctx, malformed);
+    std::unique_ptr<repro::nn::Gcn> model;
+    const Status read = [&]() -> Status {
+      std::string magic;
+      long long version = 0;
+      PEEGA_RETURN_IF_ERROR(reader.NextToken(&magic), "header");
+      if (magic != "GGMODEL") {
+        return InvalidInput(reader.Where() + ": bad magic '" + magic + "'");
       }
-      for (int64_t i = 0; i < m->size(); ++i) {
-        std::string token;
-        if (!(in >> token)) return Settle(ctx, malformed);
-        char* end = nullptr;
-        const float v = std::strtof(token.c_str(), &end);
-        if (end == token.c_str() || *end != '\0') {
-          return Settle(ctx, malformed);
+      PEEGA_RETURN_IF_ERROR(reader.ReadInt("version", 1, 1, &version),
+                            "header");
+      for (const auto& [what, value] :
+           {std::pair<const char*, long long*>{"in_dim", &in_dim},
+            {"classes", &classes}, {"hidden", &hidden}, {"layers", &layers}}) {
+        PEEGA_RETURN_IF_ERROR(reader.ReadInt(what, 1, kMaxInt, value), "dims");
+      }
+      PEEGA_RETURN_IF_ERROR(reader.ReadInt("bias", 0, 1, &bias), "dims");
+      // Each weight takes at least a character and a separator, so the
+      // bytes left bound the model before Gcn allocates it.
+      const long long capacity = reader.BytesLeft() / 2;
+      long long weights = 0;
+      long long dim = in_dim;
+      for (long long l = 0; l < layers && weights <= capacity; ++l) {
+        const long long out_dim = l + 1 == layers ? classes : hidden;
+        weights += dim * out_dim + bias * out_dim;
+        dim = out_dim;
+      }
+      if (weights > capacity) {
+        return InvalidInput(reader.Where() + ": the dims need more weights " +
+                            "than the " + std::to_string(reader.BytesLeft()) +
+                            " bytes left can hold");
+      }
+      options.hidden_dim = static_cast<int>(hidden);
+      options.num_layers = static_cast<int>(layers);
+      options.bias = bias != 0;
+      repro::linalg::Rng rng(0);
+      model = std::make_unique<repro::nn::Gcn>(
+          static_cast<int>(in_dim), static_cast<int>(classes), options, &rng);
+      const std::vector<repro::linalg::Matrix*> params = model->Parameters();
+      const long long count = static_cast<long long>(params.size());
+      long long num_params = 0;
+      PEEGA_RETURN_IF_ERROR(
+          reader.ReadInt("parameter count", count, count, &num_params),
+          "dims");
+      for (size_t p = 0; p < params.size(); ++p) {
+        repro::linalg::Matrix* m = params[p];
+        const std::string param = "parameter " + std::to_string(p);
+        std::string tag;
+        long long rows = 0, cols = 0;
+        PEEGA_RETURN_IF_ERROR(reader.NextToken(&tag), param);
+        if (tag != "P") {
+          return InvalidInput(reader.Where() + ": " + param +
+                              ": expected 'P', got '" + tag + "'");
         }
-        m->data()[i] = v;
+        PEEGA_RETURN_IF_ERROR(
+            reader.ReadInt("rows", m->rows(), m->rows(), &rows), param);
+        PEEGA_RETURN_IF_ERROR(
+            reader.ReadInt("cols", m->cols(), m->cols(), &cols), param);
+        for (int64_t i = 0; i < m->size(); ++i) {
+          std::string token;
+          PEEGA_RETURN_IF_ERROR(reader.NextToken(&token), param);
+          char* end = nullptr;
+          const float v = std::strtof(token.c_str(), &end);
+          if (end == token.c_str() || *end != '\0' || !std::isfinite(v)) {
+            return InvalidInput(reader.Where() + ": " + param + " weight " +
+                                std::to_string(i) + ": not a finite number '" +
+                                token + "'");
+          }
+          m->data()[i] = v;
+        }
       }
-    }
+      return Status::Ok();
+    }();
+    if (!read.ok()) return Settle(ctx, read.WithContext("gg_load_model"));
     ctx->model = std::move(model);
     ctx->model_options = options;
-    ctx->model_in_dim = in_dim;
-    ctx->model_classes = classes;
+    ctx->model_in_dim = static_cast<int>(in_dim);
+    ctx->model_classes = static_cast<int>(classes);
     return Settle(ctx, Status::Ok());
   } catch (...) {
     return Caught(ctx, "gg_load_model");

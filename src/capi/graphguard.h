@@ -209,7 +209,10 @@ gg_status gg_model_accuracy(gg_ctx* ctx, double* out_test_accuracy);
 
 /* Model weights round-trip bitwise: floats are serialized as C99 hex
  * literals, so save -> load -> save reproduces the file byte for byte
- * and the reloaded model predicts identically. */
+ * and the reloaded model predicts identically. Save replaces the file
+ * durably: after a crash it holds the old or the new model. Load refuses
+ * non-finite weights and dims the file is too small to hold, with
+ * GG_INVALID_INPUT naming the field and line. */
 gg_status gg_save_model(gg_ctx* ctx, const char* path);
 gg_status gg_load_model(gg_ctx* ctx, const char* path);
 

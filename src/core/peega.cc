@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/common.h"
@@ -17,6 +18,7 @@
 #include "debug/check.h"
 #include "debug/failpoints.h"
 #include "linalg/ops.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/stopwatch.h"
 #include "obs/trace.h"
@@ -195,19 +197,27 @@ class CheckpointContext {
       : path_(options.peega.checkpoint_path),
         every_(options.peega.checkpoint_every) {
     const PeegaAttack::Options& peega = options.peega;
-    header_.num_nodes = g.num_nodes;
-    header_.feature_dim = g.features.cols();
-    header_.layers = peega.layers;
-    header_.norm_p = peega.norm_p;
-    header_.lambda = peega.lambda;
-    header_.mode = static_cast<int>(peega.mode);
-    header_.engine = static_cast<int>(peega.engine);
-    header_.perturbation_rate = attack_options.perturbation_rate;
-    header_.feature_cost = attack_options.feature_cost;
-    header_.target_nodes = peega.target_nodes;
-    header_.attacker_nodes = attack_options.attacker_nodes;
-    header_.batch_size = options.batch_size;
-    header_.gumbel_scale = options.gumbel_scale;
+    const auto number = [this](const char* key, double value) {
+      echo_.object[key] = obs::Json::MakeNumber(value);
+    };
+    const auto ints = [this](const char* key, const std::vector<int>& v) {
+      obs::Json array = obs::Json::MakeArray();
+      for (const int i : v) array.array.push_back(obs::Json::MakeNumber(i));
+      echo_.object[key] = std::move(array);
+    };
+    number("num_nodes", g.num_nodes);
+    number("feature_dim", g.features.cols());
+    number("layers", peega.layers);
+    number("norm_p", peega.norm_p);
+    number("lambda", peega.lambda);
+    number("mode", static_cast<int>(peega.mode));
+    number("engine", static_cast<int>(peega.engine));
+    number("perturbation_rate", attack_options.perturbation_rate);
+    number("feature_cost", attack_options.feature_cost);
+    ints("target_nodes", peega.target_nodes);
+    ints("attacker_nodes", attack_options.attacker_nodes);
+    number("batch_size", options.batch_size);
+    number("gumbel_scale", options.gumbel_scale);
   }
 
   bool enabled() const { return !path_.empty(); }
@@ -219,35 +229,10 @@ class CheckpointContext {
                         linalg::Rng* rng) const {
     if (!enabled()) return status::Status::Ok();
     if (!std::ifstream(path_).good()) return status::Status::Ok();
-    status::StatusOr<PeegaCheckpoint> loaded = LoadPeegaCheckpoint(path_);
+    status::StatusOr<PeegaCheckpoint> loaded =
+        LoadPeegaCheckpoint(path_, echo_);
     if (!loaded.ok()) return loaded.status().WithContext("PEEGA resume");
     const PeegaCheckpoint& ck = *loaded;
-    const auto stale = [](const char* field) {
-      return status::InvalidInput(
-          std::string("stale checkpoint: ") + field +
-          " differs from the current campaign");
-    };
-    if (ck.num_nodes != header_.num_nodes ||
-        ck.feature_dim != header_.feature_dim) {
-      return stale("graph dimensions");
-    }
-    if (ck.layers != header_.layers || ck.norm_p != header_.norm_p ||
-        ck.lambda != header_.lambda) {
-      return stale("objective options");
-    }
-    if (ck.mode != header_.mode || ck.engine != header_.engine) {
-      return stale("attack mode/engine");
-    }
-    if (ck.perturbation_rate != header_.perturbation_rate ||
-        ck.feature_cost != header_.feature_cost) {
-      return stale("budget options");
-    }
-    if (ck.target_nodes != header_.target_nodes) return stale("target_nodes");
-    if (ck.attacker_nodes != header_.attacker_nodes) {
-      return stale("attacker_nodes");
-    }
-    if (ck.batch_size != header_.batch_size) return stale("batch_size");
-    if (ck.gumbel_scale != header_.gumbel_scale) return stale("gumbel_scale");
     *replay = ck.flips;
     if (!ck.rng_state.empty() && rng != nullptr) {
       std::istringstream in(ck.rng_state);
@@ -271,19 +256,21 @@ class CheckpointContext {
     if (!enabled() || flips.size() / every == before / every) {
       return status::Status::Ok();
     }
-    PeegaCheckpoint ck = header_;
+    PeegaCheckpoint ck;
     ck.iteration = static_cast<int>(flips.size());
     ck.spent = spent;
     if (rng != nullptr) ck.rng_state = RngStateString(rng);
     ck.flips = flips;
-    return SavePeegaCheckpoint(ck, path_).WithContext(
+    return SavePeegaCheckpoint(echo_, ck, path_).WithContext(
         "PEEGA checkpoint save");
   }
 
  private:
   std::string path_;
   int every_;
-  PeegaCheckpoint header_;
+  // Every input that shapes the greedy trajectory, as saved with the
+  // checkpoint and compared key by key on resume.
+  obs::Json echo_ = obs::Json::MakeObject();
 };
 
 // Deadline / cancellation / injected-interrupt poll, once per greedy

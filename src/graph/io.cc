@@ -1,5 +1,6 @@
 #include "graph/io.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <utility>
@@ -8,129 +9,113 @@
 #include "debug/failpoints.h"
 
 namespace repro::graph {
-namespace {
 
 using status::InvalidInput;
 using status::IoError;
 using status::Status;
 using status::StatusOr;
 
-// Whitespace tokenizer over a text file that tracks the 1-based line of
-// the token it just produced, so every parse error can point at
-// `path:line N`. The whole file is read up front: graph files are small
-// and this keeps EOF handling trivial.
-class TokenReader {
- public:
-  TokenReader(std::string path, std::vector<std::string> lines)
-      : path_(std::move(path)), lines_(std::move(lines)) {}
-
-  static StatusOr<TokenReader> Open(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) return IoError("cannot open " + path);
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-    if (in.bad()) return IoError("read failure on " + path);
-    return TokenReader(path, std::move(lines));
+StatusOr<TokenReader> TokenReader::Open(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return IoError("cannot open " + path);
+  TokenReader reader;
+  reader.path_ = path;
+  std::string line;
+  while (std::getline(in, line)) {
+    reader.bytes_ += static_cast<long long>(line.size()) + 1;
+    reader.lines_.push_back(line);
   }
+  if (in.bad()) return IoError("read failure on " + path);
+  return reader;
+}
 
-  // "path:line N" for the line the NEXT token starts on (or the last
-  // line when the file is exhausted — the natural spot to report a
-  // truncation).
-  std::string Where() const {
-    const size_t line = line_ < lines_.size() ? line_ + 1 : lines_.size();
-    return path_ + ":line " + std::to_string(line == 0 ? 1 : line);
-  }
+std::string TokenReader::Where() const {
+  return path_ + ":line " + std::to_string(token_line_ == 0 ? 1 : token_line_);
+}
 
-  Status NextToken(std::string* token) {
-    while (line_ < lines_.size()) {
-      const std::string& text = lines_[line_];
-      while (pos_ < text.size() &&
-             (text[pos_] == ' ' || text[pos_] == '\t' ||
-              text[pos_] == '\r')) {
-        ++pos_;
-      }
-      if (pos_ >= text.size()) {
-        ++line_;
-        pos_ = 0;
-        continue;
-      }
-      const size_t start = pos_;
-      while (pos_ < text.size() && text[pos_] != ' ' &&
-             text[pos_] != '\t' && text[pos_] != '\r') {
-        ++pos_;
-      }
-      *token = text.substr(start, pos_ - start);
-      // When only trailing whitespace remains, step onto the next line so
-      // ReadLine (the free-form name field) never sees a spent line and
-      // Where() points at the line the next token will come from.
-      size_t look = pos_;
-      while (look < text.size() &&
-             (text[look] == ' ' || text[look] == '\t' ||
-              text[look] == '\r')) {
-        ++look;
-      }
-      if (look >= text.size()) {
-        ++line_;
-        pos_ = 0;
-      }
-      return Status::Ok();
+long long TokenReader::BytesLeft() const {
+  return bytes_ - offset_ - static_cast<long long>(pos_);
+}
+
+Status TokenReader::NextToken(std::string* token) {
+  while (line_ < lines_.size()) {
+    const std::string& text = lines_[line_];
+    while (pos_ < text.size() &&
+           (text[pos_] == ' ' || text[pos_] == '\t' || text[pos_] == '\r')) {
+      ++pos_;
     }
+    if (pos_ >= text.size()) {
+      NextLine();
+      continue;
+    }
+    token_line_ = line_ + 1;
+    const size_t start = pos_;
+    while (pos_ < text.size() && text[pos_] != ' ' && text[pos_] != '\t' &&
+           text[pos_] != '\r') {
+      ++pos_;
+    }
+    *token = text.substr(start, pos_ - start);
+    // When only trailing whitespace remains, step onto the next line so
+    // ReadLine (the free-form name field) never sees a spent line.
+    size_t look = pos_;
+    while (look < text.size() &&
+           (text[look] == ' ' || text[look] == '\t' || text[look] == '\r')) {
+      ++look;
+    }
+    if (look >= text.size()) NextLine();
+    return Status::Ok();
+  }
+  token_line_ = lines_.size();
+  return InvalidInput(Where() + ": unexpected end of file");
+}
+
+Status TokenReader::ReadInt(const char* what, long long lo, long long hi,
+                            long long* out) {
+  std::string token;
+  if (!NextToken(&token).ok()) {
+    return InvalidInput(Where() + ": missing " + std::string(what));
+  }
+  char* end = nullptr;
+  const long long value = std::strtoll(token.c_str(), &end, 10);
+  if (end == token.c_str() || *end != '\0') {
+    return InvalidInput(Where() + ": non-numeric " + std::string(what) +
+                        " '" + token + "'");
+  }
+  if (value < lo || value > hi) {
+    return InvalidInput(Where() + ": " + std::string(what) + " " + token +
+                        " out of range [" + std::to_string(lo) + ", " +
+                        std::to_string(hi) + "]");
+  }
+  *out = value;
+  return Status::Ok();
+}
+
+Status TokenReader::ReadLine(std::string* out) {
+  if (line_ >= lines_.size()) {
+    token_line_ = lines_.size();
     return InvalidInput(Where() + ": unexpected end of file");
   }
-
-  // Parses the next token as an integer in [lo, hi]; `what` names the
-  // field for the error message ("node index", "feature dim", ...).
-  Status ReadInt(const char* what, long long lo, long long hi,
-                 long long* out) {
-    std::string token;
-    Status status = NextToken(&token);
-    if (!status.ok()) {
-      return InvalidInput(Where() + ": missing " + std::string(what));
-    }
-    char* end = nullptr;
-    const long long value = std::strtoll(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
-      return InvalidInput(Where() + ": non-numeric " + std::string(what) +
-                          " '" + token + "'");
-    }
-    if (value < lo || value > hi) {
-      return InvalidInput(Where() + ": " + std::string(what) + " " +
-                          token + " out of range [" + std::to_string(lo) +
-                          ", " + std::to_string(hi) + "]");
-    }
-    *out = value;
-    return Status::Ok();
+  std::string text = lines_[line_].substr(pos_);
+  token_line_ = line_ + 1;
+  NextLine();
+  size_t start = 0;
+  while (start < text.size() && (text[start] == ' ' || text[start] == '\t')) {
+    ++start;
   }
-
-  // Rest of the current line, leading whitespace trimmed (the free-form
-  // graph-name line).
-  Status ReadLine(std::string* out) {
-    if (line_ >= lines_.size()) {
-      return InvalidInput(Where() + ": unexpected end of file");
-    }
-    std::string text = lines_[line_].substr(pos_);
-    ++line_;
-    pos_ = 0;
-    size_t start = 0;
-    while (start < text.size() &&
-           (text[start] == ' ' || text[start] == '\t')) {
-      ++start;
-    }
-    while (!text.empty() &&
-           (text.back() == '\r' || text.back() == ' ')) {
-      text.pop_back();
-    }
-    *out = text.substr(start);
-    return Status::Ok();
+  while (!text.empty() && (text.back() == '\r' || text.back() == ' ')) {
+    text.pop_back();
   }
+  *out = text.substr(start);
+  return Status::Ok();
+}
 
- private:
-  std::string path_;
-  std::vector<std::string> lines_;
-  size_t line_ = 0;  // 0-based index of the line the next token is on
-  size_t pos_ = 0;
-};
+void TokenReader::NextLine() {
+  offset_ += static_cast<long long>(lines_[line_].size()) + 1;
+  ++line_;
+  pos_ = 0;
+}
+
+namespace {
 
 // Keeps adversarially large headers from allocating the world before
 // any real data is validated.
@@ -140,8 +125,10 @@ constexpr long long kMaxFeatureCells = 1'000'000'000;
 Status ReadSplit(TokenReader* reader, long long num_nodes,
                  const char* what, std::vector<int>* nodes) {
   long long count = 0;
+  // Each entry is " v": the file bounds the count (see LoadGraph).
   PEEGA_RETURN_IF_ERROR(
-      reader->ReadInt(what, 0, num_nodes, &count),
+      reader->ReadInt(what, 0, std::min(num_nodes, reader->BytesLeft() / 2),
+                      &count),
       "split header");
   nodes->resize(static_cast<size_t>(count));
   for (long long i = 0; i < count; ++i) {
@@ -216,8 +203,15 @@ status::StatusOr<Graph> LoadGraph(const std::string& path) {
   status = reader.ReadLine(&loaded.name);
   if (!status.ok()) return status.WithContext("load graph name");
 
+  // Every count is also bounded by what is left of the file, at the
+  // fewest bytes one item takes, so a short file cannot size a large
+  // allocation: each node has a label ("l "), each edge and each
+  // feature coordinate is "u v\n".
+  const auto fits = [&reader](long long hi, long long item_bytes) {
+    return std::min(hi, reader.BytesLeft() / item_bytes);
+  };
   long long num_nodes = 0, num_classes = 0, feature_dim = 0;
-  status = reader.ReadInt("node count", 1, kMaxNodes, &num_nodes);
+  status = reader.ReadInt("node count", 1, fits(kMaxNodes, 2), &num_nodes);
   if (!status.ok()) return status.WithContext("load graph dims");
   status = reader.ReadInt("class count", 1, num_nodes, &num_classes);
   if (!status.ok()) return status.WithContext("load graph dims");
@@ -228,7 +222,7 @@ status::StatusOr<Graph> LoadGraph(const std::string& path) {
   loaded.num_classes = static_cast<int>(num_classes);
 
   long long num_edges = 0;
-  status = reader.ReadInt("edge count", 0, num_nodes * num_nodes,
+  status = reader.ReadInt("edge count", 0, fits(num_nodes * num_nodes, 4),
                           &num_edges);
   if (!status.ok()) return status.WithContext("load edge list");
   std::vector<std::pair<int, int>> edges(static_cast<size_t>(num_edges));
@@ -238,15 +232,19 @@ status::StatusOr<Graph> LoadGraph(const std::string& path) {
     if (!status.ok()) return status.WithContext("load edge list");
     status = reader.ReadInt("edge endpoint", 0, num_nodes - 1, &b);
     if (!status.ok()) return status.WithContext("load edge list");
+    if (a == b) {
+      return InvalidInput(reader.Where() + ": self-loop edge " +
+                          std::to_string(a) + " " + std::to_string(b));
+    }
     u = static_cast<int>(a);
     v = static_cast<int>(b);
   }
   loaded.adjacency = AdjacencyFromEdges(loaded.num_nodes, edges);
 
   long long num_coords = 0;
-  status = reader.ReadInt("feature coordinate count", 0,
-                          num_nodes * (feature_dim == 0 ? 1 : feature_dim),
-                          &num_coords);
+  status = reader.ReadInt(
+      "feature coordinate count", 0,
+      fits(num_nodes * (feature_dim == 0 ? 1 : feature_dim), 4), &num_coords);
   if (!status.ok()) return status.WithContext("load features");
   loaded.features =
       linalg::Matrix(loaded.num_nodes, static_cast<int>(feature_dim));

@@ -2,6 +2,7 @@
 #define PEEGA_GRAPH_IO_H_
 
 #include <string>
+#include <vector>
 
 #include "graph/graph.h"
 #include "status/status.h"
@@ -12,6 +13,41 @@ namespace repro::graph {
 /// sparse feature coordinates, labels, splits). Returns kIoError when
 /// the file cannot be created or written.
 status::Status SaveGraph(const Graph& g, const std::string& path);
+
+/// Whitespace tokenizer over a text file, read whole up front, for the
+/// repo's text formats (graph files and `gg_save_model` files). Every
+/// error is kInvalidInput and starts with `Where()`.
+class TokenReader {
+ public:
+  /// kIoError when `path` cannot be read.
+  static status::StatusOr<TokenReader> Open(const std::string& path);
+
+  /// "path:line N" of the token just read (the last line at EOF).
+  std::string Where() const;
+  /// Bytes after the token just read: what a count can still refer to.
+  long long BytesLeft() const;
+  status::Status NextToken(std::string* token);
+
+  /// The next token as an integer in [lo, hi]; `what` names it in the
+  /// error ("node index", "feature dim", ...).
+  status::Status ReadInt(const char* what, long long lo, long long hi,
+                         long long* out);
+
+  /// Rest of the current line, trimmed (the free-form graph-name line).
+  status::Status ReadLine(std::string* out);
+
+ private:
+  TokenReader() = default;
+  void NextLine();
+
+  std::string path_;
+  std::vector<std::string> lines_;
+  long long bytes_ = 0;   // file size, one newline per line
+  long long offset_ = 0;  // bytes before line `line_`
+  size_t line_ = 0;       // 0-based index of the line the next token is on
+  size_t pos_ = 0;
+  size_t token_line_ = 0;  // 1-based line of the token just read
+};
 
 /// Loads a graph previously written by `SaveGraph`.
 ///

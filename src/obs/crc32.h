@@ -8,11 +8,9 @@
 namespace repro::obs {
 
 /// CRC-32 (ISO-HDLC / zlib polynomial 0xEDB88320) over `size` bytes.
-/// Table-driven, no dependencies. Used as the per-record integrity
-/// check in the serve journal and in PEEGA checkpoint files: both
-/// serialize through `obs::Json` (byte-stable, map-ordered keys), so
-/// the checksum of the re-serialized document is reproducible across
-/// writers and platforms.
+/// Table-driven, no dependencies. The seal of obs/record.h, the
+/// per-record integrity check of the serve journal and of PEEGA
+/// checkpoint files.
 uint32_t Crc32(const void* data, size_t size);
 
 inline uint32_t Crc32(const std::string& bytes) {

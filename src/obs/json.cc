@@ -148,6 +148,10 @@ std::string Json::Dump() const {
 
 namespace {
 
+// No producer in this repo nests deeper than a few levels; the bound
+// keeps hostile input (a long run of '[') from exhausting the stack.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   Parser(const std::string& text, std::string* error)
@@ -192,8 +196,16 @@ class Parser {
       case 't': return Literal("true", Json::MakeBool(true), out);
       case 'f': return Literal("false", Json::MakeBool(false), out);
       case '"': return ParseString(out);
-      case '[': return ParseArray(out);
-      case '{': return ParseObject(out);
+      case '[':
+      case '{': {
+        if (++depth_ > kMaxDepth) {
+          return Fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        const bool ok =
+            text_[pos_] == '[' ? ParseArray(out) : ParseObject(out);
+        --depth_;
+        return ok;
+      }
       default: return ParseNumber(out);
     }
   }
@@ -338,6 +350,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -40,7 +40,8 @@ struct Json {
 
   /// Strict recursive-descent parser (UTF-8 passthrough; \uXXXX escapes
   /// are decoded for the BMP). Returns false and sets `error` (with a
-  /// byte offset) on malformed input or trailing garbage.
+  /// byte offset) on malformed input, trailing garbage, or arrays and
+  /// objects nested more than 64 deep.
   static bool Parse(const std::string& text, Json* out, std::string* error);
 };
 

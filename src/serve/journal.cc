@@ -7,12 +7,13 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "debug/failpoints.h"
-#include "obs/crc32.h"
 #include "obs/metrics.h"
+#include "obs/record.h"
 
 namespace repro::serve {
 
@@ -30,32 +31,6 @@ obs::Json Num(double v) { return obs::Json::MakeNumber(v); }
 
 status::Status Errno(const std::string& what) {
   return status::IoError(what + ": " + std::strerror(errno));
-}
-
-// fsync the directory so a rename (compaction) survives a power cut.
-// Best-effort: a filesystem that refuses O_DIRECTORY fsync does not
-// fail the operation.
-void SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    (void)::fsync(fd);
-    ::close(fd);
-  }
-}
-
-status::Status WriteAll(int fd, const std::string& bytes,
-                        const std::string& path) {
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("journal write " + path);
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -111,99 +86,104 @@ std::string EncodeJournalRecord(const JournalRecord& record) {
   if (record.state == JobState::kAccepted) {
     doc.object["request"] = record.request;
   }
-  const uint32_t crc = obs::Crc32(doc.Dump());
-  doc.object["crc"] = Num(static_cast<double>(crc));
-  return doc.Dump() + "\n";
+  return obs::Seal(std::move(doc));
 }
 
 status::Status DecodeJournalRecord(const std::string& line,
                                    const std::string& where,
                                    JournalRecord* out) {
+  const auto bad = [&where](const std::string& why) {
+    return status::IoError(where + ": bad journal record: " + why);
+  };
   obs::Json doc;
   std::string error;
-  if (!obs::Json::Parse(line, &doc, &error)) {
-    return status::IoError(where + ": bad journal record: " + error);
+  if (obs::Unseal(line, &doc, &error) != obs::Unsealed::kOk) {
+    return bad(error);
   }
-  if (doc.type != obs::Json::Type::kObject) {
-    return status::IoError(where + ": journal record is not an object");
+  int64_t version = 0;
+  if (!obs::ReadInteger(doc, "v", 0, obs::kMaxExactInteger, &version,
+                        &error)) {
+    return bad(error);
   }
-  const obs::Json* crc_field = doc.Find("crc");
-  if (crc_field == nullptr ||
-      crc_field->type != obs::Json::Type::kNumber) {
-    return status::IoError(where + ": journal record has no crc");
+  if (version != kJournalVersion) {
+    return bad("unsupported journal version " + std::to_string(version));
   }
-  const uint32_t stored = static_cast<uint32_t>(crc_field->number_value);
-  obs::Json without_crc = doc;
-  without_crc.object.erase("crc");
-  const uint32_t computed = obs::Crc32(without_crc.Dump());
-  if (stored != computed) {
-    return status::IoError(
-        where + ": crc mismatch (stored " + std::to_string(stored) +
-        ", computed " + std::to_string(computed) + ")");
+  std::string state;
+  if (!obs::ReadString(doc, "state", &state, &error)) return bad(error);
+  if (!ParseJobState(state, &out->state)) {
+    return bad("unknown state \"" + state + "\"");
   }
-  const obs::Json* version = doc.Find("v");
-  if (version == nullptr ||
-      version->type != obs::Json::Type::kNumber) {
-    return status::IoError(where + ": journal record has no version");
+  constexpr int64_t kMax = obs::kMaxExactInteger;
+  int64_t attempt = 0;
+  if (!obs::ReadInteger(doc, "seq", 0, kMax, &out->seq, &error) ||
+      !obs::ReadInteger(doc, "uid", 0, kMax, &out->uid, &error) ||
+      !obs::ReadInteger(doc, "id", -kMax, kMax, &out->client_id, &error) ||
+      !obs::ReadInteger(doc, "attempt", 0, std::numeric_limits<int>::max(),
+                        &attempt, &error) ||
+      !obs::ReadFinite(doc, "remaining_ms", &out->remaining_ms, &error) ||
+      !obs::ReadString(doc, "tenant", &out->tenant, &error)) {
+    return bad(error);
   }
-  if (static_cast<int>(version->number_value) != kJournalVersion) {
-    return status::IoError(
-        where + ": unsupported journal version " +
-        std::to_string(static_cast<int>(version->number_value)));
+  out->attempt = static_cast<int>(attempt);
+  out->code.clear();
+  if (doc.Find("code") != nullptr &&
+      !obs::ReadString(doc, "code", &out->code, &error)) {
+    return bad(error);
   }
-  const obs::Json* state = doc.Find("state");
-  if (state == nullptr || state->type != obs::Json::Type::kString ||
-      !ParseJobState(state->string_value, &out->state)) {
-    return status::IoError(where + ": bad journal record state");
-  }
-  const auto number = [&doc](const char* key, double fallback) {
-    const obs::Json* field = doc.Find(key);
-    return field != nullptr && field->type == obs::Json::Type::kNumber
-               ? field->number_value
-               : fallback;
-  };
-  out->seq = static_cast<int64_t>(number("seq", 0));
-  out->uid = static_cast<int64_t>(number("uid", 0));
-  out->client_id = static_cast<int64_t>(number("id", 0));
-  out->attempt = static_cast<int>(number("attempt", 0));
-  out->remaining_ms = number("remaining_ms", -1.0);
-  const obs::Json* tenant = doc.Find("tenant");
-  if (tenant == nullptr || tenant->type != obs::Json::Type::kString) {
-    return status::IoError(where + ": journal record has no tenant");
-  }
-  out->tenant = tenant->string_value;
-  const obs::Json* code = doc.Find("code");
-  out->code = code != nullptr && code->type == obs::Json::Type::kString
-                  ? code->string_value
-                  : "";
   out->request = obs::Json();
   if (out->state == JobState::kAccepted) {
     const obs::Json* request = doc.Find("request");
     if (request == nullptr ||
         request->type != obs::Json::Type::kObject) {
-      return status::IoError(where +
-                             ": ACCEPTED record has no request object");
+      return bad("ACCEPTED record has no request object");
     }
     out->request = *request;
   }
   return Status::Ok();
 }
 
-status::StatusOr<ReplayResult> ReplayJournal(const std::string& dir) {
-  ReplayResult result;
+namespace {
+
+// Folds `record` into `live`: one ACCEPTED-shaped entry per live job,
+// whose attempt counts the attempts already spent. ACCEPTED inserts,
+// RUNNING(n) folds to n-1 (killed mid-run, the re-run repeats attempt n
+// and its checkpoint has the progress) and RETRYING(n) to n (attempt n
+// failed), a terminal state erases. False for a RUNNING/RETRYING record
+// of a job that is not live.
+bool Fold(const JournalRecord& record,
+          std::map<int64_t, JournalRecord>* live) {
+  if (record.state == JobState::kAccepted) {
+    (*live)[record.uid] = record;
+    return true;
+  }
+  if (IsTerminal(record.state)) {
+    live->erase(record.uid);
+    return true;
+  }
+  const auto it = live->find(record.uid);
+  if (it == live->end()) return false;
+  it->second.attempt = record.state == JobState::kRunning
+                           ? record.attempt - 1
+                           : record.attempt;
+  it->second.remaining_ms = record.remaining_ms;
+  return true;
+}
+
+// Replays `dir`/journal.jsonl into `*result` and the live fold `*live`
+// (see ReplayJournal). uids are assigned at admission, so the fold's uid
+// order is admission order.
+Status Replay(const std::string& dir, ReplayResult* result,
+              std::map<int64_t, JournalRecord>* live) {
   const std::string path = dir + "/" + kJournalFileName;
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
-    if (errno == ENOENT) return result;  // fresh journal directory
+    if (errno == ENOENT) return Status::Ok();  // fresh journal directory
     return Errno("journal open " + path);
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string content = buffer.str();
 
-  // Fold records into per-uid recovery state, preserving admission
-  // order for the re-enqueue.
-  std::map<int64_t, size_t> index;  // uid -> slot in result.jobs
   size_t pos = 0;
   int64_t line_no = 0;
   while (pos < content.size()) {
@@ -212,11 +192,10 @@ status::StatusOr<ReplayResult> ReplayJournal(const std::string& dir) {
     if (nl == std::string::npos) {
       // Torn tail: the process died mid-append. Drop the fragment
       // loudly; Journal::Open's compaction rewrite discards the bytes.
-      result.truncated_bytes =
-          static_cast<int64_t>(content.size() - pos);
-      result.warnings.push_back(
+      result->truncated_bytes = static_cast<int64_t>(content.size() - pos);
+      result->warnings.push_back(
           path + ":" + std::to_string(line_no) + ": torn tail (" +
-          std::to_string(result.truncated_bytes) + " bytes) truncated");
+          std::to_string(result->truncated_bytes) + " bytes) truncated");
       break;
     }
     const std::string line = content.substr(pos, nl - pos);
@@ -228,71 +207,36 @@ status::StatusOr<ReplayResult> ReplayJournal(const std::string& dir) {
     if (!decoded.ok()) {
       // Bit rot / torn rewrite: skip this record, keep replaying — a
       // later valid record may still recover another job.
-      ++result.corrupt_records;
-      result.warnings.push_back(decoded.message());
+      ++result->corrupt_records;
+      result->warnings.push_back(decoded.message());
       continue;
     }
-    ++result.replayed_records;
-    if (record.seq > result.max_seq) result.max_seq = record.seq;
-    if (record.uid > result.max_uid) result.max_uid = record.uid;
-    const auto slot = index.find(record.uid);
-    switch (record.state) {
-      case JobState::kAccepted: {
-        RecoveredJob job;
-        job.uid = record.uid;
-        job.client_id = record.client_id;
-        job.tenant = record.tenant;
-        job.request = record.request;
-        job.next_attempt = record.attempt + 1;
-        job.remaining_ms = record.remaining_ms;
-        if (slot != index.end()) {
-          result.jobs[slot->second] = std::move(job);
-        } else {
-          index[record.uid] = result.jobs.size();
-          result.jobs.push_back(std::move(job));
-        }
-        break;
-      }
-      case JobState::kRunning:
-      case JobState::kRetrying: {
-        if (slot == index.end()) {
-          result.warnings.push_back(where +
-                                    ": state record for unknown uid " +
-                                    std::to_string(record.uid));
-          break;
-        }
-        RecoveredJob& job = result.jobs[slot->second];
-        // Killed mid-RUNNING(n): re-run attempt n (the checkpoint has
-        // the progress). RETRYING(n) on disk: attempt n failed, the
-        // next run is n+1.
-        job.next_attempt = record.state == JobState::kRunning
-                               ? record.attempt
-                               : record.attempt + 1;
-        job.remaining_ms = record.remaining_ms;
-        break;
-      }
-      case JobState::kDone:
-      case JobState::kFailed:
-      case JobState::kCancelled: {
-        if (record.state == JobState::kDone) ++result.done;
-        if (record.state == JobState::kFailed) ++result.failed;
-        if (record.state == JobState::kCancelled) ++result.cancelled;
-        if (slot != index.end()) {
-          // Tombstone: clear the slot but keep indices of later jobs
-          // stable; compacted out below.
-          result.jobs[slot->second].uid = -1;
-          index.erase(slot);
-        }
-        break;
-      }
+    ++result->replayed_records;
+    if (record.seq > result->max_seq) result->max_seq = record.seq;
+    if (record.uid > result->max_uid) result->max_uid = record.uid;
+    if (record.state == JobState::kDone) ++result->done;
+    if (record.state == JobState::kFailed) ++result->failed;
+    if (record.state == JobState::kCancelled) ++result->cancelled;
+    if (!Fold(record, live)) {
+      result->warnings.push_back(where + ": state record for unknown uid " +
+                                 std::to_string(record.uid));
     }
   }
-  std::vector<RecoveredJob> live;
-  live.reserve(result.jobs.size());
-  for (RecoveredJob& job : result.jobs) {
-    if (job.uid >= 0) live.push_back(std::move(job));
+  for (const auto& [uid, job] : *live) {
+    result->jobs.push_back(RecoveredJob{uid, job.client_id, job.tenant,
+                                        job.request, job.attempt + 1,
+                                        job.remaining_ms});
   }
-  result.jobs = std::move(live);
+  return Status::Ok();
+}
+
+}  // namespace
+
+status::StatusOr<ReplayResult> ReplayJournal(const std::string& dir) {
+  ReplayResult result;
+  std::map<int64_t, JournalRecord> live;
+  const Status replayed = Replay(dir, &result, &live);
+  if (!replayed.ok()) return replayed;
   return result;
 }
 
@@ -320,29 +264,17 @@ status::StatusOr<std::unique_ptr<Journal>> Journal::Open(
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Errno("journal mkdir " + dir);
   }
-  status::StatusOr<ReplayResult> replayed = ReplayJournal(dir);
-  if (!replayed.ok()) return replayed.status();
   std::unique_ptr<Journal> journal(
       new Journal(dir, dir + "/" + kJournalFileName));
-  journal->last_seq_ = replayed->max_seq;
-  journal->last_uid_ = replayed->max_uid;
-  for (const RecoveredJob& job : replayed->jobs) {
-    JournalRecord folded;
-    folded.uid = job.uid;
-    folded.state = JobState::kAccepted;
-    folded.client_id = job.client_id;
-    folded.tenant = job.tenant;
-    folded.attempt = job.next_attempt - 1;
-    folded.remaining_ms = job.remaining_ms;
-    folded.request = job.request;
-    journal->live_[job.uid] = std::move(folded);
-  }
+  ReplayResult replayed;
+  const Status status = Replay(dir, &replayed, &journal->live_);
+  if (!status.ok()) return status;
+  journal->last_seq_ = replayed.max_seq;
+  journal->last_uid_ = replayed.max_uid;
   // Rotate on open: rewrites the journal compacted, which also discards
   // any torn tail or corrupt records the replay skipped.
-  int live = 0;
-  PEEGA_RETURN_IF_ERROR(journal->CompactLocked(&live),
-                        "journal open " + dir);
-  if (replay != nullptr) *replay = *std::move(replayed);
+  PEEGA_RETURN_IF_ERROR(journal->CompactLocked(), "journal open " + dir);
+  if (replay != nullptr) *replay = std::move(replayed);
   return journal;
 }
 
@@ -363,90 +295,34 @@ status::Status Journal::AppendLocked(JournalRecord& record) {
   }
   if (records_in_file_ >= kCompactMinRecords &&
       static_cast<int64_t>(live_.size()) * 4 < records_in_file_) {
-    int live = 0;
-    PEEGA_RETURN_IF_ERROR(CompactLocked(&live), "journal auto-compact");
+    PEEGA_RETURN_IF_ERROR(CompactLocked(), "journal auto-compact");
   }
   record.seq = ++last_seq_;
-  const std::string line = EncodeJournalRecord(record);
-  const Status written = WriteAll(fd_, line, path_);
-  if (!written.ok()) {
+  std::string error;
+  if (!obs::AppendDurably(fd_, EncodeJournalRecord(record), &error)) {
     obs::GetCounter("serve.journal.append_errors")->Add(1);
-    return written;
-  }
-  if (::fsync(fd_) != 0) {
-    obs::GetCounter("serve.journal.append_errors")->Add(1);
-    return Errno("journal fsync " + path_);
+    return status::IoError("journal append " + path_ + ": " + error);
   }
   ++records_in_file_;
   obs::GetCounter("serve.journal.appends")->Add(1);
-  TrackLocked(record);
+  Fold(record, &live_);
   return Status::Ok();
 }
 
-void Journal::TrackLocked(const JournalRecord& record) {
-  switch (record.state) {
-    case JobState::kAccepted:
-      live_[record.uid] = record;
-      break;
-    case JobState::kRunning:
-    case JobState::kRetrying: {
-      const auto it = live_.find(record.uid);
-      if (it == live_.end()) break;
-      // Fold into the ACCEPTED-shaped live entry: attempt counts the
-      // attempts already spent, so a RUNNING(n) folds to n-1 and a
-      // RETRYING(n) to n (see ReplayJournal for the inverse).
-      it->second.attempt = record.state == JobState::kRunning
-                               ? record.attempt - 1
-                               : record.attempt;
-      it->second.remaining_ms = record.remaining_ms;
-      break;
-    }
-    case JobState::kDone:
-    case JobState::kFailed:
-    case JobState::kCancelled:
-      live_.erase(record.uid);
-      break;
-  }
-}
-
-status::StatusOr<int> Journal::Compact() {
-  std::lock_guard<std::mutex> lock(mu_);
-  int live = 0;
-  PEEGA_RETURN_IF_ERROR(CompactLocked(&live), "journal compact");
-  return live;
-}
-
-status::Status Journal::CompactLocked(int* live) {
-  const std::string tmp = path_ + ".tmp";
-  const int tmp_fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (tmp_fd < 0) return Errno("journal open " + tmp);
+status::Status Journal::CompactLocked() {
+  std::string bytes;
   for (auto& [uid, record] : live_) {
     record.seq = ++last_seq_;
-    const Status written =
-        WriteAll(tmp_fd, EncodeJournalRecord(record), tmp);
-    if (!written.ok()) {
-      ::close(tmp_fd);
-      ::unlink(tmp.c_str());
-      return written;
-    }
+    bytes += EncodeJournalRecord(record);
   }
-  if (::fsync(tmp_fd) != 0) {
-    ::close(tmp_fd);
-    ::unlink(tmp.c_str());
-    return Errno("journal fsync " + tmp);
+  std::string error;
+  if (!obs::ReplaceFile(path_, bytes, &error)) {
+    return status::IoError("journal rewrite: " + error);
   }
-  ::close(tmp_fd);
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Errno("journal rename " + tmp);
-  }
-  SyncDir(dir_);
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND, 0644);
   if (fd_ < 0) return Errno("journal reopen " + path_);
   records_in_file_ = static_cast<int64_t>(live_.size());
-  *live = static_cast<int>(live_.size());
   obs::GetCounter("serve.journal.compactions")->Add(1);
   return Status::Ok();
 }

@@ -15,9 +15,9 @@ namespace repro::serve {
 
 /// Write-ahead job journal for `graphguard serve` (`--journal <dir>`).
 ///
-/// One newline-delimited JSON record per job state transition, fsync'd
-/// before the transition takes effect, so a SIGKILL at any instant
-/// loses at most work the PR-5 checkpoints already cover:
+/// One sealed record (obs/record.h) per line per job state transition,
+/// fsync'd before the transition takes effect, so a SIGKILL at any
+/// instant loses at most work the PR-5 checkpoints already cover:
 ///
 ///   ACCEPTED ──► RUNNING(n) ──► DONE
 ///                    │  ▲
@@ -30,8 +30,9 @@ namespace repro::serve {
 /// `Deadline` budget recorded with each transition and pointing attack
 /// ops back at their checkpoint files), and then rewrites the journal
 /// compacted — terminal jobs drop out, so replay stays O(live jobs).
-/// Torn tails and CRC-corrupt records are truncated/skipped loudly
-/// (counted + reported through the `stats` op), never aborted on.
+/// Torn tails, CRC-corrupt records and records whose fields do not
+/// read are truncated/skipped loudly (counted + reported through the
+/// `stats` op), never aborted on and never read with a default.
 
 /// Bump when the record shape changes incompatibly. Records from a
 /// newer version are rejected (IO_ERROR) instead of misread.
@@ -71,13 +72,14 @@ struct JournalRecord {
   obs::Json request;
 };
 
-/// One newline-terminated JSON line. The "crc" field is a CRC32
-/// (obs::Crc32) over the record serialized WITHOUT the crc field —
-/// obs::Json keys are map-ordered, so that byte layout is stable.
+/// The record sealed (obs::Seal): one newline-terminated JSON line.
 std::string EncodeJournalRecord(const JournalRecord& record);
 
-/// Parses + CRC-checks one line. `where` ("path:line") prefixes every
-/// error message; corrupt or version-incompatible records are IO_ERROR.
+/// Unseals one line and reads its fields strictly: "v", "seq", "uid",
+/// "state", "id", "tenant", "attempt" and "remaining_ms" are required
+/// ("request" too for ACCEPTED), "code" is optional. `where`
+/// ("path:line") prefixes every error message; malformed, CRC-corrupt
+/// or version-incompatible records and unreadable fields are IO_ERROR.
 status::Status DecodeJournalRecord(const std::string& line,
                                    const std::string& where,
                                    JournalRecord* out);
@@ -137,9 +139,9 @@ double RetryBackoffMs(const RetryPolicy& policy, int next_attempt);
 class Journal {
  public:
   /// Creates `dir` if needed, replays an existing journal into
-  /// `*replay`, rewrites it compacted (live jobs only, tmp + fsync +
-  /// rename), and opens it for appending. seq/uid counters resume past
-  /// the replayed maxima.
+  /// `*replay`, rewrites it compacted (live jobs only, one
+  /// obs::ReplaceFile), and opens it for appending. seq/uid counters
+  /// resume past the replayed maxima.
   static status::StatusOr<std::unique_ptr<Journal>> Open(
       const std::string& dir, ReplayResult* replay);
 
@@ -156,11 +158,6 @@ class Journal {
   /// Next server-assigned job uid (monotone across restarts).
   int64_t NextUid();
 
-  /// Drops all records of terminal jobs by atomically rewriting the
-  /// file. Returns the number of live jobs kept.
-  status::StatusOr<int> Compact();
-
-  const std::string& path() const { return path_; }
   const std::string& dir() const { return dir_; }
 
   /// `dir`/ckpt-<uid>.json — where the server points a recovered (or
@@ -171,8 +168,7 @@ class Journal {
   Journal(std::string dir, std::string path);
 
   status::Status AppendLocked(JournalRecord& record);
-  status::Status CompactLocked(int* live);
-  void TrackLocked(const JournalRecord& record);
+  status::Status CompactLocked();
 
   std::mutex mu_;
   std::string dir_;

@@ -1,9 +1,9 @@
 #include "serve/protocol.h"
 
-#include <cmath>
 #include <utility>
 
 #include "eval/op_schema.h"
+#include "obs/record.h"
 
 namespace repro::serve {
 
@@ -21,59 +21,29 @@ bool ValidTenant(const std::string& tenant) {
   return true;
 }
 
-const char* TypeName(Json::Type type) {
-  switch (type) {
-    case Json::Type::kString:
-      return "a string";
-    case Json::Type::kNumber:
-      return "a number";
-    case Json::Type::kBool:
-      return "a bool";
-    default:
-      return "another type";
-  }
-}
-
 status::Status BadField(const std::string& key, const std::string& why) {
   return status::InvalidInput("field \"" + key + "\": " + why);
 }
 
-// Copies member `key` of `object` into `*out` when present; a member of
-// another type is INVALID_INPUT naming it.
+// Reads member `key` with the strict reader `read` when present (absent
+// keeps `*out`); a member of another kind is INVALID_INPUT naming it.
 template <typename T>
 status::Status Read(const Json& object, const std::string& key,
-                    Json::Type type, T Json::*value, T* out) {
-  const Json* member = object.Find(key);
-  if (member == nullptr) return status::Status::Ok();
-  if (member->type != type) {
-    return BadField(key, std::string("expected ") + TypeName(type));
+                    bool (*read)(const Json&, const std::string&, T*,
+                                 std::string*),
+                    T* out) {
+  std::string error;
+  if (object.Find(key) == nullptr || read(object, key, out, &error)) {
+    return status::Status::Ok();
   }
-  *out = member->*value;
-  return status::Status::Ok();
-}
-
-// Read, then drop the member so that what is left is the op's fields.
-template <typename T>
-status::Status Take(Json* object, const std::string& key, Json::Type type,
-                    T Json::*value, T* out) {
-  const status::Status read = Read(*object, key, type, value, out);
-  object->object.erase(key);
-  return read;
+  return status::InvalidInput(error);
 }
 
 // An integer-valued number, exact as a double (|v| < 2^53).
-status::Status ReadInteger(const Json& object, const std::string& key,
-                           int64_t* out) {
-  double value = static_cast<double>(*out);
-  const status::Status read =
-      Read(object, key, Json::Type::kNumber, &Json::number_value, &value);
-  if (!read.ok()) return read;
-  if (!(std::fabs(value) < 9007199254740992.0) ||
-      value != std::trunc(value)) {
-    return BadField(key, "expected an integer");
-  }
-  *out = static_cast<int64_t>(value);
-  return status::Status::Ok();
+bool ReadExactInteger(const Json& object, const std::string& key,
+                      int64_t* out, std::string* error) {
+  return obs::ReadInteger(object, key, -obs::kMaxExactInteger,
+                          obs::kMaxExactInteger, out, error);
 }
 
 }  // namespace
@@ -93,18 +63,17 @@ status::Status ParseRequest(obs::Json object, Request* out) {
     return status::InvalidInput("request must be a JSON object");
   }
   out->id = 0;
-  PEEGA_RETURN_IF_ERROR(ReadInteger(out->raw, "id", &out->id), "request");
+  PEEGA_RETURN_IF_ERROR(Read(out->raw, "id", ReadExactInteger, &out->id),
+                        "request");
   out->op.clear();
-  PEEGA_RETURN_IF_ERROR(Read(out->raw, "op", Json::Type::kString,
-                             &Json::string_value, &out->op),
+  PEEGA_RETURN_IF_ERROR(Read(out->raw, "op", obs::ReadString, &out->op),
                         "request");
   if (out->op.empty()) {
     return status::InvalidInput("request has no \"op\"");
   }
   out->tenant = "default";
-  PEEGA_RETURN_IF_ERROR(Read(out->raw, "tenant", Json::Type::kString,
-                             &Json::string_value, &out->tenant),
-                        "request");
+  PEEGA_RETURN_IF_ERROR(
+      Read(out->raw, "tenant", obs::ReadString, &out->tenant), "request");
   if (!ValidTenant(out->tenant)) {
     return status::InvalidInput("bad tenant name (want 1-32 chars of "
                                 "[A-Za-z0-9_-])");
@@ -117,32 +86,29 @@ status::Status ParseJob(const Request& request, JobRequest* out) {
   if (!attack && request.op != "eval") {
     return status::InvalidInput("op \"" + request.op + "\" is not a job");
   }
-  Json fields = request.raw;
-  for (const char* key : {"id", "tenant", "op"}) {
-    fields.object.erase(key);  // the envelope ParseRequest read
-  }
-  PEEGA_RETURN_IF_ERROR(Take(&fields, "graph", Json::Type::kString,
-                             &Json::string_value, &out->graph),
+  const Json& raw = request.raw;
+  PEEGA_RETURN_IF_ERROR(Read(raw, "graph", obs::ReadString, &out->graph),
                         "job");
   if (out->graph.empty()) {
     return BadField("graph", "required").WithContext("job");
   }
-  const bool has_deadline = fields.Find("deadline_ms") != nullptr;
-  PEEGA_RETURN_IF_ERROR(Take(&fields, "deadline_ms", Json::Type::kNumber,
-                             &Json::number_value, &out->deadline_ms),
-                        "job");
-  if (has_deadline &&
-      !(std::isfinite(out->deadline_ms) && out->deadline_ms > 0.0)) {
+  PEEGA_RETURN_IF_ERROR(
+      Read(raw, "deadline_ms", obs::ReadFinite, &out->deadline_ms), "job");
+  if (raw.Find("deadline_ms") != nullptr && !(out->deadline_ms > 0.0)) {
     return BadField("deadline_ms", "must be a finite number > 0")
         .WithContext("job");
   }
+  // What is left without the envelope and the job fields is the op's.
+  Json fields = raw;
+  for (const char* key : {"id", "tenant", "op", "graph", "deadline_ms"}) {
+    fields.object.erase(key);
+  }
   if (!attack) return eval::ReadJson(fields, &out->eval).WithContext("job");
-  PEEGA_RETURN_IF_ERROR(Take(&fields, "out", Json::Type::kString,
-                             &Json::string_value, &out->out),
-                        "job");
-  PEEGA_RETURN_IF_ERROR(Take(&fields, "return_flips", Json::Type::kBool,
-                             &Json::bool_value, &out->return_flips),
-                        "job");
+  PEEGA_RETURN_IF_ERROR(Read(raw, "out", obs::ReadString, &out->out), "job");
+  PEEGA_RETURN_IF_ERROR(
+      Read(raw, "return_flips", obs::ReadBool, &out->return_flips), "job");
+  fields.object.erase("out");
+  fields.object.erase("return_flips");
   return eval::ReadJson(fields, &out->attack).WithContext("job");
 }
 
@@ -151,8 +117,8 @@ status::StatusOr<int64_t> CancelTarget(const Request& request) {
     return BadField("target_id", "required").WithContext("request");
   }
   int64_t target = 0;
-  PEEGA_RETURN_IF_ERROR(ReadInteger(request.raw, "target_id", &target),
-                        "request");
+  PEEGA_RETURN_IF_ERROR(
+      Read(request.raw, "target_id", ReadExactInteger, &target), "request");
   return target;
 }
 

@@ -233,6 +233,55 @@ TEST(CapiModelTest, HexFloatRoundTripIsBitwise) {
   gg_free(gg);
 }
 
+// A model file is outside input: non-finite weights and dims the file
+// is too small to back are refused, naming what and where, before the
+// model is allocated or installed.
+TEST(CapiModelTest, LoadRejectsNonFiniteWeightsAndUnbackedDims) {
+  const std::string header = "GGMODEL 1\n2 2 1 1 0\n1\nP 2 2\n";
+  const struct {
+    const char* name;
+    std::string contents;
+    gg_status code;
+    const char* names;
+  } rows[] = {
+      {"valid", header + "0x1p+0 -0x1p-1 0 1.5\n", GG_OK, ""},
+      {"nan", header + "0x1p+0 nan 0 1.5\n", GG_INVALID_INPUT,
+       ":line 5: parameter 0 weight 1"},
+      {"inf", header + "0x1p+0 0 -inf 1.5\n", GG_INVALID_INPUT,
+       ":line 5: parameter 0 weight 2"},
+      {"overflow", header + "1e39 0 0 0\n", GG_INVALID_INPUT,
+       ":line 5: parameter 0 weight 0"},
+      {"dims", "GGMODEL 1\n100000 7 100000 2 1\n4\n", GG_INVALID_INPUT,
+       ":line 2: the dims need more weights"},
+      {"layers", "GGMODEL 1\n1 1 1 2000000000 0\n1\n", GG_INVALID_INPUT,
+       ":line 2: the dims need more weights"},
+      {"bias", "GGMODEL 1\n2 2 1 1 7\n1\n", GG_INVALID_INPUT,
+       ":line 2: bias 7 out of range"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::string path = TempPath(std::string("load_") + row.name);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << row.contents;
+    }
+    gg_ctx* gg = gg_init();
+    ASSERT_NE(gg, nullptr);
+    EXPECT_EQ(gg_load_model(gg, path.c_str()), row.code) << gg_last_error(gg);
+    EXPECT_NE(std::string(gg_last_error(gg)).find(row.names),
+              std::string::npos)
+        << gg_last_error(gg);
+    // A refused file leaves no model behind.
+    double accuracy = 0.0;
+    if (row.code != GG_OK) {
+      EXPECT_NE(std::string(gg_last_error(gg)).find(path), std::string::npos);
+      EXPECT_EQ(gg_model_accuracy(gg, &accuracy), GG_INVALID_INPUT);
+    }
+    gg_free(gg);
+    std::remove(path.c_str());
+  }
+}
+
 TEST(CapiCsrTest, ValidatesAndInstallsCallerBuffers) {
   gg_ctx* gg = gg_init();
   ASSERT_NE(gg, nullptr);

@@ -7,6 +7,7 @@
 // irrelevant, which is exactly what resumability relies on).
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "debug/failpoints.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
+#include "obs/json.h"
+#include "obs/record.h"
 #include "parallel/thread_pool.h"
 #include "status/status.h"
 
@@ -384,6 +387,47 @@ TEST_F(CheckpointTest, CrcMismatchIsRejectedAsIoError) {
             std::string::npos)
       << rejected.status.ToString();
   EXPECT_TRUE(rejected.flips.empty());
+  std::remove(path.c_str());
+}
+
+// A checkpoint whose seal holds can still be wrong: a replayed edge
+// flip that is a self-loop would trip the engine's invariant checks,
+// so load refuses it as corrupt.
+TEST_F(CheckpointTest, SealedSelfLoopFlipIsRejectedAsCorrupt) {
+  const Graph g = CampaignGraph();
+  const attack::AttackOptions attack_options = CampaignOptions();
+  const std::string path = TempCheckpoint("self_loop");
+  std::remove(path.c_str());
+  core::PeegaAttack::Options options;
+  options.mode = core::PeegaAttack::Mode::kTopologyOnly;
+  options.checkpoint_path = path;
+  options.checkpoint_every = 1;
+  debug::ArmFailpoint("peega.interrupt", "3");
+  Rng rng(kAttackSeed);
+  (void)core::PeegaAttack(options).Attack(g, attack_options, &rng);
+  debug::DisarmAllFailpoints();
+
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  obs::Json doc;
+  std::string error;
+  ASSERT_EQ(obs::Unseal(text.str(), &doc, &error), obs::Unsealed::kOk)
+      << error;
+  obs::Json& flip = doc.object["flips"].array.at(0);
+  flip.object["b"] = flip.object["a"];
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << obs::Seal(doc);
+  }
+  Rng resume_rng(kAttackSeed);
+  const attack::AttackResult rejected =
+      core::PeegaAttack(options).Attack(g, attack_options, &resume_rng);
+  EXPECT_EQ(rejected.status.code(), status::Code::kInvalidInput)
+      << rejected.status.ToString();
+  EXPECT_NE(rejected.status.message().find("flip 0: edge flip is a self-loop"),
+            std::string::npos)
+      << rejected.status.ToString();
   std::remove(path.c_str());
 }
 

@@ -406,6 +406,52 @@ TEST(IoTest, LoadRejectsOutOfRangeEdgeIndex) {
   std::remove(path.c_str());
 }
 
+// A count the rest of the file cannot hold is refused before anything
+// is sized by it: this 45-byte file declares 2.5e15 edges, and the node
+// count alone needs a label per node further down.
+TEST(IoTest, LoadRejectsCountsTheFileCannotHold) {
+  const struct {
+    const char* name;
+    std::string contents;
+    const char* what;
+  } rows[] = {
+      {"nodes", "peega-graph 1\nx\n50000000 2 0\n2500000000000000",
+       "node count"},
+      {"edges", "peega-graph 1\nx\n3 2 2\n9\n0 1 1\n", "edge count"},
+      {"coords", "peega-graph 1\nx\n3 2 2\n0\n6\n0 1 1\n",
+       "feature coordinate count"},
+      {"split", "peega-graph 1\nx\n3 2 2\n0\n0\n0 1 1\n3 0\n",
+       "train node"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::string path =
+        WriteFixture(std::string("count_") + row.name + ".txt", row.contents);
+    const auto result = LoadGraph(path);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), repro::status::Code::kInvalidInput);
+    EXPECT_NE(result.status().message().find(path + ":line "),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find(row.what), std::string::npos)
+        << result.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
+TEST(IoTest, LoadRejectsSelfLoopEdge) {
+  const std::string path = WriteFixture(
+      "self_loop_graph.txt",
+      "peega-graph 1\ntiny\n3 2 2\n1\n1 1\n0\n0 1 1\n0\n0\n0\n");
+  const auto result = LoadGraph(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), repro::status::Code::kInvalidInput);
+  EXPECT_NE(result.status().message().find("self-loop edge 1 1"),
+            std::string::npos)
+      << result.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(SplitTest, FractionsRespected) {
   Rng rng(9);
   Graph g = MakeCoraLike(&rng, 0.5);

@@ -216,6 +216,59 @@ TEST(JournalRecordTest, FutureVersionIsRejectedNotMisread) {
       << status.ToString();
 }
 
+// A record whose seal holds but whose fields do not read is corrupt,
+// never read with a default: each required field missing, and values a
+// cast could not hold, fail as IO_ERROR naming the field.
+TEST(JournalRecordTest, CrcValidRecordWithBadFieldIsCorrupt) {
+  const std::string line = serve::EncodeJournalRecord(
+      AcceptedRecord(3, 9, "alice"));
+  Json good;
+  std::string error;
+  ASSERT_TRUE(Json::Parse(line, &good, &error)) << error;
+  good.object.erase("crc");
+  struct Row {
+    const char* field;
+    Json value;  // null: the field is dropped
+  };
+  const std::vector<Row> rows = {
+      {"seq", Json()},
+      {"uid", Json()},
+      {"id", Json()},
+      {"attempt", Json()},
+      {"remaining_ms", Json()},
+      {"tenant", Json()},
+      {"uid", Json::MakeNumber(-1)},
+      {"id", Json::MakeNumber(1e300)},
+      {"attempt", Json::MakeNumber(0.5)},
+      {"attempt", Json::MakeNumber(4294967296.0)},
+      {"code", Json::MakeNumber(3)},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.field) + "=" + row.value.Dump());
+    Json doc = good;
+    if (row.value.type == Json::Type::kNull) {
+      doc.object.erase(row.field);
+    } else {
+      doc.object[row.field] = row.value;
+    }
+    doc.object["crc"] =
+        Json::MakeNumber(static_cast<double>(obs::Crc32(doc.Dump())));
+    JournalRecord decoded;
+    const status::Status status =
+        serve::DecodeJournalRecord(doc.Dump(), "journal.jsonl:4", &decoded);
+    EXPECT_EQ(status.code(), status::Code::kIoError) << status.ToString();
+    EXPECT_NE(status.message().find(std::string("\"") + row.field + "\""),
+              std::string::npos)
+        << status.ToString();
+  }
+  // A crc no uint32 can hold is malformed, not cast.
+  JournalRecord decoded;
+  EXPECT_EQ(serve::DecodeJournalRecord(R"({"crc":-1,"v":1})",
+                                       "journal.jsonl:5", &decoded)
+                .code(),
+            status::Code::kIoError);
+}
+
 TEST(JournalTest, RetryBackoffIsDeterministic) {
   const serve::RetryPolicy policy{/*max_attempts=*/8,
                                   /*backoff_base_ms=*/100.0,

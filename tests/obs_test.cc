@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <new>
 #include <set>
@@ -19,6 +21,7 @@
 #include "linalg/random.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/record.h"
 #include "obs/stopwatch.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -439,6 +442,84 @@ TEST(Json, DumpParsesBackByteIdentically) {
   EXPECT_EQ(reparsed.Dump(), dumped);
   // Integral numbers print without a fractional part.
   EXPECT_NE(dumped.find("\"int\":42,"), std::string::npos) << dumped;
+}
+
+TEST(Json, NestingPastTheLimitFailsCleanly) {
+  obs::Json doc;
+  std::string error;
+  EXPECT_FALSE(obs::Json::Parse(std::string(1000000, '['), &doc, &error));
+  EXPECT_EQ(error, "nesting deeper than 64 at offset 64");
+  const std::string deepest = std::string(64, '[') + std::string(64, ']');
+  EXPECT_TRUE(obs::Json::Parse(deepest, &doc, &error)) << error;
+  EXPECT_FALSE(obs::Json::Parse("[" + deepest + "]", &doc, &error));
+}
+
+// ---------------------------------------------------------------------------
+// Sealed records
+// ---------------------------------------------------------------------------
+
+TEST(Record, SealUnsealRoundTripsAndTellsMalformedFromMismatch) {
+  obs::Json record = obs::Json::MakeObject();
+  record.object["k"] = obs::Json::MakeString("v");
+  record.object["n"] = obs::Json::MakeNumber(7);
+  const std::string sealed = obs::Seal(record);
+  EXPECT_EQ(sealed.back(), '\n');
+  obs::Json back;
+  std::string error;
+  ASSERT_EQ(obs::Unseal(sealed, &back, &error), obs::Unsealed::kOk) << error;
+  EXPECT_EQ(back.Dump(), record.Dump());
+
+  std::string tampered = sealed;
+  tampered[tampered.find("\"v\"") + 1] = 'w';
+  EXPECT_EQ(obs::Unseal(tampered, &back, &error),
+            obs::Unsealed::kCrcMismatch);
+  EXPECT_NE(error.find("crc mismatch"), std::string::npos) << error;
+  // A crc that is not an integer in [0, 2^32) is malformed, never cast.
+  for (const char* text :
+       {"{\"crc\":-1}", "{\"crc\":4294967296}", "{\"crc\":1e300}",
+        "{\"crc\":0.5}", "{\"crc\":\"0\"}", "{\"k\":1}", "[]", "{"}) {
+    EXPECT_EQ(obs::Unseal(text, &back, &error), obs::Unsealed::kMalformed)
+        << text;
+  }
+}
+
+TEST(Record, StrictReadsNameTheKey) {
+  obs::Json doc;
+  std::string error;
+  ASSERT_TRUE(obs::Json::Parse(
+      R"({"i":3,"big":1e300,"half":2.5,"s":"x","n":-4})", &doc, &error));
+  int64_t i = 0;
+  EXPECT_TRUE(obs::ReadInteger(doc, "i", 0, 3, &i, &error));
+  EXPECT_EQ(i, 3);
+  EXPECT_TRUE(obs::ReadInteger(doc, "n", -4, 0, &i, &error));
+  EXPECT_EQ(i, -4);
+  for (const char* key : {"i", "big", "half", "s", "missing"}) {
+    EXPECT_FALSE(obs::ReadInteger(doc, key, 0, 2, &i, &error)) << key;
+    EXPECT_NE(error.find(std::string("\"") + key + "\""), std::string::npos)
+        << error;
+  }
+  double d = 0.0;
+  EXPECT_TRUE(obs::ReadFinite(doc, "half", &d, &error));
+  EXPECT_EQ(d, 2.5);
+  EXPECT_FALSE(obs::ReadFinite(doc, "s", &d, &error));
+  std::string s;
+  EXPECT_TRUE(obs::ReadString(doc, "s", &s, &error));
+  EXPECT_FALSE(obs::ReadString(doc, "i", &s, &error));
+}
+
+TEST(Record, ReplaceFileSwapsContentsAndLeavesNoTemporary) {
+  const std::string path = ::testing::TempDir() + "/obs_replace.txt";
+  std::string error;
+  ASSERT_TRUE(obs::ReplaceFile(path, "first\n", &error)) << error;
+  ASSERT_TRUE(obs::ReplaceFile(path, "second\n", &error)) << error;
+  std::ifstream in(path);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  EXPECT_EQ(contents.str(), "second\n");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  EXPECT_FALSE(obs::ReplaceFile("/nonexistent/dir/x", "y", &error));
+  EXPECT_NE(error.find("/nonexistent/dir/x.tmp"), std::string::npos) << error;
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

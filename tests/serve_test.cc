@@ -10,8 +10,13 @@
 //     deterministic thread pool per job);
 //   - drain: shutdown finishes queued work, rejects new work with
 //     UNAVAILABLE, and Wait() returns.
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -420,6 +425,49 @@ TEST_F(ServeTest, EnvelopeFieldsAreStrict) {
   EXPECT_EQ(serve::GetNumber(env, "rejected", -1), jobs);
   EXPECT_EQ(serve::GetNumber(env, "accepted", -1), 0.0);
   EXPECT_EQ(serve::GetNumber(env, "failed", -1), 0.0);
+}
+
+// A request line nested past the JSON parser's depth limit is refused
+// like any malformed line, and the server keeps answering: a long run
+// of '[' must not exhaust the stack.
+TEST_F(ServeTest, DeeplyNestedLineIsInvalidInputAndServerStaysUp) {
+  const std::string socket_path = StartServer("deep", 8);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string line = std::string(100000, '[') + "\n";
+  size_t sent = 0;
+  while (sent < line.size()) {
+    const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+  std::string reply;
+  char buffer[4096];
+  while (reply.find('\n') == std::string::npos) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    ASSERT_GT(n, 0) << "server closed the connection";
+    reply.append(buffer, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  Json response;
+  std::string error;
+  ASSERT_TRUE(Json::Parse(reply, &response, &error)) << error;
+  EXPECT_EQ(Code(response), "INVALID_INPUT") << reply;
+  EXPECT_NE(serve::GetString(response, "error", "").find("nesting deeper"),
+            std::string::npos)
+      << reply;
+
+  serve::Client client;
+  ASSERT_TRUE(client.Connect(socket_path).ok());
+  const Json pong = CallText(&client, R"({"id":2,"op":"ping"})");
+  EXPECT_EQ(Code(pong), "OK") << pong.Dump();
 }
 
 }  // namespace
