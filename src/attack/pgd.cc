@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "attack/common.h"
@@ -78,6 +79,20 @@ AttackResult PgdAttack::Attack(const graph::Graph& g,
   const std::vector<float> train_mask = g.NodeMask(g.train_nodes);
 
   Matrix p(g.num_nodes, g.num_nodes);  // relaxed perturbation
+  // Records the victim's training loss on A_hat = A + (1 - 2A) ⊙ P and
+  // returns P's tape handle, the bound victim weights and the loss.
+  auto record_loss = [&](Tape* tape, bool p_grad) {
+    Var p_var = tape->Input(p, p_grad);
+    Var a_hat = tape->AddConst(tape->MulConst(p_var, flip_direction),
+                               a_dense);
+    Var a_n = tape->GcnNormalizeDense(a_hat);
+    auto bound = victim.BindParameters(tape);
+    Var x = tape->Input(g.features, /*requires_grad=*/false);
+    Var logits = victim.ForwardWithDensePropagation(
+        tape, a_n, x, bound, /*training=*/false, rng);
+    return std::make_tuple(
+        p_var, bound, tape->SoftmaxCrossEntropy(logits, labels, train_mask));
+  };
   AttackResult result;
   for (int t = 1; t <= options_.steps; ++t) {
     result.status = attack_options.deadline.Check(
@@ -86,16 +101,7 @@ AttackResult PgdAttack::Attack(const graph::Graph& g,
     // candidate; discretization below commits whatever ascent achieved.
     if (!result.status.ok()) break;
     Tape tape;
-    Var p_var = tape.Input(p, /*requires_grad=*/true);
-    // A_hat = A + (1 - 2A) ⊙ P.
-    Var a_hat = tape.AddConst(tape.MulConst(p_var, flip_direction),
-                              a_dense);
-    Var a_n = tape.GcnNormalizeDense(a_hat);
-    auto bound = victim.BindParameters(&tape);
-    Var x = tape.Input(g.features, /*requires_grad=*/false);
-    Var logits = victim.ForwardWithDensePropagation(
-        &tape, a_n, x, bound, /*training=*/false, rng);
-    Var loss = tape.SoftmaxCrossEntropy(logits, labels, train_mask);
+    auto [p_var, bound, loss] = record_loss(&tape, /*p_grad=*/true);
     tape.Backward(loss);
 
     if (options_.inner_steps > 0) {
@@ -106,16 +112,7 @@ AttackResult PgdAttack::Attack(const graph::Graph& g,
       // (One victim step per outer step; inner_steps > 1 repeats.)
       for (int s = 1; s < options_.inner_steps; ++s) {
         Tape inner_tape;
-        Var ip = inner_tape.Input(p, false);
-        Var ia = inner_tape.AddConst(inner_tape.MulConst(ip, flip_direction),
-                                     a_dense);
-        Var ian = inner_tape.GcnNormalizeDense(ia);
-        auto ibound = victim.BindParameters(&inner_tape);
-        Var ix = inner_tape.Input(g.features, false);
-        Var ilogits = victim.ForwardWithDensePropagation(
-            &inner_tape, ian, ix, ibound, false, rng);
-        Var iloss =
-            inner_tape.SoftmaxCrossEntropy(ilogits, labels, train_mask);
+        auto [ip, ibound, iloss] = record_loss(&inner_tape, /*p_grad=*/false);
         inner_tape.Backward(iloss);
         for (auto& [param, var] : ibound) {
           inner_optimizer.Step(param, var.grad());

@@ -220,26 +220,6 @@ Var Tape::Exp(Var a) {
   return Var(out);
 }
 
-Var Tape::Log(Var a, float eps) {
-  internal::Node* na = a.node_;
-  Matrix value(na->value.rows(), na->value.cols());
-  {
-    const float* v = na->value.data();
-    float* o = value.data();
-    for (int64_t i = 0; i < value.size(); ++i) o[i] = std::log(v[i] + eps);
-  }
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "Log", {na});
-  out->backward = [na, eps](internal::Node* self) {
-    if (!na->requires_grad) return;
-    Matrix d = self->grad;
-    const float* v = na->value.data();
-    float* g = d.data();
-    for (int64_t i = 0; i < d.size(); ++i) g[i] /= (v[i] + eps);
-    Accumulate(na, d);
-  };
-  return Var(out);
-}
-
 Var Tape::PowNonNeg(Var a, float exponent) {
   internal::Node* na = a.node_;
   Matrix value(na->value.rows(), na->value.cols());
@@ -305,26 +285,6 @@ Var Tape::RowSums(Var a) {
       const float g = self->grad(i, 0);
       float* drow = d.row(i);
       for (int j = 0; j < d.cols(); ++j) drow[j] = g;
-    }
-    Accumulate(na, d);
-  };
-  return Var(out);
-}
-
-Var Tape::ColSums(Var a) {
-  internal::Node* na = a.node_;
-  Matrix value(1, na->value.cols());
-  for (int i = 0; i < na->value.rows(); ++i) {
-    const float* arow = na->value.row(i);
-    for (int j = 0; j < na->value.cols(); ++j) value(0, j) += arow[j];
-  }
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "ColSums", {na});
-  out->backward = [na](internal::Node* self) {
-    if (!na->requires_grad) return;
-    Matrix d(na->value.rows(), na->value.cols());
-    for (int i = 0; i < d.rows(); ++i) {
-      float* drow = d.row(i);
-      for (int j = 0; j < d.cols(); ++j) drow[j] = self->grad(0, j);
     }
     Accumulate(na, d);
   };
@@ -590,26 +550,6 @@ Var Tape::SoftmaxCrossEntropy(Var logits, const Matrix& labels,
     };
   }
   return Var(out);
-}
-
-namespace {
-
-// Shared kernel for the PEEGA norms. Computes sum over (v, ref_row) pairs
-// of || x[v] - ref[ref_row] ||_p and, in backward, scatters the gradient
-// of each pair into x[v].
-struct PNormPair {
-  int x_row;
-  int ref_row;
-};
-
-}  // namespace
-
-Var Tape::SumRowPNorm(Var x, const Matrix& ref, int p) {
-  PEEGA_CHECK(x.value().SameShape(ref));
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(x.rows());
-  for (int v = 0; v < x.rows(); ++v) pairs.emplace_back(v, v);
-  return SumEdgePNorm(x, ref, pairs, p);
 }
 
 Var Tape::SumEdgePNorm(Var x, const Matrix& ref,

@@ -102,12 +102,11 @@ class Tape {
   Var AddConst(Var a, const linalg::Matrix& c);
   /// a ⊙ c for a constant matrix c; used for masking.
   Var MulConst(Var a, const linalg::Matrix& c);
-  /// Elementwise max(x,0) / LeakyReLU / sigmoid / exp / log(x+eps).
+  /// Elementwise max(x,0) / LeakyReLU / sigmoid / exp.
   Var Relu(Var a);
   Var LeakyRelu(Var a, float slope);
   Var Sigmoid(Var a);
   Var Exp(Var a);
-  Var Log(Var a, float eps = 1e-9f);
   /// Elementwise |x|^p-free power for x >= 0: x^exponent (0 maps to 0).
   Var PowNonNeg(Var a, float exponent);
   /// Elementwise 1/sqrt(x) for x > 0 (else 0). Equivalent in value to
@@ -124,8 +123,6 @@ class Tape {
   // --- Broadcast / reductions ---------------------------------------------
   /// Row sums: (n x m) -> (n x 1).
   Var RowSums(Var a);
-  /// Column sums: (n x m) -> (1 x m).
-  Var ColSums(Var a);
   /// Total sum -> 1x1 scalar.
   Var Sum(Var a);
   /// out[i][j] = a[i][0]; broadcasts an (n x 1) column across `cols`.
@@ -151,8 +148,6 @@ class Tape {
                           const std::vector<float>& row_mask);
 
   // --- PEEGA objective kernels ---------------------------------------------
-  /// sum_v || x[v] - ref[v] ||_p for constant `ref` (self view, Eq. 5).
-  Var SumRowPNorm(Var x, const linalg::Matrix& ref, int p);
   /// sum over (v,u) pairs of || x[v] - ref[u] ||_p (global view, Eq. 6).
   Var SumEdgePNorm(Var x, const linalg::Matrix& ref,
                    const std::vector<std::pair<int, int>>& edges, int p);

@@ -24,6 +24,7 @@
 #include "eval/registry.h"
 #include "graph/graph.h"
 #include "graph/io.h"
+#include "graph/metrics.h"
 #include "linalg/random.h"
 #include "nn/gcn.h"
 #include "nn/trainer.h"
@@ -636,14 +637,9 @@ extern "C" gg_status gg_model_accuracy(gg_ctx* ctx,
     // graph swapped by gg_attack) needs its propagation matrix rebuilt.
     ctx->model->Prepare(ctx->graph);
     repro::linalg::Rng rng(1);  // eval mode: dropout off, rng unused
-    const std::vector<int> predicted =
-        repro::nn::PredictLabels(ctx->model.get(), ctx->graph, &rng);
-    int correct = 0;
-    for (const int v : ctx->graph.test_nodes) {
-      if (predicted[v] == ctx->graph.labels[v]) ++correct;
-    }
-    *out_test_accuracy =
-        static_cast<double>(correct) / ctx->graph.test_nodes.size();
+    *out_test_accuracy = repro::graph::Accuracy(
+        repro::nn::PredictLabels(ctx->model.get(), ctx->graph, &rng),
+        ctx->graph.labels, ctx->graph.test_nodes);
     return Settle(ctx, Status::Ok());
   } catch (...) {
     return Caught(ctx, "gg_model_accuracy");

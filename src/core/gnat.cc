@@ -1,13 +1,11 @@
 #include "core/gnat.h"
 
-#include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "autograd/tape.h"
-#include "graph/metrics.h"
 #include "debug/check.h"
 #include "linalg/ops.h"
-#include "nn/optim.h"
 #include "obs/metrics.h"
 #include "obs/stopwatch.h"
 #include "obs/trace.h"
@@ -41,47 +39,21 @@ SparseMatrix GnatDefender::BuildTopologyGraph(const SparseMatrix& adjacency,
   return graph::KHopAdjacency(adjacency, k_t);
 }
 
-SparseMatrix GnatDefender::BuildFeatureGraph(const Matrix& x, int k_f) {
-  const obs::TraceSpan span("gnat.build_feature_graph");
-  const int n = x.rows();
-  std::vector<std::tuple<int, int, float>> triplets;
-  if (k_f > 0) {
-    std::vector<std::pair<float, int>> sims;
-    for (int i = 0; i < n; ++i) {
-      sims.clear();
-      for (int j = 0; j < n; ++j) {
-        if (i == j) continue;
-        const float s = linalg::CosineSimilarity(x, i, j);
-        if (s > 1e-6f) sims.emplace_back(s, j);
-      }
-      const int take = std::min<int>(k_f, static_cast<int>(sims.size()));
-      std::partial_sort(sims.begin(), sims.begin() + take, sims.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.first > b.first;
-                        });
-      for (int t = 0; t < take; ++t) {
-        triplets.emplace_back(i, sims[t].second, 1.0f);
-        triplets.emplace_back(sims[t].second, i, 1.0f);
-      }
-    }
-  }
-  SparseMatrix fg = SparseMatrix::FromTriplets(n, n, triplets);
-  for (float& v : fg.mutable_values()) v = v > 0.0f ? 1.0f : 0.0f;
-  return fg;
-}
+namespace {
 
-std::vector<SparseMatrix> GnatDefender::BuildViews(
-    const graph::Graph& input) const {
+/// Normalized propagation matrices of the active views for graph `input`.
+std::vector<SparseMatrix> BuildViews(const GnatDefender::Options& options,
+                                     const graph::Graph& input) {
   const obs::TraceSpan span("gnat.build_views");
   // Optional pruning pass (conclusion extension): drop edges whose
   // endpoints look feature-dissimilar — candidates for adversarial
   // inter-class additions.
   graph::Graph g = input;
-  if (options_.prune_threshold > 0.0f) {
+  if (options.prune_threshold > 0.0f) {
     std::vector<std::pair<int, int>> kept;
     for (const auto& [u, v] : input.EdgeList()) {
       if (linalg::JaccardSimilarity(input.features, u, v) >=
-          options_.prune_threshold) {
+          options.prune_threshold) {
         kept.emplace_back(u, v);
       }
     }
@@ -95,14 +67,15 @@ std::vector<SparseMatrix> GnatDefender::BuildViews(
   std::vector<SparseMatrix> views;
   SparseMatrix feature_graph;
   bool feature_available = false;
-  if (options_.use_feature) {
-    feature_graph = BuildFeatureGraph(g.features, options_.k_f);
+  if (options.use_feature) {
+    const obs::TraceSpan feature_span("gnat.build_feature_graph");
+    feature_graph = graph::FeatureKnnGraph(g.features, options.k_f, 1e-6f);
     // Identity features (Polblogs) give an empty cosine graph; the view
     // is then dropped as in the paper's Tab. VI footnote.
     feature_available = feature_graph.nnz() > 0;
   }
 
-  if (options_.merge_views) {
+  if (options.merge_views) {
     // Union of the selected views' edges in a single graph.
     std::vector<std::tuple<int, int, float>> triplets;
     auto append = [&triplets](const SparseMatrix& m) {
@@ -114,30 +87,30 @@ std::vector<SparseMatrix> GnatDefender::BuildViews(
         }
       }
     };
-    if (options_.use_topology) {
-      append(BuildTopologyGraph(g.adjacency, options_.k_t));
+    if (options.use_topology) {
+      append(GnatDefender::BuildTopologyGraph(g.adjacency, options.k_t));
     }
     if (feature_available) append(feature_graph);
-    if (options_.use_ego || triplets.empty()) append(g.adjacency);
+    if (options.use_ego || triplets.empty()) append(g.adjacency);
     SparseMatrix merged =
         SparseMatrix::FromTriplets(g.num_nodes, g.num_nodes, triplets);
     for (float& v : merged.mutable_values()) v = v > 0.0f ? 1.0f : 0.0f;
     const float self_weight =
-        options_.use_ego ? static_cast<float>(options_.k_e) + 1.0f : 1.0f;
+        options.use_ego ? static_cast<float>(options.k_e) + 1.0f : 1.0f;
     views.push_back(graph::GcnNormalizeWeighted(merged, self_weight));
     return views;
   }
 
-  if (options_.use_topology) {
+  if (options.use_topology) {
     views.push_back(graph::GcnNormalize(
-        BuildTopologyGraph(g.adjacency, options_.k_t)));
+        GnatDefender::BuildTopologyGraph(g.adjacency, options.k_t)));
   }
   if (feature_available) {
     views.push_back(graph::GcnNormalize(feature_graph));
   }
-  if (options_.use_ego) {
+  if (options.use_ego) {
     views.push_back(graph::GcnNormalizeWeighted(
-        g.adjacency, static_cast<float>(options_.k_e) + 1.0f));
+        g.adjacency, static_cast<float>(options.k_e) + 1.0f));
   }
   if (views.empty()) {
     views.push_back(graph::GcnNormalize(g.adjacency));
@@ -145,86 +118,57 @@ std::vector<SparseMatrix> GnatDefender::BuildViews(
   return views;
 }
 
+/// The shared-weight GCN over GNAT's views as one model: `Forward` runs
+/// the GCN on every view and averages the logits.
+class GnatModel : public nn::Model {
+ public:
+  GnatModel(const GnatDefender::Options& options, const graph::Graph& g,
+            linalg::Rng* rng)
+      : options_(options),
+        gcn_(g.features.cols(), g.num_classes, options.gcn, rng) {}
+
+  void Prepare(const graph::Graph& g) override {
+    views_ = BuildViews(options_, g);
+    PEEGA_CHECK_GT(views_.size(), 0u);
+  }
+
+  Forwarded Forward(Tape* tape, const graph::Graph& g, bool training,
+                    linalg::Rng* rng) override {
+    const obs::TraceSpan span("gnat.forward_views");
+    static obs::Counter* const epochs = obs::GetCounter("gnat.epochs");
+    if (training) epochs->Add(1);
+    Forwarded result;
+    result.bound = gcn_.BindParameters(tape);
+    Var x = tape->Input(g.features, /*requires_grad=*/false);
+    for (size_t i = 0; i < views_.size(); ++i) {
+      Var z = gcn_.ForwardWithPropagation(tape, views_[i], x, result.bound,
+                                          training, rng);
+      result.logits = i == 0 ? z : tape->Add(result.logits, z);
+    }
+    if (views_.size() > 1) {
+      result.logits = tape->Scale(
+          result.logits, 1.0f / static_cast<float>(views_.size()));
+    }
+    return result;
+  }
+
+  std::vector<Matrix*> Parameters() override { return gcn_.Parameters(); }
+
+ private:
+  const GnatDefender::Options& options_;
+  nn::Gcn gcn_;
+  std::vector<SparseMatrix> views_;
+};
+
+}  // namespace
+
 defense::DefenseReport GnatDefender::Run(
     const graph::Graph& g, const nn::TrainOptions& train_options,
     linalg::Rng* rng) {
   const obs::TraceSpan run_span("gnat.run");
   const obs::StopWatch watch;
-  const std::vector<SparseMatrix> views = BuildViews(g);
-  PEEGA_CHECK_GT(views.size(), 0u);
-  const float inv_views = 1.0f / static_cast<float>(views.size());
-
-  nn::Gcn gcn(g.features.cols(), g.num_classes, options_.gcn, rng);
-  nn::Adam optimizer(train_options.lr, train_options.weight_decay);
-  const Matrix labels = g.OneHotLabels();
-  const std::vector<float> train_mask = g.NodeMask(g.train_nodes);
-
-  auto forward_views = [&](Tape* tape, bool training) {
-    const obs::TraceSpan forward_span("gnat.forward_views");
-    auto bound = gcn.BindParameters(tape);
-    Var x = tape->Input(g.features, false);
-    Var avg;
-    for (size_t i = 0; i < views.size(); ++i) {
-      Var z = gcn.ForwardWithPropagation(tape, views[i], x, bound,
-                                         training, rng);
-      avg = i == 0 ? z : tape->Add(avg, z);
-    }
-    if (views.size() > 1) avg = tape->Scale(avg, inv_views);
-    return std::make_pair(avg, bound);
-  };
-  auto predict = [&]() {
-    Tape tape;
-    auto [logits, bound] = forward_views(&tape, /*training=*/false);
-    return linalg::RowArgmax(logits.value());
-  };
-
-  static obs::Counter* const epochs_counter = obs::GetCounter("gnat.epochs");
-  static obs::Histogram* const epoch_ms = obs::GetHistogram(
-      "gnat.epoch_ms", obs::LatencyBucketsMs());
-
-  double best_val = -1.0;
-  int since_best = 0;
-  std::vector<Matrix> best_params;
-  status::Status train_status;
-  for (int epoch = 0; epoch < train_options.max_epochs; ++epoch) {
-    train_status = train_options.deadline.Check(
-        "GNAT epoch " + std::to_string(epoch));
-    if (!train_status.ok()) break;  // best snapshot restored below
-    const obs::TraceSpan epoch_span("gnat.epoch");
-    const obs::StopWatch epoch_watch;
-    epochs_counter->Add(1);
-    Tape tape;
-    auto [logits, bound] = forward_views(&tape, /*training=*/true);
-    Var loss = tape.SoftmaxCrossEntropy(logits, labels, train_mask);
-    tape.Backward(loss);
-    for (auto& [param, var] : bound) optimizer.Step(param, var.grad());
-    epoch_ms->Observe(epoch_watch.Millis());
-
-    if (train_options.patience > 0) {
-      const double val_acc =
-          graph::Accuracy(predict(), g.labels, g.val_nodes);
-      if (val_acc > best_val) {
-        best_val = val_acc;
-        since_best = 0;
-        best_params.clear();
-        for (Matrix* p : gcn.Parameters()) best_params.push_back(*p);
-      } else if (++since_best >= train_options.patience) {
-        break;
-      }
-    }
-  }
-  if (!best_params.empty()) {
-    auto params = gcn.Parameters();
-    for (size_t i = 0; i < params.size(); ++i) *params[i] = best_params[i];
-  }
-
-  defense::DefenseReport report;
-  const std::vector<int> preds = predict();
-  report.test_accuracy = graph::Accuracy(preds, g.labels, g.test_nodes);
-  report.val_accuracy = graph::Accuracy(preds, g.labels, g.val_nodes);
-  report.train_seconds = watch.Seconds();
-  report.status = train_status.WithContext("GNAT training");
-  return report;
+  GnatModel model(options_, g, rng);
+  return TrainAndReport(&model, g, train_options, rng, watch);
 }
 
 }  // namespace repro::core

@@ -1,8 +1,6 @@
 #ifndef PEEGA_CORE_GNAT_H_
 #define PEEGA_CORE_GNAT_H_
 
-#include <vector>
-
 #include "defense/defender.h"
 #include "nn/gcn.h"
 
@@ -18,15 +16,18 @@ namespace repro::core {
 ///  * topology graph  Â^t : edge (v, u) iff u is reachable from v within
 ///    k_t hops — same-label nodes tend to share neighborhoods;
 ///  * feature graph   Â^f : edge (v, u) iff u is among v's top-k_f
-///    cosine-similar nodes — features are rarely attacked (Sec. V-D1);
+///    cosine-similar nodes (graph::FeatureKnnGraph) — features are
+///    rarely attacked (Sec. V-D1);
 ///  * ego graph       Â^e = Â + k_e I — each node's own features are
 ///    emphasized against poisoned neighborhoods.
 ///
 /// One GCN (shared weights) is trained jointly on the selected views; the
 /// final prediction averages the per-view outputs Z = mean(Z^t, Z^f,
-/// Z^e). The `merge_views` mode instead unions the views' edges into a
-/// single graph (the GNAT-tf/te/fe/tfe ablations of Tab. IX, which the
-/// paper shows to be inferior to multi-view training).
+/// Z^e). That shared-weight model is an nn::Model trained by
+/// nn::TrainNodeClassifier, like every other defender's. The
+/// `merge_views` mode instead unions the views' edges into a single
+/// graph (the GNAT-tf/te/fe/tfe ablations of Tab. IX, which the paper
+/// shows to be inferior to multi-view training).
 ///
 /// GNAT is black-box compatible: it needs no clean graph, no attack
 /// knowledge, and no extra labels.
@@ -62,17 +63,9 @@ class GnatDefender : public defense::Defender {
   static linalg::SparseMatrix BuildTopologyGraph(
       const linalg::SparseMatrix& adjacency, int k_t);
 
-  /// Top-k_f cosine feature graph (k_f = 0 or degenerate features give an
-  /// empty graph).
-  static linalg::SparseMatrix BuildFeatureGraph(const linalg::Matrix& x,
-                                                int k_f);
-
   const Options& options() const { return options_; }
 
  private:
-  /// Normalized propagation matrices of the active views for graph `g`.
-  std::vector<linalg::SparseMatrix> BuildViews(const graph::Graph& g) const;
-
   Options options_;
 };
 

@@ -6,6 +6,7 @@
 #include "graph/graph.h"
 #include "linalg/random.h"
 #include "nn/trainer.h"
+#include "obs/stopwatch.h"
 
 namespace repro::defense {
 
@@ -21,8 +22,9 @@ struct DefenseReport {
   status::Status status;
 };
 
-/// Interface of GNN defenders: given a poisoned graph, purify and/or
-/// train robustly, then report test accuracy.
+/// Interface of GNN defenders. A defender is a purification step (an
+/// edited or augmented graph; none for the raw models) plus an nn::Model
+/// trained on the result by the one trainer, nn::TrainNodeClassifier.
 class Defender {
  public:
   virtual ~Defender() = default;
@@ -34,6 +36,16 @@ class Defender {
   virtual DefenseReport Run(const graph::Graph& g,
                             const nn::TrainOptions& train_options,
                             linalg::Rng* rng) = 0;
+
+ protected:
+  /// Trains `model` on `purified` and reports its accuracies. `watch`
+  /// runs from before purification, so `train_seconds` covers the whole
+  /// pipeline; a non-OK status reads "<name()> training: ...".
+  DefenseReport TrainAndReport(nn::Model* model,
+                               const graph::Graph& purified,
+                               const nn::TrainOptions& train_options,
+                               linalg::Rng* rng,
+                               const obs::StopWatch& watch) const;
 };
 
 }  // namespace repro::defense

@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "linalg/ops.h"
-#include "nn/trainer.h"
 #include "obs/stopwatch.h"
 
 namespace repro::defense {
@@ -40,14 +39,7 @@ DefenseReport GnnGuardDefender::Run(const graph::Graph& g,
   graph::Graph guarded = g;
   guarded.adjacency = WeightedAdjacency(g);
   nn::Gcn model(g.features.cols(), g.num_classes, options_.gcn, rng);
-  const nn::TrainReport train =
-      nn::TrainNodeClassifier(&model, guarded, train_options, rng);
-  DefenseReport report;
-  report.test_accuracy = train.test_accuracy;
-  report.val_accuracy = train.val_accuracy;
-  report.train_seconds = watch.Seconds();
-  report.status = train.status.WithContext("GNNGuard training");
-  return report;
+  return TrainAndReport(&model, guarded, train_options, rng, watch);
 }
 
 }  // namespace repro::defense

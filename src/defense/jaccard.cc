@@ -2,7 +2,6 @@
 
 #include "debug/check.h"
 #include "linalg/ops.h"
-#include "nn/trainer.h"
 #include "obs/stopwatch.h"
 
 namespace repro::defense {
@@ -31,14 +30,7 @@ DefenseReport JaccardDefender::Run(const graph::Graph& g,
   const obs::StopWatch watch;
   const graph::Graph purified = Purify(g);
   nn::Gcn model(g.features.cols(), g.num_classes, options_.gcn, rng);
-  const nn::TrainReport train =
-      nn::TrainNodeClassifier(&model, purified, train_options, rng);
-  DefenseReport report;
-  report.test_accuracy = train.test_accuracy;
-  report.val_accuracy = train.val_accuracy;
-  report.train_seconds = watch.Seconds();
-  report.status = train.status.WithContext("GCN-Jaccard training");
-  return report;
+  return TrainAndReport(&model, purified, train_options, rng, watch);
 }
 
 }  // namespace repro::defense

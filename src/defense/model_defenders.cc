@@ -2,27 +2,22 @@
 
 #include <algorithm>
 
-#include "obs/stopwatch.h"
-
 namespace repro::defense {
 
-namespace {
-
-DefenseReport TrainAndReport(nn::Model* model, const graph::Graph& g,
-                             const nn::TrainOptions& train_options,
-                             linalg::Rng* rng) {
-  const obs::StopWatch watch;
+DefenseReport Defender::TrainAndReport(nn::Model* model,
+                                       const graph::Graph& purified,
+                                       const nn::TrainOptions& train_options,
+                                       linalg::Rng* rng,
+                                       const obs::StopWatch& watch) const {
   const nn::TrainReport train =
-      nn::TrainNodeClassifier(model, g, train_options, rng);
+      nn::TrainNodeClassifier(model, purified, train_options, rng);
   DefenseReport report;
   report.test_accuracy = train.test_accuracy;
   report.val_accuracy = train.val_accuracy;
   report.train_seconds = watch.Seconds();
-  report.status = train.status.WithContext("defense training");
+  report.status = train.status.WithContext(name() + " training");
   return report;
 }
-
-}  // namespace
 
 GcnDefender::GcnDefender() : options_(nn::Gcn::Options()) {}
 GcnDefender::GcnDefender(const nn::Gcn::Options& options)
@@ -31,8 +26,9 @@ GcnDefender::GcnDefender(const nn::Gcn::Options& options)
 DefenseReport GcnDefender::Run(const graph::Graph& g,
                                const nn::TrainOptions& train_options,
                                linalg::Rng* rng) {
+  const obs::StopWatch watch;
   nn::Gcn model(g.features.cols(), g.num_classes, options_, rng);
-  return TrainAndReport(&model, g, train_options, rng);
+  return TrainAndReport(&model, g, train_options, rng, watch);
 }
 
 GatDefender::GatDefender() : options_(nn::Gat::Options()) {}
@@ -42,12 +38,13 @@ GatDefender::GatDefender(const nn::Gat::Options& options)
 DefenseReport GatDefender::Run(const graph::Graph& g,
                                const nn::TrainOptions& train_options,
                                linalg::Rng* rng) {
+  const obs::StopWatch watch;
   nn::Gat model(g.features.cols(), g.num_classes, options_, rng);
   // GAT trains stably at a lower learning rate than GCN (matching the
   // original implementation's per-model defaults).
   nn::TrainOptions tuned = train_options;
   tuned.lr = std::min(train_options.lr, 0.005f);
-  return TrainAndReport(&model, g, tuned, rng);
+  return TrainAndReport(&model, g, tuned, rng, watch);
 }
 
 RGcnDefender::RGcnDefender() : options_(nn::RGcn::Options()) {}
@@ -57,8 +54,9 @@ RGcnDefender::RGcnDefender(const nn::RGcn::Options& options)
 DefenseReport RGcnDefender::Run(const graph::Graph& g,
                                 const nn::TrainOptions& train_options,
                                 linalg::Rng* rng) {
+  const obs::StopWatch watch;
   nn::RGcn model(g.features.cols(), g.num_classes, options_, rng);
-  return TrainAndReport(&model, g, train_options, rng);
+  return TrainAndReport(&model, g, train_options, rng, watch);
 }
 
 SimPGcnDefender::SimPGcnDefender() : options_(nn::SimPGcn::Options()) {}
@@ -68,8 +66,9 @@ SimPGcnDefender::SimPGcnDefender(const nn::SimPGcn::Options& options)
 DefenseReport SimPGcnDefender::Run(const graph::Graph& g,
                                    const nn::TrainOptions& train_options,
                                    linalg::Rng* rng) {
+  const obs::StopWatch watch;
   nn::SimPGcn model(g.features.cols(), g.num_classes, options_, rng);
-  return TrainAndReport(&model, g, train_options, rng);
+  return TrainAndReport(&model, g, train_options, rng, watch);
 }
 
 }  // namespace repro::defense

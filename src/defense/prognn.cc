@@ -125,16 +125,9 @@ DefenseReport ProGnnDefender::Run(const graph::Graph& g,
   nn::Gcn final_gcn(g.features.cols(), g.num_classes, options_.gcn, rng);
   nn::TrainOptions final_options = train_options;
   if (!loop_status.ok()) final_options.deadline = status::Deadline();
-  const nn::TrainReport train =
-      nn::TrainNodeClassifier(&final_gcn, purified, final_options, rng);
-
-  DefenseReport report;
-  report.test_accuracy = train.test_accuracy;
-  report.val_accuracy = train.val_accuracy;
-  report.train_seconds = watch.Seconds();
-  report.status = loop_status.ok()
-                      ? train.status.WithContext("Pro-GNN final training")
-                      : loop_status.WithContext("Pro-GNN");
+  DefenseReport report =
+      TrainAndReport(&final_gcn, purified, final_options, rng, watch);
+  if (!loop_status.ok()) report.status = loop_status.WithContext("Pro-GNN");
   return report;
 }
 

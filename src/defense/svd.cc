@@ -5,7 +5,6 @@
 #include "debug/check.h"
 #include "linalg/eigen.h"
 #include "linalg/ops.h"
-#include "nn/trainer.h"
 #include "obs/stopwatch.h"
 
 namespace repro::defense {
@@ -39,14 +38,7 @@ DefenseReport SvdDefender::Run(const graph::Graph& g,
   graph::Graph purified = g;
   purified.adjacency = Purify(g, rng);
   nn::Gcn model(g.features.cols(), g.num_classes, options_.gcn, rng);
-  const nn::TrainReport train =
-      nn::TrainNodeClassifier(&model, purified, train_options, rng);
-  DefenseReport report;
-  report.test_accuracy = train.test_accuracy;
-  report.val_accuracy = train.val_accuracy;
-  report.train_seconds = watch.Seconds();
-  report.status = train.status.WithContext("GCN-SVD training");
-  return report;
+  return TrainAndReport(&model, purified, train_options, rng, watch);
 }
 
 }  // namespace repro::defense

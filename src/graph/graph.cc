@@ -177,6 +177,32 @@ SparseMatrix KHopAdjacency(const SparseMatrix& adjacency, int k) {
   return SparseMatrix::FromTriplets(n, n, triplets);
 }
 
+SparseMatrix FeatureKnnGraph(const Matrix& x, int k, float min_similarity) {
+  const int n = x.rows();
+  std::vector<std::tuple<int, int, float>> triplets;
+  std::vector<std::pair<float, int>> sims;
+  for (int i = 0; k > 0 && i < n; ++i) {
+    sims.clear();
+    for (int j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const float s = linalg::CosineSimilarity(x, i, j);
+      if (s > min_similarity) sims.emplace_back(s, j);
+    }
+    const int take = std::min<int>(k, static_cast<int>(sims.size()));
+    std::partial_sort(sims.begin(), sims.begin() + take, sims.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.first > b.first;
+                      });
+    for (int t = 0; t < take; ++t) {
+      triplets.emplace_back(i, sims[t].second, 1.0f);
+      triplets.emplace_back(sims[t].second, i, 1.0f);
+    }
+  }
+  SparseMatrix knn = SparseMatrix::FromTriplets(n, n, triplets);
+  for (float& v : knn.mutable_values()) v = v > 0.0f ? 1.0f : 0.0f;
+  return knn;
+}
+
 SparseMatrix AdjacencyFromEdges(
     int num_nodes, const std::vector<std::pair<int, int>>& edges) {
   std::vector<std::tuple<int, int, float>> triplets;

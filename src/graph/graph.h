@@ -76,6 +76,14 @@ linalg::SparseMatrix RowNormalize(const linalg::SparseMatrix& adjacency);
 linalg::SparseMatrix KHopAdjacency(const linalg::SparseMatrix& adjacency,
                                    int k);
 
+/// Symmetric binary top-k cosine feature graph: edge v-u iff u is among
+/// v's k most cosine-similar rows of `x` (u != v) with similarity above
+/// `min_similarity`, or v among u's. k <= 0, or features with no pair
+/// above the floor (identity matrices), give an empty graph. GNAT's
+/// feature view and SimPGCN's similarity graph.
+linalg::SparseMatrix FeatureKnnGraph(const linalg::Matrix& x, int k,
+                                     float min_similarity);
+
 /// Builds a symmetric binary adjacency from an undirected edge list.
 linalg::SparseMatrix AdjacencyFromEdges(
     int num_nodes, const std::vector<std::pair<int, int>>& edges);

@@ -39,19 +39,23 @@ std::vector<std::pair<Matrix*, Var>> Gcn::BindParameters(Tape* tape) {
   return bound;
 }
 
-Var Gcn::ForwardWithPropagation(
-    Tape* tape, const SparseMatrix& a_n, Var x,
-    const std::vector<std::pair<Matrix*, Var>>& bound, bool training,
-    linalg::Rng* rng) {
-  const int num_layers = options_.num_layers;
+namespace {
+
+// The layer stack shared by both propagation forms; `propagate` maps
+// H W to A_n H W.
+template <typename Propagate>
+Var ForwardLayers(Tape* tape, const Gcn::Options& options, Var x,
+                  const std::vector<std::pair<Matrix*, Var>>& bound,
+                  bool training, linalg::Rng* rng, Propagate propagate) {
+  const int num_layers = options.num_layers;
   Var h = x;
   for (int l = 0; l < num_layers; ++l) {
-    if (training && options_.dropout > 0.0f) {
+    if (training && options.dropout > 0.0f) {
       h = tape->Dropout(
-          h, DropoutMask(h.rows(), h.cols(), options_.dropout, rng));
+          h, DropoutMask(h.rows(), h.cols(), options.dropout, rng));
     }
-    h = tape->SpMMConst(a_n, tape->MatMul(h, bound[l].second));
-    if (options_.bias) {
+    h = propagate(tape->MatMul(h, bound[l].second));
+    if (options.bias) {
       h = tape->AddRowVector(h, bound[num_layers + l].second);
     }
     if (l + 1 < num_layers) h = tape->Relu(h);
@@ -59,24 +63,22 @@ Var Gcn::ForwardWithPropagation(
   return h;
 }
 
+}  // namespace
+
+Var Gcn::ForwardWithPropagation(
+    Tape* tape, const SparseMatrix& a_n, Var x,
+    const std::vector<std::pair<Matrix*, Var>>& bound, bool training,
+    linalg::Rng* rng) {
+  return ForwardLayers(tape, options_, x, bound, training, rng,
+                       [&](Var hw) { return tape->SpMMConst(a_n, hw); });
+}
+
 Var Gcn::ForwardWithDensePropagation(
     Tape* tape, Var a_n, Var x,
     const std::vector<std::pair<Matrix*, Var>>& bound, bool training,
     linalg::Rng* rng) {
-  const int num_layers = options_.num_layers;
-  Var h = x;
-  for (int l = 0; l < num_layers; ++l) {
-    if (training && options_.dropout > 0.0f) {
-      h = tape->Dropout(
-          h, DropoutMask(h.rows(), h.cols(), options_.dropout, rng));
-    }
-    h = tape->MatMul(a_n, tape->MatMul(h, bound[l].second));
-    if (options_.bias) {
-      h = tape->AddRowVector(h, bound[num_layers + l].second);
-    }
-    if (l + 1 < num_layers) h = tape->Relu(h);
-  }
-  return h;
+  return ForwardLayers(tape, options_, x, bound, training, rng,
+                       [&](Var hw) { return tape->MatMul(a_n, hw); });
 }
 
 Gcn::Forwarded Gcn::Forward(Tape* tape, const graph::Graph& g,

@@ -1,9 +1,5 @@
 #include "nn/simpgcn.h"
 
-#include <algorithm>
-#include <tuple>
-
-#include "linalg/ops.h"
 #include "nn/init.h"
 
 namespace repro::nn {
@@ -11,7 +7,6 @@ namespace repro::nn {
 using autograd::Tape;
 using autograd::Var;
 using linalg::Matrix;
-using linalg::SparseMatrix;
 
 SimPGcn::SimPGcn(int in_dim, int num_classes, const Options& options,
                  linalg::Rng* rng)
@@ -24,36 +19,10 @@ SimPGcn::SimPGcn(int in_dim, int num_classes, const Options& options,
   gate_b2_ = Matrix(1, 1);
 }
 
-SparseMatrix SimPGcn::BuildKnnGraph(const Matrix& x, int k) {
-  const int n = x.rows();
-  std::vector<std::tuple<int, int, float>> triplets;
-  std::vector<std::pair<float, int>> sims;
-  for (int i = 0; i < n; ++i) {
-    sims.clear();
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const float s = linalg::CosineSimilarity(x, i, j);
-      if (s > 0.0f) sims.emplace_back(s, j);
-    }
-    const int take = std::min<int>(k, static_cast<int>(sims.size()));
-    std::partial_sort(sims.begin(), sims.begin() + take, sims.end(),
-                      [](const auto& a, const auto& b) {
-                        return a.first > b.first;
-                      });
-    for (int t = 0; t < take; ++t) {
-      const int j = sims[t].second;
-      triplets.emplace_back(i, j, 1.0f);
-      triplets.emplace_back(j, i, 1.0f);
-    }
-  }
-  SparseMatrix knn = SparseMatrix::FromTriplets(n, n, triplets);
-  for (float& v : knn.mutable_values()) v = v > 0.0f ? 1.0f : 0.0f;
-  return knn;
-}
-
 void SimPGcn::Prepare(const graph::Graph& g) {
   a_n_ = graph::GcnNormalize(g.adjacency);
-  s_n_ = graph::GcnNormalize(BuildKnnGraph(g.features, options_.knn_k));
+  s_n_ = graph::GcnNormalize(
+      graph::FeatureKnnGraph(g.features, options_.knn_k, 0.0f));
 }
 
 SimPGcn::Forwarded SimPGcn::Forward(Tape* tape, const graph::Graph& g,

@@ -37,10 +37,6 @@ class SimPGcn : public Model {
                     bool training, linalg::Rng* rng) override;
   std::vector<linalg::Matrix*> Parameters() override;
 
-  /// Builds the symmetric kNN cosine-similarity graph over rows of `x`.
-  /// Exposed for tests.
-  static linalg::SparseMatrix BuildKnnGraph(const linalg::Matrix& x, int k);
-
  private:
   Options options_;
   linalg::Matrix w1_, w2_;

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "core/gnat.h"
 #include "core/peega.h"
 #include "defense/gnnguard.h"
 #include "defense/jaccard.h"
 #include "defense/model_defenders.h"
 #include "defense/prognn.h"
 #include "defense/svd.h"
+#include "eval/registry.h"
 #include "graph/generators.h"
 #include "linalg/ops.h"
 
@@ -168,6 +170,79 @@ TEST(DefenderContract, NamesAreStable) {
   EXPECT_EQ(ProGnnDefender().name(), "Pro-GNN");
   EXPECT_EQ(SimPGcnDefender().name(), "SimPGCN");
   EXPECT_EQ(GnnGuardDefender().name(), "GNNGuard");
+}
+
+// Every defender's report, pinned bit for bit on one seeded clean graph.
+// A refactor of the shared training path (nn::TrainNodeClassifier, the
+// GCN layer loop, the feature kNN graph, GNAT's views) must leave these
+// counts exactly as they are.
+struct PinnedReport {
+  const char* label;
+  int test_correct;
+  int val_correct;
+};
+
+void ExpectPinned(const PinnedReport& pin, const DefenseReport& report,
+                  const Graph& g) {
+  const double test_total = static_cast<double>(g.test_nodes.size());
+  const double val_total = static_cast<double>(g.val_nodes.size());
+  EXPECT_EQ(report.test_accuracy, pin.test_correct / test_total)
+      << pin.label << ": test " << report.test_accuracy * test_total << "/"
+      << test_total;
+  EXPECT_EQ(report.val_accuracy, pin.val_correct / val_total)
+      << pin.label << ": val " << report.val_accuracy * val_total << "/"
+      << val_total;
+}
+
+TEST(DefenderPinTest, RegisteredDefendersReportBitwiseStableAccuracy) {
+  const Graph g = SmallGraph(21, 0.6);
+  nn::TrainOptions train;
+  train.max_epochs = 40;
+  const PinnedReport kPinned[] = {
+      {"gnat", 223, 28},    {"gcn", 213, 27},     {"gat", 160, 23},
+      {"jaccard", 165, 27}, {"svd", 159, 25},     {"rgcn", 218, 26},
+      {"prognn", 155, 23},  {"simpgcn", 223, 29}, {"gnnguard", 194, 25},
+  };
+  const std::vector<std::string> names = eval::DefenderNames();
+  ASSERT_EQ(names.size(), std::size(kPinned));
+  for (size_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(names[i], kPinned[i].label);
+    std::unique_ptr<Defender> defender = eval::MakeDefenderByName(names[i]);
+    Rng rng(22);
+    ExpectPinned(kPinned[i], defender->Run(g, train, &rng), g);
+  }
+}
+
+TEST(DefenderPinTest, GnatVariantsReportBitwiseStableAccuracy) {
+  const Graph g = SmallGraph(21, 0.6);
+  nn::TrainOptions train;
+  train.max_epochs = 40;
+  core::GnatDefender::Options merged;
+  merged.merge_views = true;
+  core::GnatDefender::Options pruned;
+  pruned.prune_threshold = 0.01f;
+  nn::TrainOptions no_patience = train;
+  no_patience.patience = 0;
+  Rng polblogs_rng(23);
+  const Graph identity = graph::MakePolblogsLike(&polblogs_rng, 0.8);
+
+  struct Case {
+    PinnedReport pin;
+    core::GnatDefender::Options options;
+    const Graph* graph;
+    nn::TrainOptions train;
+  };
+  const Case cases[] = {
+      {{"merge_views", 220, 29}, merged, &g, train},
+      {{"prune_threshold", 229, 29}, pruned, &g, train},
+      {{"patience 0", 230, 28}, {}, &g, no_patience},
+      {{"identity features", 150, 18}, {}, &identity, train},
+  };
+  for (const Case& c : cases) {
+    core::GnatDefender gnat(c.options);
+    Rng rng(24);
+    ExpectPinned(c.pin, gnat.Run(*c.graph, c.train, &rng), *c.graph);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "core/gnat.h"
 #include "core/peega.h"
+#include "debug/failpoints.h"
 #include "defense/model_defenders.h"
 #include "graph/generators.h"
 #include "linalg/ops.h"
@@ -41,7 +44,7 @@ TEST(GnatGraphsTest, FeatureGraphConnectsSimilarNodes) {
   // Two feature clusters; k = 1 must connect within clusters only.
   const Matrix x = Matrix::FromRows(
       {{1, 1, 0, 0}, {1, 1, 0, 0}, {0, 0, 1, 1}, {0, 0, 1, 1}});
-  const auto fg = GnatDefender::BuildFeatureGraph(x, 1);
+  const auto fg = graph::FeatureKnnGraph(x, 1, 1e-6f);
   EXPECT_GT(fg.At(0, 1), 0.0f);
   EXPECT_GT(fg.At(2, 3), 0.0f);
   EXPECT_FLOAT_EQ(fg.At(0, 2), 0.0f);
@@ -53,13 +56,13 @@ TEST(GnatGraphsTest, FeatureGraphConnectsSimilarNodes) {
 
 TEST(GnatGraphsTest, FeatureGraphEmptyForIdentityFeatures) {
   const Matrix identity = Matrix::Identity(5);
-  const auto fg = GnatDefender::BuildFeatureGraph(identity, 3);
+  const auto fg = graph::FeatureKnnGraph(identity, 3, 1e-6f);
   EXPECT_EQ(fg.nnz(), 0);
 }
 
 TEST(GnatGraphsTest, FeatureGraphEmptyForKZero) {
   const Matrix x = Matrix::FromRows({{1, 0}, {1, 0}});
-  EXPECT_EQ(GnatDefender::BuildFeatureGraph(x, 0).nnz(), 0);
+  EXPECT_EQ(graph::FeatureKnnGraph(x, 0, 1e-6f).nnz(), 0);
 }
 
 TEST(GnatTest, NameReflectsConfiguration) {
@@ -144,6 +147,25 @@ TEST(GnatTest, IdentityFeaturesDropFeatureView) {
   Rng rng(11);
   const auto report = gnat.Run(g, train, &rng);
   EXPECT_GT(report.test_accuracy, 0.7);  // 2-class, homophilous
+}
+
+// GNAT trains through nn::TrainNodeClassifier, so it honours the
+// trainer's contract: a non-finite loss stops training and reports
+// kNumericFault with the best-so-far model's accuracies.
+TEST(GnatTest, NonFiniteLossIsNumericFaultWithBestSoFarAccuracy) {
+  const Graph g = SmallGraph(12, 0.2);
+  nn::TrainOptions train;
+  train.max_epochs = 20;
+  GnatDefender gnat;
+  Rng rng(13);
+  debug::ArmFailpoint("trainer.epoch", "3");
+  const auto report = gnat.Run(g, train, &rng);
+  debug::DisarmAllFailpoints();
+  EXPECT_EQ(report.status.code(), status::Code::kNumericFault)
+      << report.status.ToString();
+  EXPECT_TRUE(std::isfinite(report.test_accuracy));
+  EXPECT_TRUE(std::isfinite(report.val_accuracy));
+  EXPECT_GT(report.test_accuracy, 0.0);
 }
 
 TEST(GnatTest, EgoWeightEmphasizesSelfLoop) {

@@ -166,7 +166,7 @@ TEST(SimPGcnTest, TrainsAboveMajorityBaseline) {
 TEST(SimPGcnTest, KnnGraphHasAtLeastKNeighborsAndIsSymmetric) {
   Rng rng(17);
   const Graph g = SmallGraph(8);
-  const auto knn = SimPGcn::BuildKnnGraph(g.features, 5);
+  const auto knn = graph::FeatureKnnGraph(g.features, 5, 0.0f);
   const auto knn_t = knn.Transposed();
   EXPECT_LT(linalg::MaxAbsDiff(knn.ToDense(), knn_t.ToDense()), 1e-6f);
   // Every node got >= 5 neighbors (symmetrization can add more).
