@@ -79,12 +79,6 @@ FeatureCandidate BestFeatureFlip(const Matrix& grad, const Matrix& features,
   return {best[0].flip.a, best[0].flip.b, best[0].score};
 }
 
-bool RanksBefore(const FlipCandidate& lhs, const FlipCandidate& rhs) {
-  if (lhs.score != rhs.score) return lhs.score > rhs.score;
-  return std::tie(lhs.flip.is_feature, lhs.flip.a, lhs.flip.b) <
-         std::tie(rhs.flip.is_feature, rhs.flip.a, rhs.flip.b);
-}
-
 void KeepTop(std::vector<FlipCandidate>* candidates, int keep) {
   if (keep <= 0) return;
   const size_t take = std::min(candidates->size(), static_cast<size_t>(keep));

@@ -2,11 +2,15 @@
 #define PEEGA_ATTACK_COMMON_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "attack/attacker.h"
+#include "debug/check.h"
+#include "debug/numerics.h"
 #include "graph/graph.h"
 #include "linalg/matrix.h"
 #include "obs/metrics.h"
@@ -41,14 +45,47 @@ class AccessControl {
 ///
 /// Deterministic by construction (a sorted vector of packed keys, no
 /// hashing), so scans that consult it stay bitwise-identical at any
-/// thread count. Insert is O(size) — irrelevant at budget-bounded sizes
-/// — and Contains is O(log size), off the scans' inner-loop hot path
-/// (the exclude test only runs for allowed candidates).
+/// thread count. Insert is O(size) — irrelevant at budget-bounded sizes.
+/// Scans walk a row's frozen columns with a `RowCursor` (one
+/// lower_bound per row) instead of calling Contains per candidate.
 class FlipSet {
  public:
   /// `cols` is the coordinate stride: the node count for edge sets, the
   /// feature dimension for feature sets.
   explicit FlipSet(int cols) : cols_(cols) {}
+
+  /// The frozen columns of one row, ascending, queried in step with a
+  /// scan's ascending column loop: O(1) amortized per query. A default
+  /// cursor is an empty row.
+  class RowCursor {
+   public:
+    RowCursor() = default;
+    /// First frozen column >= c, or `end` (the column count) when the
+    /// row has none left. Queries must not decrease c.
+    int NextFrozen(int c, int end) {
+      while (next_ != last_ && *next_ < base_ + c) ++next_;
+      // Keys past the row's last column belong to later rows.
+      return next_ == last_ ? end
+                            : static_cast<int>(std::min<int64_t>(
+                                  *next_ - base_, end));
+    }
+
+   private:
+    friend class FlipSet;
+    const int64_t* next_ = nullptr;
+    const int64_t* last_ = nullptr;
+    int64_t base_ = 0;
+  };
+
+  RowCursor Row(int r) const {
+    RowCursor cursor;
+    cursor.base_ = Key(r, 0);
+    cursor.next_ = keys_.data() + (std::lower_bound(keys_.begin(), keys_.end(),
+                                                    cursor.base_) -
+                                   keys_.begin());
+    cursor.last_ = keys_.data() + keys_.size();
+    return cursor;
+  }
 
   bool Contains(int r, int c) const {
     return std::binary_search(keys_.begin(), keys_.end(), Key(r, c));
@@ -140,7 +177,11 @@ struct FlipCandidate {
 /// Strict total order of the greedy ranking: score descending, then
 /// edge before feature, then lowest (a, b). Being total, it makes the
 /// best k of any candidate set unique at any partition or thread count.
-bool RanksBefore(const FlipCandidate& lhs, const FlipCandidate& rhs);
+inline bool RanksBefore(const FlipCandidate& lhs, const FlipCandidate& rhs) {
+  if (lhs.score != rhs.score) return lhs.score > rhs.score;
+  return std::tie(lhs.flip.is_feature, lhs.flip.a, lhs.flip.b) <
+         std::tie(rhs.flip.is_feature, rhs.flip.a, rhs.flip.b);
+}
 
 /// Shrinks `candidates` to its best `keep` under RanksBefore, in rank
 /// order. `keep` <= 0 leaves the list as it is.
@@ -148,37 +189,195 @@ void KeepTop(std::vector<FlipCandidate>* candidates, int keep);
 
 namespace internal {
 
-/// Rows per chunk of `TopFlips`; any partition gives the serial result.
+/// Rows per chunk of a scan; any partition gives the serial result.
 constexpr int64_t kScanRowGrain = 32;
 
-/// Adds `candidate` to a chunk's best `cap`; returns the bar for the next.
-inline float Admit(const FlipCandidate& candidate, size_t cap,
-                   std::vector<FlipCandidate>* top) {
-  const auto worst = [&] {
-    return std::max_element(top->begin(), top->end(), RanksBefore);
-  };
-  if (top->size() < cap) top->push_back(candidate);
-  else *worst() = candidate;
-  return top->size() == cap ? worst()->score
-                            : -std::numeric_limits<float>::infinity();
+/// Calls `visit(b)` for every candidate column of row `a` in ascending
+/// order (b > a for edges): allowed by `access`, not frozen in `frozen`.
+template <bool is_feature, typename Visit>
+void ForEachCandidate(int a, int cols, const AccessControl& access,
+                      FlipSet::RowCursor frozen, const Visit& visit) {
+  if (is_feature && !access.FeatureAllowed(a)) return;
+  // The outer ++b steps over the frozen column each inner run stops at.
+  for (int b = is_feature ? 0 : a + 1; b < cols; ++b) {
+    const int stop = frozen.NextFrozen(b, cols);
+    for (; b < stop; ++b) {
+      if (!is_feature && !access.EdgeAllowed(a, b)) continue;
+      visit(b);
+    }
+  }
+}
+
+/// Adds `item` to the best `cap` of a list when it ranks among them. The
+/// list slots[0, *count) is a heap under `ranks_before` whose front is
+/// the worst kept. NaN and -inf scores are never kept.
+template <typename T, typename RanksBeforeFn>
+void Admit(T* slots, int* count, int cap, const T& item,
+           const RanksBeforeFn& ranks_before) {
+  if (*count < cap) {
+    if (!(item.score > -std::numeric_limits<float>::infinity())) return;
+    slots[(*count)++] = item;
+    std::push_heap(slots, slots + *count, ranks_before);
+  } else if (ranks_before(item, slots[0])) {
+    std::pop_heap(slots, slots + cap, ranks_before);
+    slots[cap - 1] = item;
+    std::push_heap(slots, slots + cap, ranks_before);
+  }
 }
 
 }  // namespace internal
 
-/// The greedy candidate scan: scores each allowed flip not in `exclude` —
-/// edges a < b < rows or, if `is_feature`, bits (a < rows, b < cols) —
-/// with `score(a, b)` and returns the best `keep` under RanksBefore, in
-/// rank order; `keep` <= 0 returns all, in row-major order, for Gumbel
-/// noise drawn in that order. NaN and -inf scores are never returned.
-/// Row chunks keep their best `keep` and take only a candidate beating
-/// the worst kept (a tie comes later, so ranks after it), then merge in
-/// order: the result is the serial scan's at any thread count. keep = 1
-/// is a plain argmax: one float compare per candidate.
-template <bool is_feature, typename ScoreFn>
-std::vector<FlipCandidate> TopFlips(int rows, int cols,
-                                    const AccessControl& access,
-                                    const FlipSet* exclude, int keep,
-                                    const ScoreFn& score) {
+/// The greedy candidate scan, with memory across scans. It scores each
+/// allowed flip not in `exclude` — edges a < b < rows or, if
+/// `is_feature`, bits (a < rows, b < cols) — and returns the best `keep`
+/// under RanksBefore, in rank order. NaN and -inf scores are never
+/// returned.
+///
+/// Between scans the cache keeps each row's best `keep`, and a scan
+/// rescores only what `Invalidate` named since the last one:
+///  - a changed row is rescanned whole;
+///  - a clean feature row keeps its best;
+///  - a clean edge row a rescores only its changed columns b > a and
+///    merges them into its best. When that cannot be exact — the row was
+///    full and its worst kept candidate now ranks lower, as only a kept
+///    candidate in a changed column can make it — it is rescanned whole
+///    (a fallback, counted in `attack.row_fallbacks`).
+/// RanksBefore is a strict total order, so the best of the row bests is
+/// the full scan's at any partition and thread count. The first scan
+/// rescans every row.
+///
+/// keep <= 0 returns every candidate in row-major order, for Gumbel
+/// noise drawn in that order. That needs every score, so it keeps no
+/// state and always scans in full.
+///
+/// In a debug-numerics build every scan that reused rows also runs the
+/// full scan and PEEGA_CHECKs that both lists are equal.
+template <bool is_feature>
+class ScanCache {
+ public:
+  ScanCache(int rows, int cols, int keep)
+      : rows_(rows),
+        cols_(cols),
+        keep_(std::max(keep, 0)),
+        row_keep_(std::min(keep_, cols)),
+        best_(static_cast<size_t>(rows) * static_cast<size_t>(row_keep_)),
+        count_(keep_ > 0 ? static_cast<size_t>(rows) : 0),
+        changed_(static_cast<size_t>(rows), 0) {}
+
+  /// Names the rows whose candidates may have changed score or freeze
+  /// state since the last scan. For edges, a pair may have changed only
+  /// if an endpoint is named: `rows` are changed rows AND columns. A
+  /// superset is safe; a missing row makes the next scan wrong.
+  void Invalidate(const std::vector<int>& rows) {
+    for (const int r : rows) changed_[static_cast<size_t>(r)] = 1;
+  }
+
+  template <typename ScoreFn>
+  std::vector<FlipCandidate> Scan(const AccessControl& access,
+                                  const FlipSet* exclude,
+                                  const ScoreFn& score);
+
+ private:
+  struct Entry {
+    int col = -1;
+    float score = 0.0f;
+  };
+  // RanksBefore within one row.
+  static bool RowRanksBefore(const Entry& lhs, const Entry& rhs) {
+    return lhs.score != rhs.score ? lhs.score > rhs.score : lhs.col < rhs.col;
+  }
+
+  Entry* Slots(int a) {
+    return best_.data() +
+           static_cast<size_t>(a) * static_cast<size_t>(row_keep_);
+  }
+
+  // Rescans row `a` whole into its slots; returns the candidates scored.
+  template <typename ScoreFn>
+  uint64_t RescanRow(int a, const AccessControl& access,
+                     FlipSet::RowCursor frozen, const ScoreFn& score) {
+    Entry* slots = Slots(a);
+    int& count = count_[static_cast<size_t>(a)];
+    count = 0;
+    uint64_t scored = 0;
+    float bar = -std::numeric_limits<float>::infinity();
+    // Columns ascend, so a tie with the bar ranks after it.
+    const auto scan = [&](const auto& admit) {
+      internal::ForEachCandidate<is_feature>(
+          a, cols_, access, frozen, [&](int b) {
+            ++scored;
+            const float s = score(a, b);
+            if (s > bar) bar = admit(Entry{b, s});
+          });
+    };
+    if (row_keep_ == 1) {
+      // Locals, not `slots`: a store or call in the loop blocks hoisting.
+      Entry top;
+      scan([&](const Entry& e) { return (top = e).score; });
+      if (top.col >= 0) slots[count++] = top;
+    } else {
+      scan([&](const Entry& e) {
+        internal::Admit(slots, &count, row_keep_, e, RowRanksBefore);
+        return count == row_keep_ ? slots[0].score : bar;
+      });
+    }
+    return scored;
+  }
+
+  // Updates clean edge row `a` from the changed columns `cols`
+  // (ascending): drops its kept candidates there, rescores those columns
+  // and merges them in. Every other candidate kept its score, and when
+  // the row was full it ranked after the old worst kept one. So the
+  // merge is the row's best `keep_` unless the row was full and now has
+  // fewer, or a worst that ranks after the old worst. Returns false then:
+  // the row must be rescanned whole.
+  template <typename ScoreFn>
+  bool MergeChanged(int a, const std::vector<int>& cols,
+                    const AccessControl& access, FlipSet::RowCursor frozen,
+                    const ScoreFn& score, uint64_t* scored) {
+    Entry* slots = Slots(a);
+    int& count = count_[static_cast<size_t>(a)];
+    const bool was_full = count == row_keep_;
+    const Entry old_worst = was_full ? slots[0] : Entry();
+    count = static_cast<int>(
+        std::remove_if(slots, slots + count,
+                       [&](const Entry& e) {
+                         return changed_[static_cast<size_t>(e.col)] != 0;
+                       }) -
+        slots);
+    std::make_heap(slots, slots + count, RowRanksBefore);
+    for (auto it = std::upper_bound(cols.begin(), cols.end(), a);
+         it != cols.end(); ++it) {
+      const int b = *it;
+      if (!access.EdgeAllowed(a, b) || frozen.NextFrozen(b, cols_) == b) {
+        continue;
+      }
+      ++*scored;
+      internal::Admit(slots, &count, row_keep_, Entry{b, score(a, b)},
+                      RowRanksBefore);
+    }
+    return !was_full ||
+           (count == row_keep_ && !RowRanksBefore(old_worst, slots[0]));
+  }
+
+  int rows_;
+  int cols_;
+  int keep_;
+  // A row has at most cols_ candidates, so it keeps at most that many.
+  int row_keep_;
+  // row_keep_ slots per row: a heap under RowRanksBefore of count_
+  // entries.
+  std::vector<Entry> best_;
+  std::vector<int> count_;
+  std::vector<char> changed_;
+  bool all_changed_ = true;
+};
+
+template <bool is_feature>
+template <typename ScoreFn>
+std::vector<FlipCandidate> ScanCache<is_feature>::Scan(
+    const AccessControl& access, const FlipSet* exclude,
+    const ScoreFn& score) {
   const obs::TraceSpan span(is_feature ? "attack.best_feature_flip"
                                        : "attack.best_edge_flip");
   static obs::Counter* const scans[2] = {
@@ -187,41 +386,100 @@ std::vector<FlipCandidate> TopFlips(int rows, int cols,
   static obs::Counter* const scanned[2] = {
       obs::GetCounter("attack.edges_scanned"),
       obs::GetCounter("attack.features_scanned")};
+  static obs::Counter* const row_fallbacks =
+      obs::GetCounter("attack.row_fallbacks");
   scans[is_feature]->Add(1);
-  const size_t cap = keep > 0 ? static_cast<size_t>(keep) : SIZE_MAX;
+  const bool incremental = keep_ > 0 && !all_changed_;
+  // A clean edge row rescores its changed columns: the changed nodes.
+  std::vector<int> changed_cols;
+  if (!is_feature && incremental) {
+    for (int r = 0; r < rows_; ++r) {
+      if (changed_[static_cast<size_t>(r)]) changed_cols.push_back(r);
+    }
+  }
   std::vector<std::vector<FlipCandidate>> per_chunk(static_cast<size_t>(
-      parallel::NumChunks(rows, internal::kScanRowGrain)));
+      parallel::NumChunks(rows_, internal::kScanRowGrain)));
   parallel::ParallelForChunked(
-      0, rows, internal::kScanRowGrain,
+      0, rows_, internal::kScanRowGrain,
       [&](int64_t a0, int64_t a1, int64_t chunk) {
         auto& top = per_chunk[static_cast<size_t>(chunk)];
-        uint64_t considered = 0;  // one atomic add per chunk
-        const auto scan = [&](const auto& admit) {
-          float bar = -std::numeric_limits<float>::infinity();
-          for (int a = static_cast<int>(a0); a < static_cast<int>(a1); ++a) {
-            if (is_feature && !access.FeatureAllowed(a)) continue;
-            for (int b = is_feature ? 0 : a + 1; b < cols; ++b) {
-              if (!is_feature && !access.EdgeAllowed(a, b)) continue;
-              if (exclude != nullptr && exclude->Contains(a, b)) continue;
-              ++considered;
-              const float s = score(a, b);
-              if (s > bar) bar = admit(FlipCandidate{{is_feature, a, b}, s});
-            }
+        uint64_t scored = 0;  // one atomic add per chunk
+        uint64_t fallbacks = 0;
+        int kept = 0;
+        for (int a = static_cast<int>(a0); a < static_cast<int>(a1); ++a) {
+          const auto frozen = [&] {
+            return exclude != nullptr ? exclude->Row(a) : FlipSet::RowCursor();
+          };
+          if (keep_ == 0) {
+            internal::ForEachCandidate<is_feature>(
+                a, cols_, access, frozen(), [&](int b) {
+                  ++scored;
+                  const float s = score(a, b);
+                  if (s > -std::numeric_limits<float>::infinity()) {
+                    top.push_back(FlipCandidate{{is_feature, a, b}, s});
+                  }
+                });
+            continue;
           }
-        };
-        // Locals, not `top`: a store or call in the loop blocks hoisting.
-        FlipCandidate best;
-        if (keep == 1) scan([&](auto c) { return (best = c).score; });
-        else scan([&](auto c) { return internal::Admit(c, cap, &top); });
-        if (best.flip.a >= 0) top.push_back(best);
-        scanned[is_feature]->Add(considered);
+          bool rescan = all_changed_ || changed_[static_cast<size_t>(a)];
+          if (!rescan && !is_feature) {
+            rescan = !MergeChanged(a, changed_cols, access, frozen(), score,
+                                   &scored);
+            fallbacks += rescan ? 1 : 0;
+          }
+          if (rescan) scored += RescanRow(a, access, frozen(), score);
+          const Entry* slots = Slots(a);
+          const int count = count_[static_cast<size_t>(a)];
+          // Grows only to the candidates the chunk holds, not to keep_.
+          const auto need = static_cast<size_t>(std::min(keep_, kept + count));
+          if (top.size() < need) top.resize(need);
+          for (int i = 0; i < count; ++i) {
+            internal::Admit(top.data(), &kept, keep_,
+                            FlipCandidate{{is_feature, a, slots[i].col},
+                                          slots[i].score},
+                            RanksBefore);
+          }
+        }
+        if (keep_ > 0) top.resize(static_cast<size_t>(kept));
+        scanned[is_feature]->Add(scored);
+        if (fallbacks > 0) row_fallbacks->Add(fallbacks);
       });
+  all_changed_ = false;
+  std::fill(changed_.begin(), changed_.end(), 0);
   std::vector<FlipCandidate> merged;
   for (const auto& chunk : per_chunk) {
     merged.insert(merged.end(), chunk.begin(), chunk.end());
   }
-  KeepTop(&merged, keep);
+  KeepTop(&merged, keep_);
+  if constexpr (debug::NumericsGuardEnabled()) {
+    if (incremental) {
+      // The same list, bit for bit, as a scan with every row changed.
+      const std::vector<FlipCandidate> full =
+          ScanCache(rows_, cols_, keep_).Scan(access, exclude, score);
+      PEEGA_CHECK_EQ(merged.size(), full.size()) << " cached vs full scan";
+      for (size_t i = 0; i < merged.size(); ++i) {
+        PEEGA_CHECK(merged[i].flip == full[i].flip &&
+                    std::bit_cast<uint32_t>(merged[i].score) ==
+                        std::bit_cast<uint32_t>(full[i].score))
+            << " cached vs full scan at rank " << i << ": ("
+            << merged[i].flip.a << ", " << merged[i].flip.b << ") "
+            << merged[i].score << " vs (" << full[i].flip.a << ", "
+            << full[i].flip.b << ") " << full[i].score;
+      }
+    }
+  }
   return merged;
+}
+
+/// One greedy scan with no memory: a fresh ScanCache, every row changed.
+/// `keep` <= 0 returns all candidates in row-major order.
+template <bool is_feature, typename ScoreFn>
+std::vector<FlipCandidate> TopFlips(int rows, int cols,
+                                    const AccessControl& access,
+                                    const FlipSet* exclude, int keep,
+                                    const ScoreFn& score) {
+  return ScanCache<is_feature>(rows, cols, keep)
+      .Scan(access, exclude, score);
 }
 
 }  // namespace repro::attack

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -114,7 +115,10 @@ class TapeOracle {
         self_pairs_(SelfPairs(g, options.target_nodes)),
         neighbor_pairs_(NeighborPairs(g, options.target_nodes)),
         dense_(g.adjacency.ToDense()),
-        features_(g.features) {}
+        features_(g.features),
+        all_rows_(static_cast<size_t>(g.num_nodes)) {
+    std::iota(all_rows_.begin(), all_rows_.end(), 0);
+  }
 
   // Mirrors the engine's latched-fault contract: NaN gradients would make
   // every scan comparison false and the loop would end silently OK.
@@ -147,6 +151,10 @@ class TapeOracle {
     return direction * (*grad_x_)(v, j);
   }
 
+  // Every pass re-derives every gradient: every row counts as changed.
+  const std::vector<int>& changed_feature_rows() const { return all_rows_; }
+  const std::vector<int>& changed_edge_rows() const { return all_rows_; }
+
   void FlipEdge(int u, int v) {
     attack::FlipEdge(&dense_, u, v);
     edge_flips_.emplace_back(u, v);
@@ -171,6 +179,7 @@ class TapeOracle {
   Matrix dense_;
   Matrix features_;
   std::vector<std::pair<int, int>> edge_flips_;
+  std::vector<int> all_rows_;
   std::optional<Tape> tape_;  // the latest pass; owns the gradients below
   const Matrix* grad_a_ = nullptr;
   const Matrix* grad_x_ = nullptr;
@@ -327,6 +336,11 @@ status::Status ValidateOptions(const PeegaBatchAttack::Options& options,
 // batch_size = 1 and no Gumbel noise this is Alg. 1 exactly: edges win
 // ties, and within one kind the lowest (a, b) wins.
 //
+// One scan cache per flip kind lives for the whole campaign, told after
+// each refresh which rows the oracle changed. The freeze sets change
+// only at flipped rows, and the oracles always count those as changed.
+// Debug-numerics builds hold every cached scan to the full one.
+//
 // A template rather than a virtual interface: the scan calls the oracle
 // once per candidate, O(N²) times per iteration, and must inline it.
 template <typename Oracle>
@@ -349,6 +363,13 @@ void GreedyCampaign(const PeegaBatchAttack::Options& options,
   // on one edge after the objective's local optimum is reached.
   attack::FlipSet edge_done(g.num_nodes);
   attack::FlipSet feature_done(g.features.cols());
+  // A cache only for each kind the mode attacks.
+  std::optional<attack::ScanCache</*is_feature=*/false>> edge_scan;
+  std::optional<attack::ScanCache</*is_feature=*/true>> feature_scan;
+  if (attack_topology) edge_scan.emplace(g.num_nodes, g.num_nodes, keep);
+  if (attack_features) {
+    feature_scan.emplace(g.num_nodes, g.features.cols(), keep);
+  }
   double spent = 0.0;
   const auto commit = [&](const attack::Flip& flip) {
     if (flip.is_feature) {
@@ -403,23 +424,24 @@ void GreedyCampaign(const PeegaBatchAttack::Options& options,
       result->status = result->status.WithContext("PEEGA score refresh");
       break;
     }
+    if (edge_scan) edge_scan->Invalidate(oracle->changed_edge_rows());
+    if (feature_scan) {
+      feature_scan->Invalidate(oracle->changed_feature_rows());
+    }
 
     std::vector<attack::FlipCandidate> candidates;
     {
       const obs::TraceSpan scan_span("peega.scan");
       if (can_edge) {
-        candidates = attack::TopFlips</*is_feature=*/false>(
-            g.num_nodes, g.num_nodes, access, &edge_done, keep,
+        candidates = edge_scan->Scan(
+            access, &edge_done,
             [&](int u, int v) { return oracle->EdgeScore(u, v); });
       }
       if (can_feature) {
         // Normalized feature score S_f / beta (Sec. V-D1).
-        const std::vector<attack::FlipCandidate> features =
-            attack::TopFlips</*is_feature=*/true>(
-                g.num_nodes, g.features.cols(), access, &feature_done, keep,
-                [&](int v, int j) {
-                  return oracle->FeatureScore(v, j) / beta;
-                });
+        const std::vector<attack::FlipCandidate> features = feature_scan->Scan(
+            access, &feature_done,
+            [&](int v, int j) { return oracle->FeatureScore(v, j) / beta; });
         candidates.insert(candidates.end(), features.begin(), features.end());
       }
     }

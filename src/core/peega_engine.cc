@@ -1,8 +1,11 @@
 #include "core/peega_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "debug/check.h"
@@ -198,6 +201,8 @@ void PeegaEngine::RecomputeGmRow(int r) {
 }
 
 status::Status PeegaEngine::RefreshScores() {
+  changed_feature_rows_.clear();
+  changed_edge_rows_.clear();
   if (!status_.ok()) return status_;  // latched failure
   if (PEEGA_FAILPOINT("engine.step")) {
     status_ = status::NumericFault("injected failpoint engine.step");
@@ -331,6 +336,15 @@ status::Status PeegaEngine::RefreshScores() {
           });
     }
 
+    // Edge rows R: G_N moved only in rows e[l-1] and columns d[l-1],
+    // and d[l-1] ⊆ d[l] = e[0] ⊆ e[l-1]. The flipped endpoints are
+    // pending A_n rows, so e[0] holds them too. ddeg_ is marked below
+    // where its bits move.
+    std::vector<char> edge_rows(static_cast<size_t>(n_), 0);
+    for (const int r : e[static_cast<size_t>(layers_) - 1]) {
+      edge_rows[static_cast<size_t>(r)] = 1;
+    }
+
     // 6. Degree chain rule. The tape's s-gradient accumulates the
     //    ScaleColsVar backward (column sums of G_N against the
     //    row-scaled values) before the ScaleRowsVar backward (row sums
@@ -360,7 +374,12 @@ status::Status PeegaEngine::RefreshScores() {
         const float degf =
             static_cast<float>(neighbors_[static_cast<size_t>(a)].size() + 1);
         const float dscale = -0.5f * std::pow(degf, -1.5f);
-        ddeg_[static_cast<size_t>(a)] = s_grad * dscale;
+        const float next = s_grad * dscale;
+        if (std::bit_cast<uint32_t>(next) !=
+            std::bit_cast<uint32_t>(ddeg_[static_cast<size_t>(a)])) {
+          edge_rows[static_cast<size_t>(a)] = 1;
+        }
+        ddeg_[static_cast<size_t>(a)] = next;
       }
       if constexpr (debug::NumericsGuardEnabled()) {
         debug::CheckFiniteArray(ddeg_.data(), static_cast<int64_t>(ddeg_.size()),
@@ -368,6 +387,7 @@ status::Status PeegaEngine::RefreshScores() {
                                 __FILE__, __LINE__);
       }
     }
+    changed_edge_rows_ = CollectRows(edge_rows);
   }
 
   // 7. G_X = A_n W_{l-1}: one more propagation hop past the last W level.
@@ -375,6 +395,7 @@ status::Status PeegaEngine::RefreshScores() {
     linalg::NormalizedSpMMRows(neighbors_, scale_,
                                e[static_cast<size_t>(layers_)], W(layers_ - 1),
                                &gx_);
+    changed_feature_rows_ = std::move(e[static_cast<size_t>(layers_)]);
   }
 
   fresh_ = false;

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "debug/check.h"
 #include "graph/graph.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
@@ -56,7 +57,8 @@ namespace repro::core {
 ///
 /// Usage (one greedy iteration):
 ///   engine.RefreshScores();
-///   ... scan with EdgeScore / FeatureScore via the Scored scans ...
+///   ... name changed_edge_rows() / changed_feature_rows() to the
+///       attack::ScanCache scans, which read EdgeScore / FeatureScore ...
 ///   engine.FlipEdge(u, v);   // or FlipFeature(v, j); repeatable
 class PeegaEngine {
  public:
@@ -99,14 +101,34 @@ class PeegaEngine {
   /// Scan score of flipping feature bit (v, j) — WITHOUT the 1/beta
   /// normalization, exactly like the raw tape gradient scan.
   float FeatureScore(int v, int j) const {
-    const float direction = 1.0f - 2.0f * features_(v, j);
-    return direction * gx_(v, j);
+    PEEGA_DCHECK_LT(j, f_);
+    const float direction = 1.0f - 2.0f * features_.row(v)[j];
+    return direction * gx_.row(v)[j];
+  }
+
+  /// Rows whose FeatureScore may have changed in the last
+  /// RefreshScores(): the rows e[l] of G_X it rewrote, which hold every
+  /// feature flipped since the refresh before. Every row after the full
+  /// build, none after a refresh with nothing pending.
+  const std::vector<int>& changed_feature_rows() const {
+    return changed_feature_rows_;
+  }
+
+  /// Nodes R of the last RefreshScores(): an EdgeScore changed only if
+  /// an endpoint is in R. R = e[l-1] ∪ d[l-1] (G_N's rewritten rows and
+  /// columns) ∪ the endpoints of the flips since the refresh before
+  /// (their scale_ and adjacency moved) ∪ the nodes whose ddeg_ changed
+  /// bitwise. The first three are all e[l-1]. Every node after the full
+  /// build, none after a refresh with nothing pending.
+  const std::vector<int>& changed_edge_rows() const {
+    return changed_edge_rows_;
   }
 
   /// Closed-form ∂J/∂A[a][b] mirroring the tape's accumulated adjacency
   /// gradient (exposed for the gradcheck property tests).
   float PairGradient(int a, int b) const {
-    const float t = gn_(a, b) * scale_[b];
+    PEEGA_DCHECK_LT(b, n_);
+    const float t = gn_.row(a)[b] * scale_[b];
     const float t2 = t * scale_[a];
     return t2 + ddeg_[a];
   }
@@ -196,6 +218,10 @@ class PeegaEngine {
   std::vector<float> self_norm_;
   std::vector<double> pair_term_;
   std::vector<float> pair_norm_;
+
+  // What the last refresh changed (see the accessors).
+  std::vector<int> changed_feature_rows_;
+  std::vector<int> changed_edge_rows_;
 
   // Latched failure: set on the first bad refresh, never cleared.
   status::Status status_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -120,7 +121,8 @@ namespace {
 // Keeps adversarially large headers from allocating the world before
 // any real data is validated.
 constexpr long long kMaxNodes = 50'000'000;
-constexpr long long kMaxFeatureCells = 1'000'000'000;
+constexpr long long kMaxFeatureCells =
+    kMaxFeatureMatrixBytes / static_cast<long long>(sizeof(float));
 
 Status ReadSplit(TokenReader* reader, long long num_nodes,
                  const char* what, std::vector<int>* nodes) {
@@ -215,9 +217,17 @@ status::StatusOr<Graph> LoadGraph(const std::string& path) {
   if (!status.ok()) return status.WithContext("load graph dims");
   status = reader.ReadInt("class count", 1, num_nodes, &num_classes);
   if (!status.ok()) return status.WithContext("load graph dims");
-  status = reader.ReadInt("feature dim", 0,
-                          kMaxFeatureCells / num_nodes, &feature_dim);
+  status = reader.ReadInt("feature dim", 0, kMaxFeatureCells, &feature_dim);
   if (!status.ok()) return status.WithContext("load graph dims");
+  if (num_nodes * feature_dim > kMaxFeatureCells) {
+    return InvalidInput(
+        reader.Where() + ": feature matrix " + std::to_string(num_nodes) +
+        " x " + std::to_string(feature_dim) + " needs " +
+        std::to_string(num_nodes * feature_dim *
+                       static_cast<long long>(sizeof(float))) +
+        " bytes, over the " + std::to_string(kMaxFeatureMatrixBytes) +
+        "-byte limit");
+  }
   loaded.num_nodes = static_cast<int>(num_nodes);
   loaded.num_classes = static_cast<int>(num_classes);
 

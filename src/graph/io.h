@@ -49,13 +49,19 @@ class TokenReader {
   size_t token_line_ = 0;  // 1-based line of the token just read
 };
 
+/// Largest dense feature matrix `LoadGraph` allocates: 1 GiB of floats,
+/// N·F ≤ 2^28 cells. The sparse format does not back F with bytes, so a
+/// short file could otherwise declare a matrix of any size.
+inline constexpr long long kMaxFeatureMatrixBytes = 1LL << 30;
+
 /// Loads a graph previously written by `SaveGraph`.
 ///
 /// External input is never trusted: a missing file yields kIoError, and
 /// every malformed construct — bad magic, truncated file, non-numeric
-/// token, negative/overlarge dimensions, out-of-range node/feature/label
-/// index — yields kInvalidInput with `path:line N:` context pointing at
-/// the offending token. This path must stay abort-free (`peega_lint`
+/// token, negative/overlarge dimensions, a feature matrix past
+/// `kMaxFeatureMatrixBytes`, out-of-range node/feature/label index —
+/// yields kInvalidInput with `path:line N:` context pointing at the
+/// offending token, before anything is sized by it. This path must stay abort-free (`peega_lint`
 /// rejects PEEGA_CHECK on these files).
 status::StatusOr<Graph> LoadGraph(const std::string& path);
 

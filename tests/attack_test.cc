@@ -1,3 +1,8 @@
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "attack/common.h"
@@ -10,6 +15,7 @@
 #include "linalg/ops.h"
 #include "nn/gcn.h"
 #include "nn/trainer.h"
+#include "parallel/thread_pool.h"
 
 namespace repro::attack {
 namespace {
@@ -117,6 +123,170 @@ TEST(CommonTest, DenseToAdjacencyDropsDiagonal) {
   EXPECT_EQ(sparse.nnz(), 2);
   EXPECT_FLOAT_EQ(sparse.At(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(sparse.At(0, 1), 1.0f);
+}
+
+// ---------------------------------------------------------------------------
+// ScanCache: the incremental scan must return the full scan's list.
+// ---------------------------------------------------------------------------
+
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int n) { parallel::SetNumThreads(n); }
+  ~ScopedThreads() { parallel::SetNumThreads(0); }
+};
+
+// Scores drawn from a coarse grid (many ties), with NaN, -inf and +inf.
+float RandomScore(Rng* rng) {
+  const int pick = static_cast<int>(rng->UniformInt(0, 39));
+  if (pick == 0) return std::numeric_limits<float>::quiet_NaN();
+  if (pick == 1) return -std::numeric_limits<float>::infinity();
+  if (pick == 2) return std::numeric_limits<float>::infinity();
+  return 0.5f * static_cast<float>(rng->UniformInt(-6, 6));
+}
+
+bool SameCandidates(const std::vector<FlipCandidate>& lhs,
+                    const std::vector<FlipCandidate>& rhs) {
+  if (lhs.size() != rhs.size()) return false;
+  for (size_t i = 0; i < lhs.size(); ++i) {
+    if (lhs[i].flip != rhs[i].flip ||
+        std::bit_cast<uint32_t>(lhs[i].score) !=
+            std::bit_cast<uint32_t>(rhs[i].score)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Brute force: every allowed, unfrozen candidate that is not NaN or -inf,
+// in row-major order, then cut to the best `keep`.
+template <bool is_feature>
+std::vector<FlipCandidate> ReferenceTop(const Matrix& scores,
+                                        const AccessControl& access,
+                                        const FlipSet& frozen, int keep) {
+  std::vector<FlipCandidate> all;
+  for (int a = 0; a < scores.rows(); ++a) {
+    for (int b = is_feature ? 0 : a + 1; b < scores.cols(); ++b) {
+      const bool allowed =
+          is_feature ? access.FeatureAllowed(a) : access.EdgeAllowed(a, b);
+      const float s = scores(a, b);
+      if (allowed && !frozen.Contains(a, b) &&
+          s > -std::numeric_limits<float>::infinity()) {
+        all.push_back(FlipCandidate{{is_feature, a, b}, s});
+      }
+    }
+  }
+  KeepTop(&all, keep);
+  return all;
+}
+
+// Rescoring rounds: each names a random changed set, changes only the
+// scores and freeze entries it covers (a feature bit in a changed row;
+// an edge with an endpoint in it), and sometimes moves the current best
+// candidates' columns into it so kept candidates sit in changed columns.
+template <bool is_feature>
+void ExpectCacheMatchesFullScan(int keep, bool restricted, uint64_t seed) {
+  Rng rng(seed);
+  const int rows = 150;
+  const int cols = is_feature ? 40 : rows;
+  std::vector<int> attackers;
+  if (restricted) {
+    for (int v = 0; v < rows; ++v) {
+      if (rng.UniformInt(0, 2) == 0) attackers.push_back(v);
+    }
+  }
+  const AccessControl access(rows, attackers);
+  Matrix scores(rows, cols);
+  for (int a = 0; a < rows; ++a) {
+    for (int b = 0; b < cols; ++b) scores(a, b) = RandomScore(&rng);
+  }
+  FlipSet frozen(cols);
+  for (int i = 0; i < 40; ++i) {
+    const int a = static_cast<int>(rng.UniformInt(0, rows - 1));
+    const int b = static_cast<int>(rng.UniformInt(0, cols - 1));
+    if (is_feature) frozen.Insert(a, b);
+    else if (a != b) frozen.InsertSymmetric(a, b);
+  }
+  const auto score = [&](int a, int b) { return scores(a, b); };
+  ScanCache<is_feature> cache(rows, cols, keep);
+  std::vector<FlipCandidate> last;
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    std::vector<char> changed(static_cast<size_t>(rows), 0);
+    if (round > 0) {
+      const int picks = static_cast<int>(rng.UniformInt(0, rows / 4));
+      for (int i = 0; i < picks; ++i) {
+        changed[static_cast<size_t>(rng.UniformInt(0, rows - 1))] = 1;
+      }
+      if (!is_feature && round % 2 == 1) {
+        for (const FlipCandidate& c : last) {
+          changed[static_cast<size_t>(c.flip.b)] = 1;
+        }
+      }
+      for (int a = 0; a < rows; ++a) {
+        for (int b = 0; b < cols; ++b) {
+          const bool covered = changed[static_cast<size_t>(a)] ||
+                               (!is_feature && changed[static_cast<size_t>(b)]);
+          if (covered && rng.UniformInt(0, 1) == 0) {
+            scores(a, b) = RandomScore(&rng);
+          }
+        }
+      }
+      for (int i = 0; i < 3; ++i) {
+        const int a = static_cast<int>(rng.UniformInt(0, rows - 1));
+        const int b = static_cast<int>(rng.UniformInt(0, cols - 1));
+        if (!changed[static_cast<size_t>(a)]) continue;
+        if (is_feature) frozen.Insert(a, b);
+        else if (a != b) frozen.InsertSymmetric(a, b);
+      }
+    }
+    std::vector<int> named;
+    for (int r = 0; r < rows; ++r) {
+      if (changed[static_cast<size_t>(r)]) named.push_back(r);
+    }
+    cache.Invalidate(named);
+    const std::vector<FlipCandidate> cached =
+        cache.Scan(access, &frozen, score);
+    const std::vector<FlipCandidate> full =
+        TopFlips<is_feature>(rows, cols, access, &frozen, keep, score);
+    ASSERT_TRUE(SameCandidates(cached, full));
+    ASSERT_TRUE(SameCandidates(
+        full, ReferenceTop<is_feature>(scores, access, frozen, keep)));
+    last = cached;
+  }
+}
+
+TEST(ScanCacheTest, CachedScanEqualsFullScanAtAnyThreadCount) {
+  uint64_t seed = 700;
+  for (const int threads : {1, 2, 8}) {
+    const ScopedThreads scope(threads);
+    // keep 0 (Gumbel) returns every candidate in row-major order.
+    for (const int keep : {0, 1, 3, 16}) {
+      for (const bool restricted : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads << " keep "
+                                        << keep << " restricted "
+                                        << restricted);
+        ExpectCacheMatchesFullScan</*is_feature=*/false>(keep, restricted,
+                                                         ++seed);
+        ExpectCacheMatchesFullScan</*is_feature=*/true>(keep, restricted,
+                                                        ++seed);
+      }
+    }
+  }
+}
+
+TEST(FlipSetTest, RowCursorWalksOneRowsFrozenColumns) {
+  FlipSet set(10);
+  set.Insert(2, 7);
+  set.Insert(2, 3);
+  set.Insert(3, 0);  // the next row: never reported for row 2
+  set.Insert(1, 9);
+  FlipSet::RowCursor cursor = set.Row(2);
+  EXPECT_EQ(cursor.NextFrozen(0, 10), 3);
+  EXPECT_EQ(cursor.NextFrozen(3, 10), 3);
+  EXPECT_EQ(cursor.NextFrozen(4, 10), 7);
+  EXPECT_EQ(cursor.NextFrozen(8, 10), 10);
+  EXPECT_EQ(set.Row(0).NextFrozen(0, 10), 10);
+  EXPECT_EQ(FlipSet::RowCursor().NextFrozen(0, 10), 10);
 }
 
 class AttackerContract : public ::testing::Test {

@@ -425,11 +425,15 @@ TEST(FuzzTest, MutatedGraphFilesLoadOrFailCleanly) {
   const std::string path = TempPath("graph.txt");
   ASSERT_TRUE(graph::SaveGraph(g, path).ok());
   const std::string saved = ReadFile(path);
-  const std::vector<std::string> corpus = {saved};
+  // A short file declaring a feature matrix just past the memory limit.
+  std::string oversized = "peega-graph 1\nbig\n1000 2 268436\n0\n0\n";
+  for (int v = 0; v < 1000; ++v) oversized += "0 ";
+  oversized += "\n0\n0\n0\n";
+  const std::vector<std::string> corpus = {saved, oversized};
   linalg::Rng rng(kSeed);
   int loaded = 0;
   for (int i = 0; i < kIterations / 10; ++i) {
-    const std::string text = Mutate(saved, corpus, &rng);
+    const std::string text = Mutate(Pick(corpus, &rng), corpus, &rng);
     WriteFile(path, text);
     const status::StatusOr<graph::Graph> result = graph::LoadGraph(path);
     ExpectOkInvalidInputOrIoError(result.status(), text);

@@ -439,6 +439,42 @@ TEST(IoTest, LoadRejectsCountsTheFileCannotHold) {
   }
 }
 
+// The feature dim is not backed by file bytes (features are stored as
+// sparse coordinates), so the dense N x F matrix is bounded by a memory
+// limit instead: a short file past it is refused at the header line,
+// before anything is allocated.
+TEST(IoTest, LoadRejectsFeatureMatrixPastTheMemoryLimit) {
+  std::string labels;
+  for (int v = 0; v < 1000; ++v) labels += "0 ";
+  const struct {
+    const char* name;
+    std::string dims;
+    const char* what;
+  } rows[] = {
+      // 1000 x 268436 floats is 1 GiB + 2.2 MB: just past the limit.
+      {"just_past", "1000 2 268436", "feature matrix 1000 x 268436"},
+      {"huge_dim", "1000 2 1099511627776", "feature dim"},
+  };
+  EXPECT_GT(1000LL * 268436 * 4, kMaxFeatureMatrixBytes);
+  EXPECT_LE(1000LL * 268435 * 4, kMaxFeatureMatrixBytes);
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    const std::string path = WriteFixture(
+        std::string("features_") + row.name + ".txt",
+        "peega-graph 1\nbig\n" + row.dims + "\n0\n0\n" + labels +
+            "\n0\n0\n0\n");
+    const auto result = LoadGraph(path);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), repro::status::Code::kInvalidInput);
+    EXPECT_NE(result.status().message().find(path + ":line 3"),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find(row.what), std::string::npos)
+        << result.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
 TEST(IoTest, LoadRejectsSelfLoopEdge) {
   const std::string path = WriteFixture(
       "self_loop_graph.txt",

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "attack/random_attack.h"
@@ -205,16 +208,68 @@ TEST_F(PeegaContract, NormAndLayerVariantsRun) {
 
 TEST_F(PeegaContract, NoOscillationNetDiffEqualsBudgetSpent) {
   // Regression: the greedy loop must never re-flip a frozen entry, so
-  // the net graph diff equals the number of committed modifications.
+  // the net graph diff equals the number of committed modifications and
+  // no flip repeats. With the scan caches that means a flipped row must
+  // be rescanned, not served from the cache. Features-only and
+  // both-kinds campaigns, PEEGA (batch 1) and PEEGA-Batch.
   const Graph g = SmallGraph(21, 0.25);
   AttackOptions options;
   options.perturbation_rate = 0.25;
-  const AttackResult result = Run(g, PeegaAttack::Options(), options);
-  const auto diff = graph::ComputeEdgeDiff(g, result.poisoned);
-  const int64_t feature_diff =
-      graph::FeatureDiffCount(g, result.poisoned);
-  EXPECT_EQ(diff.total() + feature_diff,
-            result.edge_modifications + result.feature_modifications);
+  options.feature_cost = 0.1;
+  for (const PeegaAttack::Mode mode :
+       {PeegaAttack::Mode::kFeaturesOnly,
+        PeegaAttack::Mode::kTopologyAndFeatures}) {
+    for (const int batch : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode)
+                                      << " batch " << batch);
+      PeegaBatchAttack::Options batch_options;
+      batch_options.peega.mode = mode;
+      batch_options.batch_size = batch;
+      Rng rng(99);
+      const AttackResult result =
+          PeegaBatchAttack(batch_options).Attack(g, options, &rng);
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      EXPECT_GT(result.feature_modifications, 0);
+      const auto diff = graph::ComputeEdgeDiff(g, result.poisoned);
+      const int64_t feature_diff =
+          graph::FeatureDiffCount(g, result.poisoned);
+      EXPECT_EQ(diff.total() + feature_diff,
+                result.edge_modifications + result.feature_modifications);
+      // Edge flips come from the scan as (a < b), so a triple names one.
+      std::vector<std::tuple<bool, int, int>> seen;
+      for (const attack::Flip& flip : result.flips) {
+        seen.emplace_back(flip.is_feature, flip.a, flip.b);
+      }
+      std::sort(seen.begin(), seen.end());
+      EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+    }
+  }
+}
+
+// A batch larger than every row (and than all candidates together) takes
+// the whole ranked list each iteration: the same flips as the smallest
+// batch that holds every candidate, and no allocation sized by the batch.
+TEST_F(PeegaContract, OversizedBatchEqualsAllCandidatesBatch) {
+  const Graph g = SmallGraph(24, 0.1);
+  AttackOptions options;
+  options.perturbation_rate = 0.2;
+  options.feature_cost = 0.5;
+  const int64_t n = g.num_nodes;
+  const int64_t all_candidates = n * (n - 1) / 2 + n * g.features.cols();
+  ASSERT_LT(all_candidates, std::numeric_limits<int>::max());
+  std::vector<AttackResult> results;
+  for (const int batch : {static_cast<int>(all_candidates),
+                          std::numeric_limits<int>::max()}) {
+    PeegaBatchAttack::Options batch_options;
+    batch_options.batch_size = batch;
+    Rng rng(99);
+    results.push_back(PeegaBatchAttack(batch_options).Attack(g, options, &rng));
+    ASSERT_TRUE(results.back().status.ok())
+        << results.back().status.ToString();
+  }
+  ASSERT_GT(results[0].flips.size(), 0u);
+  EXPECT_EQ(results[0].flips, results[1].flips);
+  EXPECT_EQ(results[0].final_objective, results[1].final_objective);
 }
 
 // Out-of-range options are rejected before any work, through both

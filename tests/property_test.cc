@@ -3,6 +3,8 @@
 // must hold on random graphs; training must be deterministic given a
 // seed. These parameterized tests sweep configurations the per-module
 // unit tests spot-check.
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -519,6 +521,145 @@ TEST(EngineCacheProperty, ClosedFormGradientsMatchTapeAndFiniteDifference) {
     const double analytic = engine.FeatureGradient(v, j);
     EXPECT_NEAR(fd, analytic, 5e-2 * std::max(1.0, std::fabs(analytic)))
         << "feature (" << v << ", " << j << ")";
+  }
+}
+
+// Every score an engine exposes, as bits: feature gradients and scores
+// when it attacks features, edge scores (u < v) when it attacks edges.
+std::vector<uint32_t> ScoreBits(const core::PeegaEngine& engine,
+                                const core::PeegaEngine::Config& config) {
+  const auto bits = [](float x) { return std::bit_cast<uint32_t>(x); };
+  const int n = engine.num_nodes();
+  std::vector<uint32_t> out;
+  if (config.attack_features) {
+    for (int v = 0; v < n; ++v) {
+      for (int j = 0; j < engine.num_features(); ++j) {
+        out.push_back(bits(engine.FeatureGradient(v, j)));
+        out.push_back(bits(engine.FeatureScore(v, j)));
+      }
+    }
+  }
+  if (config.attack_topology) {
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        out.push_back(bits(engine.EdgeScore(u, v)));
+      }
+    }
+  }
+  return out;
+}
+
+// Random flip steps, each followed by a refresh; after each, every
+// moved score must be covered by the refresh's changed sets.
+void ExpectChangedSetsCoverMovedScores(const Graph& g,
+                                       const core::PeegaEngine::Config& config,
+                                       uint64_t seed) {
+  const int n = g.num_nodes;
+  const int f = g.features.cols();
+  core::PeegaEngine engine(g, config);
+  ASSERT_TRUE(engine.RefreshScores().ok());
+  // The full build changes every row.
+  EXPECT_EQ(engine.changed_feature_rows().size(),
+            config.attack_features ? static_cast<size_t>(n) : 0u);
+  EXPECT_EQ(engine.changed_edge_rows().size(),
+            config.attack_topology ? static_cast<size_t>(n) : 0u);
+  std::vector<uint32_t> before = ScoreBits(engine, config);
+  size_t smallest = static_cast<size_t>(n);
+  Rng rng(seed);
+  for (int step = 0; step < 6; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    for (int i = static_cast<int>(rng.UniformInt(1, 3)); i > 0; --i) {
+      const bool edge = config.attack_topology &&
+                        (!config.attack_features || rng.UniformInt(0, 1) == 0);
+      const int u = static_cast<int>(rng.UniformInt(0, n - 1));
+      if (edge) {
+        engine.FlipEdge(u, static_cast<int>(
+                               (u + 1 + rng.UniformInt(0, n - 2)) % n));
+      } else {
+        engine.FlipFeature(u, static_cast<int>(rng.UniformInt(0, f - 1)));
+      }
+    }
+    ASSERT_TRUE(engine.RefreshScores().ok());
+    std::vector<char> feature_row(static_cast<size_t>(n), 0);
+    for (const int r : engine.changed_feature_rows()) {
+      feature_row[static_cast<size_t>(r)] = 1;
+    }
+    std::vector<char> edge_row(static_cast<size_t>(n), 0);
+    for (const int r : engine.changed_edge_rows()) {
+      edge_row[static_cast<size_t>(r)] = 1;
+    }
+    if (config.attack_features) {
+      smallest = std::min(smallest, engine.changed_feature_rows().size());
+    }
+    if (config.attack_topology) {
+      smallest = std::min(smallest, engine.changed_edge_rows().size());
+    }
+    const std::vector<uint32_t> after = ScoreBits(engine, config);
+    size_t k = 0;
+    int moved = 0;
+    if (config.attack_features) {
+      for (int v = 0; v < n; ++v) {
+        for (int j = 0; j < 2 * f; ++j, ++k) {
+          if (before[k] == after[k]) continue;
+          ++moved;
+          ASSERT_TRUE(feature_row[static_cast<size_t>(v)])
+              << "feature row " << v << " moved";
+        }
+      }
+    }
+    if (config.attack_topology) {
+      for (int u = 0; u < n; ++u) {
+        for (int v = u + 1; v < n; ++v, ++k) {
+          if (before[k] == after[k]) continue;
+          ++moved;
+          ASSERT_TRUE(edge_row[static_cast<size_t>(u)] ||
+                      edge_row[static_cast<size_t>(v)])
+              << "edge (" << u << ", " << v << ") moved";
+        }
+      }
+    }
+    EXPECT_GT(moved, 0);
+    before = after;
+  }
+  // One hop per layer: at l = 1 the sets fall well short of all rows.
+  if (config.layers == 1) {
+    EXPECT_LT(smallest, static_cast<size_t>(n) / 2);
+  }
+  // A refresh with nothing pending changes nothing.
+  ASSERT_TRUE(engine.RefreshScores().ok());
+  EXPECT_TRUE(engine.changed_feature_rows().empty());
+  EXPECT_TRUE(engine.changed_edge_rows().empty());
+}
+
+// What a refresh reports as changed must cover every score it moved: a
+// feature row whose gradient or score changed bitwise is in
+// changed_feature_rows(), and an edge pair whose score changed has an
+// endpoint in changed_edge_rows(). The scan caches rescore only those.
+TEST(EngineCacheProperty, ChangedRowSetsCoverEveryMovedScore) {
+  graph::SyntheticConfig sbm;  // the golden replay's graph shape
+  sbm.num_nodes = 60;
+  sbm.num_classes = 3;
+  sbm.feature_dim = 48;
+  sbm.avg_degree = 4.0;
+  Rng sbm_rng(11);
+  const Graph graphs[] = {TestGraph(605), graph::MakeSynthetic(sbm, &sbm_rng)};
+  const struct {
+    const char* name;
+    bool topology;
+    bool features;
+  } modes[] = {{"both", true, true}, {"tm", true, false}, {"fp", false, true}};
+  uint64_t seed = 0;
+  for (const Graph& g : graphs) {
+    for (const auto& mode : modes) {
+      for (const int layers : {1, 2, 3}) {
+        SCOPED_TRACE(testing::Message() << g.num_nodes << " nodes, "
+                                        << mode.name << ", l = " << layers);
+        core::PeegaEngine::Config config = EngineConfig(layers);
+        config.attack_topology = mode.topology;
+        config.attack_features = mode.features;
+        ExpectChangedSetsCoverMovedScores(g, config, ++seed);
+      }
+    }
   }
 }
 
