@@ -50,13 +50,13 @@ struct AttackResult {
   int feature_modifications = 0;
   /// Wall-clock seconds spent inside Attack() (Tab. VII).
   double elapsed_seconds = 0.0;
-  /// Committed perturbations in commit order. Filled by the PEEGA
-  /// attackers (both engines); the differential tests diff these
-  /// sequences between the tape and incremental engines. Baseline
-  /// attackers may leave it empty.
+  /// Committed perturbations in commit order, filled by every attacker;
+  /// the differential tests diff these sequences between PEEGA's tape
+  /// and incremental engines, and replay them against `poisoned`.
   std::vector<Flip> flips;
   /// Final value of the attacker's objective on the poisoned graph, when
-  /// the attacker has one (PEEGA: the Def. 3 objective). 0 otherwise.
+  /// the attacker has one (PEEGA: the Def. 3 objective; Metattack: the
+  /// attack loss). 0 otherwise.
   double final_objective = 0.0;
   /// OK for a completed attack. kDeadlineExceeded / kCancelled /
   /// kNumericFault when the loop stopped early — `poisoned` then holds

@@ -1,14 +1,13 @@
 #include "attack/common.h"
 
 #include <algorithm>
-#include <limits>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "attack/attacker.h"
 #include "debug/check.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "parallel/thread_pool.h"
+#include "graph/graph.h"
 
 namespace repro::attack {
 
@@ -53,32 +52,6 @@ void FlipFeature(Matrix* features, int v, int j) {
   (*features)(v, j) = (*features)(v, j) > 0.5f ? 0.0f : 1.0f;
 }
 
-EdgeCandidate BestEdgeFlip(const Matrix& grad, const Matrix& dense_adjacency,
-                           const AccessControl& access,
-                           const FlipSet* exclude) {
-  const int n = dense_adjacency.rows();
-  const std::vector<FlipCandidate> best = TopFlips</*is_feature=*/false>(
-      n, n, access, exclude, 1, [&](int u, int v) {
-        const float direction = 1.0f - 2.0f * dense_adjacency(u, v);
-        return direction * (grad(u, v) + grad(v, u));
-      });
-  if (best.empty()) return {-1, -1, -std::numeric_limits<float>::infinity()};
-  return {best[0].flip.a, best[0].flip.b, best[0].score};
-}
-
-FeatureCandidate BestFeatureFlip(const Matrix& grad, const Matrix& features,
-                                 const AccessControl& access,
-                                 const FlipSet* exclude) {
-  const std::vector<FlipCandidate> best = TopFlips</*is_feature=*/true>(
-      features.rows(), features.cols(), access, exclude, 1,
-      [&](int v, int j) {
-        const float direction = 1.0f - 2.0f * features(v, j);
-        return direction * grad(v, j);
-      });
-  if (best.empty()) return {-1, -1, -std::numeric_limits<float>::infinity()};
-  return {best[0].flip.a, best[0].flip.b, best[0].score};
-}
-
 void KeepTop(std::vector<FlipCandidate>* candidates, int keep) {
   if (keep <= 0) return;
   const size_t take = std::min(candidates->size(), static_cast<size_t>(keep));
@@ -97,6 +70,16 @@ SparseMatrix DenseToAdjacency(const Matrix& dense) {
     }
   }
   return SparseMatrix::FromTriplets(dense.rows(), dense.cols(), triplets);
+}
+
+void CommitEdgeFlips(const graph::Graph& g,
+                     const std::vector<std::pair<int, int>>& pairs,
+                     AttackResult* result) {
+  for (const auto& [u, v] : pairs) {
+    result->flips.push_back({false, std::min(u, v), std::max(u, v)});
+    ++result->edge_modifications;
+  }
+  result->poisoned = g.WithAdjacency(graph::WithFlips(g.adjacency, pairs));
 }
 
 }  // namespace repro::attack

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "attack/attacker.h"
@@ -103,28 +104,7 @@ class FlipSet {
     Insert(v, u);
   }
 
-  /// Toggles an undirected edge's membership: present → removed,
-  /// absent → inserted. Used by samplers (random / DICE) that may
-  /// revisit a pair, where the set tracks the delta against the clean
-  /// CSR rather than a freeze list.
-  void ToggleSymmetric(int u, int v) {
-    Toggle(u, v);
-    Toggle(v, u);
-  }
-
-  size_t size() const { return keys_.size(); }
-
  private:
-  void Toggle(int r, int c) {
-    const int64_t key = Key(r, c);
-    const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-    if (it != keys_.end() && *it == key) {
-      keys_.erase(it);
-    } else {
-      keys_.insert(it, key);
-    }
-  }
-
   int64_t Key(int r, int c) const {
     return static_cast<int64_t>(r) * cols_ + c;
   }
@@ -139,34 +119,15 @@ void FlipEdge(linalg::Matrix* dense_adjacency, int u, int v);
 /// Flips X[v][j] between 0 and 1.
 void FlipFeature(linalg::Matrix* features, int v, int j);
 
-/// Best allowed edge flip (u < v) of a dense gradient, scored
-/// (grad[u][v] + grad[v][u]) * (1 - 2 A[u][v]), skipping the freeze set
-/// `exclude`; {-1, -1, -inf} when none is allowed. `TopFlips` with
-/// keep = 1: ties go to the lowest (u, v) at any thread count.
-struct EdgeCandidate {
-  int u = -1;
-  int v = -1;
-  float score = 0.0f;
-};
-EdgeCandidate BestEdgeFlip(const linalg::Matrix& grad,
-                           const linalg::Matrix& dense_adjacency,
-                           const AccessControl& access,
-                           const FlipSet* exclude = nullptr);
-
-/// Best allowed feature flip: score = grad[v][j] * (1 - 2 X[v][j]); same
-/// contract as `BestEdgeFlip`.
-struct FeatureCandidate {
-  int node = -1;
-  int dim = -1;
-  float score = 0.0f;
-};
-FeatureCandidate BestFeatureFlip(const linalg::Matrix& grad,
-                                 const linalg::Matrix& features,
-                                 const AccessControl& access,
-                                 const FlipSet* exclude = nullptr);
-
 /// Rebuilds a binary symmetric SparseMatrix from a dense 0/1 adjacency.
 linalg::SparseMatrix DenseToAdjacency(const linalg::Matrix& dense);
+
+/// Commits distinct edge flips to the clean graph `g` through
+/// graph::WithFlips: sets `result->poisoned`, and records each pair as a
+/// Flip (a < b) in `result->flips` and in `edge_modifications`.
+void CommitEdgeFlips(const graph::Graph& g,
+                     const std::vector<std::pair<int, int>>& pairs,
+                     AttackResult* result);
 
 /// A flip and the greedy score of committing it.
 struct FlipCandidate {

@@ -1,5 +1,6 @@
 #include "attack/dice.h"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,21 +22,21 @@ AttackResult DiceAttack::Attack(const graph::Graph& g,
   auto edges = g.EdgeList();
 
   AttackResult result;
-  int spent = 0;
   int attempts = 0;
   const int max_attempts = budget * 400 + 1000;
   // The current edge state is the clean CSR XOR the toggles committed so
   // far — no densified copy. `delta` holds the toggled pairs; `toggles`
-  // records them in commit order for the final sparse rebuild (the two
-  // only differ if a pair is revisited, which the delta test prevents).
+  // records them in commit order for the final sparse rebuild. No pair
+  // is toggled twice: additions join classes, deletions stay in one.
   FlipSet delta(g.num_nodes);
   std::vector<std::pair<int, int>> toggles;
   const auto has_edge_now = [&](int u, int v) {
     return (g.adjacency.At(u, v) > 0.0f) != delta.Contains(u, v);
   };
-  while (spent < budget && attempts++ < max_attempts) {
+  while (static_cast<int>(toggles.size()) < budget &&
+         attempts++ < max_attempts) {
     result.status = attack_options.deadline.Check(
-        name() + " flip " + std::to_string(spent));
+        name() + " flip " + std::to_string(toggles.size()));
     if (!result.status.ok()) break;  // flips so far form the result
     int u;
     int v;
@@ -55,13 +56,10 @@ AttackResult DiceAttack::Attack(const graph::Graph& g,
       if (g.labels[u] != g.labels[v]) continue;
       if (!has_edge_now(u, v) || !access.EdgeAllowed(u, v)) continue;
     }
-    delta.ToggleSymmetric(u, v);
+    delta.InsertSymmetric(u, v);
     toggles.emplace_back(u, v);
-    result.flips.push_back({false, u, v});
-    ++result.edge_modifications;
-    ++spent;
   }
-  result.poisoned = g.WithAdjacency(graph::WithFlips(g.adjacency, toggles));
+  CommitEdgeFlips(g, toggles, &result);
   result.elapsed_seconds = watch.Seconds();
   return result;
 }

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "attack/common.h"
+#include "graph/graph.h"
 #include "linalg/eigen.h"
 #include "linalg/ops.h"
 #include "obs/stopwatch.h"
@@ -102,7 +105,6 @@ AttackResult GfAttack::Attack(const graph::Graph& g,
   // recomputing the truncated spectrum of the perturbed matrix.
   const int refine_count = std::min<int>(
       static_cast<int>(scored.size()), options_.refine_factor * budget);
-  Matrix dense = g.adjacency.ToDense();
   AttackResult result;
   for (int i = 0; i < refine_count; ++i) {
     result.status = attack_options.deadline.Check(
@@ -110,9 +112,8 @@ AttackResult GfAttack::Attack(const graph::Graph& g,
     // Best-so-far: candidates refined so far keep their exact scores,
     // the rest fall back to the perturbation-theory estimate.
     if (!result.status.ok()) break;
-    FlipEdge(&dense, scored[i].u, scored[i].v);
-    const SparseMatrix a_pert =
-        graph::GcnNormalize(DenseToAdjacency(dense));
+    const SparseMatrix a_pert = graph::GcnNormalize(
+        graph::CsrFlipEdge(g.adjacency, scored[i].u, scored[i].v));
     linalg::Rng refine_rng(12345);
     EigenResult pert = linalg::TopKEigenSymmetric(
         a_pert, rank, &refine_rng, options_.refine_iters);
@@ -129,18 +130,17 @@ AttackResult GfAttack::Attack(const graph::Graph& g,
     }
     scored[i].score = std::fabs(
         FilterEnergy(pert.values, fn, options_.window) - clean_energy);
-    FlipEdge(&dense, scored[i].u, scored[i].v);  // undo
   }
   std::sort(scored.begin(), scored.begin() + refine_count,
             [](const Scored& a, const Scored& b) {
               return a.score > b.score;
             });
 
+  std::vector<std::pair<int, int>> pairs;
   for (int i = 0; i < std::min<int>(budget, scored.size()); ++i) {
-    FlipEdge(&dense, scored[i].u, scored[i].v);
-    ++result.edge_modifications;
+    pairs.emplace_back(scored[i].u, scored[i].v);
   }
-  result.poisoned = g.WithAdjacency(DenseToAdjacency(dense));
+  CommitEdgeFlips(g, pairs, &result);
   result.elapsed_seconds = watch.Seconds();
   return result;
 }

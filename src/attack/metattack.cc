@@ -1,6 +1,6 @@
 #include "attack/metattack.h"
 
-#include "attack/common.h"
+#include "attack/greedy.h"
 #include "autograd/tape.h"
 #include "linalg/ops.h"
 #include "nn/init.h"
@@ -17,8 +17,6 @@ AttackResult Metattack::Attack(const graph::Graph& g,
                                const AttackOptions& attack_options,
                                linalg::Rng* rng) {
   const obs::StopWatch watch;
-  const int budget = ComputeBudget(g, attack_options.perturbation_rate);
-  const AccessControl access(g.num_nodes, attack_options.attacker_nodes);
 
   // Self-training: pseudo-labels for the outer (attack) loss.
   const std::vector<int> pseudo = nn::SelfTrainLabels(g, rng);
@@ -27,7 +25,6 @@ AttackResult Metattack::Attack(const graph::Graph& g,
     pseudo_onehot(v, pseudo[v]) = 1.0f;
   }
   const Matrix train_labels = g.OneHotLabels();
-  const std::vector<float> train_mask = g.NodeMask(g.train_nodes);
   std::vector<float> unlabeled_mask(g.num_nodes, 1.0f);
   for (int v : g.train_nodes) unlabeled_mask[v] = 0.0f;
   // Row mask as a matrix for masking the inner gradient.
@@ -45,71 +42,39 @@ AttackResult Metattack::Attack(const graph::Graph& g,
   const Matrix w0 =
       nn::GlorotUniform(g.features.cols(), g.num_classes, &init_rng);
 
-  Matrix dense = g.adjacency.ToDense();
-  Matrix features = g.features;
-  // Once-flipped entries are frozen so the greedy loop cannot oscillate
-  // on a single edge once a local optimum is reached.
-  FlipSet edge_done(g.num_nodes);
-  FlipSet feature_done(g.features.cols());
-  AttackResult result;
-  double spent = 0.0;
-
-  while (spent + 1e-9 < budget) {
-    result.status = attack_options.deadline.Check(
-        name() + " greedy step " +
-        std::to_string(result.edge_modifications +
-                      result.feature_modifications));
-    if (!result.status.ok()) break;  // flips so far form the result
-    Tape tape;
-    Var a = tape.Input(dense, /*requires_grad=*/true);
-    Var x = tape.Input(features,
-                       /*requires_grad=*/options_.attack_features);
-    Var a_n = tape.GcnNormalizeDense(a);
+  // The attack loss after unrolled inner training, as a function of the
+  // dense adjacency `a` and features `x`.
+  const auto objective = [&](Tape* tape, Var a, Var x) {
+    Var a_n = tape->GcnNormalizeDense(a);
     // M = A_n (A_n X): two N x d products instead of an N^3 square.
-    Var m = tape.MatMul(a_n, tape.MatMul(a_n, x));
-    Var mt = tape.Transpose(m);
+    Var m = tape->MatMul(a_n, tape->MatMul(a_n, x));
+    Var mt = tape->Transpose(m);
     // Unrolled inner training of the linear surrogate W.
-    Var w = tape.Input(w0, /*requires_grad=*/false);
+    Var w = tape->Input(w0, /*requires_grad=*/false);
     for (int t = 0; t < options_.inner_steps; ++t) {
-      Var probs = tape.RowSoftmax(tape.MatMul(m, w));
+      Var probs = tape->RowSoftmax(tape->MatMul(m, w));
       Var masked_diff =
-          tape.MulConst(tape.Sub(probs, tape.Input(train_labels, false)),
-                        train_mask_matrix);
-      Var gw = tape.Scale(tape.MatMul(mt, masked_diff), inv_train);
-      w = tape.Sub(w, tape.Scale(gw, options_.inner_lr));
+          tape->MulConst(tape->Sub(probs, tape->Input(train_labels, false)),
+                         train_mask_matrix);
+      Var gw = tape->Scale(tape->MatMul(mt, masked_diff), inv_train);
+      w = tape->Sub(w, tape->Scale(gw, options_.inner_lr));
     }
     // Outer attack loss on unlabeled nodes vs. pseudo-labels. The greedy
     // step maximizes it, so flip scores use the raw (ascent) gradient.
-    Var attack_loss = tape.SoftmaxCrossEntropy(
-        tape.MatMul(m, w), pseudo_onehot, unlabeled_mask);
-    tape.Backward(attack_loss);
+    return tape->SoftmaxCrossEntropy(tape->MatMul(m, w), pseudo_onehot,
+                                     unlabeled_mask);
+  };
 
-    const EdgeCandidate edge =
-        BestEdgeFlip(a.grad(), dense, access, &edge_done);
-    FeatureCandidate feature;
-    if (options_.attack_features && attack_options.feature_cost > 0.0 &&
-        spent + attack_options.feature_cost <= budget) {
-      feature = BestFeatureFlip(x.grad(), features, access, &feature_done);
-      feature.score /= static_cast<float>(attack_options.feature_cost);
-    }
-    if (edge.u < 0 && feature.node < 0) break;
-    if (feature.node >= 0 && feature.score > edge.score) {
-      FlipFeature(&features, feature.node, feature.dim);
-      feature_done.Insert(feature.node, feature.dim);
-      ++result.feature_modifications;
-      spent += attack_options.feature_cost;
-    } else if (edge.u >= 0) {
-      FlipEdge(&dense, edge.u, edge.v);
-      edge_done.InsertSymmetric(edge.u, edge.v);
-      ++result.edge_modifications;
-      spent += 1.0;
-    } else {
-      break;
-    }
-  }
-
-  result.poisoned =
-      g.WithAdjacency(DenseToAdjacency(dense)).WithFeatures(features);
+  GreedyConfig config;
+  config.name = name();
+  config.attack_features = options_.attack_features;
+  TapeOracle oracle(g, config, objective);
+  AttackResult result;
+  GreedyCampaign(config, g, attack_options, /*replay=*/{},
+                 [](size_t, const std::vector<Flip>&, double) {
+                   return status::Status::Ok();
+                 },
+                 rng, &oracle, &result);
   result.elapsed_seconds = watch.Seconds();
   return result;
 }

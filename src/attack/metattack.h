@@ -14,7 +14,10 @@ namespace repro::attack {
 /// updates yields the exact meta-gradient with respect to the (relaxed,
 /// dense) adjacency and features. Greedy selection then commits the
 /// highest-scoring flip S = grad ⊙ (-2Â + 1) and repeats until the
-/// budget is exhausted.
+/// budget is exhausted: PEEGA's campaign (attack/greedy.h) over a
+/// TapeOracle of this loss, so the budget, freeze, tie-break, deadline
+/// and fault contract are PEEGA's, and `final_objective` is the attack
+/// loss on the poisoned graph.
 ///
 /// Meta-Self: the inner training loss uses the true training labels
 /// (gray-box input); the outer attack loss is evaluated on the unlabeled

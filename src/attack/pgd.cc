@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "attack/common.h"
@@ -137,12 +138,11 @@ AttackResult PgdAttack::Attack(const graph::Graph& g,
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  Matrix dense = a_dense;
+  std::vector<std::pair<int, int>> pairs;
   for (int i = 0; i < std::min<int>(budget, ranked.size()); ++i) {
-    FlipEdge(&dense, ranked[i].second.first, ranked[i].second.second);
-    ++result.edge_modifications;
+    pairs.push_back(ranked[i].second);
   }
-  result.poisoned = g.WithAdjacency(DenseToAdjacency(dense));
+  CommitEdgeFlips(g, pairs, &result);
   result.elapsed_seconds = watch.Seconds();
   return result;
 }

@@ -1,10 +1,11 @@
 #include "attack/random_attack.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "attack/common.h"
-#include "graph/graph.h"
 #include "obs/stopwatch.h"
 
 namespace repro::attack {
@@ -16,26 +17,27 @@ AttackResult RandomAttack::Attack(const graph::Graph& g,
   const int budget = ComputeBudget(g, options.perturbation_rate);
   const AccessControl access(g.num_nodes, options.attacker_nodes);
   AttackResult result;
-  int spent = 0;
   int attempts = 0;
   const int max_attempts = budget * 200 + 1000;
-  // Toggles are only recorded here — never applied to a dense matrix.
-  // graph::WithFlips parity-cancels a pair drawn twice, exactly like
-  // toggling it twice in a densified copy did.
-  std::vector<std::pair<int, int>> toggles;
-  while (spent < budget && attempts++ < max_attempts) {
-    result.status =
-        options.deadline.Check(name() + " flip " + std::to_string(spent));
+  // A pair is drawn at most once: a second toggle would cancel the first
+  // in graph::WithFlips and spend budget on no net change.
+  FlipSet drawn(g.num_nodes);
+  std::vector<std::pair<int, int>> pairs;
+  while (static_cast<int>(pairs.size()) < budget &&
+         attempts++ < max_attempts) {
+    result.status = options.deadline.Check(name() + " flip " +
+                                           std::to_string(pairs.size()));
     if (!result.status.ok()) break;  // flips so far form the result
     const int u = static_cast<int>(rng->UniformInt(0, g.num_nodes - 1));
     const int v = static_cast<int>(rng->UniformInt(0, g.num_nodes - 1));
     if (u == v || !access.EdgeAllowed(u, v)) continue;
-    toggles.emplace_back(u, v);
-    result.flips.push_back({false, u, v});
-    ++result.edge_modifications;
-    ++spent;
+    const int a = std::min(u, v);
+    const int b = std::max(u, v);
+    if (drawn.Contains(a, b)) continue;
+    drawn.Insert(a, b);
+    pairs.emplace_back(a, b);
   }
-  result.poisoned = g.WithAdjacency(graph::WithFlips(g.adjacency, toggles));
+  CommitEdgeFlips(g, pairs, &result);
   result.elapsed_seconds = watch.Seconds();
   return result;
 }

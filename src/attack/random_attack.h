@@ -5,9 +5,9 @@
 
 namespace repro::attack {
 
-/// Baseline that flips uniformly random (allowed) edges until the budget
-/// is exhausted. Serves as the sanity floor every designed attacker must
-/// beat.
+/// Baseline that flips uniformly random (allowed) edges, each pair at
+/// most once, until the budget is exhausted. Serves as the sanity floor
+/// every designed attacker must beat.
 class RandomAttack : public Attacker {
  public:
   std::string name() const override { return "Random"; }

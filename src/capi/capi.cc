@@ -285,13 +285,20 @@ extern "C" gg_status gg_set_graph_csr(gg_ctx* ctx, int32_t num_nodes,
       return Fail(ctx, GG_INVALID_INPUT,
                   "gg_set_graph_csr: row_ptr[0] != 0");
     }
-    std::vector<std::tuple<int, int, float>> triplets;
-    triplets.reserve(static_cast<size_t>(row_ptr[num_nodes]));
+    // The whole row_ptr first: its last entry sizes the allocation below.
     for (int32_t u = 0; u < num_nodes; ++u) {
       if (row_ptr[u + 1] < row_ptr[u]) {
         return Fail(ctx, GG_INVALID_INPUT,
-                    "gg_set_graph_csr: row_ptr not nondecreasing");
+                    "gg_set_graph_csr: row_ptr decreases at row " +
+                        std::to_string(u));
       }
+    }
+    std::vector<std::tuple<int, int, float>> triplets;
+    triplets.reserve(static_cast<size_t>(row_ptr[num_nodes]));
+    // last_row[v] == u once row u listed column v: a repeat would be
+    // summed into weight 2 by FromTriplets.
+    std::vector<int32_t> last_row(static_cast<size_t>(num_nodes), -1);
+    for (int32_t u = 0; u < num_nodes; ++u) {
       for (int64_t k = row_ptr[u]; k < row_ptr[u + 1]; ++k) {
         const int32_t v = col_idx[k];
         if (v < 0 || v >= num_nodes) {
@@ -302,6 +309,12 @@ extern "C" gg_status gg_set_graph_csr(gg_ctx* ctx, int32_t num_nodes,
           return Fail(ctx, GG_INVALID_INPUT,
                       "gg_set_graph_csr: self-loop rejected");
         }
+        if (last_row[static_cast<size_t>(v)] == u) {
+          return Fail(ctx, GG_INVALID_INPUT,
+                      "gg_set_graph_csr: duplicate column " +
+                          std::to_string(v) + " in row " + std::to_string(u));
+        }
+        last_row[static_cast<size_t>(v)] = u;
         triplets.emplace_back(u, v, 1.0f);
       }
     }

@@ -91,7 +91,8 @@ gg_status gg_save_graph(gg_ctx* ctx, const char* path);
 /* Installs a graph from caller-owned CSR buffers. The adjacency must be
  * symmetric and self-loop free; entries are taken as binary (value 1).
  *   row_ptr:  num_nodes+1 entries, row_ptr[0] == 0, nondecreasing;
- *   col_idx:  row_ptr[num_nodes] entries, each in [0, num_nodes);
+ *   col_idx:  row_ptr[num_nodes] entries, each in [0, num_nodes) and
+ *             listed at most once per row;
  *   features: row-major num_nodes x num_features, may be NULL when
  *             num_features == 0;
  *   labels:   num_nodes entries in [0, num_classes), or NULL for all-0.

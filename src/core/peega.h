@@ -40,13 +40,14 @@ class PeegaAttack : public attack::Attacker {
   };
 
   /// Score oracle of the greedy loop, which PEEGA and PEEGA-Batch share
-  /// (GreedyCampaign in core/peega.cc). Both oracles produce the SAME
+  /// (attack::GreedyCampaign in attack/greedy.h). Both oracles produce the SAME
   /// flip sequence (differentially tested in tests/engine_equiv_test.cc):
   ///   kIncremental — cached closed-form gradients with sparse delta
   ///     updates after each committed flip (core/peega_engine.h); the
   ///     default, and the one Tab. VII timings use.
-  ///   kTape — re-derives every gradient through the autograd tape each
-  ///     iteration; O(N²F) per pass. Kept as the reference oracle.
+  ///   kTape — attack::TapeOracle: re-derives every gradient through the
+  ///     autograd tape each iteration; O(N²F) per pass. Kept as the
+  ///     reference oracle.
   enum class Engine {
     kIncremental,
     kTape,

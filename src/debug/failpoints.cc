@@ -31,7 +31,7 @@ Site g_sites[] = {
     {"linalg.spmm"},    // linalg/ops.cc SpMM: poisons the output with NaN
     {"engine.step"},    // core/peega_engine.cc RefreshScores
     {"trainer.epoch"},  // nn/trainer.cc epoch loop: poisons the loss
-    {"peega.interrupt"},  // core/peega.cc greedy loop: kCancelled
+    {"peega.interrupt"},  // attack/greedy.h greedy loop: kCancelled
     // serve.* sites fire inside the job server; failpoint_test's
     // save/load/attack/defend sweep skips them and journal_test sweeps
     // them through a live server instead.

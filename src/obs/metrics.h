@@ -15,7 +15,7 @@ namespace repro::obs {
 /// Collection is always on: every instrument is a relaxed atomic, so an
 /// update costs one uncontended RMW and hot loops amortize further by
 /// accumulating locally and adding once per chunk (see
-/// `attack::BestEdgeFlip`). Lookup by name takes a lock — call sites
+/// `attack::ScanCache::Scan`). Lookup by name takes a lock — call sites
 /// cache the pointer in a function-local static:
 ///
 ///     static obs::Counter* const calls = obs::GetCounter("spmm.calls");

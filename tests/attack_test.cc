@@ -77,6 +77,19 @@ TEST(CommonTest, FlipEdgeIsSymmetricToggle) {
   EXPECT_FLOAT_EQ(a(0, 2), 0.0f);
 }
 
+// The greedy flip scores S = grad ⊙ (1 - 2A): an edge sums both
+// directions of the gradient.
+auto EdgeFlipScore(const Matrix& grad, const Matrix& a) {
+  return [&grad, &a](int u, int v) {
+    return (1.0f - 2.0f * a(u, v)) * (grad(u, v) + grad(v, u));
+  };
+}
+auto FeatureFlipScore(const Matrix& grad, const Matrix& x) {
+  return [&grad, &x](int v, int j) {
+    return (1.0f - 2.0f * x(v, j)) * grad(v, j);
+  };
+}
+
 TEST(CommonTest, BestEdgeFlipPrefersHighScore) {
   // Gradient favors adding (0, 2) (both directions contribute).
   Matrix a(3, 3);
@@ -87,10 +100,12 @@ TEST(CommonTest, BestEdgeFlipPrefersHighScore) {
   grad(0, 1) = -10.0f;  // deleting (0,1) scores +20 > 6
   grad(1, 0) = -10.0f;
   const AccessControl access(3, {});
-  const EdgeCandidate best = BestEdgeFlip(grad, a, access);
-  EXPECT_EQ(best.u, 0);
-  EXPECT_EQ(best.v, 1);
-  EXPECT_FLOAT_EQ(best.score, 20.0f);
+  const std::vector<FlipCandidate> best = TopFlips</*is_feature=*/false>(
+      3, 3, access, nullptr, /*keep=*/1, EdgeFlipScore(grad, a));
+  ASSERT_EQ(best.size(), 1u);
+  EXPECT_EQ(best[0].flip.a, 0);
+  EXPECT_EQ(best[0].flip.b, 1);
+  EXPECT_FLOAT_EQ(best[0].score, 20.0f);
 }
 
 TEST(CommonTest, BestEdgeFlipRespectsAccess) {
@@ -99,9 +114,12 @@ TEST(CommonTest, BestEdgeFlipRespectsAccess) {
   grad(0, 2) = 100.0f;
   grad(1, 2) = 1.0f;
   const AccessControl access(3, {1});
-  const EdgeCandidate best = BestEdgeFlip(grad, a, access);
-  EXPECT_EQ(best.u, 1);  // (0,2) not allowed: neither endpoint controlled
-  EXPECT_EQ(best.v, 2);
+  const std::vector<FlipCandidate> best = TopFlips</*is_feature=*/false>(
+      3, 3, access, nullptr, /*keep=*/1, EdgeFlipScore(grad, a));
+  ASSERT_EQ(best.size(), 1u);
+  // (0,2) not allowed: neither endpoint controlled.
+  EXPECT_EQ(best[0].flip.a, 1);
+  EXPECT_EQ(best[0].flip.b, 2);
 }
 
 TEST(CommonTest, BestFeatureFlipDirectionality) {
@@ -111,10 +129,12 @@ TEST(CommonTest, BestFeatureFlipDirectionality) {
   grad(0, 0) = -3.0f;  // flipping 1 -> 0 gives score +3
   grad(1, 1) = 2.0f;   // flipping 0 -> 1 gives score +2
   const AccessControl access(2, {});
-  const FeatureCandidate best = BestFeatureFlip(grad, x, access);
-  EXPECT_EQ(best.node, 0);
-  EXPECT_EQ(best.dim, 0);
-  EXPECT_FLOAT_EQ(best.score, 3.0f);
+  const std::vector<FlipCandidate> best = TopFlips</*is_feature=*/true>(
+      2, 2, access, nullptr, /*keep=*/1, FeatureFlipScore(grad, x));
+  ASSERT_EQ(best.size(), 1u);
+  EXPECT_EQ(best[0].flip.a, 0);
+  EXPECT_EQ(best[0].flip.b, 0);
+  EXPECT_FLOAT_EQ(best[0].score, 3.0f);
 }
 
 TEST(CommonTest, DenseToAdjacencyDropsDiagonal) {
@@ -291,27 +311,53 @@ TEST(FlipSetTest, RowCursorWalksOneRowsFrozenColumns) {
 
 class AttackerContract : public ::testing::Test {
  protected:
+  // `beta` is the feature cost the attack ran with.
   void ExpectValidPoison(const Graph& clean, const AttackResult& result,
-                         int budget) {
+                         int budget, double beta = 1.0) {
     result.poisoned.CheckInvariants();
     const auto diff = graph::ComputeEdgeDiff(clean, result.poisoned);
     const int64_t feature_diff =
         graph::FeatureDiffCount(clean, result.poisoned);
-    EXPECT_LE(diff.total() + feature_diff, budget);
+    EXPECT_LE(diff.total() + beta * feature_diff, budget + 1e-9);
     EXPECT_EQ(diff.total(), result.edge_modifications);
     EXPECT_EQ(feature_diff, result.feature_modifications);
     EXPECT_GT(diff.total() + feature_diff, 0);
+    // Every attacker records the flips it committed.
+    EXPECT_EQ(result.flips.size(),
+              static_cast<size_t>(diff.total() + feature_diff));
   }
 };
 
 TEST_F(AttackerContract, RandomAttackBudgetAndInvariants) {
-  const Graph g = SmallGraph(2);
-  RandomAttack attacker;
-  AttackOptions options;
-  options.perturbation_rate = 0.1;
-  Rng rng(3);
-  const AttackResult result = attacker.Attack(g, options, &rng);
-  ExpectValidPoison(g, result, ComputeBudget(g, 0.1));
+  // A 12-node graph at rate 1 draws some pairs twice. A repeat is not
+  // flipped again, so the whole budget is net change; every recorded
+  // flip is ordered a < b.
+  graph::SyntheticConfig tiny;
+  tiny.name = "tiny";
+  tiny.num_nodes = 12;
+  tiny.num_classes = 2;
+  tiny.feature_dim = 4;
+  tiny.avg_degree = 3.0;
+  Rng tiny_rng(2);
+  const struct {
+    Graph g;
+    double rate;
+    uint64_t seed;
+  } inputs[] = {{SmallGraph(2), 0.1, 3},
+                {graph::MakeSynthetic(tiny, &tiny_rng), 1.0, 12}};
+  for (const auto& input : inputs) {
+    RandomAttack attacker;
+    AttackOptions options;
+    options.perturbation_rate = input.rate;
+    Rng rng(input.seed);
+    const AttackResult result = attacker.Attack(input.g, options, &rng);
+    ExpectValidPoison(input.g, result, ComputeBudget(input.g, input.rate));
+    EXPECT_EQ(result.edge_modifications, ComputeBudget(input.g, input.rate));
+    for (const Flip& flip : result.flips) {
+      EXPECT_FALSE(flip.is_feature);
+      EXPECT_LT(flip.a, flip.b);
+    }
+  }
 }
 
 TEST_F(AttackerContract, PgdBudgetAndInvariants) {
@@ -342,15 +388,30 @@ TEST_F(AttackerContract, MinMaxBudgetAndInvariants) {
 }
 
 TEST_F(AttackerContract, MetattackBudgetAndInvariants) {
-  const Graph g = SmallGraph(5, 0.25);
-  Metattack::Options fast;
-  fast.inner_steps = 10;
-  Metattack attacker(fast);
-  AttackOptions options;
-  options.perturbation_rate = 0.05;
-  Rng rng(6);
-  const AttackResult result = attacker.Attack(g, options, &rng);
-  ExpectValidPoison(g, result, ComputeBudget(g, 0.05));
+  // At beta < 1 the budget can be left able to afford a feature flip but
+  // not an edge flip; committing an edge then would overspend.
+  const struct {
+    uint64_t graph_seed;
+    int inner_steps;
+    double rate;
+    double beta;
+    uint64_t seed;
+  } inputs[] = {{5, 10, 0.05, 1.0, 6}, {2, 5, 0.02, 0.3, 102},
+                {2, 5, 0.02, 0.5, 102}};
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(testing::Message() << "beta " << input.beta);
+    const Graph g = SmallGraph(input.graph_seed, 0.25);
+    Metattack::Options fast;
+    fast.inner_steps = input.inner_steps;
+    Metattack attacker(fast);
+    AttackOptions options;
+    options.perturbation_rate = input.rate;
+    options.feature_cost = input.beta;
+    Rng rng(input.seed);
+    const AttackResult result = attacker.Attack(g, options, &rng);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    ExpectValidPoison(g, result, ComputeBudget(g, input.rate), input.beta);
+  }
 }
 
 TEST_F(AttackerContract, GfAttackBudgetAndInvariants) {

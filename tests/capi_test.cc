@@ -325,6 +325,23 @@ TEST(CapiCsrTest, ValidatesAndInstallsCallerBuffers) {
                              nullptr, labels),
             GG_INVALID_INPUT);
 
+  // Duplicate column: 0-1 listed twice would sum to weight 2.
+  const int64_t dup_row_ptr[] = {0, 2, 4, 4};
+  const int32_t dup_col_idx[] = {1, 1, 0, 0};
+  EXPECT_EQ(gg_set_graph_csr(gg, 3, 2, dup_row_ptr, dup_col_idx, 0,
+                             nullptr, labels),
+            GG_INVALID_INPUT);
+  EXPECT_STREQ(gg_last_error(gg),
+               "gg_set_graph_csr: duplicate column 1 in row 0");
+
+  // Negative row_ptr[num_nodes]: rejected before it sizes an allocation.
+  const int64_t neg_row_ptr[] = {0, 1, 1, -1};
+  EXPECT_EQ(gg_set_graph_csr(gg, 3, 2, neg_row_ptr, col_idx, 0, nullptr,
+                             labels),
+            GG_INVALID_INPUT);
+  EXPECT_STREQ(gg_last_error(gg),
+               "gg_set_graph_csr: row_ptr decreases at row 2");
+
   // A failed install leaves the previous (valid) graph in place.
   EXPECT_EQ(gg_num_nodes(gg), 3);
   gg_free(gg);

@@ -11,6 +11,8 @@
 //     journal record per JobState, the checkpoint of an interrupted tiny
 //     campaign, SaveGraph of a small graph, gg_save_model of a tiny
 //     model). Invariant: OK, INVALID_INPUT or IO_ERROR.
+//   - caller buffers: gg_set_graph_csr over mutated CSR arrays.
+//     Invariant: OK with a binary graph, or INVALID_INPUT.
 // No reader may crash or report INTERNAL (the asan-ubsan preset runs
 // this test too). The seed and the iteration budgets are fixed, so a
 // failure reproduces exactly.
@@ -473,6 +475,51 @@ TEST(FuzzTest, MutatedModelFilesLoadOrFailCleanly) {
   gg_free(gg);
   std::remove(path.c_str());
   std::remove(graph_path.c_str());
+}
+
+// gg_set_graph_csr over mutated copies of three CSR seeds: a valid
+// 4-cycle, the cycle with one edge listed twice in both its rows, and a
+// row_ptr that ends negative. Entries stay within the buffers' bounds.
+// Invariant: GG_INVALID_INPUT, or GG_OK with every listed entry one
+// edge of the installed graph.
+TEST(FuzzTest, MutatedCsrBuffersInstallOrFailInvalidInput) {
+  const int32_t n = 4;
+  const std::vector<std::vector<int64_t>> row_ptrs = {
+      {0, 2, 4, 6, 8}, {0, 3, 6, 8, 10}, {0, 2, 4, 6, -1}};
+  const std::vector<std::vector<int32_t>> col_idxs = {
+      {1, 3, 0, 2, 1, 3, 0, 2},
+      {1, 1, 3, 0, 0, 2, 1, 3, 0, 2},
+      {1, 3, 0, 2, 1, 3, 0, 2}};
+  gg_ctx* gg = gg_init();
+  ASSERT_NE(gg, nullptr);
+  linalg::Rng rng(kSeed);
+  int installed = 0;
+  for (int i = 0; i < kIterations / 10; ++i) {
+    const size_t pick = static_cast<size_t>(rng.UniformInt(0, 2));
+    std::vector<int64_t> row_ptr = row_ptrs[pick];
+    std::vector<int32_t> col_idx = col_idxs[pick];
+    const int64_t size = static_cast<int64_t>(col_idx.size());
+    for (int64_t e = rng.UniformInt(0, 3); e > 0; --e) {
+      if (rng.UniformInt(0, 1) == 0) {
+        row_ptr[static_cast<size_t>(rng.UniformInt(1, n))] =
+            rng.UniformInt(-2, size);
+      } else {
+        col_idx[static_cast<size_t>(rng.UniformInt(0, size - 1))] =
+            static_cast<int32_t>(rng.UniformInt(-1, n));
+      }
+    }
+    const gg_status code = gg_set_graph_csr(
+        gg, n, 2, row_ptr.data(), col_idx.data(), 0, nullptr, nullptr);
+    ASSERT_TRUE(code == GG_OK || code == GG_INVALID_INPUT)
+        << gg_status_name(code) << ": " << gg_last_error(gg) << "\nseed "
+        << pick << " mutated " << i;
+    if (code == GG_OK) {
+      ++installed;
+      EXPECT_EQ(2 * gg_num_edges(gg), row_ptr[n]) << "mutated " << i;
+    }
+  }
+  EXPECT_GT(installed, 0);
+  gg_free(gg);
 }
 
 }  // namespace

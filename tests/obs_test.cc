@@ -385,11 +385,15 @@ TEST(Metrics, CountsAreIdenticalAtAnyThreadCount) {
     obs::Counter* chunks = obs::GetCounter("parallel.chunks");
     const uint64_t scanned_before = scanned->value();
     const uint64_t chunks_before = chunks->value();
-    const attack::EdgeCandidate best =
-        attack::BestEdgeFlip(grad, dense, access, nullptr);
+    const std::vector<attack::FlipCandidate> best =
+        attack::TopFlips</*is_feature=*/false>(
+            n, n, access, nullptr, /*keep=*/1, [&](int u, int v) {
+              return (1.0f - 2.0f * dense(u, v)) * (grad(u, v) + grad(v, u));
+            });
     scanned_deltas.push_back(scanned->value() - scanned_before);
     chunk_deltas.push_back(chunks->value() - chunks_before);
-    winners.emplace_back(best.u, best.v);
+    ASSERT_EQ(best.size(), 1u);
+    winners.emplace_back(best[0].flip.a, best[0].flip.b);
   }
   EXPECT_EQ(scanned_deltas[0], scanned_deltas[1]);
   EXPECT_EQ(scanned_deltas[0], scanned_deltas[2]);

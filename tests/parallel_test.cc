@@ -245,11 +245,15 @@ TEST(ParallelDeterminism, BestEdgeFlipTieBreaksToLowestIndex) {
   const attack::AccessControl access(n, {});
   for (int threads : kThreadCounts) {
     ScopedThreads scope(threads);
-    const attack::EdgeCandidate best =
-        attack::BestEdgeFlip(grad, dense, access, nullptr);
-    EXPECT_EQ(best.u, 2) << "threads=" << threads;
-    EXPECT_EQ(best.v, 5) << "threads=" << threads;
-    EXPECT_FLOAT_EQ(best.score, 3.0f);
+    const std::vector<attack::FlipCandidate> best =
+        attack::TopFlips</*is_feature=*/false>(
+            n, n, access, nullptr, /*keep=*/1, [&](int u, int v) {
+              return (1.0f - 2.0f * dense(u, v)) * (grad(u, v) + grad(v, u));
+            });
+    ASSERT_EQ(best.size(), 1u);
+    EXPECT_EQ(best[0].flip.a, 2) << "threads=" << threads;
+    EXPECT_EQ(best[0].flip.b, 5) << "threads=" << threads;
+    EXPECT_FLOAT_EQ(best[0].score, 3.0f);
   }
 }
 

@@ -450,7 +450,7 @@ TEST(EngineCacheProperty, ClosedFormGradientsMatchTapeAndFiniteDifference) {
   }
   // Node creation order matters bitwise (backward runs in reverse
   // creation order), so build the graph in the same sequence as the
-  // attacker's ObjectiveOnTape: self view first, then global view.
+  // attacker's tape objective: self view first, then global view.
   autograd::Tape tape;
   autograd::Var a = tape.Input(dense, true);
   autograd::Var x = tape.Input(features, true);

@@ -22,6 +22,9 @@
 #include "attack/attacker.h"
 #include "attack/common.h"
 #include "attack/dice.h"
+#include "attack/gf_attack.h"
+#include "attack/metattack.h"
+#include "attack/pgd.h"
 #include "attack/random_attack.h"
 #include "core/peega.h"
 #include "core/peega_batch.h"
@@ -206,11 +209,10 @@ TEST(SparseCommitDifferential, PeegaTapeEngineN60) {
 
 // --- Random / DICE: pinned outputs + dense replay -----------------------
 //
-// random_attack.cc and dice.cc lost their dense round-trips in this PR.
-// The regressions pin the exact poisoned edge set (FNV hash recorded
-// from the pre-change dense implementation) so the sparse rewrite is
-// provably output-identical, and replay the newly recorded flip lists
-// densely as a second, structural witness.
+// Random and DICE commit without a dense round-trip. The regressions pin
+// the exact poisoned edge set (FNV hash; DICE's recorded from the dense
+// implementation, Random's since it draws each pair once) and replay
+// the recorded flip lists densely as a second, structural witness.
 
 TEST(SparseCommitDifferential, RandomAttackPinnedAndReplayed) {
   Rng graph_rng(7);
@@ -220,10 +222,13 @@ TEST(SparseCommitDifferential, RandomAttackPinnedAndReplayed) {
   attack::RandomAttack attacker;
   Rng rng(123);
   const AttackResult result = attacker.Attack(g, options, &rng);
-  EXPECT_EQ(result.poisoned.NumEdges(), 331);
+  // This seed draws (0, 141) and (62, 130) twice. Each pair is now drawn
+  // once, so all 30 flips are net changes (before: 26 net, 331 edges).
+  EXPECT_EQ(result.poisoned.NumEdges(), 335);
   EXPECT_EQ(result.edge_modifications, 30);
+  EXPECT_EQ(graph::ComputeEdgeDiff(g, result.poisoned).total(), 30);
   EXPECT_EQ(result.flips.size(), 30u);
-  EXPECT_EQ(EdgeListHash(result.poisoned), 15943693052932460951ull);
+  EXPECT_EQ(EdgeListHash(result.poisoned), 7643530119703387330ull);
   ExpectSparseCommitMatchesDenseReplay(g, result);
 }
 
@@ -240,6 +245,64 @@ TEST(SparseCommitDifferential, DiceAttackPinnedAndReplayed) {
   EXPECT_EQ(result.flips.size(), 30u);
   EXPECT_EQ(EdgeListHash(result.poisoned), 9157304463112017046ull);
   ExpectSparseCommitMatchesDenseReplay(g, result);
+}
+
+// --- PGD / MinMax / Metattack / GF-Attack: pinned outputs + replay ------
+//
+// These attackers used to rebuild the CSR from a dense copy and report
+// no flips. The pins are the poisoned edge sets and feature-diff counts
+// of that dense rebuild at feature_cost 1; the replay holds the flips
+// they now record to the graph they return.
+
+void ExpectPinnedAndReplayed(attack::Attacker* attacker, uint64_t seed,
+                             uint64_t edge_hash, int64_t feature_diff) {
+  Rng graph_rng(7);
+  const Graph g = graph::MakeCoraLike(&graph_rng, 0.3);
+  AttackOptions options;
+  options.perturbation_rate = 0.1;
+  Rng rng(seed);
+  const AttackResult result = attacker->Attack(g, options, &rng);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_GT(result.flips.size(), 0u);
+  EXPECT_EQ(result.flips.size(),
+            static_cast<size_t>(result.edge_modifications +
+                                result.feature_modifications));
+  EXPECT_EQ(EdgeListHash(result.poisoned), edge_hash);
+  EXPECT_EQ(graph::FeatureDiffCount(g, result.poisoned), feature_diff);
+  ExpectSparseCommitMatchesDenseReplay(g, result);
+}
+
+TEST(SparseCommitDifferential, PgdPinnedAndReplayed) {
+  attack::PgdAttack::Options fast;
+  fast.steps = 20;
+  fast.victim_epochs = 40;
+  attack::PgdAttack attacker(fast);
+  ExpectPinnedAndReplayed(&attacker, 41, 11518237199542398245ull, 0);
+}
+
+TEST(SparseCommitDifferential, MinMaxPinnedAndReplayed) {
+  attack::PgdAttack::Options fast;
+  fast.steps = 15;
+  fast.victim_epochs = 40;
+  fast.inner_steps = 2;
+  attack::MinMaxAttack attacker(fast);
+  ExpectPinnedAndReplayed(&attacker, 42, 5466834452431418314ull, 0);
+}
+
+TEST(SparseCommitDifferential, MetattackPinnedAndReplayed) {
+  attack::Metattack::Options fast;
+  fast.inner_steps = 10;
+  attack::Metattack attacker(fast);
+  ExpectPinnedAndReplayed(&attacker, 43, 8617768260269376440ull, 0);
+}
+
+TEST(SparseCommitDifferential, GfAttackPinnedAndReplayed) {
+  attack::GfAttack::Options fast;
+  fast.rank = 16;
+  fast.pool_factor = 10;
+  fast.refine_factor = 1;
+  attack::GfAttack attacker(fast);
+  ExpectPinnedAndReplayed(&attacker, 44, 12980516668232221351ull, 0);
 }
 
 // --- StreamingSbm property tests ----------------------------------------

@@ -148,8 +148,10 @@ const std::vector<PassInfo>& PassRegistry() {
        "PEEGA hot path commits flips CSR-natively (graph::WithFlips, "
        "PeegaEngine::PoisonedAdjacency); densifying an adjacency "
        "reintroduces the O(N²) memory wall that caps campaigns at "
-       "CI-scale graphs. Dense methods (PGD/Metattack/GF-Attack) and "
-       "the tape autograd paths are allowlisted by file.",
+       "CI-scale graphs. PGD's relaxed perturbation and the tape "
+       "oracle's autograd input (attack/greedy.h, which PEEGA's "
+       "reference engine and Metattack score on) are allowlisted by "
+       "file.",
        "commit through graph::WithFlips / the engine's sparse state; if "
        "the algorithm is inherently dense, add the file to the "
        "dense-roundtrip allowlist with a justification",

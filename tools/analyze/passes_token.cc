@@ -188,12 +188,10 @@ void DenseRoundtrip(const AnalysisContext& ctx, std::vector<Finding>* out) {
   // there silently reinstates the O(N²) memory wall the scale path
   // removed, long before any test notices.
   static const char* const kAllowlist[] = {
-      "src/attack/common.h",      // DenseToAdjacency's own declaration
-      "src/attack/common.cc",     // ... and definition
-      "src/attack/pgd.cc",        // relaxed (continuous) dense method
-      "src/attack/metattack.cc",  // bilevel meta-gradients are dense
-      "src/attack/gf_attack.cc",  // spectral scoring is dense
-      "src/core/peega.cc",        // tape autograd reference path
+      "src/attack/common.h",   // DenseToAdjacency's own declaration
+      "src/attack/common.cc",  // ... and definition
+      "src/attack/pgd.cc",     // relaxed (continuous) perturbation is dense
+      "src/attack/greedy.h",   // TapeOracle: the tape's input is dense
   };
   const PassInfo* info = FindPass("dense-roundtrip");
   for (const SourceFile& file : *ctx.files) {
