@@ -39,6 +39,15 @@ std::vector<int> CollectRows(const std::vector<char>& mask) {
   return rows;
 }
 
+// 1 when row `r` of `m` holds a nonzero entry.
+char RowNonzero(const Matrix& m, int r) {
+  const float* row = m.row(r);
+  for (int j = 0; j < m.cols(); ++j) {
+    if (row[j] != 0.0f) return 1;
+  }
+  return 0;
+}
+
 std::vector<int> AllRows(int n) {
   std::vector<int> rows(static_cast<size_t>(n));
   for (int r = 0; r < n; ++r) rows[static_cast<size_t>(r)] = r;
@@ -104,13 +113,11 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
   // H chain just built IS the reference.
   reference_ = h_[static_cast<size_t>(layers_)];
 
-  gm_ = Matrix(n_, f_);
-  gm_nonzero_.assign(static_cast<size_t>(n_), 0);
-  w_.resize(static_cast<size_t>(layers_) - 1);
-  w_nonzero_.resize(static_cast<size_t>(layers_) - 1);
-  for (int k = 1; k < layers_; ++k) {
-    w_[static_cast<size_t>(k) - 1] = Matrix(n_, f_);
-    w_nonzero_[static_cast<size_t>(k) - 1].assign(static_cast<size_t>(n_), 0);
+  w_.resize(static_cast<size_t>(layers_));
+  w_nonzero_.resize(static_cast<size_t>(layers_));
+  for (int k = 0; k < layers_; ++k) {
+    w_[static_cast<size_t>(k)] = Matrix(n_, f_);
+    w_nonzero_[static_cast<size_t>(k)].assign(static_cast<size_t>(n_), 0);
   }
   if (attack_topology_) {
     u_.resize(static_cast<size_t>(layers_));
@@ -170,10 +177,10 @@ void PeegaEngine::AccumulatePairTerm(float* grow, const float* xrow,
 }
 
 void PeegaEngine::RecomputeGmRow(int r) {
-  float* grow = gm_.row(r);
+  float* grow = w_[0].row(r);
   for (int j = 0; j < f_; ++j) grow[j] = 0.0f;
   if (!is_target_[static_cast<size_t>(r)]) {
-    gm_nonzero_[static_cast<size_t>(r)] = 0;
+    w_nonzero_[0][static_cast<size_t>(r)] = 0;
     return;
   }
   const float* xrow = h_[static_cast<size_t>(layers_)].row(r);
@@ -190,14 +197,7 @@ void PeegaEngine::RecomputeGmRow(int r) {
   AccumulatePairTerm(grow, xrow, r, 1.0f,
                      &self_term_[static_cast<size_t>(r)],
                      &self_norm_[static_cast<size_t>(r)]);
-  char nonzero = 0;
-  for (int j = 0; j < f_; ++j) {
-    if (grow[j] != 0.0f) {
-      nonzero = 1;
-      break;
-    }
-  }
-  gm_nonzero_[static_cast<size_t>(r)] = nonzero;
+  w_nonzero_[0][static_cast<size_t>(r)] = RowNonzero(w_[0], r);
 }
 
 status::Status PeegaEngine::RefreshScores() {
@@ -269,21 +269,10 @@ status::Status PeegaEngine::RefreshScores() {
 
   // 3. Backward chains W_k = A_n W_{k-1}, rows e[k]; nonzero flags track
   //    freshly written rows so the U updates can skip zero-support rows.
-  for (int k = 1; k < layers_; ++k) {
-    linalg::NormalizedSpMMRows(neighbors_, scale_, e[static_cast<size_t>(k)],
-                               W(k - 1), MutableW(k));
-    std::vector<char>& flags = *MutableWNonzero(k);
-    const Matrix& wk = W(k);
-    for (const int r : e[static_cast<size_t>(k)]) {
-      const float* row = wk.row(r);
-      char nonzero = 0;
-      for (int j = 0; j < f_; ++j) {
-        if (row[j] != 0.0f) {
-          nonzero = 1;
-          break;
-        }
-      }
-      flags[static_cast<size_t>(r)] = nonzero;
+  for (size_t k = 1; k < w_.size(); ++k) {
+    linalg::NormalizedSpMMRows(neighbors_, scale_, e[k], w_[k - 1], &w_[k]);
+    for (const int r : e[k]) {
+      w_nonzero_[k][static_cast<size_t>(r)] = RowNonzero(w_[k], r);
     }
   }
 
@@ -293,11 +282,12 @@ status::Status PeegaEngine::RefreshScores() {
     for (int k = 0; k < layers_; ++k) {
       Matrix* uk = &u_[static_cast<size_t>(k)];
       const Matrix& hk = h_[static_cast<size_t>(layers_ - 1 - k)];
-      linalg::DotRowsInto(W(k), hk, e[static_cast<size_t>(k)], &WNonzero(k),
-                          uk);
+      const Matrix& wk = w_[static_cast<size_t>(k)];
+      const std::vector<char>* nonzero = &w_nonzero_[static_cast<size_t>(k)];
+      linalg::DotRowsInto(wk, hk, e[static_cast<size_t>(k)], nonzero, uk);
       const auto& cols = d[static_cast<size_t>(layers_ - 1 - k)];
       if (!full && !cols.empty()) {
-        linalg::DotColsInto(W(k), hk, cols, &WNonzero(k), uk);
+        linalg::DotColsInto(wk, hk, cols, nonzero, uk);
       }
     }
 
@@ -393,7 +383,7 @@ status::Status PeegaEngine::RefreshScores() {
   // 7. G_X = A_n W_{l-1}: one more propagation hop past the last W level.
   if (attack_features_) {
     linalg::NormalizedSpMMRows(neighbors_, scale_,
-                               e[static_cast<size_t>(layers_)], W(layers_ - 1),
+                               e[static_cast<size_t>(layers_)], w_.back(),
                                &gx_);
     changed_feature_rows_ = std::move(e[static_cast<size_t>(layers_)]);
   }

@@ -168,14 +168,6 @@ class PeegaEngine {
   void AccumulatePairTerm(float* grow, const float* xrow, int ref_row,
                           float weight, double* term, float* norm);
   std::vector<char> ExpandChanged(const std::vector<char>& mask) const;
-  const linalg::Matrix& W(int k) const { return k == 0 ? gm_ : w_[k - 1]; }
-  linalg::Matrix* MutableW(int k) { return k == 0 ? &gm_ : &w_[k - 1]; }
-  const std::vector<char>& WNonzero(int k) const {
-    return k == 0 ? gm_nonzero_ : w_nonzero_[k - 1];
-  }
-  std::vector<char>* MutableWNonzero(int k) {
-    return k == 0 ? &gm_nonzero_ : &w_nonzero_[k - 1];
-  }
 
   // --- immutable configuration -------------------------------------------
   int n_ = 0;
@@ -204,10 +196,8 @@ class PeegaEngine {
 
   // --- caches (see class comment) ----------------------------------------
   std::vector<linalg::Matrix> h_;  // H_0..H_layers (H_0 mirrors features_)
-  linalg::Matrix gm_;              // G_M = W_0
-  std::vector<char> gm_nonzero_;
-  std::vector<linalg::Matrix> w_;  // W_k = A_n^k G_M, k = 1..layers-1
-  std::vector<std::vector<char>> w_nonzero_;
+  std::vector<linalg::Matrix> w_;  // W_k = A_n^k G_M, k = 0..layers-1
+  std::vector<std::vector<char>> w_nonzero_;  // per W_k: rows with a nonzero
   std::vector<linalg::Matrix> u_;  // U_k = W_k H_{layers-1-k}^T
   linalg::Matrix gn_;              // U_0 + U_1 + ... (tape backward order)
   std::vector<float> ddeg_;

@@ -104,7 +104,7 @@ void DotRowsInto(const Matrix& a, const Matrix& b,
   // sweeps the whole active row subset, which stays in L2.
   std::vector<int> cols(static_cast<size_t>(n));
   std::iota(cols.begin(), cols.end(), 0);
-  kernels::DotPanels(kernels::DotRowsTable().Select(), a.data(), active,
+  kernels::DotPanels(kernels::DotTable().Select(), a.data(), active,
                      b.data(), cols, k, out->data(), n);
   CheckRowsFinite(*out, rows, "DotRowsInto");
 }
@@ -136,7 +136,7 @@ void DotColsInto(const Matrix& a, const Matrix& b,
   }
   // Row blocks × the subset's column panels: every task packs the
   // (few) subset columns it needs and sweeps its block of rows.
-  kernels::DotPanels(kernels::DotColsTable().Select(), a.data(), active,
+  kernels::DotPanels(kernels::DotTable().Select(), a.data(), active,
                      b.data(), cols, k, out->data(), out->cols());
   if constexpr (debug::NumericsGuardEnabled()) {
     for (int i = 0; i < out->rows(); ++i) {

@@ -77,10 +77,9 @@ const KernelTable<MatMulTransAColsFn>& MatMulTransATable() {
   return table;
 }
 
-const KernelTable<DotPanelFn>& MatMulTransBTable() {
+const KernelTable<DotPanelFn>& DotTable() {
   static const KernelTable<DotPanelFn> table = {
-      "linalg.matmul_tb", &generic::DotPanel, PEEGA_AVX2_FN(DotPanel),
-      nullptr};
+      "linalg.dot", &generic::DotPanel, PEEGA_AVX2_FN(DotPanel), nullptr};
   return table;
 }
 
@@ -114,18 +113,6 @@ const KernelTable<NormalizedSpMMRowFn>& NormalizedSpMMRowTable() {
   return table;
 }
 
-const KernelTable<DotPanelFn>& DotRowsTable() {
-  static const KernelTable<DotPanelFn> table = {
-      "linalg.dot_rows", &generic::DotPanel, PEEGA_AVX2_FN(DotPanel), nullptr};
-  return table;
-}
-
-const KernelTable<DotPanelFn>& DotColsTable() {
-  static const KernelTable<DotPanelFn> table = {
-      "linalg.dot_cols", &generic::DotPanel, PEEGA_AVX2_FN(DotPanel), nullptr};
-  return table;
-}
-
 #undef PEEGA_AVX2_FN
 #undef PEEGA_NEON_FN
 
@@ -145,11 +132,10 @@ KernelTableInfo InfoOf(const KernelTable<Fn>& table) {
 
 std::vector<KernelTableInfo> AllKernelTables() {
   return {
-      InfoOf(MatMulTable()),        InfoOf(MatMulTransATable()),
-      InfoOf(MatMulTransBTable()),  InfoOf(SpMMTable()),
-      InfoOf(SpMVTable()),          InfoOf(RowSoftmaxTable()),
-      InfoOf(NormalizedSpMMRowTable()), InfoOf(DotRowsTable()),
-      InfoOf(DotColsTable()),
+      InfoOf(MatMulTable()),      InfoOf(MatMulTransATable()),
+      InfoOf(DotTable()),         InfoOf(SpMMTable()),
+      InfoOf(SpMVTable()),        InfoOf(RowSoftmaxTable()),
+      InfoOf(NormalizedSpMMRowTable()),
   };
 }
 

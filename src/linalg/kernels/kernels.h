@@ -109,13 +109,13 @@ void DotPanels(DotPanelFn kernel, const float* a, const std::vector<int>& rows,
 
 const KernelTable<MatMulRowsFn>& MatMulTable();
 const KernelTable<MatMulTransAColsFn>& MatMulTransATable();
-const KernelTable<DotPanelFn>& MatMulTransBTable();
+/// The dot family's one table: MatMulTransB, DotRowsInto and DotColsInto
+/// all run `DotPanel` through DotPanels.
+const KernelTable<DotPanelFn>& DotTable();
 const KernelTable<SpMMRowsFn>& SpMMTable();
 const KernelTable<SpMVRowsFn>& SpMVTable();
 const KernelTable<RowSoftmaxRowsFn>& RowSoftmaxTable();
 const KernelTable<NormalizedSpMMRowFn>& NormalizedSpMMRowTable();
-const KernelTable<DotPanelFn>& DotRowsTable();
-const KernelTable<DotPanelFn>& DotColsTable();
 
 /// Introspection row for the registry self-check and gen_op_docs: which
 /// variants of each dispatched op this binary actually compiled.

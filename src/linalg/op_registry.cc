@@ -243,6 +243,14 @@ void ProbeDotCols(std::vector<float>* out) {
   }
 }
 
+// The dot family shares one kernel table, so its probe runs all three
+// public ops, one after the other.
+void ProbeDot(std::vector<float>* out) {
+  ProbeMatMulTransB(out);
+  ProbeDotRows(out);
+  ProbeDotCols(out);
+}
+
 std::vector<OpInfo> BuildRegistry() {
   std::vector<OpInfo> ops;
   ops.push_back({"linalg.matmul", "linalg::MatMul",
@@ -257,14 +265,17 @@ std::vector<OpInfo> BuildRegistry() {
                  "column-parallel; each chunk owns columns [j0, j1) of C",
                  DeterminismClass::kLanePerOutput, true, true, true,
                  &ProbeMatMulTransA});
-  ops.push_back({"linalg.matmul_tb", "linalg::MatMulTransB",
-                 "Dense C = A · Bᵀ as ascending-k float dot products, in "
-                 "register tiles over packed 16-row panels of B.",
-                 "O(m · k · n)",
-                 "tasks of one 16-column panel × 256 rows of C; disjoint "
-                 "outputs",
+  ops.push_back({"linalg.dot",
+                 "linalg::MatMulTransB / linalg::DotRowsInto / "
+                 "linalg::DotColsInto",
+                 "Dense C = A · Bᵀ, or a row or column subset of it, as "
+                 "ascending-k float dot products, in register tiles over "
+                 "packed 16-row panels of B.",
+                 "O(|rows| · |cols| · k)",
+                 "tasks of one 16-column panel × 256 rows of the output; "
+                 "disjoint outputs",
                  DeterminismClass::kLanePerOutput, true, true, false,
-                 &ProbeMatMulTransB});
+                 &ProbeDot});
   ops.push_back({"linalg.spmm", "linalg::SpMM",
                  "CSR sparse × dense product, nonzeros in stored order.",
                  "O(nnz · n)",
@@ -289,22 +300,6 @@ std::vector<OpInfo> BuildRegistry() {
                  "parallel over the requested row subset; disjoint rows",
                  DeterminismClass::kLanePerOutput, true, true, true,
                  &ProbeNormalizedSpMMRows});
-  ops.push_back({"linalg.dot_rows", "linalg::DotRowsInto",
-                 "Row subset of A · Bᵀ as ascending-k dot products, in "
-                 "register tiles over packed 16-row panels of B.",
-                 "O(|rows| · n · k)",
-                 "tasks of one 16-column panel × 256 rows of the subset; "
-                 "disjoint outputs",
-                 DeterminismClass::kLanePerOutput, true, true, false,
-                 &ProbeDotRows});
-  ops.push_back({"linalg.dot_cols", "linalg::DotColsInto",
-                 "Column subset of A · Bᵀ as ascending-k dot products, in "
-                 "register tiles over packed 16-row panels of B.",
-                 "O(m · |cols| · k)",
-                 "tasks of one 16-column panel of the subset × 256 rows; "
-                 "disjoint outputs",
-                 DeterminismClass::kLanePerOutput, true, true, false,
-                 &ProbeDotCols});
   return ops;
 }
 

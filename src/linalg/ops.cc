@@ -91,7 +91,7 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
              static_cast<uint64_t>(b.rows()));
   Matrix c(a.rows(), b.rows());
   // The all-rows, all-columns case of the dot family's panel driver.
-  kernels::DotPanels(kernels::MatMulTransBTable().Select(), a.data(),
+  kernels::DotPanels(kernels::DotTable().Select(), a.data(),
                      Iota(a.rows()), b.data(), Iota(b.rows()), a.cols(),
                      c.data(), c.cols());
   PEEGA_CHECK_FINITE_MAT(c, "MatMulTransB");

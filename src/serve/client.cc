@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -22,18 +21,12 @@ void Client::Close() {
 status::Status Client::Connect(const std::string& socket_path) {
   Close();
   sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  if (socket_path.empty() || socket_path.size() >= sizeof(addr.sun_path)) {
-    return status::InvalidInput("client: bad socket path \"" +
-                                socket_path + "\"");
-  }
+  PEEGA_RETURN_IF_ERROR(UnixAddress(socket_path, &addr), "client");
   fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd_ < 0) {
     return status::IoError("client: socket() failed: " +
                            std::string(std::strerror(errno)));
   }
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size());
   if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     const std::string detail = std::strerror(errno);

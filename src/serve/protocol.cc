@@ -1,5 +1,8 @@
 #include "serve/protocol.h"
 
+#include <sys/socket.h>
+
+#include <cstring>
 #include <utility>
 
 #include "eval/op_schema.h"
@@ -134,6 +137,16 @@ obs::Json MakeResponse(int64_t id, const std::string& tenant,
     response.object["error"] = obs::Json::MakeString(status.message());
   }
   return response;
+}
+
+status::Status UnixAddress(const std::string& socket_path, sockaddr_un* out) {
+  std::memset(out, 0, sizeof(*out));
+  if (socket_path.empty() || socket_path.size() >= sizeof(out->sun_path)) {
+    return status::InvalidInput("bad socket path \"" + socket_path + "\"");
+  }
+  out->sun_family = AF_UNIX;
+  std::memcpy(out->sun_path, socket_path.c_str(), socket_path.size());
+  return status::Status::Ok();
 }
 
 std::string EncodeLine(const obs::Json& message) {

@@ -1,6 +1,8 @@
 #ifndef PEEGA_SERVE_PROTOCOL_H_
 #define PEEGA_SERVE_PROTOCOL_H_
 
+#include <sys/un.h>
+
 #include <cstdint>
 #include <string>
 
@@ -66,6 +68,11 @@ status::StatusOr<int64_t> CancelTarget(const Request& request);
 /// ("result", "queue_ms", ...) before encoding.
 obs::Json MakeResponse(int64_t id, const std::string& tenant,
                        const status::Status& status);
+
+/// Fills `*out` with the AF_UNIX address of `socket_path`, the one check
+/// and build the server and the client share. INVALID_INPUT when the
+/// path is empty or does not fit `sun_path`.
+status::Status UnixAddress(const std::string& socket_path, sockaddr_un* out);
 
 /// Compact one-line encoding with the trailing newline appended.
 std::string EncodeLine(const obs::Json& message);

@@ -11,8 +11,10 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <initializer_list>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,33 +41,44 @@ using status::Status;
 
 constexpr size_t kMaxGraphCacheEntries = 16;
 constexpr size_t kMaxRequestLineBytes = 1 << 20;
+constexpr int kListenBacklog = 128;  // listen(2) backlog
 
 obs::Json Num(double v) { return obs::Json::MakeNumber(v); }
 obs::Json Str(std::string s) { return obs::Json::MakeString(std::move(s)); }
+
+// {"<key>": value}: the result of the inline ops that report one flag.
+obs::Json Flag(const char* key, bool value) {
+  obs::Json result = obs::Json::MakeObject();
+  result.object[key] = obs::Json::MakeBool(value);
+  return result;
+}
+
+// One key of a stats counter group and the counter it reads: the group's
+// prefix followed by `counter`, or by the key itself when that is null.
+struct CounterField {
+  const char* key;
+  const char* counter = nullptr;
+};
+
+obs::Json CounterGroup(const std::string& prefix,
+                       std::initializer_list<CounterField> fields) {
+  obs::Json group = obs::Json::MakeObject();
+  for (const CounterField& field : fields) {
+    const char* name = field.counter != nullptr ? field.counter : field.key;
+    group.object[field.key] =
+        Num(static_cast<double>(obs::GetCounter(prefix + name)->value()));
+  }
+  return group;
+}
 
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-// Deadline budget left, in the journal's convention (< 0 = unbounded).
-double RemainingMsOf(const status::Deadline& deadline) {
-  const double left = deadline.RemainingSeconds();
-  return std::isinf(left) ? -1.0 : left * 1e3;
+obs::Histogram* LatencyHistogram(const std::string& name) {
+  return obs::GetHistogram(name, obs::LatencyBucketsMs());
 }
-
-// Per-tenant obs instruments, created on first use and cached; the
-// "stats" op reads them back. Instrument names are bounded because
-// ParseRequest validates tenant names.
-struct TenantStats {
-  obs::Counter* accepted;
-  obs::Counter* rejected;
-  obs::Counter* completed;
-  obs::Counter* failed;
-  obs::Counter* cancelled;
-  obs::Histogram* queue_ms;
-  obs::Histogram* run_ms;
-};
 
 }  // namespace
 
@@ -82,6 +95,23 @@ struct Server::Impl {
   std::unique_ptr<parallel::WorkerThread> scheduler_thread;
 
   struct Job {
+    Job() = default;
+    // Admission and journal recovery both build a job here, and only
+    // here is its deadline armed: `budget_ms` from now, in the journal's
+    // convention (< 0 = no limit). Admission passes the request's
+    // deadline_ms, so queue wait spends the budget too; recovery passes
+    // what was left when the job's last record was written.
+    Job(Request request, JobRequest job_spec, double budget_ms, int conn)
+        : id(request.id),
+          tenant(std::move(request.tenant)),
+          op(std::move(request.op)),
+          raw(std::move(request.raw)),
+          spec(std::move(job_spec)),
+          conn_id(conn),
+          deadline(budget_ms >= 0.0
+                       ? status::Deadline::AfterSeconds(budget_ms / 1e3)
+                       : status::Deadline::Cancellable()) {}
+
     int64_t id = 0;
     int64_t uid = 0;  // journal identity; 0 when the journal is off
     std::string tenant;
@@ -89,11 +119,26 @@ struct Server::Impl {
     obs::Json raw;      // as journaled
     JobRequest spec;    // raw, read and validated by ParseJob
     int conn_id = -1;  // -1: recovered job, no client to respond to
-    status::Deadline deadline;  // armed at admission
+    status::Deadline deadline;
     obs::StopWatch waited;      // queue-wait clock
     bool cancelled = false;
     int attempt = 1;            // 1-based attempt this run would be
     double not_before_ms = 0.0;  // uptime instant a retry becomes due
+  };
+
+  // What one attempt at a job came to.
+  struct Outcome {
+    Status status;
+    obs::Json result;       // null unless the job produced one
+    bool executed = false;  // false: cancelled or expired while queued
+    bool internal = false;  // the job threw: INTERNAL, never retried
+  };
+
+  // The job the scheduler is running: what a cancel request must reach.
+  struct RunningJob {
+    int64_t id = -1;
+    std::string tenant;
+    status::Deadline deadline;
   };
 
   struct Connection {
@@ -114,12 +159,10 @@ struct Server::Impl {
   bool paused = false;
   bool draining = false;
   bool stopping = false;
-  int64_t running_id = -1;
-  std::string running_tenant;
-  status::Deadline running_deadline;
+  RunningJob running;
   // Completed-job responses en route from the scheduler to the IO loop.
   std::vector<std::pair<int, std::string>> outbox;
-  std::map<std::string, TenantStats> tenants;
+  std::set<std::string> tenants;  // every tenant seen, for "stats"
 
   // ---- durability (written in Start, then scheduler/IO threads) ----
   std::unique_ptr<Journal> journal;  // null when journal_dir is empty
@@ -140,21 +183,13 @@ struct Server::Impl {
     }
   }
 
-  TenantStats* GetTenant(const std::string& tenant) {
-    const auto it = tenants.find(tenant);
-    if (it != tenants.end()) return &it->second;
-    const std::string prefix = "serve.tenant." + tenant + ".";
-    TenantStats stats;
-    stats.accepted = obs::GetCounter(prefix + "accepted");
-    stats.rejected = obs::GetCounter(prefix + "rejected");
-    stats.completed = obs::GetCounter(prefix + "completed");
-    stats.failed = obs::GetCounter(prefix + "failed");
-    stats.cancelled = obs::GetCounter(prefix + "cancelled");
-    stats.queue_ms =
-        obs::GetHistogram(prefix + "queue_ms", obs::LatencyBucketsMs());
-    stats.run_ms =
-        obs::GetHistogram(prefix + "run_ms", obs::LatencyBucketsMs());
-    return &tenants.emplace(tenant, stats).first->second;
+  // Under `mu`: the prefix of the tenant's obs instruments (accepted /
+  // rejected / completed / failed / cancelled counters, queue_ms and
+  // run_ms histograms), which "stats" reports from then on. The names
+  // are bounded because ParseRequest validates tenant names.
+  std::string TenantPrefix(const std::string& tenant) {
+    tenants.insert(tenant);
+    return "serve.tenant." + tenant + ".";
   }
 
   // ---- request handling (IO thread) --------------------------------
@@ -175,33 +210,21 @@ struct Server::Impl {
   }
 
   void HandleLine(int conn_id, const std::string& line) {
-    if (PEEGA_FAILPOINT("serve.parse")) {
-      Respond(conn_id,
-              MakeResponse(0, "default",
-                           status::InvalidInput(
-                               "injected failpoint serve.parse")));
-      return;
-    }
     Request request;
-    const Status parsed = ParseRequest(line, &request);
+    const Status parsed =
+        PEEGA_FAILPOINT("serve.parse")
+            ? status::InvalidInput("injected failpoint serve.parse")
+            : ParseRequest(line, &request);
     if (!parsed.ok()) {
       Respond(conn_id, MakeResponse(request.id, "default", parsed));
       return;
     }
     if (request.op == "ping") {
-      obs::Json response =
-          MakeResponse(request.id, request.tenant, Status::Ok());
-      obs::Json result = obs::Json::MakeObject();
-      result.object["pong"] = obs::Json::MakeBool(true);
-      response.object["result"] = std::move(result);
-      Respond(conn_id, response);
+      Reply(conn_id, request, Status::Ok(), Flag("pong", true));
       return;
     }
     if (request.op == "stats") {
-      obs::Json response =
-          MakeResponse(request.id, request.tenant, Status::Ok());
-      response.object["result"] = StatsJson();
-      Respond(conn_id, response);
+      Reply(conn_id, request, Status::Ok(), StatsJson());
       return;
     }
     if (request.op == "pause" || request.op == "resume") {
@@ -210,8 +233,7 @@ struct Server::Impl {
         paused = request.op == "pause";
       }
       cv.notify_all();
-      Respond(conn_id,
-              MakeResponse(request.id, request.tenant, Status::Ok()));
+      Reply(conn_id, request, Status::Ok());
       return;
     }
     if (request.op == "cancel") {
@@ -224,50 +246,44 @@ struct Server::Impl {
         draining = true;
       }
       cv.notify_all();
-      obs::Json response =
-          MakeResponse(request.id, request.tenant, Status::Ok());
-      obs::Json result = obs::Json::MakeObject();
-      result.object["draining"] = obs::Json::MakeBool(true);
-      response.object["result"] = std::move(result);
-      Respond(conn_id, response);
+      Reply(conn_id, request, Status::Ok(), Flag("draining", true));
       return;
     }
     if (request.op == "attack" || request.op == "eval") {
       Admit(conn_id, request);
       return;
     }
-    Respond(conn_id,
-            MakeResponse(request.id, request.tenant,
-                         status::InvalidInput("unknown op \"" +
-                                              request.op + "\"")));
+    Reply(conn_id, request,
+          status::InvalidInput("unknown op \"" + request.op + "\""));
+  }
+
+  // Answers `request` on the IO thread: the envelope for `status`, with
+  // `result` attached unless it is null.
+  void Reply(int conn_id, const Request& request, const Status& status,
+             obs::Json result = obs::Json()) {
+    obs::Json response = MakeResponse(request.id, request.tenant, status);
+    if (result.type != obs::Json::Type::kNull) {
+      response.object["result"] = std::move(result);
+    }
+    Respond(conn_id, response);
   }
 
   void Admit(int conn_id, const Request& request) {
-    Job job;
-    job.id = request.id;
-    job.tenant = request.tenant;
-    job.op = request.op;
-    job.raw = request.raw;
-    job.conn_id = conn_id;
-    Status admitted = ParseJob(request, &job.spec);
-    // Armed here, at admission: queue wait spends the budget too.
-    job.deadline =
-        job.spec.deadline_ms > 0.0
-            ? status::Deadline::AfterSeconds(job.spec.deadline_ms / 1e3)
-            : status::Deadline::Cancellable();
+    JobRequest spec;
+    Status admitted = ParseJob(request, &spec);
+    const double budget_ms = spec.deadline_ms > 0.0 ? spec.deadline_ms : -1.0;
+    Job job(request, std::move(spec), budget_ms, conn_id);
     std::unique_lock<std::mutex> lock(mu);
     if (admitted.ok()) admitted = Accept(&job);
-    TenantStats* tenant = GetTenant(request.tenant);
+    obs::GetCounter(TenantPrefix(request.tenant) +
+                    (admitted.ok() ? "accepted" : "rejected"))
+        ->Add(1);
     if (!admitted.ok()) {
-      tenant->rejected->Add(1);
       lock.unlock();
-      Respond(conn_id, MakeResponse(request.id, request.tenant, admitted));
+      Reply(conn_id, request, admitted);
       return;
     }
-    tenant->accepted->Add(1);
-    queue.push_back(std::move(job));
-    obs::GetGauge("serve.queue_depth")
-        ->Set(static_cast<double>(queue.size()));
+    Push(std::move(job));
     lock.unlock();
     cv.notify_one();
     // No response yet — it arrives when the job completes.
@@ -294,25 +310,53 @@ struct Server::Impl {
       checkpoint = Journal::CheckpointPath(journal->dir(), job->uid);
       job->raw.object["checkpoint"] = Str(checkpoint);
     }
-    JournalRecord record;
-    record.uid = job->uid;
-    record.state = JobState::kAccepted;
-    record.client_id = job->id;
-    record.tenant = job->tenant;
-    record.attempt = 0;
-    record.remaining_ms = RemainingMsOf(job->deadline);
-    record.request = job->raw;
     // If the record cannot be made durable the job is refused rather
     // than silently accepted non-durably.
-    return journal->AppendRecord(std::move(record))
+    return JournalState(*job, JobState::kAccepted)
         .WithContext("journal accept");
+  }
+
+  // Under `mu`: queue push and pop are the only places the queue changes
+  // size, and so the only places that set serve.queue_depth.
+  void Push(Job job) {
+    queue.push_back(std::move(job));
+    obs::GetGauge("serve.queue_depth")->Set(static_cast<double>(queue.size()));
+  }
+
+  Job Pop(size_t i) {
+    Job job = std::move(queue[i]);
+    queue.erase(queue.begin() + static_cast<long>(i));
+    obs::GetGauge("serve.queue_depth")->Set(static_cast<double>(queue.size()));
+    return job;
+  }
+
+  // Journals `job` entering `state`, the one builder of every record:
+  // ACCEPTED carries the request and the attempts already spent, a
+  // later record the attempt it is about and, for RETRYING and FAILED,
+  // the failure's `code`. A no-op without a journal.
+  Status JournalState(const Job& job, JobState state,
+                      const std::string& code = "") {
+    if (journal == nullptr) return Status::Ok();
+    JournalRecord record;
+    record.uid = job.uid;
+    record.state = state;
+    record.client_id = job.id;
+    record.tenant = job.tenant;
+    record.attempt = job.attempt;
+    record.code = code;
+    const double left_s = job.deadline.RemainingSeconds();
+    record.remaining_ms = std::isinf(left_s) ? -1.0 : left_s * 1e3;
+    if (state == JobState::kAccepted) {
+      record.attempt = job.attempt - 1;
+      record.request = job.raw;
+    }
+    return journal->AppendRecord(std::move(record));
   }
 
   void HandleCancel(int conn_id, const Request& request) {
     const status::StatusOr<int64_t> parsed = CancelTarget(request);
     if (!parsed.ok()) {
-      Respond(conn_id,
-              MakeResponse(request.id, request.tenant, parsed.status()));
+      Reply(conn_id, request, parsed.status());
       return;
     }
     const int64_t target = *parsed;
@@ -326,20 +370,15 @@ struct Server::Impl {
           found = true;
         }
       }
-      if (running_id == target && running_tenant == request.tenant) {
-        running_deadline.RequestCancel();
+      if (running.id == target && running.tenant == request.tenant) {
+        running.deadline.RequestCancel();
         found = true;
       }
     }
     // A job waiting out a retry backoff becomes due immediately once
     // cancelled; wake the scheduler so it reaps it now.
     cv.notify_all();
-    obs::Json response =
-        MakeResponse(request.id, request.tenant, Status::Ok());
-    obs::Json result = obs::Json::MakeObject();
-    result.object["found"] = obs::Json::MakeBool(found);
-    response.object["result"] = std::move(result);
-    Respond(conn_id, response);
+    Reply(conn_id, request, Status::Ok(), Flag("found", found));
   }
 
   obs::Json StatsJson() {
@@ -349,21 +388,12 @@ struct Server::Impl {
         Num(static_cast<double>(queue.size()));
     stats.object["paused"] = obs::Json::MakeBool(paused);
     stats.object["draining"] = obs::Json::MakeBool(draining);
-    obs::Json cache = obs::Json::MakeObject();
-    cache.object["hits"] = Num(static_cast<double>(
-        obs::GetCounter("serve.graph_cache.hit")->value()));
-    cache.object["misses"] = Num(static_cast<double>(
-        obs::GetCounter("serve.graph_cache.miss")->value()));
-    stats.object["graph_cache"] = std::move(cache);
-    obs::Json journal_json = obs::Json::MakeObject();
+    stats.object["graph_cache"] = CounterGroup(
+        "serve.graph_cache.", {{"hits", "hit"}, {"misses", "miss"}});
+    obs::Json journal_json = CounterGroup(
+        "serve.journal.", {{"appends"}, {"append_errors"}, {"compactions"}});
     journal_json.object["enabled"] =
         obs::Json::MakeBool(journal != nullptr);
-    journal_json.object["appends"] = Num(static_cast<double>(
-        obs::GetCounter("serve.journal.appends")->value()));
-    journal_json.object["append_errors"] = Num(static_cast<double>(
-        obs::GetCounter("serve.journal.append_errors")->value()));
-    journal_json.object["compactions"] = Num(static_cast<double>(
-        obs::GetCounter("serve.journal.compactions")->value()));
     stats.object["journal"] = std::move(journal_json);
     obs::Json recovery = obs::Json::MakeObject();
     recovery.object["requeued_jobs"] =
@@ -376,32 +406,20 @@ struct Server::Impl {
         Num(static_cast<double>(recovery_info.truncated_bytes));
     recovery.object["recovery_ms"] = Num(recovery_info.recovery_ms);
     stats.object["recovery"] = std::move(recovery);
-    obs::Json retry = obs::Json::MakeObject();
-    retry.object["attempts"] = Num(static_cast<double>(
-        obs::GetCounter("serve.retry.attempts")->value()));
-    retry.object["succeeded"] = Num(static_cast<double>(
-        obs::GetCounter("serve.retry.succeeded")->value()));
-    retry.object["exhausted"] = Num(static_cast<double>(
-        obs::GetCounter("serve.retry.exhausted")->value()));
-    stats.object["retry"] = std::move(retry);
+    stats.object["retry"] = CounterGroup(
+        "serve.retry.", {{"attempts"}, {"succeeded"}, {"exhausted"}});
     obs::Json tenants_json = obs::Json::MakeObject();
-    for (const auto& [name, t] : tenants) {
-      obs::Json entry = obs::Json::MakeObject();
-      entry.object["accepted"] =
-          Num(static_cast<double>(t.accepted->value()));
-      entry.object["rejected"] =
-          Num(static_cast<double>(t.rejected->value()));
-      entry.object["completed"] =
-          Num(static_cast<double>(t.completed->value()));
-      entry.object["failed"] = Num(static_cast<double>(t.failed->value()));
-      entry.object["cancelled"] =
-          Num(static_cast<double>(t.cancelled->value()));
-      entry.object["queue_ms_count"] =
-          Num(static_cast<double>(t.queue_ms->total_count()));
-      entry.object["queue_ms_sum"] = Num(t.queue_ms->sum());
-      entry.object["run_ms_count"] =
-          Num(static_cast<double>(t.run_ms->total_count()));
-      entry.object["run_ms_sum"] = Num(t.run_ms->sum());
+    for (const std::string& name : tenants) {
+      const std::string prefix = "serve.tenant." + name + ".";
+      obs::Json entry = CounterGroup(
+          prefix, {{"accepted"}, {"rejected"}, {"completed"}, {"failed"},
+                   {"cancelled"}});
+      for (const std::string field : {"queue_ms", "run_ms"}) {
+        const obs::Histogram* histogram = LatencyHistogram(prefix + field);
+        entry.object[field + "_count"] =
+            Num(static_cast<double>(histogram->total_count()));
+        entry.object[field + "_sum"] = Num(histogram->sum());
+      }
       tenants_json.object[name] = std::move(entry);
     }
     stats.object["tenants"] = std::move(tenants_json);
@@ -477,23 +495,6 @@ struct Server::Impl {
     return evaluation.status;
   }
 
-  // Best-effort journal append for post-admission transitions: a failed
-  // append degrades durability, not availability (it is counted by
-  // serve.journal.append_errors inside the journal).
-  void JournalTransition(const Job& job, JobState state,
-                         const std::string& code_name) {
-    if (journal == nullptr) return;
-    JournalRecord record;
-    record.uid = job.uid;
-    record.state = state;
-    record.client_id = job.id;
-    record.tenant = job.tenant;
-    record.attempt = job.attempt;
-    record.code = code_name;
-    record.remaining_ms = RemainingMsOf(job.deadline);
-    journal->AppendRecord(std::move(record)).IgnoreError();
-  }
-
   // Drops the server-assigned checkpoint of a terminal job (never a
   // client-chosen path). Best-effort: the journal record is what makes
   // the job terminal.
@@ -533,13 +534,8 @@ struct Server::Impl {
         for (size_t i = 0; i < queue.size(); ++i) {
           Job& candidate = queue[i];
           if (candidate.cancelled || candidate.not_before_ms <= now) {
-            *out = std::move(candidate);
-            queue.erase(queue.begin() + static_cast<long>(i));
-            obs::GetGauge("serve.queue_depth")
-                ->Set(static_cast<double>(queue.size()));
-            running_id = out->id;
-            running_tenant = out->tenant;
-            running_deadline = out->deadline;
+            *out = Pop(i);
+            running = {out->id, out->tenant, out->deadline};
             return true;
           }
           if (next_due < 0.0 || candidate.not_before_ms < next_due) {
@@ -559,113 +555,112 @@ struct Server::Impl {
     }
   }
 
-  void SchedulerLoop() {
-    for (;;) {
-      Job job;
-      if (!NextJob(&job)) break;
-      const double queue_ms = job.waited.Millis();
-      Status status;
-      obs::Json result;  // stays null unless the job produced one
-      obs::StopWatch run_watch;
-      bool executed = false;
-      bool internal = false;  // the job threw: INTERNAL, never retried
-      if (job.cancelled) {
-        status = status::Cancelled("job cancelled while queued");
-      } else if (const Status admission =
-                     job.deadline.Check("serve queue wait");
-                 !admission.ok()) {
-        status = admission;
-      } else {
-        JournalTransition(job, JobState::kRunning, "");
-        executed = true;
-        try {
-          status = RunJob(job, &result);
-        } catch (...) {
-          // A job must never take the server down; report and move on.
-          internal = true;
-        }
-      }
-      const double run_ms = run_watch.Millis();
-      const bool done = status.ok() && !internal;
-      const bool cancelled = status.code() == status::Code::kCancelled;
-      const std::string code =
-          internal ? "INTERNAL" : status::CodeName(status.code());
-      // A transient failure re-enters the queue with deterministic
-      // backoff until the attempt budget is spent; the client response
-      // waits for the final attempt. Retries bypass admission (no
-      // max_queue check, no accepted counter): the job was admitted
-      // exactly once.
-      const bool transient_failure =
-          executed && !internal && status::IsTransient(status.code());
-      if (transient_failure && job.attempt < options.max_attempts) {
-        JournalTransition(job, JobState::kRetrying, code);
-        const RetryPolicy policy{options.max_attempts,
-                                 options.retry_backoff_ms,
-                                 options.retry_backoff_max_ms};
-        const double backoff = RetryBackoffMs(policy, job.attempt + 1);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          running_id = -1;
-          running_tenant.clear();
-          running_deadline = status::Deadline();
-          TenantStats* tenant = GetTenant(job.tenant);
-          tenant->queue_ms->Observe(queue_ms);
-          tenant->run_ms->Observe(run_ms);
-          obs::GetCounter("serve.retry.attempts")->Add(1);
-          job.attempt += 1;
-          job.not_before_ms = uptime.Millis() + backoff;
-          job.waited.Restart();
-          queue.push_back(std::move(job));
-          obs::GetGauge("serve.queue_depth")
-              ->Set(static_cast<double>(queue.size()));
-        }
-        continue;
-      }
+  // One attempt at `job`. A job cancelled or out of budget while queued
+  // is answered with that code instead of running.
+  Outcome Attempt(const Job& job) {
+    Outcome outcome;
+    if (job.cancelled) {
+      outcome.status = status::Cancelled("job cancelled while queued");
+      return outcome;
+    }
+    outcome.status = job.deadline.Check("serve queue wait");
+    if (!outcome.status.ok()) return outcome;
+    // Post-admission records are best effort: a failed append degrades
+    // durability, not availability (serve.journal.append_errors counts
+    // it inside the journal).
+    JournalState(job, JobState::kRunning).IgnoreError();
+    outcome.executed = true;
+    try {
+      outcome.status = RunJob(job, &outcome.result);
+    } catch (...) {
+      // A job must never take the server down; report and move on.
+      outcome.internal = true;
+    }
+    return outcome;
+  }
+
+  // Runs after every attempt: frees the running slot and records the
+  // tenant's queue wait and run time, then requeues the job or ends it.
+  // A transient failure re-enters the queue with deterministic backoff
+  // until the attempt budget is spent; the client response waits for
+  // the final attempt. Retries bypass admission (no max_queue check, no
+  // accepted counter): the job was admitted exactly once.
+  void Settle(Job job, Outcome outcome, double queue_ms, double run_ms) {
+    const Status& status = outcome.status;
+    const bool done = status.ok() && !outcome.internal;
+    const bool cancelled = status.code() == status::Code::kCancelled;
+    const std::string code =
+        outcome.internal ? "INTERNAL" : status::CodeName(status.code());
+    const bool transient_failure = outcome.executed && !outcome.internal &&
+                                   status::IsTransient(status.code());
+    const bool retry =
+        transient_failure && job.attempt < options.max_attempts;
+    std::string line;  // the response of a job that ends here
+    if (retry) {
+      JournalState(job, JobState::kRetrying, code).IgnoreError();
+    } else {
       if (transient_failure) {
         obs::GetCounter("serve.retry.exhausted")->Add(1);
       }
-      if (executed && done && job.attempt > 1) {
+      if (outcome.executed && done && job.attempt > 1) {
         obs::GetCounter("serve.retry.succeeded")->Add(1);
       }
-      JournalTransition(job,
-                        done        ? JobState::kDone
-                        : cancelled ? JobState::kCancelled
-                                    : JobState::kFailed,
-                        done ? "" : code);
+      JournalState(job,
+                   done        ? JobState::kDone
+                   : cancelled ? JobState::kCancelled
+                               : JobState::kFailed,
+                   done ? "" : code)
+          .IgnoreError();
       CleanupCheckpoint(job);
       obs::Json response = MakeResponse(job.id, job.tenant, status);
-      if (internal) {
+      if (outcome.internal) {
         response.object["ok"] = obs::Json::MakeBool(false);
         response.object["code"] = Str(code);
         response.object["error"] =
             Str("unexpected exception while running job");
       }
-      if (result.type != obs::Json::Type::kNull) {
-        response.object["result"] = std::move(result);
+      if (outcome.result.type != obs::Json::Type::kNull) {
+        response.object["result"] = std::move(outcome.result);
       }
       response.object["queue_ms"] = Num(queue_ms);
       response.object["run_ms"] = Num(run_ms);
       response.object["attempts"] = Num(job.attempt);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        running_id = -1;
-        running_tenant.clear();
-        running_deadline = status::Deadline();
-        TenantStats* tenant = GetTenant(job.tenant);
-        tenant->queue_ms->Observe(queue_ms);
-        tenant->run_ms->Observe(run_ms);
-        if (done) {
-          tenant->completed->Add(1);
-        } else if (cancelled) {
-          tenant->cancelled->Add(1);
-        } else {
-          tenant->failed->Add(1);
-        }
-        if (job.conn_id >= 0) {
-          outbox.emplace_back(job.conn_id, EncodeLine(response));
-        }
+      line = EncodeLine(response);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      running = RunningJob();
+      const std::string tenant = TenantPrefix(job.tenant);
+      LatencyHistogram(tenant + "queue_ms")->Observe(queue_ms);
+      LatencyHistogram(tenant + "run_ms")->Observe(run_ms);
+      if (retry) {
+        const RetryPolicy policy{options.max_attempts,
+                                 options.retry_backoff_ms,
+                                 options.retry_backoff_max_ms};
+        obs::GetCounter("serve.retry.attempts")->Add(1);
+        job.attempt += 1;
+        job.not_before_ms =
+            uptime.Millis() + RetryBackoffMs(policy, job.attempt);
+        job.waited.Restart();
+        Push(std::move(job));
+        return;
       }
-      WakeIo();
+      obs::GetCounter(tenant + (done        ? "completed"
+                                : cancelled ? "cancelled"
+                                            : "failed"))
+          ->Add(1);
+      if (job.conn_id >= 0) outbox.emplace_back(job.conn_id, std::move(line));
+    }
+    WakeIo();
+  }
+
+  void SchedulerLoop() {
+    Job job;
+    while (NextJob(&job)) {
+      const double queue_ms = job.waited.Millis();
+      const obs::StopWatch run_watch;
+      Outcome outcome = Attempt(job);
+      Settle(std::move(job), std::move(outcome), queue_ms, run_watch.Millis());
     }
     WakeIo();
   }
@@ -831,17 +826,15 @@ Server::~Server() {
 status::Status Server::Start() {
   Impl& s = *impl_;
   sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  if (s.options.socket_path.empty() ||
-      s.options.socket_path.size() >= sizeof(addr.sun_path)) {
-    return status::InvalidInput("serve: bad socket path \"" +
-                                s.options.socket_path + "\"");
-  }
+  PEEGA_RETURN_IF_ERROR(UnixAddress(s.options.socket_path, &addr), "serve");
   if (s.options.max_queue < 1) {
     return status::InvalidInput("serve: max_queue must be >= 1");
   }
   if (s.options.max_attempts < 1) {
     return status::InvalidInput("serve: max_attempts must be >= 1");
+  }
+  if (!(s.options.retry_backoff_ms >= 0.0)) {
+    return status::InvalidInput("serve: retry_backoff_ms must be >= 0");
   }
   // Durability first: replay the journal and re-enqueue non-terminal
   // jobs before the socket opens, so recovered work is ahead of any new
@@ -860,38 +853,32 @@ status::Status Server::Start() {
     s.recovery_info.truncated_bytes = replay.truncated_bytes;
     s.recovery_info.warnings = replay.warnings;
     for (RecoveredJob& recovered : replay.jobs) {
-      Impl::Job job;
-      job.id = recovered.client_id;
-      job.uid = recovered.uid;
-      job.tenant = recovered.tenant;
-      job.raw = std::move(recovered.request);
-      job.conn_id = -1;  // the client connection died with the old process
-      job.attempt = recovered.next_attempt;
-      // Re-arm what was left of the budget when the last record was
-      // written, not a fresh one.
-      job.deadline =
-          recovered.remaining_ms >= 0.0
-              ? status::Deadline::AfterSeconds(recovered.remaining_ms /
-                                               1e3)
-              : status::Deadline::Cancellable();
       Request request;
-      Status parsed = ParseRequest(job.raw, &request);
-      if (parsed.ok()) parsed = ParseJob(request, &job.spec);
+      JobRequest spec;
+      Status parsed = ParseRequest(std::move(recovered.request), &request);
+      if (parsed.ok()) parsed = ParseJob(request, &spec);
+      // The job goes by its record's id and tenant.
+      request.id = recovered.client_id;
+      request.tenant = recovered.tenant;
+      // The client connection died with the old process; the budget is
+      // what was left when the last record was written, not a fresh one.
+      Impl::Job job(std::move(request), std::move(spec),
+                    recovered.remaining_ms, /*conn=*/-1);
+      job.uid = recovered.uid;
+      job.attempt = recovered.next_attempt;
       if (!parsed.ok()) {
         // The job's fields are not guessed: it fails, durably.
-        s.JournalTransition(job, JobState::kFailed,
-                            status::CodeName(parsed.code()));
-        s.GetTenant(job.tenant)->failed->Add(1);
+        s.JournalState(job, JobState::kFailed,
+                       status::CodeName(parsed.code()))
+            .IgnoreError();
+        obs::GetCounter(s.TenantPrefix(job.tenant) + "failed")->Add(1);
         s.recovery_info.warnings.push_back(
             "job uid " + std::to_string(job.uid) + ": " + parsed.ToString());
         continue;
       }
-      job.op = request.op;
-      s.queue.push_back(std::move(job));
+      s.Push(std::move(job));
     }
     s.recovery_info.requeued_jobs = static_cast<int>(s.queue.size());
-    obs::GetGauge("serve.queue_depth")
-        ->Set(static_cast<double>(s.queue.size()));
     obs::GetCounter("serve.recovery.requeued_jobs")
         ->Add(s.recovery_info.requeued_jobs);
     obs::GetCounter("serve.recovery.replayed_records")
@@ -901,37 +888,27 @@ status::Status Server::Start() {
     s.recovery_info.recovery_ms = recovery_watch.Millis();
   }
   ::unlink(s.options.socket_path.c_str());
+  int pipe_fds[2];
+  std::string failed;  // the call that failed, if one did
   s.listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (s.listen_fd < 0) {
-    return status::IoError("serve: socket() failed: " +
-                           std::string(std::strerror(errno)));
+    failed = "socket()";
+  } else if (::bind(s.listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                    sizeof(addr)) != 0) {
+    failed = "bind(" + s.options.socket_path + ")";
+  } else if (::listen(s.listen_fd, kListenBacklog) != 0) {
+    failed = "listen()";
+  } else if (::pipe(pipe_fds) != 0) {
+    failed = "pipe()";
   }
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, s.options.socket_path.c_str(),
-              s.options.socket_path.size());
-  if (::bind(s.listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    ::close(s.listen_fd);
-    s.listen_fd = -1;
-    return status::IoError("serve: bind(" + s.options.socket_path +
-                           ") failed: " + std::strerror(errno));
-  }
-  if (::listen(s.listen_fd, s.options.listen_backlog) != 0) {
-    ::close(s.listen_fd);
+  if (!failed.empty()) {
+    const std::string detail = std::strerror(errno);
+    if (s.listen_fd >= 0) ::close(s.listen_fd);
     s.listen_fd = -1;
     ::unlink(s.options.socket_path.c_str());
-    return status::IoError("serve: listen() failed: " +
-                           std::string(std::strerror(errno)));
+    return status::IoError("serve: " + failed + " failed: " + detail);
   }
   SetNonBlocking(s.listen_fd);
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    ::close(s.listen_fd);
-    s.listen_fd = -1;
-    ::unlink(s.options.socket_path.c_str());
-    return status::IoError("serve: pipe() failed: " +
-                           std::string(std::strerror(errno)));
-  }
   s.wake_read = pipe_fds[0];
   s.wake_write = pipe_fds[1];
   SetNonBlocking(s.wake_read);

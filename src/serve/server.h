@@ -18,8 +18,6 @@ struct ServerOptions {
   /// jobs. A submission past this bound is rejected immediately with
   /// RESOURCE_EXHAUSTED instead of growing an unbounded backlog.
   int max_queue = 64;
-  /// listen(2) backlog for pending connections.
-  int listen_backlog = 128;
   /// Durability directory (`--journal <dir>`). Empty = no journal: jobs
   /// live only in memory, as before PR 10. Non-empty: every job state
   /// transition is fsync'd to <dir>/journal.jsonl BEFORE it takes
@@ -31,7 +29,7 @@ struct ServerOptions {
   /// (status::IsTransient): total attempt budget (first run included)
   /// and deterministic exponential backoff base/cap. Retries re-enter
   /// the queue directly — no admission double-counting, no max_queue
-  /// check.
+  /// check. Start() refuses a negative backoff.
   int max_attempts = 3;
   double retry_backoff_ms = 100.0;
   double retry_backoff_max_ms = 5000.0;
@@ -92,8 +90,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds the socket and spawns the IO + scheduler threads. Returns
-  /// kInvalidInput/kIoError on a bad path or socket failure (the server
-  /// is then inert and Wait() returns immediately).
+  /// kInvalidInput on a bad path or option (max_queue < 1,
+  /// max_attempts < 1, retry_backoff_ms < 0) and kIoError on a socket
+  /// failure (the server is then inert and Wait() returns immediately).
   status::Status Start();
 
   /// Blocks until the server has fully drained and both threads exited

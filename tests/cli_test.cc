@@ -101,6 +101,8 @@ TEST(CliTest, CommandsRefuseUndeclaredFlagsAndHalfParsedNumbers) {
       {{"inspect", "--in", graph_path, "--clena", graph_path}, "--clena"},
       {{"serve", "--socket", socket, "--max-queue", "abc"}, "--max-queue"},
       {{"serve", "--socket", socket, "--jornal", out}, "--jornal"},
+      {{"serve", "--socket", socket, "--retry-backoff-ms", "-5"},
+       "retry_backoff_ms"},
       {{"attack", "--in", graph_path, "--out", out, "--deadline", "abc"},
        "--deadline"},
       {{"attack", "--in", graph_path, "--out", out, "--deadline", "-5"},

@@ -610,6 +610,10 @@ TEST_F(JournalServeTest, TransientFailureRetriesAndSucceeds) {
   ASSERT_NE(erin, nullptr);
   EXPECT_EQ(serve::GetNumber(*erin, "accepted", -1), 1.0);
   EXPECT_EQ(serve::GetNumber(*erin, "completed", -1), 1.0);
+  // Queue wait and run time are observed once per attempt.
+  EXPECT_EQ(serve::GetNumber(*erin, "queue_ms_count", -1), 2.0);
+  EXPECT_EQ(serve::GetNumber(*erin, "run_ms_count", -1), 2.0);
+  EXPECT_EQ(serve::GetNumber(*result, "queue_depth", -1), 0.0);
 }
 
 TEST_F(JournalServeTest, RetryBudgetExhaustsWithTransientCode) {
