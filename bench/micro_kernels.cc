@@ -267,16 +267,6 @@ void BM_SpMMSimd(benchmark::State& state, linalg::SimdVariant v) {
   }
 }
 
-void BM_RowSoftmaxSimd(benchmark::State& state, linalg::SimdVariant v) {
-  const linalg::ScopedSimdVariant scope(v);
-  state.SetLabel(std::string("simd=") + linalg::SimdVariantName(v));
-  Rng rng(10);
-  const Matrix a = linalg::RandomNormal(2048, 64, 1.0f, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::RowSoftmax(a));
-  }
-}
-
 void BM_PeegaGreedyStepSimd(benchmark::State& state, linalg::SimdVariant v) {
   const linalg::ScopedSimdVariant scope(v);
   state.SetLabel(std::string("simd=") + linalg::SimdVariantName(v));
@@ -297,7 +287,6 @@ void RegisterSimdVariantBenchmarks() {
       {"BM_DenseMatMulSimd", &BM_DenseMatMulSimd},
       {"BM_MatMulTransBSimd", &BM_MatMulTransBSimd},
       {"BM_SpMMSimd", &BM_SpMMSimd},
-      {"BM_RowSoftmaxSimd", &BM_RowSoftmaxSimd},
       {"BM_PeegaGreedyStepSimd", &BM_PeegaGreedyStepSimd},
   };
   for (const auto& [name, fn] : benches) {

@@ -799,6 +799,9 @@ extern "C" gg_status gg_set_deadline_ms(gg_ctx* ctx, double ms) {
   try {
     if (ctx == nullptr) return GG_INVALID_INPUT;
     std::lock_guard<std::mutex> lock(ctx->mu);
+    if (std::isnan(ms)) {
+      return Fail(ctx, GG_INVALID_INPUT, "gg_set_deadline_ms: ms is NaN");
+    }
     ctx->budget_ms = ms > 0.0 ? ms : 0.0;
     ctx->last_error.clear();
     return GG_OK;

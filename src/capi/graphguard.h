@@ -221,7 +221,8 @@ gg_status gg_load_model(gg_ctx* ctx, const char* path);
 
 /* Wall-clock budget applied to each subsequent gg_attack / gg_defend /
  * gg_eval / gg_train_model call (each call gets the full budget).
- * ms <= 0 removes the budget. On expiry the operation stops committing
+ * ms <= 0 removes the budget; NaN is GG_INVALID_INPUT and leaves the
+ * budget unchanged. On expiry the operation stops committing
  * work and returns GG_DEADLINE_EXCEEDED with its best-so-far result —
  * it never hangs or aborts. */
 gg_status gg_set_deadline_ms(gg_ctx* ctx, double ms);

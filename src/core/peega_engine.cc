@@ -4,7 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <tuple>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,6 +61,45 @@ float GcnScale(size_t degree) {
   return 1.0f / std::sqrt(static_cast<float>(degree + 1));
 }
 
+// A_n = D^{-1/2}(A + I)D^{-1/2} in graph::GcnNormalize's CSR layout: row
+// r holds {r} ∪ N(r) in ascending column order with entry (r, k) =
+// scale[r] * scale[k], the float GcnNormalize computes as
+// 1.0f * s_r * s_k. `neighbors(r)` yields N(r) sorted. O(nnz + N), no
+// sort.
+template <typename NeighborsOf>
+SparseMatrix NormalizedAdjacency(const std::vector<float>& scale,
+                                 const NeighborsOf& neighbors) {
+  const int n = static_cast<int>(scale.size());
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
+  for (int r = 0; r < n; ++r) {
+    row_ptr[static_cast<size_t>(r) + 1] =
+        row_ptr[static_cast<size_t>(r)] +
+        static_cast<int64_t>(neighbors(r).size()) + 1;
+  }
+  std::vector<int> col_idx;
+  std::vector<float> values;
+  col_idx.reserve(static_cast<size_t>(row_ptr.back()));
+  values.reserve(static_cast<size_t>(row_ptr.back()));
+  for (int r = 0; r < n; ++r) {
+    const float sr = scale[static_cast<size_t>(r)];
+    const auto append = [&](int k) {
+      col_idx.push_back(k);
+      values.push_back(sr * scale[static_cast<size_t>(k)]);
+    };
+    bool self_done = false;
+    for (const int k : neighbors(r)) {
+      if (!self_done && r < k) {
+        append(r);
+        self_done = true;
+      }
+      append(k);
+    }
+    if (!self_done) append(r);
+  }
+  return SparseMatrix::FromCsr(n, n, std::move(row_ptr), std::move(col_idx),
+                               std::move(values));
+}
+
 }  // namespace
 
 PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
@@ -74,6 +113,8 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
       targeted_(!config.target_nodes.empty()),
       is_target_(g.num_nodes, config.target_nodes.empty() ? 1 : 0),
       target_order_(config.target_nodes),
+      pair_row_ptr_(g.adjacency.row_ptr()),
+      pair_col_(g.adjacency.col_idx()),
       features_(g.features) {
   PEEGA_CHECK_GE(layers_, 1);
   PEEGA_CHECK_GE(p_, 1);
@@ -86,28 +127,23 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
   // The global-view pairs are fixed on the CLEAN topology (Eq. 6), so
   // the clean CSR doubles as the pair index: pair k of row v is the
   // directed pair (v, pair_col_[k]) in the tape's NeighborPairs order.
-  pair_row_ptr_ = g.adjacency.row_ptr();
-  pair_col_ = g.adjacency.col_idx();
-
-  neighbors_.resize(static_cast<size_t>(n_));
-  for (int u = 0; u < n_; ++u) {
-    auto& list = neighbors_[static_cast<size_t>(u)];
-    list.reserve(pair_row_ptr_[u + 1] - pair_row_ptr_[u]);
-    for (int64_t k = pair_row_ptr_[u]; k < pair_row_ptr_[u + 1]; ++k) {
-      list.push_back(pair_col_[k]);  // CSR columns are already sorted
-    }
-  }
+  const auto clean_neighbors = [&](int u) {
+    return std::span<const int>(pair_col_.data() + pair_row_ptr_[u],
+                                pair_col_.data() + pair_row_ptr_[u + 1]);
+  };
   scale_.resize(static_cast<size_t>(n_));
   for (int u = 0; u < n_; ++u) {
-    scale_[static_cast<size_t>(u)] = GcnScale(neighbors_[static_cast<size_t>(u)].size());
+    scale_[static_cast<size_t>(u)] = GcnScale(clean_neighbors(u).size());
   }
+  a_n_ = NormalizedAdjacency(scale_, clean_neighbors);
 
   h_.resize(static_cast<size_t>(layers_) + 1);
   h_[0] = features_;
+  const std::vector<int> all_rows = AllRows(n_);
   for (int k = 1; k <= layers_; ++k) {
     h_[static_cast<size_t>(k)] = Matrix(n_, f_);
-    linalg::NormalizedSpMM(neighbors_, scale_, h_[static_cast<size_t>(k) - 1],
-                           &h_[static_cast<size_t>(k)]);
+    linalg::SpMMRowsInto(a_n_, all_rows, h_[static_cast<size_t>(k) - 1],
+                         &h_[static_cast<size_t>(k)]);
   }
   // The clean surrogate A_n^l X: the graph is still unperturbed, so the
   // H chain just built IS the reference.
@@ -120,6 +156,11 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
     w_nonzero_[static_cast<size_t>(k)].assign(static_cast<size_t>(n_), 0);
   }
   if (attack_topology_) {
+    neighbors_.resize(static_cast<size_t>(n_));
+    for (int u = 0; u < n_; ++u) {
+      const std::span<const int> list = clean_neighbors(u);
+      neighbors_[static_cast<size_t>(u)].assign(list.begin(), list.end());
+    }
     u_.resize(static_cast<size_t>(layers_));
     for (int k = 0; k < layers_; ++k) u_[static_cast<size_t>(k)] = Matrix(n_, n_);
     gn_ = Matrix(n_, n_);
@@ -139,10 +180,12 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
 std::vector<char> PeegaEngine::ExpandChanged(
     const std::vector<char>& mask) const {
   std::vector<char> out = mask;
+  const auto& row_ptr = a_n_.row_ptr();
+  const auto& col_idx = a_n_.col_idx();
   for (int r = 0; r < n_; ++r) {
     if (!mask[static_cast<size_t>(r)]) continue;
-    for (const int k : neighbors_[static_cast<size_t>(r)]) {
-      out[static_cast<size_t>(k)] = 1;
+    for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
+      out[static_cast<size_t>(col_idx[p])] = 1;
     }
   }
   return out;
@@ -215,6 +258,12 @@ status::Status PeegaEngine::RefreshScores() {
   static obs::Counter* const rows_touched =
       obs::GetCounter("peega_engine.rows_touched");
   refreshes->Add(1);
+  if (a_n_stale_) {
+    a_n_ = NormalizedAdjacency(scale_, [&](int u) -> const std::vector<int>& {
+      return neighbors_[static_cast<size_t>(u)];
+    });
+    a_n_stale_ = false;
+  }
 
   const bool full = fresh_;
   // Changed-row sets, one per cache level. d[k] holds the rows of H_k a
@@ -250,9 +299,9 @@ status::Status PeegaEngine::RefreshScores() {
 
   // 1. Forward chain: H_k rows.
   for (int k = 1; k <= layers_; ++k) {
-    linalg::NormalizedSpMMRows(neighbors_, scale_, d[static_cast<size_t>(k)],
-                               h_[static_cast<size_t>(k) - 1],
-                               &h_[static_cast<size_t>(k)]);
+    linalg::SpMMRowsInto(a_n_, d[static_cast<size_t>(k)],
+                         h_[static_cast<size_t>(k) - 1],
+                         &h_[static_cast<size_t>(k)]);
   }
 
   // 2. G_M rows (and the objective pair terms riding along).
@@ -270,7 +319,7 @@ status::Status PeegaEngine::RefreshScores() {
   // 3. Backward chains W_k = A_n W_{k-1}, rows e[k]; nonzero flags track
   //    freshly written rows so the U updates can skip zero-support rows.
   for (size_t k = 1; k < w_.size(); ++k) {
-    linalg::NormalizedSpMMRows(neighbors_, scale_, e[k], w_[k - 1], &w_[k]);
+    linalg::SpMMRowsInto(a_n_, e[k], w_[k - 1], &w_[k]);
     for (const int r : e[k]) {
       w_nonzero_[k][static_cast<size_t>(r)] = RowNonzero(w_[k], r);
     }
@@ -339,30 +388,24 @@ status::Status PeegaEngine::RefreshScores() {
     //    ScaleColsVar backward (column sums of G_N against the
     //    row-scaled values) before the ScaleRowsVar backward (row sums
     //    against A + I), then scales by d(1/sqrt)/d(deg). A + I is 0/1,
-    //    so both reduce to sums over the closed neighborhood; zero
-    //    entries contribute exact zeros in the tape and are skipped
-    //    here. O(nnz) total — recomputed in full every refresh.
+    //    so both reduce to sums over the closed neighborhood — row a of
+    //    A_n, in ascending column order; zero entries contribute exact
+    //    zeros in the tape and are skipped here. O(nnz) total —
+    //    recomputed in full every refresh.
     {
       const obs::TraceSpan deg_span("peega_engine.degree_chain");
+      const auto& row_ptr = a_n_.row_ptr();
+      const auto& col_idx = a_n_.col_idx();
       for (int a = 0; a < n_; ++a) {
         float ds_col = 0.0f;
         float ds_row = 0.0f;
-        const auto visit = [&](int i) {
+        for (int64_t p = row_ptr[a]; p < row_ptr[a + 1]; ++p) {
+          const int i = col_idx[p];
           ds_col += gn_(i, a) * scale_[static_cast<size_t>(i)];
           ds_row += gn_(a, i) * scale_[static_cast<size_t>(i)];
-        };
-        bool self_done = false;
-        for (const int k : neighbors_[static_cast<size_t>(a)]) {
-          if (!self_done && a < k) {
-            visit(a);
-            self_done = true;
-          }
-          visit(k);
         }
-        if (!self_done) visit(a);
         const float s_grad = ds_col + ds_row;
-        const float degf =
-            static_cast<float>(neighbors_[static_cast<size_t>(a)].size() + 1);
+        const float degf = static_cast<float>(a_n_.RowNnz(a));
         const float dscale = -0.5f * std::pow(degf, -1.5f);
         const float next = s_grad * dscale;
         if (std::bit_cast<uint32_t>(next) !=
@@ -382,9 +425,8 @@ status::Status PeegaEngine::RefreshScores() {
 
   // 7. G_X = A_n W_{l-1}: one more propagation hop past the last W level.
   if (attack_features_) {
-    linalg::NormalizedSpMMRows(neighbors_, scale_,
-                               e[static_cast<size_t>(layers_)], w_.back(),
-                               &gx_);
+    linalg::SpMMRowsInto(a_n_, e[static_cast<size_t>(layers_)], w_.back(),
+                         &gx_);
     changed_feature_rows_ = std::move(e[static_cast<size_t>(layers_)]);
   }
 
@@ -407,6 +449,7 @@ status::Status PeegaEngine::RefreshScores() {
 }
 
 void PeegaEngine::FlipEdge(int u, int v) {
+  PEEGA_CHECK(attack_topology_) << " — FlipEdge on a features-only engine";
   PEEGA_CHECK_NE(u, v) << " — self-loop flips are not valid perturbations";
   PEEGA_CHECK_GE(u, 0);
   PEEGA_CHECK_LT(u, n_);
@@ -439,6 +482,8 @@ void PeegaEngine::FlipEdge(int u, int v) {
   toggle(v, u);
   scale_[static_cast<size_t>(u)] = GcnScale(neighbors_[static_cast<size_t>(u)].size());
   scale_[static_cast<size_t>(v)] = GcnScale(neighbors_[static_cast<size_t>(v)].size());
+  edge_flips_.emplace_back(u, v);
+  a_n_stale_ = true;
   any_pending_ = true;
 }
 
@@ -481,16 +526,11 @@ double PeegaEngine::Objective() const {
 }
 
 SparseMatrix PeegaEngine::PoisonedAdjacency() const {
-  std::vector<std::tuple<int, int, float>> triplets;
-  size_t nnz = 0;
-  for (const auto& list : neighbors_) nnz += list.size();
-  triplets.reserve(nnz);
-  for (int u = 0; u < n_; ++u) {
-    for (const int v : neighbors_[static_cast<size_t>(u)]) {
-      triplets.emplace_back(u, v, 1.0f);
-    }
-  }
-  return SparseMatrix::FromTriplets(n_, n_, triplets);
+  // Only WithFlips' structure walk reads the clean matrix's values.
+  const SparseMatrix clean = SparseMatrix::FromCsr(
+      n_, n_, pair_row_ptr_, pair_col_,
+      std::vector<float>(pair_col_.size(), 1.0f));
+  return graph::WithFlips(clean, edge_flips_);
 }
 
 }  // namespace repro::core

@@ -2,6 +2,7 @@
 #define PEEGA_CORE_PEEGA_ENGINE_H_
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "debug/check.h"
@@ -136,6 +137,8 @@ class PeegaEngine {
   /// Closed-form ∂J/∂X[v][j] (exposed for the gradcheck property tests).
   float FeatureGradient(int v, int j) const { return gx_(v, j); }
 
+  /// Whether (u, v) is an edge of the poisoned graph. Topology engines
+  /// only (Config::attack_topology), like FlipEdge.
   bool HasEdge(int u, int v) const {
     const auto& list = neighbors_[static_cast<size_t>(u)];
     return std::binary_search(list.begin(), list.end(), v);
@@ -151,8 +154,9 @@ class PeegaEngine {
   /// forward pass. Valid after RefreshScores().
   double Objective() const;
 
-  /// Sparse poisoned adjacency emitted directly from the maintained
-  /// neighbor lists — no O(N²) dense rescan.
+  /// Sparse poisoned adjacency: graph::WithFlips of the committed edge
+  /// flips on the clean topology — no O(N²) dense rescan, and valid
+  /// after a latched refresh failure.
   linalg::SparseMatrix PoisonedAdjacency() const;
 
   const linalg::Matrix& features() const { return features_; }
@@ -184,20 +188,27 @@ class PeegaEngine {
   // to rounding, so Objective() must follow the same order.
   std::vector<int> target_order_;
   linalg::Matrix reference_;  // clean A_n^l X
-  // Clean-topology CSR for the global-view pairs (Eq. 6 always sums over
-  // the ORIGINAL neighborhoods, even as edges are flipped).
+  // Clean-topology CSR: the global-view pair index (Eq. 6 always sums
+  // over the ORIGINAL neighborhoods, even as edges are flipped) and the
+  // base PoisonedAdjacency() toggles the committed edge flips on.
   std::vector<int64_t> pair_row_ptr_;
   std::vector<int> pair_col_;
 
   // --- poisoned state -----------------------------------------------------
-  std::vector<std::vector<int>> neighbors_;  // sorted adjacency lists
-  std::vector<float> scale_;                 // s_i = 1/sqrt(deg_i + 1)
+  std::vector<std::pair<int, int>> edge_flips_;  // committed, in order
+  std::vector<float> scale_;                     // s_i = 1/sqrt(deg_i + 1)
   linalg::Matrix features_;
+  // A_n = D^{-1/2}(A + I)D^{-1/2} in graph::GcnNormalize's CSR layout;
+  // rebuilt by the first refresh after an edge flip.
+  linalg::SparseMatrix a_n_;
+  bool a_n_stale_ = false;
 
   // --- caches (see class comment) ----------------------------------------
   std::vector<linalg::Matrix> h_;  // H_0..H_layers (H_0 mirrors features_)
   std::vector<linalg::Matrix> w_;  // W_k = A_n^k G_M, k = 0..layers-1
   std::vector<std::vector<char>> w_nonzero_;  // per W_k: rows with a nonzero
+  // Topology state (attack_topology_ only).
+  std::vector<std::vector<int>> neighbors_;  // sorted poisoned adjacency
   std::vector<linalg::Matrix> u_;  // U_k = W_k H_{layers-1-k}^T
   linalg::Matrix gn_;              // U_0 + U_1 + ... (tape backward order)
   std::vector<float> ddeg_;

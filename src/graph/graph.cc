@@ -121,29 +121,6 @@ SparseMatrix GcnNormalizeWeighted(const SparseMatrix& adjacency,
   return SparseMatrix::FromTriplets(n, n, triplets);
 }
 
-SparseMatrix RowNormalize(const SparseMatrix& adjacency) {
-  const int n = adjacency.rows();
-  std::vector<float> degree(n, 1.0f);
-  const auto& row_ptr = adjacency.row_ptr();
-  const auto& values = adjacency.values();
-  for (int u = 0; u < n; ++u) {
-    for (int64_t k = row_ptr[u]; k < row_ptr[u + 1]; ++k) {
-      degree[u] += values[k];
-    }
-  }
-  std::vector<std::tuple<int, int, float>> triplets;
-  triplets.reserve(adjacency.nnz() + n);
-  const auto& col_idx = adjacency.col_idx();
-  for (int u = 0; u < n; ++u) {
-    const float inv = 1.0f / degree[u];
-    triplets.emplace_back(u, u, inv);
-    for (int64_t k = row_ptr[u]; k < row_ptr[u + 1]; ++k) {
-      triplets.emplace_back(u, col_idx[k], values[k] * inv);
-    }
-  }
-  return SparseMatrix::FromTriplets(n, n, triplets);
-}
-
 SparseMatrix KHopAdjacency(const SparseMatrix& adjacency, int k) {
   PEEGA_CHECK_GE(k, 1);
   const int n = adjacency.rows();

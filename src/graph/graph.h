@@ -68,9 +68,6 @@ linalg::SparseMatrix GcnNormalize(const linalg::SparseMatrix& adjacency);
 linalg::SparseMatrix GcnNormalizeWeighted(
     const linalg::SparseMatrix& adjacency, float self_loop_weight);
 
-/// Row-normalized propagation: D^{-1} (A + I). Used by some baselines.
-linalg::SparseMatrix RowNormalize(const linalg::SparseMatrix& adjacency);
-
 /// Binary k-hop reachability adjacency (edge u-v iff u reaches v within k
 /// hops, u != v). k = 1 returns the input structure.
 linalg::SparseMatrix KHopAdjacency(const linalg::SparseMatrix& adjacency,

@@ -33,14 +33,10 @@ void CheckRowsFinite(const Matrix& m, const std::vector<int>& rows,
 
 }  // namespace
 
-void NormalizedSpMMRows(const std::vector<std::vector<int>>& neighbors,
-                        const std::vector<float>& scale,
-                        const std::vector<int>& rows, const Matrix& b,
-                        Matrix* out) {
-  const int n = static_cast<int>(neighbors.size());
-  PEEGA_CHECK_EQ(static_cast<int>(scale.size()), n);
-  PEEGA_CHECK_EQ(b.rows(), n);
-  PEEGA_CHECK_EQ(out->rows(), n);
+void SpMMRowsInto(const SparseMatrix& s, const std::vector<int>& rows,
+                  const Matrix& b, Matrix* out) {
+  PEEGA_CHECK_EQ(s.cols(), b.rows());
+  PEEGA_CHECK_EQ(out->rows(), s.rows());
   PEEGA_CHECK_EQ(out->cols(), b.cols());
   const obs::TraceSpan span("linalg.norm_spmm_rows");
   static obs::Counter* const calls =
@@ -49,30 +45,24 @@ void NormalizedSpMMRows(const std::vector<std::vector<int>>& neighbors,
       obs::GetCounter("linalg.incremental.flops");
   calls->Add(1);
   const int cols = b.cols();
-  const kernels::NormalizedSpMMRowFn kernel =
-      kernels::NormalizedSpMMRowTable().Select();
+  const int64_t* row_ptr = s.row_ptr().data();
+  const int* col_idx = s.col_idx().data();
+  const float* values = s.values().data();
+  const kernels::SpMMRowsFn kernel = kernels::SpMMTable().Select();
   parallel::ParallelFor(
       0, static_cast<int64_t>(rows.size()), kSpmmRowGrain,
       [&](int64_t i0, int64_t i1) {
         uint64_t work = 0;
         for (int64_t i = i0; i < i1; ++i) {
           const int r = rows[static_cast<size_t>(i)];
-          const std::vector<int>& nbrs = neighbors[r];
-          kernel(nbrs.data(), static_cast<int>(nbrs.size()), r, scale.data(),
-                 b.data(), cols, out->row(r));
-          work += nbrs.size() + 1;
+          std::fill_n(out->row(r), cols, 0.0f);
+          kernel(row_ptr, col_idx, values, b.data(), out->data(), r, r + 1,
+                 cols);
+          work += static_cast<uint64_t>(s.RowNnz(r));
         }
         flops->Add(2 * work * static_cast<uint64_t>(cols));
       });
-  CheckRowsFinite(*out, rows, "NormalizedSpMMRows");
-}
-
-void NormalizedSpMM(const std::vector<std::vector<int>>& neighbors,
-                    const std::vector<float>& scale, const Matrix& b,
-                    Matrix* out) {
-  std::vector<int> all(neighbors.size());
-  for (size_t r = 0; r < all.size(); ++r) all[r] = static_cast<int>(r);
-  NormalizedSpMMRows(neighbors, scale, all, b, out);
+  CheckRowsFinite(*out, rows, "SpMMRowsInto");
 }
 
 void DotRowsInto(const Matrix& a, const Matrix& b,

@@ -5,44 +5,35 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "linalg/sparse.h"
 
 namespace repro::linalg {
 
 /// \file
-/// Sparse row/column update kernels for the incremental PEEGA objective
-/// engine (core/peega_engine.h).
+/// Row-subset kernels for the incremental PEEGA objective engine
+/// (core/peega_engine.h).
 ///
-/// The engine maintains the poisoned adjacency as sorted neighbor lists
-/// plus per-node GCN scales s_i = 1/sqrt(deg_i + 1), and refreshes only
-/// the rows a flip touched. Each kernel below reproduces the float
-/// accumulation order of the corresponding full kernel in `linalg/ops.h`
-/// exactly — `NormalizedSpMMRows` matches `SpMM` on the normalized
-/// adjacency (ascending stored-column order with the self-loop merged
-/// in sorted position, entry value s_r * s_k) and the dot kernels match
-/// `MatMulTransB` (ascending-k float dot products) — so a row updated
-/// incrementally is bitwise identical to the same row of a from-scratch
-/// recompute, and hence to the dense autograd tape path. That bitwise
-/// agreement is what makes the tape engine a differential-testing oracle
-/// for the incremental engine (see DESIGN.md, "Incremental objective
-/// engine").
+/// The engine holds the poisoned A_n = D^{-1/2}(A + I)D^{-1/2} as a
+/// `SparseMatrix` in `graph::GcnNormalize`'s layout and refreshes only
+/// the rows a flip touched. Each kernel below runs the dispatched kernel
+/// of the corresponding full op in `linalg/ops.h` — `SpMMRowsInto` the
+/// `SpMM` row kernel, the dot kernels `MatMulTransB`'s ascending-k dot
+/// products — so a row updated incrementally is bitwise identical to the
+/// same row of a from-scratch recompute, and hence to the dense autograd
+/// tape path. That bitwise agreement is what makes the tape engine a
+/// differential-testing oracle for the incremental engine (see
+/// DESIGN.md, "Incremental objective engine").
 ///
 /// Threading: all kernels chunk over the given row subset with disjoint
 /// output rows, so results are bitwise-deterministic at any thread count.
 
-/// For each r in `rows`: out[r] = sum over k in sorted({r} ∪ neighbors[r])
-/// of (scale[r] * scale[k]) * b[k] — row r of A_n * B for the GCN-
-/// normalized adjacency A_n = D^{-1/2}(A + I)D^{-1/2} implied by
-/// `neighbors`/`scale`. Rows of `out` not listed in `rows` are untouched.
-/// O(sum_r (deg_r + 1) * b.cols()).
-void NormalizedSpMMRows(const std::vector<std::vector<int>>& neighbors,
-                        const std::vector<float>& scale,
-                        const std::vector<int>& rows, const Matrix& b,
-                        Matrix* out);
-
-/// NormalizedSpMMRows over every row: out = A_n * B. O(nnz * b.cols()).
-void NormalizedSpMM(const std::vector<std::vector<int>>& neighbors,
-                    const std::vector<float>& scale, const Matrix& b,
-                    Matrix* out);
+/// For each r in `rows`: out[r] = row r of S * B, accumulated from zero
+/// over S's stored entries in ascending-column order exactly as in
+/// `SpMM`. Rows of `out` not listed in `rows` are untouched. Traced as
+/// `linalg.norm_spmm_rows` (no `linalg.spmm` span or failpoint).
+/// O(sum_r RowNnz(r) * b.cols()).
+void SpMMRowsInto(const SparseMatrix& s, const std::vector<int>& rows,
+                  const Matrix& b, Matrix* out);
 
 /// For each r in `rows`: out[r][j] = dot(a[r], b[j]) for all j — row r of
 /// A * B^T, the pairwise-product rows the engine's cached gradient terms

@@ -90,29 +90,6 @@ const KernelTable<SpMMRowsFn>& SpMMTable() {
   return table;
 }
 
-const KernelTable<SpMVRowsFn>& SpMVTable() {
-  // Reference-only: each output is ONE float accumulator scanned along
-  // the row's nonzeros, so any lane-parallel split would reassociate
-  // the sum and break the bitwise class (see docs/OPS.md).
-  static const KernelTable<SpMVRowsFn> table = {
-      "linalg.spmv", &generic::SpMVRows, nullptr, nullptr};
-  return table;
-}
-
-const KernelTable<RowSoftmaxRowsFn>& RowSoftmaxTable() {
-  static const KernelTable<RowSoftmaxRowsFn> table = {
-      "linalg.row_softmax", &generic::RowSoftmaxRows,
-      PEEGA_AVX2_FN(RowSoftmaxRows), nullptr};
-  return table;
-}
-
-const KernelTable<NormalizedSpMMRowFn>& NormalizedSpMMRowTable() {
-  static const KernelTable<NormalizedSpMMRowFn> table = {
-      "linalg.normalized_spmm_rows", &generic::NormalizedSpMMRow,
-      PEEGA_AVX2_FN(NormalizedSpMMRow), PEEGA_NEON_FN(NormalizedSpMMRow)};
-  return table;
-}
-
 #undef PEEGA_AVX2_FN
 #undef PEEGA_NEON_FN
 
@@ -131,12 +108,8 @@ KernelTableInfo InfoOf(const KernelTable<Fn>& table) {
 }  // namespace
 
 std::vector<KernelTableInfo> AllKernelTables() {
-  return {
-      InfoOf(MatMulTable()),      InfoOf(MatMulTransATable()),
-      InfoOf(DotTable()),         InfoOf(SpMMTable()),
-      InfoOf(SpMVTable()),        InfoOf(RowSoftmaxTable()),
-      InfoOf(NormalizedSpMMRowTable()),
-  };
+  return {InfoOf(MatMulTable()), InfoOf(MatMulTransATable()),
+          InfoOf(DotTable()), InfoOf(SpMMTable())};
 }
 
 }  // namespace repro::linalg::kernels

@@ -15,9 +15,10 @@ namespace repro::linalg::kernels {
 /// The public kernels keep their orchestration (shape checks, tracing,
 /// FLOP counters, `parallel::ParallelFor` chunking) and resolve ONE
 /// function pointer per call from the op's `KernelTable`; the pointed-to
-/// functions below do the arithmetic for one chunk (dense ops), one row
-/// (the normalized SpMM repair op) or one column panel (the dot family,
-/// whose chunking `DotPanels` below shares between its three ops).
+/// functions below do the arithmetic for one chunk of rows or columns
+/// (matmul, matmul_ta, spmm; `linalg::SpMMRowsInto` runs the spmm kernel
+/// one listed row at a time) or one column panel (the dot family, whose
+/// chunking `DotPanels` below shares between its three ops).
 /// Signatures are raw pointers + sizes on purpose: the AVX2/NEON
 /// translation units are compiled with instruction-set flags the rest
 /// of the tree must not assume, so they must not instantiate inline
@@ -48,33 +49,11 @@ using MatMulTransAColsFn = void (*)(const float* a, const float* b, float* c,
                                     int64_t j0, int64_t j1, int k_rows, int m,
                                     int n);
 
-/// Rows [r0, r1) of C = S · B for CSR S; each row accumulates its
-/// nonzeros in stored (ascending-column) order.
+/// Rows [r0, r1) of C = S · B for CSR S, accumulated onto zeroed rows
+/// of `c`; each row adds its nonzeros in stored (ascending-column) order.
 using SpMMRowsFn = void (*)(const int64_t* row_ptr, const int* col_idx,
                             const float* values, const float* b, float* c,
                             int64_t r0, int64_t r1, int n);
-
-/// Rows [r0, r1) of y = S · x for CSR S, stored-order accumulation.
-using SpMVRowsFn = void (*)(const int64_t* row_ptr, const int* col_idx,
-                            const float* values, const float* x, float* y,
-                            int64_t r0, int64_t r1);
-
-/// Rows [r0, r1) of the max-stabilized row softmax; the exp/denominator
-/// scan is scalar in every variant (libm exp in ascending-j order).
-using RowSoftmaxRowsFn = void (*)(const float* a, float* c, int64_t r0,
-                                  int64_t r1, int n);
-
-// ---------------------------------------------------------------------------
-// Row kernel (row-subset repair op of the incremental engine)
-// ---------------------------------------------------------------------------
-
-/// Row `r` of A_n · B for the GCN-normalized adjacency implied by
-/// `neighbors`/`scale` (entry value scale[r]·scale[k]); the self-loop is
-/// merged in sorted position exactly as in `linalg::SpMM` on
-/// `graph::GcnNormalize`'s CSR. `b` is (n×cols); writes `out_row`.
-using NormalizedSpMMRowFn = void (*)(const int* neighbors, int degree, int r,
-                                     const float* scale, const float* b,
-                                     int cols, float* out_row);
 
 // ---------------------------------------------------------------------------
 // Dot panels (linalg::MatMulTransB, DotRowsInto, DotColsInto)
@@ -113,9 +92,6 @@ const KernelTable<MatMulTransAColsFn>& MatMulTransATable();
 /// all run `DotPanel` through DotPanels.
 const KernelTable<DotPanelFn>& DotTable();
 const KernelTable<SpMMRowsFn>& SpMMTable();
-const KernelTable<SpMVRowsFn>& SpMVTable();
-const KernelTable<RowSoftmaxRowsFn>& RowSoftmaxTable();
-const KernelTable<NormalizedSpMMRowFn>& NormalizedSpMMRowTable();
 
 /// Introspection row for the registry self-check and gen_op_docs: which
 /// variants of each dispatched op this binary actually compiled.

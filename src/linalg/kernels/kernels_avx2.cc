@@ -17,7 +17,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/kernels/variants.h"
 
@@ -26,7 +25,7 @@ namespace repro::linalg::kernels::avx2 {
 namespace {
 
 // crow[j] += av * brow[j] for j in [0, n) — the shared saxpy inner loop
-// of MatMulRows / SpMMRows / NormalizedSpMMRow. Lane l handles element
+// of MatMulRows / SpMMRows. Lane l handles element
 // j + l; per element the operation sequence equals the scalar loop.
 inline void AxpyRow(float av, const float* brow, float* crow, int n) {
   const __m256 vav = _mm256_set1_ps(av);
@@ -223,73 +222,6 @@ void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
       AxpyRow(values[kk], b + static_cast<int64_t>(col_idx[kk]) * n, crow, n);
     }
   }
-}
-
-void RowSoftmaxRows(const float* a, float* c, int64_t r0, int64_t r1, int n) {
-  for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-    const float* arow = a + static_cast<int64_t>(i) * n;
-    float* crow = c + static_cast<int64_t>(i) * n;
-    // Lane-parallel max then horizontal reduce: float max is exact
-    // selection (associative and commutative on the non-NaN inputs the
-    // numerics guard admits), so the reassociation is value-identical
-    // to the scalar scan; a ±0 tie feeds exp(±0) = 1.0f either way.
-    float row_max;
-    if (n >= 8) {
-      __m256 vmax = _mm256_loadu_ps(arow);
-      int j = 8;
-      for (; j + 8 <= n; j += 8) {
-        vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(arow + j));
-      }
-      alignas(32) float lanes[8];
-      _mm256_store_ps(lanes, vmax);
-      row_max = lanes[0];
-      for (int l = 1; l < 8; ++l) row_max = std::max(row_max, lanes[l]);
-      for (; j < n; ++j) row_max = std::max(row_max, arow[j]);
-    } else {
-      row_max = arow[0];
-      for (int j = 1; j < n; ++j) row_max = std::max(row_max, arow[j]);
-    }
-    // The exp + denominator scan stays scalar in every variant: libm
-    // exp calls in ascending-j order ARE the reference accumulation.
-    float denom = 0.0f;
-    for (int j = 0; j < n; ++j) {
-      crow[j] = std::exp(arow[j] - row_max);
-      denom += crow[j];
-    }
-    const float inv = 1.0f / denom;
-    const __m256 vinv = _mm256_set1_ps(inv);
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-      _mm256_storeu_ps(crow + j,
-                       _mm256_mul_ps(_mm256_loadu_ps(crow + j), vinv));
-    }
-    for (; j < n; ++j) crow[j] *= inv;
-  }
-}
-
-void NormalizedSpMMRow(const int* neighbors, int degree, int r,
-                       const float* scale, const float* b, int cols,
-                       float* out_row) {
-  {
-    const __m256 vzero = _mm256_setzero_ps();
-    int j = 0;
-    for (; j + 8 <= cols; j += 8) _mm256_storeu_ps(out_row + j, vzero);
-    for (; j < cols; ++j) out_row[j] = 0.0f;
-  }
-  const float sr = scale[r];
-  const auto apply = [&](int k) {
-    AxpyRow(sr * scale[k], b + static_cast<int64_t>(k) * cols, out_row, cols);
-  };
-  bool self_done = false;
-  for (int idx = 0; idx < degree; ++idx) {
-    const int k = neighbors[idx];
-    if (!self_done && r < k) {
-      apply(r);
-      self_done = true;
-    }
-    apply(k);
-  }
-  if (!self_done) apply(r);
 }
 
 void DotPanel(const float* a, const int* rows, int64_t num_rows,

@@ -7,7 +7,6 @@
 // variants reproduce lane-for-lane.
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/kernels/variants.h"
 
@@ -57,59 +56,6 @@ void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
       for (int j = 0; j < n; ++j) crow[j] += v * brow[j];
     }
   }
-}
-
-void SpMVRows(const int64_t* row_ptr, const int* col_idx, const float* values,
-              const float* x, float* y, int64_t r0, int64_t r1) {
-  for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-    float acc = 0.0f;
-    for (int64_t kk = row_ptr[i]; kk < row_ptr[i + 1]; ++kk) {
-      acc += values[kk] * x[col_idx[kk]];
-    }
-    y[i] = acc;
-  }
-}
-
-void RowSoftmaxRows(const float* a, float* c, int64_t r0, int64_t r1, int n) {
-  for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-    const float* arow = a + static_cast<int64_t>(i) * n;
-    float* crow = c + static_cast<int64_t>(i) * n;
-    float row_max = arow[0];
-    for (int j = 1; j < n; ++j) row_max = std::max(row_max, arow[j]);
-    float denom = 0.0f;
-    for (int j = 0; j < n; ++j) {
-      crow[j] = std::exp(arow[j] - row_max);
-      denom += crow[j];
-    }
-    const float inv = 1.0f / denom;
-    for (int j = 0; j < n; ++j) crow[j] *= inv;
-  }
-}
-
-void NormalizedSpMMRow(const int* neighbors, int degree, int r,
-                       const float* scale, const float* b, int cols,
-                       float* out_row) {
-  for (int j = 0; j < cols; ++j) out_row[j] = 0.0f;
-  // Stored (ascending-column) order with the self-loop merged in sorted
-  // position — the accumulation order of linalg::SpMM on
-  // graph::GcnNormalize's CSR, and of the dense MatMul on the tape's
-  // normalized adjacency (zero entries skipped there).
-  const float sr = scale[r];
-  const auto apply = [&](int k) {
-    const float v = sr * scale[k];
-    const float* brow = b + static_cast<int64_t>(k) * cols;
-    for (int j = 0; j < cols; ++j) out_row[j] += v * brow[j];
-  };
-  bool self_done = false;
-  for (int idx = 0; idx < degree; ++idx) {
-    const int k = neighbors[idx];
-    if (!self_done && r < k) {
-      apply(r);
-      self_done = true;
-    }
-    apply(k);
-  }
-  if (!self_done) apply(r);
 }
 
 void DotPanel(const float* a, const int* rows, int64_t num_rows,

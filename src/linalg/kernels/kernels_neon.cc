@@ -1,5 +1,5 @@
 // NEON kernel variants for aarch64, covering the saxpy-family ops
-// (matmul, matmul_ta, spmm, normalized_spmm_rows). The gather-based dot
+// (matmul, matmul_ta, spmm). The gather-based dot
 // kernels have no NEON implementation — NEON lacks a gather load, so a
 // lane-per-output mapping would degenerate to scalar lane inserts — and
 // dispatch falls back to generic for them.
@@ -82,31 +82,6 @@ void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
       AxpyRow(values[kk], b + static_cast<int64_t>(col_idx[kk]) * n, crow, n);
     }
   }
-}
-
-void NormalizedSpMMRow(const int* neighbors, int degree, int r,
-                       const float* scale, const float* b, int cols,
-                       float* out_row) {
-  {
-    const float32x4_t vzero = vdupq_n_f32(0.0f);
-    int j = 0;
-    for (; j + 4 <= cols; j += 4) vst1q_f32(out_row + j, vzero);
-    for (; j < cols; ++j) out_row[j] = 0.0f;
-  }
-  const float sr = scale[r];
-  const auto apply = [&](int k) {
-    AxpyRow(sr * scale[k], b + static_cast<int64_t>(k) * cols, out_row, cols);
-  };
-  bool self_done = false;
-  for (int idx = 0; idx < degree; ++idx) {
-    const int k = neighbors[idx];
-    if (!self_done && r < k) {
-      apply(r);
-      self_done = true;
-    }
-    apply(k);
-  }
-  if (!self_done) apply(r);
 }
 
 }  // namespace repro::linalg::kernels::neon

@@ -26,12 +26,6 @@ void MatMulTransACols(const float* a, const float* b, float* c, int64_t j0,
                       int64_t j1, int k_rows, int m, int n);
 void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
               const float* b, float* c, int64_t r0, int64_t r1, int n);
-void SpMVRows(const int64_t* row_ptr, const int* col_idx, const float* values,
-              const float* x, float* y, int64_t r0, int64_t r1);
-void RowSoftmaxRows(const float* a, float* c, int64_t r0, int64_t r1, int n);
-void NormalizedSpMMRow(const int* neighbors, int degree, int r,
-                       const float* scale, const float* b, int cols,
-                       float* out_row);
 void DotPanel(const float* a, const int* rows, int64_t num_rows,
               const float* b, const int* cols, int num_cols, int k, float* c,
               int64_t ldc, float* panel);
@@ -45,10 +39,6 @@ void MatMulTransACols(const float* a, const float* b, float* c, int64_t j0,
                       int64_t j1, int k_rows, int m, int n);
 void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
               const float* b, float* c, int64_t r0, int64_t r1, int n);
-void RowSoftmaxRows(const float* a, float* c, int64_t r0, int64_t r1, int n);
-void NormalizedSpMMRow(const int* neighbors, int degree, int r,
-                       const float* scale, const float* b, int cols,
-                       float* out_row);
 void DotPanel(const float* a, const int* rows, int64_t num_rows,
               const float* b, const int* cols, int num_cols, int k, float* c,
               int64_t ldc, float* panel);
@@ -63,9 +53,6 @@ void MatMulTransACols(const float* a, const float* b, float* c, int64_t j0,
                       int64_t j1, int k_rows, int m, int n);
 void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
               const float* b, float* c, int64_t r0, int64_t r1, int n);
-void NormalizedSpMMRow(const int* neighbors, int degree, int r,
-                       const float* scale, const float* b, int cols,
-                       float* out_row);
 }  // namespace neon
 #endif  // PEEGA_HAVE_NEON
 

@@ -1,6 +1,5 @@
 #include "linalg/op_registry.h"
 
-#include <cmath>
 #include <set>
 #include <string_view>
 #include <tuple>
@@ -18,8 +17,6 @@ const char* DeterminismClassName(DeterminismClass c) {
   switch (c) {
     case DeterminismClass::kLanePerOutput:
       return "lane-per-output";
-    case DeterminismClass::kReferenceOnly:
-      return "reference-only";
   }
   return "unknown";
 }
@@ -49,29 +46,6 @@ Matrix ProbeMatrix(int rows, int cols, Rng* rng) {
 
 void Append(const Matrix& m, std::vector<float>* out) {
   out->insert(out->end(), m.data(), m.data() + m.size());
-}
-
-// Sorted random neighbor lists plus the matching GCN scales
-// s_i = 1/sqrt(deg_i + 1); the adjacency is symmetric and loop-free,
-// matching what graph::GcnNormalize feeds NormalizedSpMMRows.
-std::pair<std::vector<std::vector<int>>, std::vector<float>> ProbeGraph(
-    int n, Rng* rng) {
-  std::vector<std::set<int>> adj(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (rng->Bernoulli(0.3)) {
-        adj[i].insert(j);
-        adj[j].insert(i);
-      }
-    }
-  }
-  std::vector<std::vector<int>> neighbors(n);
-  std::vector<float> scale(n);
-  for (int i = 0; i < n; ++i) {
-    neighbors[i].assign(adj[i].begin(), adj[i].end());
-    scale[i] = 1.0f / std::sqrt(static_cast<float>(neighbors[i].size()) + 1.0f);
-  }
-  return {std::move(neighbors), std::move(scale)};
 }
 
 void ProbeMatMul(std::vector<float>* out) {
@@ -125,61 +99,14 @@ void ProbeSpMM(std::vector<float>* out) {
   }
   const SparseMatrix s = SparseMatrix::FromTriplets(rows, cols, triplets);
   for (const int n : kProbeDims) {
-    Append(SpMM(s, ProbeMatrix(cols, n, &rng)), out);
-  }
-}
-
-void ProbeSpMV(std::vector<float>* out) {
-  Rng rng(105);
-  std::vector<std::tuple<int, int, float>> triplets;
-  const int rows = 17, cols = 17;
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) {
-      if (rng.Bernoulli(0.3)) {
-        triplets.emplace_back(i, j,
-                              static_cast<float>(rng.Uniform(-1.0, 1.0)));
-      }
-    }
-  }
-  const SparseMatrix s = SparseMatrix::FromTriplets(rows, cols, triplets);
-  std::vector<float> x(cols);
-  for (float& v : x) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  const std::vector<float> y = SpMV(s, x);
-  out->insert(out->end(), y.begin(), y.end());
-}
-
-void ProbeRowSoftmax(std::vector<float>* out) {
-  Rng rng(106);
-  for (const int n : kProbeDims) {
-    Matrix a = ProbeMatrix(6, n, &rng);
-    // Plant an exact duplicate of each row max so the vector max scan
-    // sees ties (the generic and SIMD scans must resolve identically —
-    // max is exact selection, so they do).
-    for (int i = 0; i < a.rows() && n > 1; ++i) {
-      float* row = a.row(i);
-      int best = 0;
-      for (int j = 1; j < n; ++j) {
-        if (row[j] > row[best]) best = j;
-      }
-      row[(best + 1) % n] = row[best];
-    }
-    Append(RowSoftmax(a), out);
-  }
-}
-
-void ProbeNormalizedSpMMRows(std::vector<float>* out) {
-  Rng rng(107);
-  const int n = 14;
-  auto [neighbors, scale] = ProbeGraph(n, &rng);
-  for (const int cols : kProbeDims) {
-    const Matrix b = ProbeMatrix(n, cols, &rng);
-    Matrix full(n, cols);
-    NormalizedSpMM(neighbors, scale, b, &full);
+    const Matrix b = ProbeMatrix(cols, n, &rng);
+    const Matrix full = SpMM(s, b);
     Append(full, out);
-    // Partial refresh of a row subset on top of the full product —
-    // the engine's actual usage pattern.
+    // A row subset recomputed from a fresh B on top of the full product,
+    // the engine's usage pattern: unlisted rows keep the old product.
     Matrix partial = full;
-    NormalizedSpMMRows(neighbors, scale, {0, 3, 7, n - 1}, b, &partial);
+    SpMMRowsInto(s, {0, 3, 7, rows - 1}, ProbeMatrix(cols, n, &rng),
+                 &partial);
     Append(partial, out);
   }
 }
@@ -276,30 +203,15 @@ std::vector<OpInfo> BuildRegistry() {
                  "disjoint outputs",
                  DeterminismClass::kLanePerOutput, true, true, false,
                  &ProbeDot});
-  ops.push_back({"linalg.spmm", "linalg::SpMM",
-                 "CSR sparse × dense product, nonzeros in stored order.",
-                 "O(nnz · n)",
-                 "row-parallel over CSR rows; disjoint output rows",
+  ops.push_back({"linalg.spmm", "linalg::SpMM / linalg::SpMMRowsInto",
+                 "CSR sparse × dense product, nonzeros in stored order, "
+                 "over every row or a listed row subset (the incremental "
+                 "engine's A_n rows).",
+                 "O(Σ_r nnz_r · n) over the computed rows",
+                 "row-parallel over CSR rows or the listed subset; "
+                 "disjoint output rows",
                  DeterminismClass::kLanePerOutput, true, true, true,
                  &ProbeSpMM});
-  ops.push_back({"linalg.spmv", "linalg::SpMV",
-                 "CSR sparse × dense vector product.", "O(nnz)",
-                 "row-parallel over CSR rows; disjoint output elements",
-                 DeterminismClass::kReferenceOnly, true, false, false,
-                 &ProbeSpMV});
-  ops.push_back({"linalg.row_softmax", "linalg::RowSoftmax",
-                 "Numerically stabilized per-row softmax.", "O(m · n)",
-                 "row-parallel; each chunk owns rows [r0, r1) of C",
-                 DeterminismClass::kLanePerOutput, true, true, false,
-                 &ProbeRowSoftmax});
-  ops.push_back({"linalg.normalized_spmm_rows",
-                 "linalg::NormalizedSpMMRows / linalg::NormalizedSpMM",
-                 "Row subset of A_n · B for the GCN-normalized adjacency "
-                 "implied by neighbor lists and per-node scales.",
-                 "O(Σ_r (deg_r + 1) · n)",
-                 "parallel over the requested row subset; disjoint rows",
-                 DeterminismClass::kLanePerOutput, true, true, true,
-                 &ProbeNormalizedSpMMRows});
   return ops;
 }
 

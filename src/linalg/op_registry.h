@@ -26,19 +26,15 @@ namespace repro::linalg {
 ///    tables in `linalg/kernels/kernels.h`, so the metadata cannot
 ///    silently drift from the wiring.
 
-/// How an op's SIMD variants relate to the scalar reference. Every
-/// class in this enum guarantees bit-identical outputs across variants;
-/// the distinction is HOW that is achieved (see DESIGN.md, "Kernel
-/// dispatch & determinism classes").
+/// How an op's SIMD variants stay bit-identical to the scalar reference
+/// (see DESIGN.md, "Kernel dispatch & determinism classes"). Every op
+/// is lane-per-output today; the peega_analyze `fp-contract-sync` pass
+/// reads this field from each registry entry.
 enum class DeterminismClass {
   /// Vector lanes map to distinct output elements and replay the scalar
   /// per-element accumulation order; multiplies and adds round
   /// separately (no FMA contraction).
   kLanePerOutput,
-  /// Only the scalar reference exists; vectorizing would have to
-  /// reassociate a single accumulator, so the op is deliberately left
-  /// unvectorized to stay bitwise.
-  kReferenceOnly,
 };
 
 const char* DeterminismClassName(DeterminismClass c);

@@ -243,20 +243,6 @@ double FrobeniusNorm(const Matrix& a) {
   return std::sqrt(sq);
 }
 
-int64_t CountNonZero(const Matrix& a, float tol) {
-  const float* p = a.data();
-  return parallel::ParallelReduce<int64_t>(
-      0, a.size(), kReduceGrain, int64_t{0},
-      [&](int64_t lo, int64_t hi) {
-        int64_t count = 0;
-        for (int64_t i = lo; i < hi; ++i) {
-          if (std::fabs(p[i]) > tol) ++count;
-        }
-        return count;
-      },
-      [](int64_t x, int64_t y) { return x + y; });
-}
-
 float MaxAbsDiff(const Matrix& a, const Matrix& b) {
   PEEGA_CHECK(a.SameShape(b));
   const float* pa = a.data();
@@ -288,9 +274,20 @@ Matrix Sigmoid(const Matrix& a) {
 Matrix RowSoftmax(const Matrix& a) {
   Matrix c(a.rows(), a.cols());
   const int n = a.cols();
-  const kernels::RowSoftmaxRowsFn kernel = kernels::RowSoftmaxTable().Select();
   parallel::ParallelFor(0, a.rows(), kRowGrain, [&](int64_t r0, int64_t r1) {
-    kernel(a.data(), c.data(), r0, r1, n);
+    for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
+      const float* arow = a.row(i);
+      float* crow = c.row(i);
+      float row_max = arow[0];
+      for (int j = 1; j < n; ++j) row_max = std::max(row_max, arow[j]);
+      float denom = 0.0f;
+      for (int j = 0; j < n; ++j) {
+        crow[j] = std::exp(arow[j] - row_max);
+        denom += crow[j];
+      }
+      const float inv = 1.0f / denom;
+      for (int j = 0; j < n; ++j) crow[j] *= inv;
+    }
   });
   PEEGA_CHECK_FINITE_MAT(c, "RowSoftmax");
   return c;
@@ -366,27 +363,6 @@ Matrix SpMM(const SparseMatrix& s, const Matrix& b) {
     c.Fill(std::numeric_limits<float>::infinity());
   }
   return c;
-}
-
-std::vector<float> SpMV(const SparseMatrix& s, const std::vector<float>& x) {
-  PEEGA_CHECK_EQ(s.cols(), static_cast<int>(x.size()));
-  const obs::TraceSpan span("linalg.spmv");
-  static obs::Counter* const flops = obs::GetCounter("linalg.spmm.flops");
-  flops->Add(2ull * static_cast<uint64_t>(s.nnz()));
-  std::vector<float> y(s.rows(), 0.0f);
-  const auto& row_ptr = s.row_ptr();
-  const auto& col_idx = s.col_idx();
-  const auto& values = s.values();
-  // Reference-only op: SpMV has no SIMD variants (see the table comment
-  // in kernels.cc), so Select() always resolves to the scalar kernel.
-  const kernels::SpMVRowsFn kernel = kernels::SpMVTable().Select();
-  parallel::ParallelFor(0, s.rows(), kRowGrain * 4, [&](int64_t r0,
-                                                        int64_t r1) {
-    kernel(row_ptr.data(), col_idx.data(), values.data(), x.data(), y.data(),
-           r0, r1);
-  });
-  PEEGA_CHECK_FINITE_VEC(y, "SpMV");
-  return y;
 }
 
 float CosineSimilarity(const Matrix& x, int i, int j) {

@@ -89,10 +89,6 @@ double Sum(const Matrix& a);
 /// O(m·n); same association caveat as `Sum`.
 double FrobeniusNorm(const Matrix& a);
 
-/// Number of entries with |v| > tol (the "L0 norm" used for attack
-/// budgets). Chunked parallel reduction; O(m·n); exact (integer).
-int64_t CountNonZero(const Matrix& a, float tol = 0.5f);
-
 /// Max absolute entrywise difference, for test comparisons. Chunked
 /// parallel reduction; O(m·n); exact (max is associative).
 float MaxAbsDiff(const Matrix& a, const Matrix& b);
@@ -127,10 +123,6 @@ Matrix RandomUniform(int rows, int cols, float lo, float hi, Rng* rng);
 /// Complexity O(nnz · B.cols()); bitwise-deterministic at any thread
 /// count.
 Matrix SpMM(const SparseMatrix& s, const Matrix& b);
-
-/// y = S * x. Row-parallel; O(nnz); bitwise-deterministic at any
-/// thread count.
-std::vector<float> SpMV(const SparseMatrix& s, const std::vector<float>& x);
 
 // ---------------------------------------------------------------------------
 // Similarity measures used by defenders

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <utility>
 
 #include "debug/check.h"
 #include "parallel/thread_pool.h"
@@ -43,6 +44,23 @@ SparseMatrix SparseMatrix::FromTriplets(
   for (int r = 0; r < rows; ++r) {
     m.row_ptr_[r + 1] = std::max(m.row_ptr_[r + 1], m.row_ptr_[r]);
   }
+  return m;
+}
+
+SparseMatrix SparseMatrix::FromCsr(int rows, int cols,
+                                   std::vector<int64_t> row_ptr,
+                                   std::vector<int> col_idx,
+                                   std::vector<float> values) {
+  PEEGA_CHECK_EQ(row_ptr.size(), static_cast<size_t>(rows) + 1);
+  PEEGA_CHECK_EQ(row_ptr.front(), 0);
+  PEEGA_CHECK_EQ(row_ptr.back(), static_cast<int64_t>(col_idx.size()));
+  PEEGA_CHECK_EQ(col_idx.size(), values.size());
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
   return m;
 }
 

@@ -19,7 +19,7 @@ namespace repro::linalg {
 /// the attackers produce a new poisoned graph per step).
 ///
 /// Thread-safety: a built `SparseMatrix` is effectively immutable, so
-/// concurrent reads (the row-parallel SpMM/SpMV kernels in
+/// concurrent reads (the row-parallel SpMM kernels in
 /// `linalg/ops.h` rely on this) are safe. `mutable_values()` is the one
 /// escape hatch and must not be used while kernels are running.
 class SparseMatrix {
@@ -31,6 +31,14 @@ class SparseMatrix {
   static SparseMatrix FromTriplets(
       int rows, int cols,
       const std::vector<std::tuple<int, int, float>>& triplets);
+
+  /// Adopts CSR arrays as given: `row_ptr` holds rows+1 nondecreasing
+  /// offsets from 0 to col_idx.size() == values.size(), and each row's
+  /// columns ascend (only the sizes are checked). O(1) beyond the moves.
+  static SparseMatrix FromCsr(int rows, int cols,
+                              std::vector<int64_t> row_ptr,
+                              std::vector<int> col_idx,
+                              std::vector<float> values);
 
   /// Converts a dense matrix, keeping entries with |v| > `tol`.
   /// Serial; O(rows · cols).

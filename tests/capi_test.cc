@@ -4,6 +4,7 @@
 // and demand the identical flip sequence, objective, and output bytes;
 // they also pin the error-code mapping, gg_last_error's contract, the
 // cancellation handshake, and the hex-float model round-trip.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -355,6 +356,9 @@ TEST(CapiDeadlineTest, TinyBudgetDegradesNotHangs) {
   // An already-expired budget: the attack must return promptly with the
   // best-so-far prefix, never hang or abort.
   ASSERT_EQ(gg_set_deadline_ms(gg, 1e-9), GG_OK);
+  // NaN is neither a budget nor "no budget": refused, budget kept.
+  EXPECT_EQ(gg_set_deadline_ms(gg, std::nan("")), GG_INVALID_INPUT);
+  EXPECT_STREQ(gg_last_error(gg), "gg_set_deadline_ms: ms is NaN");
   gg_attack_options options;
   gg_attack_options_init(&options);
   const gg_status rc = gg_attack(gg, &options);

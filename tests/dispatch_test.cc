@@ -95,11 +95,15 @@ TEST(SimdDispatch, ScopedVariantRestores) {
 }
 
 TEST(SimdDispatch, SelectFallsBackToGenericForUnimplementedOps) {
-  // SpMV is reference-only: whatever variant is active, Select() must
-  // resolve to the generic kernel rather than a null pointer.
+  // A table with only a generic slot (as DotTable on NEON): whatever
+  // variant is active, Select() must resolve to the generic kernel
+  // rather than a null pointer.
+  const KernelTable<kernels::SpMMRowsFn> generic_only = {
+      "linalg.generic_only", kernels::SpMMTable().generic, nullptr, nullptr};
   for (const SimdVariant v : UsableSimdVariants()) {
     ScopedSimdVariant forced(v);
-    EXPECT_EQ(kernels::SpMVTable().Select(), kernels::SpMVTable().generic);
+    EXPECT_EQ(generic_only.Select(), generic_only.generic)
+        << SimdVariantName(v);
   }
 }
 

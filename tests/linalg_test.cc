@@ -123,12 +123,6 @@ TEST(OpsTest, ScaleRowsAndCols) {
   EXPECT_FLOAT_EQ(c(1, 1), 0.0f);
 }
 
-TEST(OpsTest, CountNonZeroUsesTolerance) {
-  const Matrix a = Matrix::FromRows({{0.0f, 0.4f, 0.6f, 1.0f}});
-  EXPECT_EQ(CountNonZero(a), 2);  // default tol 0.5
-  EXPECT_EQ(CountNonZero(a, 0.0f), 3);
-}
-
 TEST(OpsTest, CosineSimilarityProperties) {
   const Matrix x = Matrix::FromRows({{1, 0, 1}, {1, 0, 1}, {0, 1, 0}});
   EXPECT_NEAR(CosineSimilarity(x, 0, 1), 1.0f, 1e-6f);
@@ -201,14 +195,6 @@ TEST(SparseTest, SpMMMatchesDense) {
   const SparseMatrix sparse = SparseMatrix::FromDense(dense);
   const Matrix b = RandomNormal(8, 3, 1.0f, &rng);
   EXPECT_LT(MaxAbsDiff(SpMM(sparse, b), MatMul(dense, b)), 1e-4f);
-}
-
-TEST(SparseTest, SpMVMatchesDense) {
-  const SparseMatrix m = SparseMatrix::FromTriplets(
-      2, 3, {{0, 0, 1.0f}, {0, 2, 2.0f}, {1, 1, 3.0f}});
-  const std::vector<float> y = SpMV(m, {1.0f, 2.0f, 3.0f});
-  EXPECT_FLOAT_EQ(y[0], 7.0f);
-  EXPECT_FLOAT_EQ(y[1], 6.0f);
 }
 
 TEST(EigenTest, RecoverKnownSpectrum) {

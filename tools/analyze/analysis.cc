@@ -118,7 +118,7 @@ const std::vector<PassInfo>& PassRegistry() {
        "silently fuse mul+add into FMA and break cross-variant bitwise "
        "equality.",
        "add the kernel TU to PEEGA_KERNEL_SOURCES in "
-       "src/linalg/CMakeLists.txt (or declare the op kReferenceOnly)",
+       "src/linalg/CMakeLists.txt",
        &passes::FpContractSync},
       {"hot-loop-alloc", Severity::kWarning,
        "No operator new/malloc inside loops, and no "
