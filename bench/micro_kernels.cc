@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the numerical substrate: dense
 // matmul, SpMM, GCN normalization, truncated eigendecomposition, one
-// autodiff train step, and one PEEGA greedy step. These bound the cost
-// of everything the experiment harnesses do.
+// autodiff train step, one PEEGA greedy step, and GNAT's dropout mask
+// and kNN feature graph. These bound the cost of everything the
+// experiment harnesses do.
 //
 // The *Threads variants sweep the pool size (1/2/4/8) through
 // parallel::SetNumThreads so the speedup of the row-parallel kernels is
@@ -26,6 +27,7 @@
 #include "linalg/incremental.h"
 #include "linalg/ops.h"
 #include "nn/gcn.h"
+#include "nn/init.h"
 #include "nn/optim.h"
 #include "parallel/thread_pool.h"
 
@@ -219,6 +221,32 @@ void BM_DotColsInto(benchmark::State& state) {
                           kDotNodes * kDotFeatures);
 }
 BENCHMARK(BM_DotColsInto)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+// GNAT's per-epoch input dropout mask at the gnat-cora shape (n = 1000
+// nodes, F = 580 features, drop 0.5): one engine value per entry, so
+// items_per_second is the draw rate.
+void BM_DropoutMask(benchmark::State& state) {
+  Rng rng(12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::DropoutMask(1000, 580, 0.5f, &rng));
+  }
+  state.SetItemsProcessed(state.iterations() * 1000 * 580);
+}
+BENCHMARK(BM_DropoutMask);
+
+// GNAT's top-k_f cosine feature graph (k_f = 15) on the gnat-cora graph
+// (Cora-like, n = 1000, F = 580). Items are row pairs scored.
+void BM_FeatureKnnGraph(benchmark::State& state) {
+  const ScopedThreads scope(state, static_cast<int>(state.range(0)));
+  Rng rng(13);
+  const graph::Graph g = graph::MakeCoraLike(&rng, 2.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::FeatureKnnGraph(g.features, 15, 1e-6f));
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{g.num_nodes} *
+                          g.num_nodes);
+}
+BENCHMARK(BM_FeatureKnnGraph)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // --------------------------------------------------------------------------
 // SIMD-variant sweeps of the dispatched kernels. Registered dynamically

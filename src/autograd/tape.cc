@@ -7,6 +7,7 @@
 #include "debug/check.h"
 #include "debug/numerics.h"
 #include "linalg/ops.h"
+#include "obs/trace.h"
 
 namespace repro::autograd {
 
@@ -719,6 +720,7 @@ void Tape::CorruptValueShapeForTest(Var v, int rows, int cols) {
 }
 
 void Tape::Backward(Var loss) {
+  const obs::TraceSpan span("autograd.backward");
   ValidateForBackward(loss);
   internal::Node* root = loss.node_;
   root->EnsureGrad()(0, 0) = 1.0f;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <utility>
 
 #include "debug/check.h"
 #include "linalg/ops.h"
@@ -156,23 +157,13 @@ SparseMatrix KHopAdjacency(const SparseMatrix& adjacency, int k) {
 
 SparseMatrix FeatureKnnGraph(const Matrix& x, int k, float min_similarity) {
   const int n = x.rows();
+  const std::vector<std::vector<int>> top =
+      linalg::TopCosineNeighbors(x, k, min_similarity);
   std::vector<std::tuple<int, int, float>> triplets;
-  std::vector<std::pair<float, int>> sims;
-  for (int i = 0; k > 0 && i < n; ++i) {
-    sims.clear();
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const float s = linalg::CosineSimilarity(x, i, j);
-      if (s > min_similarity) sims.emplace_back(s, j);
-    }
-    const int take = std::min<int>(k, static_cast<int>(sims.size()));
-    std::partial_sort(sims.begin(), sims.begin() + take, sims.end(),
-                      [](const auto& a, const auto& b) {
-                        return a.first > b.first;
-                      });
-    for (int t = 0; t < take; ++t) {
-      triplets.emplace_back(i, sims[t].second, 1.0f);
-      triplets.emplace_back(sims[t].second, i, 1.0f);
+  for (int i = 0; i < n; ++i) {
+    for (const int j : top[static_cast<size_t>(i)]) {
+      triplets.emplace_back(i, j, 1.0f);
+      triplets.emplace_back(j, i, 1.0f);
     }
   }
   SparseMatrix knn = SparseMatrix::FromTriplets(n, n, triplets);
@@ -225,12 +216,13 @@ SparseMatrix WithFlips(const linalg::SparseMatrix& adjacency,
 
   // Per-row sorted merge of the clean columns with the row's toggles:
   // a toggle matching a stored column removes it, any other toggle
-  // inserts. Emitting row-major (row, sorted col) triplets with value
-  // 1.0f reproduces DenseToAdjacency's output exactly.
+  // inserts. Rows come out with ascending, unique columns and value
+  // 1.0f, so the arrays are DenseToAdjacency's CSR as they stand.
   const auto& row_ptr = adjacency.row_ptr();
   const auto& col_idx = adjacency.col_idx();
-  std::vector<std::tuple<int, int, float>> triplets;
-  triplets.reserve(static_cast<size_t>(adjacency.nnz()) + toggles.size());
+  std::vector<int64_t> out_ptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<int> out_col;
+  out_col.reserve(static_cast<size_t>(adjacency.nnz()) + toggles.size());
   size_t t = 0;
   for (int u = 0; u < n; ++u) {
     const int64_t row_end = static_cast<int64_t>(u) * n + n;
@@ -243,19 +235,21 @@ SparseMatrix WithFlips(const linalg::SparseMatrix& adjacency,
                                ? toggles[t]
                                : row_end;
       if (have < want) {
-        triplets.emplace_back(u, col_idx[k], 1.0f);  // untouched edge
+        out_col.push_back(col_idx[k]);  // untouched edge
         ++k;
       } else if (want < have) {
-        triplets.emplace_back(u, static_cast<int>(want - static_cast<int64_t>(u) * n),
-                              1.0f);  // added edge
-        ++t;
+        out_col.push_back(static_cast<int>(want - static_cast<int64_t>(u) * n));
+        ++t;  // added edge
       } else {
         ++k;  // removed edge
         ++t;
       }
     }
+    out_ptr[static_cast<size_t>(u) + 1] = static_cast<int64_t>(out_col.size());
   }
-  return SparseMatrix::FromTriplets(n, n, triplets);
+  std::vector<float> values(out_col.size(), 1.0f);
+  return SparseMatrix::FromCsr(n, n, std::move(out_ptr), std::move(out_col),
+                               std::move(values));
 }
 
 SparseMatrix CsrFlipEdge(const linalg::SparseMatrix& adjacency, int u,

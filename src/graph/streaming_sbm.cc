@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "debug/check.h"
 #include "linalg/sparse.h"
@@ -98,18 +99,21 @@ Graph StreamingSbm::Materialize() {
   g.labels.resize(static_cast<size_t>(n));
   for (int v = 0; v < n; ++v) g.labels[static_cast<size_t>(v)] = Label(v);
 
-  // The sorted neighbor lists already ARE the CSR structure; emitting
-  // row-major triplets keeps FromTriplets' sort trivial.
-  std::vector<std::tuple<int, int, float>> triplets;
-  size_t nnz = 0;
-  for (const auto& list : neighbors_) nnz += list.size();
-  triplets.reserve(nnz);
+  // The sorted neighbor lists already ARE the CSR structure.
+  std::vector<int64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
   for (int u = 0; u < n; ++u) {
-    for (const int v : neighbors_[static_cast<size_t>(u)]) {
-      triplets.emplace_back(u, v, 1.0f);
-    }
+    row_ptr[static_cast<size_t>(u) + 1] =
+        row_ptr[static_cast<size_t>(u)] +
+        static_cast<int64_t>(neighbors_[static_cast<size_t>(u)].size());
   }
-  g.adjacency = SparseMatrix::FromTriplets(n, n, triplets);
+  std::vector<int> col_idx;
+  col_idx.reserve(static_cast<size_t>(row_ptr.back()));
+  for (const auto& list : neighbors_) {
+    col_idx.insert(col_idx.end(), list.begin(), list.end());
+  }
+  std::vector<float> values(col_idx.size(), 1.0f);
+  g.adjacency = SparseMatrix::FromCsr(n, n, std::move(row_ptr),
+                                      std::move(col_idx), std::move(values));
 
   // Class-conditional topic features: class c owns a contiguous block of
   // dimensions; each node fires `active_features` of them, from its own

@@ -29,6 +29,46 @@ constexpr int64_t kRowGrain = 64;         // rows per chunk, O(n) work/row
 constexpr int64_t kElemGrain = 1 << 14;   // flat elements per chunk
 constexpr int64_t kReduceGrain = 1 << 15; // flat elements per reduce chunk
 
+/// sim[j] = CosineSimilarity(x, i, j) for every row j, given each row's
+/// norm as the square root CosineSimilarity takes. Four dot products
+/// share each pass over row i; each is summed in ascending column order,
+/// as CosineSimilarity sums it, so every entry is the same float.
+void CosineRow(const Matrix& x, const std::vector<double>& norm, int i,
+               float* sim) {
+  const int n = x.rows();
+  const int f = x.cols();
+  const float* a = x.row(i);
+  const auto cosine = [&](double dot, int j) {
+    if (norm[i] == 0.0 || norm[j] == 0.0) return 0.0f;
+    return static_cast<float>(dot / (norm[i] * norm[j]));
+  };
+  int j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const float* b0 = x.row(j);
+    const float* b1 = x.row(j + 1);
+    const float* b2 = x.row(j + 2);
+    const float* b3 = x.row(j + 3);
+    double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+    for (int c = 0; c < f; ++c) {
+      const double ac = a[c];
+      d0 += ac * b0[c];
+      d1 += ac * b1[c];
+      d2 += ac * b2[c];
+      d3 += ac * b3[c];
+    }
+    sim[j] = cosine(d0, j);
+    sim[j + 1] = cosine(d1, j + 1);
+    sim[j + 2] = cosine(d2, j + 2);
+    sim[j + 3] = cosine(d3, j + 3);
+  }
+  for (; j < n; ++j) {
+    const float* b = x.row(j);
+    double dot = 0.0;
+    for (int c = 0; c < f; ++c) dot += static_cast<double>(a[c]) * b[c];
+    sim[j] = cosine(dot, j);
+  }
+}
+
 std::vector<int> Iota(int n) {
   std::vector<int> v(static_cast<size_t>(n));
   std::iota(v.begin(), v.end(), 0);
@@ -376,6 +416,46 @@ float CosineSimilarity(const Matrix& x, int i, int j) {
   }
   if (na == 0.0 || nb == 0.0) return 0.0f;
   return static_cast<float>(dot / (std::sqrt(na) * std::sqrt(nb)));
+}
+
+std::vector<std::vector<int>> TopCosineNeighbors(const Matrix& x, int k,
+                                                 float min_similarity) {
+  const int n = x.rows();
+  std::vector<std::vector<int>> top(static_cast<size_t>(n));
+  if (k <= 0) return top;
+  // Each row's norm: the square root of its squared norm, summed as
+  // CosineSimilarity sums it.
+  std::vector<double> norm(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const float* a = x.row(i);
+    double na = 0.0;
+    for (int c = 0; c < x.cols(); ++c) na += static_cast<double>(a[c]) * a[c];
+    norm[i] = std::sqrt(na);
+  }
+  // Row-parallel: chunk [r0, r1) writes only top[r0..r1). Candidates are
+  // listed in ascending j and partially sorted as a serial scan would,
+  // so ties keep the same order at any thread count.
+  parallel::ParallelFor(0, n, kMatMulRowGrain, [&](int64_t r0, int64_t r1) {
+    std::vector<float> sim(static_cast<size_t>(n));
+    std::vector<std::pair<float, int>> candidates;
+    for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
+      CosineRow(x, norm, i, sim.data());
+      candidates.clear();
+      for (int j = 0; j < n; ++j) {
+        if (j != i && sim[j] > min_similarity) {
+          candidates.emplace_back(sim[j], j);
+        }
+      }
+      const int take = std::min<int>(k, static_cast<int>(candidates.size()));
+      std::partial_sort(candidates.begin(), candidates.begin() + take,
+                        candidates.end(), [](const auto& a, const auto& b) {
+                          return a.first > b.first;
+                        });
+      auto& row = top[static_cast<size_t>(i)];
+      for (int t = 0; t < take; ++t) row.push_back(candidates[t].second);
+    }
+  });
+  return top;
 }
 
 float JaccardSimilarity(const Matrix& x, int i, int j) {

@@ -132,6 +132,15 @@ Matrix SpMM(const SparseMatrix& s, const Matrix& b);
 /// row is all-zero. Serial; O(cols).
 float CosineSimilarity(const Matrix& x, int i, int j);
 
+/// For each row i of `x`, the rows j != i with the `k` largest
+/// `CosineSimilarity(x, i, j)` above `min_similarity`, most similar
+/// first; ties fall as `std::partial_sort` leaves them from a list in
+/// ascending j. Every similarity is the float `CosineSimilarity`
+/// returns, with each row's norm computed once. Row-parallel; O(rows² ·
+/// cols); bitwise-deterministic at any thread count.
+std::vector<std::vector<int>> TopCosineNeighbors(const Matrix& x, int k,
+                                                 float min_similarity);
+
 /// Jaccard similarity between binary rows i and j of `x` (entries > 0.5
 /// are treated as 1). Serial; O(cols).
 float JaccardSimilarity(const Matrix& x, int i, int j);

@@ -7,6 +7,30 @@
 
 namespace repro::linalg {
 
+/// A Bernoulli(p) trial as one comparison of a raw engine value.
+///
+/// `std::bernoulli_distribution(p)` maps one `std::mt19937_64` value to
+/// a double in [0, 1) and succeeds when it lies below `p`; that map is
+/// nondecreasing, so the successes are exactly the values below one
+/// 64-bit cut. The constructor finds the cut by bisection, asking the
+/// distribution itself about single values, so `Rng::Bernoulli(cut)`
+/// returns what `Rng::Bernoulli(p)` would on the same stream and
+/// consumes the same one engine value, without its per-draw
+/// floating-point conversion. Construction is O(64) draws.
+class BernoulliCut {
+ public:
+  explicit BernoulliCut(double p);
+
+  /// True when `engine_value` is a success.
+  bool operator()(uint64_t engine_value) const {
+    return always_ || engine_value < cut_;
+  }
+
+ private:
+  uint64_t cut_ = 0;     // successes are the values below this
+  bool always_ = false;  // every value succeeds (the cut would be 2^64)
+};
+
 /// Seeded random number generator used throughout the library.
 ///
 /// All stochastic components (dataset generators, weight initialization,
@@ -35,6 +59,10 @@ class Rng {
   bool Bernoulli(double p) {
     return std::bernoulli_distribution(p)(engine_);
   }
+
+  /// The same trial as `Bernoulli(p)` for the `p` that built `cut`, on
+  /// the same one engine value.
+  bool Bernoulli(const BernoulliCut& cut) { return cut(engine_()); }
 
   /// Returns a random permutation of {0, ..., n-1}.
   std::vector<int> Permutation(int n);

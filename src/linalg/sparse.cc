@@ -106,14 +106,26 @@ Matrix SparseMatrix::ToDense() const {
 }
 
 SparseMatrix SparseMatrix::Transposed() const {
-  std::vector<std::tuple<int, int, float>> triplets;
-  triplets.reserve(values_.size());
+  // Counting transpose: count each column's entries, prefix-sum them
+  // into the transpose's row offsets, then scatter in ascending source
+  // row, so each transposed row's columns ascend as stored.
+  std::vector<int64_t> row_ptr(static_cast<size_t>(cols_) + 1, 0);
+  for (const int c : col_idx_) ++row_ptr[static_cast<size_t>(c) + 1];
+  for (int c = 0; c < cols_; ++c) row_ptr[c + 1] += row_ptr[c];
+  std::vector<int64_t> next(row_ptr.begin(), row_ptr.end() - 1);
+  std::vector<int> col_idx(col_idx_.size());
+  std::vector<float> values(values_.size());
   for (int r = 0; r < rows_; ++r) {
     for (int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      triplets.emplace_back(col_idx_[k], r, values_[k]);
+      PEEGA_DCHECK(k == row_ptr_[r] || col_idx_[k - 1] < col_idx_[k])
+          << " — row " << r << " repeats or misorders a column";
+      const int64_t slot = next[col_idx_[k]]++;
+      col_idx[slot] = r;
+      values[slot] = values_[k];
     }
   }
-  return FromTriplets(cols_, rows_, triplets);
+  return FromCsr(cols_, rows_, std::move(row_ptr), std::move(col_idx),
+                 std::move(values));
 }
 
 }  // namespace repro::linalg

@@ -67,7 +67,9 @@ class SparseMatrix {
   /// bitwise-deterministic at any thread count.
   Matrix ToDense() const;
 
-  /// Transposed copy. Serial; O(nnz log nnz) via `FromTriplets`.
+  /// Transposed copy; relies on each row's columns being unique (they
+  /// ascend, which debug builds check). Serial; O(nnz + cols), a
+  /// counting transpose.
   SparseMatrix Transposed() const;
 
  private:

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/ops.h"
+#include "obs/trace.h"
 
 namespace repro::nn {
 
@@ -13,15 +14,20 @@ linalg::Matrix GlorotUniform(int rows, int cols, linalg::Rng* rng) {
 
 linalg::Matrix DropoutMask(int rows, int cols, float drop,
                            linalg::Rng* rng) {
+  const obs::TraceSpan span("nn.dropout_mask");
   linalg::Matrix mask(rows, cols, 0.0f);
   if (drop <= 0.0f) {
     mask.Fill(1.0f);
     return mask;
   }
   const float keep_scale = 1.0f / (1.0f - drop);
+  const linalg::BernoulliCut dropped(drop);
+  // Indexed by the trial's outcome: a branch on a coin flip mispredicts
+  // about half the time, which cost about a third of each draw.
+  const float entry[2] = {keep_scale, 0.0f};
   float* p = mask.data();
   for (int64_t i = 0; i < mask.size(); ++i) {
-    p[i] = rng->Bernoulli(drop) ? 0.0f : keep_scale;
+    p[i] = entry[rng->Bernoulli(dropped)];
   }
   return mask;
 }

@@ -3,6 +3,10 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,7 +14,9 @@
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "graph/metrics.h"
+#include "graph/streaming_sbm.h"
 #include "linalg/ops.h"
+#include "parallel/thread_pool.h"
 
 namespace repro::graph {
 namespace {
@@ -134,6 +140,47 @@ TEST(CsrFlipTest, WithFlipsMatchesDenseRebuild) {
 TEST(CsrFlipTest, WithFlipsRejectsSelfLoops) {
   const SparseMatrix adj = TinyPathGraph().adjacency;
   EXPECT_DEATH((void)WithFlips(adj, {{1, 1}}), "self-loop");
+}
+
+/// The triplet path: toggle each flip in an edge set, then rebuild.
+SparseMatrix WithFlipsByTriplets(
+    const SparseMatrix& adj, const std::vector<std::pair<int, int>>& flips) {
+  std::set<std::pair<int, int>> edges;
+  for (int u = 0; u < adj.rows(); ++u) {
+    for (int64_t k = adj.row_ptr()[u]; k < adj.row_ptr()[u + 1]; ++k) {
+      edges.emplace(u, adj.col_idx()[k]);
+    }
+  }
+  for (const auto& [u, v] : flips) {
+    for (const auto& key : {std::make_pair(u, v), std::make_pair(v, u)}) {
+      if (!edges.erase(key)) edges.insert(key);
+    }
+  }
+  std::vector<std::tuple<int, int, float>> triplets;
+  for (const auto& [u, v] : edges) triplets.emplace_back(u, v, 1.0f);
+  return SparseMatrix::FromTriplets(adj.rows(), adj.cols(), triplets);
+}
+
+TEST(CsrFlipTest, WithFlipsMatchesTripletPath) {
+  Rng rng(23);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Graph g = MakeCoraLike(&rng, 0.05);
+    const int n = g.num_nodes;
+    // Repeated pairs in both orientations, so parity cancellation and
+    // re-adding a removed edge are exercised.
+    std::vector<std::pair<int, int>> flips;
+    for (int i = 0; i < 40; ++i) {
+      const int u = static_cast<int>(rng.UniformInt(0, n - 1));
+      int v = static_cast<int>(rng.UniformInt(0, n - 2));
+      if (v >= u) ++v;
+      flips.emplace_back(u, v);
+      if (rng.Bernoulli(0.3)) flips.emplace_back(v, u);
+      if (rng.Bernoulli(0.2)) flips.push_back(flips[rng.UniformInt(
+          0, static_cast<int64_t>(flips.size()) - 1)]);
+    }
+    ExpectSameCsr(WithFlips(g.adjacency, flips),
+                  WithFlipsByTriplets(g.adjacency, flips));
+  }
 }
 
 TEST(NormalizeTest, GcnNormalizeRowValues) {
@@ -500,6 +547,82 @@ TEST(SplitTest, FractionsRespected) {
   for (int v : g.val_nodes) all.insert(v);
   for (int v : g.test_nodes) all.insert(v);
   EXPECT_EQ(all.size(), 250u);  // disjoint cover
+}
+
+/// The serial top-k cosine scan FeatureKnnGraph ran before its scoring
+/// moved to linalg::TopCosineNeighbors.
+SparseMatrix SerialFeatureKnnGraph(const Matrix& x, int k,
+                                   float min_similarity) {
+  const int n = x.rows();
+  std::vector<std::tuple<int, int, float>> triplets;
+  std::vector<std::pair<float, int>> sims;
+  for (int i = 0; k > 0 && i < n; ++i) {
+    sims.clear();
+    for (int j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const float s = linalg::CosineSimilarity(x, i, j);
+      if (s > min_similarity) sims.emplace_back(s, j);
+    }
+    const int take = std::min<int>(k, static_cast<int>(sims.size()));
+    std::partial_sort(sims.begin(), sims.begin() + take, sims.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.first > b.first;
+                      });
+    for (int t = 0; t < take; ++t) {
+      triplets.emplace_back(i, sims[t].second, 1.0f);
+      triplets.emplace_back(sims[t].second, i, 1.0f);
+    }
+  }
+  SparseMatrix knn = SparseMatrix::FromTriplets(n, n, triplets);
+  for (float& v : knn.mutable_values()) v = v > 0.0f ? 1.0f : 0.0f;
+  return knn;
+}
+
+TEST(FeatureKnnTest, MatchesSerialReferenceAtAnyThreadCount) {
+  Rng rng(31);
+  // 0/1 features over few columns (many exactly tied similarities),
+  // real-valued features, and both with all-zero rows mixed in. 67 rows
+  // leave a ragged tail after the blocks of four.
+  Matrix binary(67, 6);
+  Matrix real = linalg::RandomNormal(67, 23, 1.0f, &rng);
+  for (int i = 0; i < binary.rows(); ++i) {
+    for (int c = 0; c < binary.cols(); ++c) {
+      binary(i, c) = rng.Bernoulli(0.4) ? 1.0f : 0.0f;
+    }
+    if (i % 9 == 4) {
+      for (int c = 0; c < binary.cols(); ++c) binary(i, c) = 0.0f;
+      for (int c = 0; c < real.cols(); ++c) real(i, c) = 0.0f;
+    }
+  }
+  for (const Matrix* x : {&binary, &real}) {
+    for (const int k : {0, 1, 5, 70}) {
+      for (const float floor : {-1.0f, 0.0f, 1e-6f}) {
+        const SparseMatrix expected = SerialFeatureKnnGraph(*x, k, floor);
+        for (const int threads : {1, 2, 8}) {
+          parallel::SetNumThreads(threads);
+          SCOPED_TRACE("k=" + std::to_string(k) + " floor=" +
+                       std::to_string(floor) +
+                       " threads=" + std::to_string(threads));
+          ExpectSameCsr(FeatureKnnGraph(*x, k, floor), expected);
+        }
+        parallel::SetNumThreads(0);
+      }
+    }
+  }
+}
+
+TEST(StreamingSbmTest, MaterializedCsrMatchesTripletRebuild) {
+  StreamingSbmConfig config;
+  config.num_nodes = 500;
+  config.avg_degree = 6.0;
+  StreamingSbm stream(config);
+  const Graph g = stream.Materialize();
+  std::vector<std::tuple<int, int, float>> triplets;
+  for (int u = 0; u < g.num_nodes; ++u) {
+    for (const int v : g.Neighbors(u)) triplets.emplace_back(u, v, 1.0f);
+  }
+  ExpectSameCsr(g.adjacency,
+                SparseMatrix::FromTriplets(g.num_nodes, g.num_nodes, triplets));
 }
 
 }  // namespace

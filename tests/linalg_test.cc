@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +187,36 @@ TEST(SparseTest, TransposeIsInvolution) {
   EXPECT_FLOAT_EQ(m.Transposed().At(3, 0), 2.0f);
 }
 
+TEST(SparseTest, TransposedMatchesTripletPath) {
+  // Random non-square CSRs with empty rows and columns: the counting
+  // transpose must give the arrays the sorted-triplet rebuild gives.
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int rows = static_cast<int>(rng.UniformInt(1, 40));
+    const int cols = static_cast<int>(rng.UniformInt(1, 40));
+    std::vector<std::tuple<int, int, float>> triplets;
+    for (int r = 0; r < rows; ++r) {
+      if (rng.Bernoulli(0.3)) continue;  // empty row
+      for (int c = 0; c < cols; ++c) {
+        if (c % 3 != trial % 3 && rng.Bernoulli(0.25)) {  // empty columns
+          triplets.emplace_back(r, c, static_cast<float>(rng.Normal()));
+        }
+      }
+    }
+    const SparseMatrix m = SparseMatrix::FromTriplets(rows, cols, triplets);
+    std::vector<std::tuple<int, int, float>> swapped;
+    for (const auto& [r, c, v] : triplets) swapped.emplace_back(c, r, v);
+    const SparseMatrix expected =
+        SparseMatrix::FromTriplets(cols, rows, swapped);
+    const SparseMatrix t = m.Transposed();
+    ASSERT_EQ(t.rows(), cols);
+    ASSERT_EQ(t.cols(), rows);
+    EXPECT_EQ(t.row_ptr(), expected.row_ptr()) << "trial " << trial;
+    EXPECT_EQ(t.col_idx(), expected.col_idx()) << "trial " << trial;
+    EXPECT_EQ(t.values(), expected.values()) << "trial " << trial;
+  }
+}
+
 TEST(SparseTest, SpMMMatchesDense) {
   Rng rng(4);
   Matrix dense = RandomNormal(8, 8, 1.0f, &rng);
@@ -280,6 +313,45 @@ TEST(RandomTest, BernoulliRespectsProbabilityRoughly) {
   int hits = 0;
   for (int i = 0; i < 10000; ++i) hits += rng.Bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
+}
+
+/// A generator with the engine's range that yields one fixed value.
+struct FixedValue {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~uint64_t{0}; }
+  result_type operator()() const { return value; }
+  uint64_t value;
+};
+
+TEST(RandomTest, BernoulliCutMatchesBernoulliDistribution) {
+  // The same seeded stream through both paths: every trial agrees, and
+  // each consumed exactly one engine value, so the streams stay aligned.
+  for (const double p : {0.0, 1e-12, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-12, 1.0}) {
+    Rng by_distribution(99);
+    Rng by_cut(99);
+    const BernoulliCut cut(p);
+    int64_t mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      mismatches += by_distribution.Bernoulli(p) != by_cut.Bernoulli(cut);
+    }
+    EXPECT_EQ(mismatches, 0) << "p = " << p;
+    EXPECT_EQ(by_distribution.engine()(), by_cut.engine()()) << "p = " << p;
+    // Random values almost never land on the cut itself, so also sweep
+    // the 2^14 values around p * 2^64, where the cut lies.
+    std::bernoulli_distribution trial(p);
+    const long double center = static_cast<long double>(p) * 0x1p64L;
+    const uint64_t last_start = ~uint64_t{0} - (1 << 14);
+    const uint64_t start =
+        center >= static_cast<long double>(last_start)
+            ? last_start
+            : static_cast<uint64_t>(std::max(center - 0x1p13L, 0.0L));
+    for (uint64_t i = 0; i <= (1 << 14); ++i) {
+      const uint64_t v = start + i;
+      FixedValue gen{v};
+      ASSERT_EQ(cut(v), trial(gen)) << "p = " << p << ", value " << v;
+    }
+  }
 }
 
 }  // namespace

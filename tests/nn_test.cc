@@ -52,6 +52,22 @@ TEST(InitTest, ZeroDropoutIsIdentityMask) {
   EXPECT_LT(linalg::MaxAbsDiff(mask, Matrix(5, 5, 1.0f)), 1e-6f);
 }
 
+TEST(InitTest, DropoutMaskDrawsOneBernoulliPerEntryRowMajor) {
+  // The mask is the per-entry Bernoulli(drop) loop on the same stream,
+  // entry for entry, and leaves the stream where that loop would.
+  for (const float drop : {0.1f, 0.5f, 0.9f}) {
+    Rng rng(4);
+    Rng reference(4);
+    const Matrix mask = DropoutMask(37, 29, drop, &rng);
+    const float keep_scale = 1.0f / (1.0f - drop);
+    for (int64_t i = 0; i < mask.size(); ++i) {
+      const float expected = reference.Bernoulli(drop) ? 0.0f : keep_scale;
+      ASSERT_EQ(mask.data()[i], expected) << "entry " << i;
+    }
+    EXPECT_EQ(rng.engine()(), reference.engine()());
+  }
+}
+
 TEST(AdamTest, ConvergesOnQuadratic) {
   // Minimize ||w - target||^2.
   const Matrix target = Matrix::FromRows({{1.0f, -2.0f, 3.0f}});
