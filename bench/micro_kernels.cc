@@ -309,6 +309,17 @@ void BM_PeegaGreedyStepSimd(benchmark::State& state, linalg::SimdVariant v) {
   }
 }
 
+// BM_DropoutMask under each variant of the linalg.bernoulli_mask kernel.
+void BM_DropoutMaskSimd(benchmark::State& state, linalg::SimdVariant v) {
+  const linalg::ScopedSimdVariant scope(v);
+  state.SetLabel(std::string("simd=") + linalg::SimdVariantName(v));
+  Rng rng(12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::DropoutMask(1000, 580, 0.5f, &rng));
+  }
+  state.SetItemsProcessed(state.iterations() * 1000 * 580);
+}
+
 void RegisterSimdVariantBenchmarks() {
   using Fn = void (*)(benchmark::State&, linalg::SimdVariant);
   const std::pair<const char*, Fn> benches[] = {
@@ -316,6 +327,7 @@ void RegisterSimdVariantBenchmarks() {
       {"BM_MatMulTransBSimd", &BM_MatMulTransBSimd},
       {"BM_SpMMSimd", &BM_SpMMSimd},
       {"BM_PeegaGreedyStepSimd", &BM_PeegaGreedyStepSimd},
+      {"BM_DropoutMaskSimd", &BM_DropoutMaskSimd},
   };
   for (const auto& [name, fn] : benches) {
     for (const linalg::SimdVariant v :

@@ -24,16 +24,51 @@ void Accumulate(internal::Node* parent, const Matrix& delta,
   linalg::Axpy(&parent->EnsureGrad(), delta, scale);
 }
 
+// Every op kind the tape records. An input has no work to time; each
+// other kind times its forward in its Tape method and its backward
+// closure in Tape::Backward.
+#define PEEGA_TAPE_OP_KIND(name)                                     \
+  constexpr internal::OpKind k##name = {#name, "autograd." #name,   \
+                                        "autograd." #name ".backward"}
+PEEGA_TAPE_OP_KIND(Input);
+PEEGA_TAPE_OP_KIND(MatMul);
+PEEGA_TAPE_OP_KIND(SpMMConst);
+PEEGA_TAPE_OP_KIND(Transpose);
+PEEGA_TAPE_OP_KIND(Add);
+PEEGA_TAPE_OP_KIND(Sub);
+PEEGA_TAPE_OP_KIND(Mul);
+PEEGA_TAPE_OP_KIND(Scale);
+PEEGA_TAPE_OP_KIND(AddConst);
+PEEGA_TAPE_OP_KIND(MulConst);
+PEEGA_TAPE_OP_KIND(Relu);
+PEEGA_TAPE_OP_KIND(LeakyRelu);
+PEEGA_TAPE_OP_KIND(Sigmoid);
+PEEGA_TAPE_OP_KIND(Exp);
+PEEGA_TAPE_OP_KIND(PowNonNeg);
+PEEGA_TAPE_OP_KIND(RsqrtNonNeg);
+PEEGA_TAPE_OP_KIND(RowSums);
+PEEGA_TAPE_OP_KIND(Sum);
+PEEGA_TAPE_OP_KIND(BroadcastCol);
+PEEGA_TAPE_OP_KIND(BroadcastRow);
+PEEGA_TAPE_OP_KIND(ScaleRowsVar);
+PEEGA_TAPE_OP_KIND(ScaleColsVar);
+PEEGA_TAPE_OP_KIND(RowSoftmax);
+PEEGA_TAPE_OP_KIND(MaskedRowSoftmax);
+PEEGA_TAPE_OP_KIND(SoftmaxCrossEntropy);
+PEEGA_TAPE_OP_KIND(SumEdgePNorm);
+#undef PEEGA_TAPE_OP_KIND
+
 }  // namespace
 
 internal::Node* Tape::NewNode(Matrix value, bool requires_grad,
-                              const char* op,
+                              const internal::OpKind& kind,
                               std::initializer_list<internal::Node*> parents) {
   nodes_.push_back(std::make_unique<internal::Node>());
   internal::Node* node = nodes_.back().get();
   node->value = std::move(value);
   node->requires_grad = requires_grad;
-  node->op = op;
+  node->op = kind.name;
+  node->backward_span = kind.backward_span;
   node->index = static_cast<int>(nodes_.size()) - 1;
   node->recorded_rows = node->value.rows();
   node->recorded_cols = node->value.cols();
@@ -42,14 +77,15 @@ internal::Node* Tape::NewNode(Matrix value, bool requires_grad,
 }
 
 Var Tape::Input(Matrix value, bool requires_grad) {
-  return Var(NewNode(std::move(value), requires_grad, "Input", {}));
+  return Var(NewNode(std::move(value), requires_grad, kInput, {}));
 }
 
 Var Tape::MatMul(Var a, Var b) {
+  const obs::TraceSpan span(kMatMul.forward_span);
   internal::Node* na = a.node_;
   internal::Node* nb = b.node_;
   internal::Node* out = NewNode(linalg::MatMul(na->value, nb->value),
-                                na->requires_grad || nb->requires_grad, "MatMul", {na, nb});
+                                na->requires_grad || nb->requires_grad, kMatMul, {na, nb});
   out->backward = [na, nb](internal::Node* self) {
     if (na->requires_grad) {
       Accumulate(na, linalg::MatMulTransB(self->grad, nb->value));
@@ -62,9 +98,10 @@ Var Tape::MatMul(Var a, Var b) {
 }
 
 Var Tape::SpMMConst(const SparseMatrix& s, Var b) {
+  const obs::TraceSpan span(kSpMMConst.forward_span);
   internal::Node* nb = b.node_;
   internal::Node* out =
-      NewNode(linalg::SpMM(s, nb->value), nb->requires_grad, "SpMMConst", {nb});
+      NewNode(linalg::SpMM(s, nb->value), nb->requires_grad, kSpMMConst, {nb});
   if (nb->requires_grad) {
     // Capture the transpose once; S is immutable for the tape's lifetime.
     auto st = std::make_shared<SparseMatrix>(s.Transposed());
@@ -76,9 +113,10 @@ Var Tape::SpMMConst(const SparseMatrix& s, Var b) {
 }
 
 Var Tape::Transpose(Var a) {
+  const obs::TraceSpan span(kTranspose.forward_span);
   internal::Node* na = a.node_;
   internal::Node* out =
-      NewNode(linalg::Transpose(na->value), na->requires_grad, "Transpose", {na});
+      NewNode(linalg::Transpose(na->value), na->requires_grad, kTranspose, {na});
   out->backward = [na](internal::Node* self) {
     if (na->requires_grad) Accumulate(na, linalg::Transpose(self->grad));
   };
@@ -86,10 +124,11 @@ Var Tape::Transpose(Var a) {
 }
 
 Var Tape::Add(Var a, Var b) {
+  const obs::TraceSpan span(kAdd.forward_span);
   internal::Node* na = a.node_;
   internal::Node* nb = b.node_;
   internal::Node* out = NewNode(linalg::Add(na->value, nb->value),
-                                na->requires_grad || nb->requires_grad, "Add", {na, nb});
+                                na->requires_grad || nb->requires_grad, kAdd, {na, nb});
   out->backward = [na, nb](internal::Node* self) {
     if (na->requires_grad) Accumulate(na, self->grad);
     if (nb->requires_grad) Accumulate(nb, self->grad);
@@ -98,10 +137,11 @@ Var Tape::Add(Var a, Var b) {
 }
 
 Var Tape::Sub(Var a, Var b) {
+  const obs::TraceSpan span(kSub.forward_span);
   internal::Node* na = a.node_;
   internal::Node* nb = b.node_;
   internal::Node* out = NewNode(linalg::Sub(na->value, nb->value),
-                                na->requires_grad || nb->requires_grad, "Sub", {na, nb});
+                                na->requires_grad || nb->requires_grad, kSub, {na, nb});
   out->backward = [na, nb](internal::Node* self) {
     if (na->requires_grad) Accumulate(na, self->grad);
     if (nb->requires_grad) Accumulate(nb, self->grad, -1.0f);
@@ -110,10 +150,11 @@ Var Tape::Sub(Var a, Var b) {
 }
 
 Var Tape::Mul(Var a, Var b) {
+  const obs::TraceSpan span(kMul.forward_span);
   internal::Node* na = a.node_;
   internal::Node* nb = b.node_;
   internal::Node* out = NewNode(linalg::Mul(na->value, nb->value),
-                                na->requires_grad || nb->requires_grad, "Mul", {na, nb});
+                                na->requires_grad || nb->requires_grad, kMul, {na, nb});
   out->backward = [na, nb](internal::Node* self) {
     if (na->requires_grad) {
       Accumulate(na, linalg::Mul(self->grad, nb->value));
@@ -126,9 +167,10 @@ Var Tape::Mul(Var a, Var b) {
 }
 
 Var Tape::Scale(Var a, float s) {
+  const obs::TraceSpan span(kScale.forward_span);
   internal::Node* na = a.node_;
   internal::Node* out =
-      NewNode(linalg::Affine(na->value, s), na->requires_grad, "Scale", {na});
+      NewNode(linalg::Affine(na->value, s), na->requires_grad, kScale, {na});
   out->backward = [na, s](internal::Node* self) {
     if (na->requires_grad) Accumulate(na, self->grad, s);
   };
@@ -136,9 +178,10 @@ Var Tape::Scale(Var a, float s) {
 }
 
 Var Tape::AddConst(Var a, const Matrix& c) {
+  const obs::TraceSpan span(kAddConst.forward_span);
   internal::Node* na = a.node_;
   internal::Node* out =
-      NewNode(linalg::Add(na->value, c), na->requires_grad, "AddConst", {na});
+      NewNode(linalg::Add(na->value, c), na->requires_grad, kAddConst, {na});
   out->backward = [na](internal::Node* self) {
     if (na->requires_grad) Accumulate(na, self->grad);
   };
@@ -146,9 +189,10 @@ Var Tape::AddConst(Var a, const Matrix& c) {
 }
 
 Var Tape::MulConst(Var a, const Matrix& c) {
+  const obs::TraceSpan span(kMulConst.forward_span);
   internal::Node* na = a.node_;
   internal::Node* out =
-      NewNode(linalg::Mul(na->value, c), na->requires_grad, "MulConst", {na});
+      NewNode(linalg::Mul(na->value, c), na->requires_grad, kMulConst, {na});
   // The constant must outlive backward; copy it into the closure.
   Matrix c_copy = c;
   out->backward = [na, c_copy](internal::Node* self) {
@@ -158,8 +202,9 @@ Var Tape::MulConst(Var a, const Matrix& c) {
 }
 
 Var Tape::Relu(Var a) {
+  const obs::TraceSpan span(kRelu.forward_span);
   internal::Node* na = a.node_;
-  internal::Node* out = NewNode(linalg::Relu(na->value), na->requires_grad, "Relu", {na});
+  internal::Node* out = NewNode(linalg::Relu(na->value), na->requires_grad, kRelu, {na});
   out->backward = [na](internal::Node* self) {
     if (!na->requires_grad) return;
     Matrix masked = self->grad;
@@ -174,9 +219,10 @@ Var Tape::Relu(Var a) {
 }
 
 Var Tape::LeakyRelu(Var a, float slope) {
+  const obs::TraceSpan span(kLeakyRelu.forward_span);
   internal::Node* na = a.node_;
   internal::Node* out =
-      NewNode(linalg::LeakyRelu(na->value, slope), na->requires_grad, "LeakyRelu", {na});
+      NewNode(linalg::LeakyRelu(na->value, slope), na->requires_grad, kLeakyRelu, {na});
   out->backward = [na, slope](internal::Node* self) {
     if (!na->requires_grad) return;
     Matrix scaled = self->grad;
@@ -191,9 +237,10 @@ Var Tape::LeakyRelu(Var a, float slope) {
 }
 
 Var Tape::Sigmoid(Var a) {
+  const obs::TraceSpan span(kSigmoid.forward_span);
   internal::Node* na = a.node_;
   internal::Node* out =
-      NewNode(linalg::Sigmoid(na->value), na->requires_grad, "Sigmoid", {na});
+      NewNode(linalg::Sigmoid(na->value), na->requires_grad, kSigmoid, {na});
   out->backward = [na](internal::Node* self) {
     if (!na->requires_grad) return;
     Matrix d = self->grad;
@@ -206,6 +253,7 @@ Var Tape::Sigmoid(Var a) {
 }
 
 Var Tape::Exp(Var a) {
+  const obs::TraceSpan span(kExp.forward_span);
   internal::Node* na = a.node_;
   Matrix value(na->value.rows(), na->value.cols());
   {
@@ -213,7 +261,7 @@ Var Tape::Exp(Var a) {
     float* o = value.data();
     for (int64_t i = 0; i < value.size(); ++i) o[i] = std::exp(v[i]);
   }
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "Exp", {na});
+  internal::Node* out = NewNode(std::move(value), na->requires_grad, kExp, {na});
   out->backward = [na](internal::Node* self) {
     if (!na->requires_grad) return;
     Accumulate(na, linalg::Mul(self->grad, self->value));
@@ -222,6 +270,7 @@ Var Tape::Exp(Var a) {
 }
 
 Var Tape::PowNonNeg(Var a, float exponent) {
+  const obs::TraceSpan span(kPowNonNeg.forward_span);
   internal::Node* na = a.node_;
   Matrix value(na->value.rows(), na->value.cols());
   {
@@ -231,7 +280,7 @@ Var Tape::PowNonNeg(Var a, float exponent) {
       o[i] = v[i] > 0.0f ? std::pow(v[i], exponent) : 0.0f;
     }
   }
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "PowNonNeg", {na});
+  internal::Node* out = NewNode(std::move(value), na->requires_grad, kPowNonNeg, {na});
   out->backward = [na, exponent](internal::Node* self) {
     if (!na->requires_grad) return;
     Matrix d = self->grad;
@@ -246,6 +295,7 @@ Var Tape::PowNonNeg(Var a, float exponent) {
 }
 
 Var Tape::RsqrtNonNeg(Var a) {
+  const obs::TraceSpan span(kRsqrtNonNeg.forward_span);
   internal::Node* na = a.node_;
   Matrix value(na->value.rows(), na->value.cols());
   {
@@ -255,7 +305,7 @@ Var Tape::RsqrtNonNeg(Var a) {
       o[i] = v[i] > 0.0f ? 1.0f / std::sqrt(v[i]) : 0.0f;
     }
   }
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "RsqrtNonNeg", {na});
+  internal::Node* out = NewNode(std::move(value), na->requires_grad, kRsqrtNonNeg, {na});
   out->backward = [na](internal::Node* self) {
     if (!na->requires_grad) return;
     Matrix d = self->grad;
@@ -274,11 +324,12 @@ Var Tape::Dropout(Var a, const Matrix& mask) {
 }
 
 Var Tape::RowSums(Var a) {
+  const obs::TraceSpan span(kRowSums.forward_span);
   internal::Node* na = a.node_;
   const std::vector<float> sums = linalg::RowSums(na->value);
   Matrix value(na->value.rows(), 1);
   for (int i = 0; i < value.rows(); ++i) value(i, 0) = sums[i];
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "RowSums", {na});
+  internal::Node* out = NewNode(std::move(value), na->requires_grad, kRowSums, {na});
   out->backward = [na](internal::Node* self) {
     if (!na->requires_grad) return;
     Matrix d(na->value.rows(), na->value.cols());
@@ -293,10 +344,11 @@ Var Tape::RowSums(Var a) {
 }
 
 Var Tape::Sum(Var a) {
+  const obs::TraceSpan span(kSum.forward_span);
   internal::Node* na = a.node_;
   Matrix value(1, 1);
   value(0, 0) = static_cast<float>(linalg::Sum(na->value));
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "Sum", {na});
+  internal::Node* out = NewNode(std::move(value), na->requires_grad, kSum, {na});
   out->backward = [na](internal::Node* self) {
     if (!na->requires_grad) return;
     Matrix d(na->value.rows(), na->value.cols(), self->grad(0, 0));
@@ -306,6 +358,7 @@ Var Tape::Sum(Var a) {
 }
 
 Var Tape::BroadcastCol(Var a, int cols) {
+  const obs::TraceSpan span(kBroadcastCol.forward_span);
   internal::Node* na = a.node_;
   PEEGA_CHECK_EQ(na->value.cols(), 1);
   Matrix value(na->value.rows(), cols);
@@ -314,7 +367,7 @@ Var Tape::BroadcastCol(Var a, int cols) {
     float* row = value.row(i);
     for (int j = 0; j < cols; ++j) row[j] = v;
   }
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "BroadcastCol", {na});
+  internal::Node* out = NewNode(std::move(value), na->requires_grad, kBroadcastCol, {na});
   out->backward = [na](internal::Node* self) {
     if (!na->requires_grad) return;
     Matrix d(na->value.rows(), 1);
@@ -330,6 +383,7 @@ Var Tape::BroadcastCol(Var a, int cols) {
 }
 
 Var Tape::BroadcastRow(Var a, int rows) {
+  const obs::TraceSpan span(kBroadcastRow.forward_span);
   internal::Node* na = a.node_;
   PEEGA_CHECK_EQ(na->value.rows(), 1);
   Matrix value(rows, na->value.cols());
@@ -337,7 +391,7 @@ Var Tape::BroadcastRow(Var a, int rows) {
     float* row = value.row(i);
     for (int j = 0; j < value.cols(); ++j) row[j] = na->value(0, j);
   }
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "BroadcastRow", {na});
+  internal::Node* out = NewNode(std::move(value), na->requires_grad, kBroadcastRow, {na});
   out->backward = [na](internal::Node* self) {
     if (!na->requires_grad) return;
     Matrix d(1, na->value.cols());
@@ -351,6 +405,7 @@ Var Tape::BroadcastRow(Var a, int rows) {
 }
 
 Var Tape::ScaleRowsVar(Var a, Var s) {
+  const obs::TraceSpan span(kScaleRowsVar.forward_span);
   internal::Node* na = a.node_;
   internal::Node* ns = s.node_;
   PEEGA_CHECK_EQ(ns->value.cols(), 1);
@@ -363,7 +418,7 @@ Var Tape::ScaleRowsVar(Var a, Var s) {
     for (int j = 0; j < value.cols(); ++j) vrow[j] = arow[j] * sv;
   }
   internal::Node* out = NewNode(std::move(value),
-                                na->requires_grad || ns->requires_grad, "ScaleRowsVar", {na, ns});
+                                na->requires_grad || ns->requires_grad, kScaleRowsVar, {na, ns});
   out->backward = [na, ns](internal::Node* self) {
     if (na->requires_grad) {
       Matrix d(na->value.rows(), na->value.cols());
@@ -391,6 +446,7 @@ Var Tape::ScaleRowsVar(Var a, Var s) {
 }
 
 Var Tape::ScaleColsVar(Var a, Var s) {
+  const obs::TraceSpan span(kScaleColsVar.forward_span);
   internal::Node* na = a.node_;
   internal::Node* ns = s.node_;
   PEEGA_CHECK_EQ(ns->value.cols(), 1);
@@ -404,7 +460,7 @@ Var Tape::ScaleColsVar(Var a, Var s) {
     }
   }
   internal::Node* out = NewNode(std::move(value),
-                                na->requires_grad || ns->requires_grad, "ScaleColsVar", {na, ns});
+                                na->requires_grad || ns->requires_grad, kScaleColsVar, {na, ns});
   out->backward = [na, ns](internal::Node* self) {
     if (na->requires_grad) {
       Matrix d(na->value.rows(), na->value.cols());
@@ -438,9 +494,10 @@ Var Tape::AddRowVector(Var a, Var bias) {
 }
 
 Var Tape::RowSoftmax(Var a) {
+  const obs::TraceSpan span(kRowSoftmax.forward_span);
   internal::Node* na = a.node_;
   internal::Node* out =
-      NewNode(linalg::RowSoftmax(na->value), na->requires_grad, "RowSoftmax", {na});
+      NewNode(linalg::RowSoftmax(na->value), na->requires_grad, kRowSoftmax, {na});
   out->backward = [na](internal::Node* self) {
     if (!na->requires_grad) return;
     // d a = (g - (g . s) 1) ⊙ s  row-wise.
@@ -461,6 +518,7 @@ Var Tape::RowSoftmax(Var a) {
 }
 
 Var Tape::MaskedRowSoftmax(Var a, const Matrix& mask) {
+  const obs::TraceSpan span(kMaskedRowSoftmax.forward_span);
   internal::Node* na = a.node_;
   PEEGA_CHECK(na->value.SameShape(mask));
   Matrix value(na->value.rows(), na->value.cols());
@@ -483,7 +541,7 @@ Var Tape::MaskedRowSoftmax(Var a, const Matrix& mask) {
     const float inv = 1.0f / denom;
     for (int j = 0; j < value.cols(); ++j) vrow[j] *= inv;
   }
-  internal::Node* out = NewNode(std::move(value), na->requires_grad, "MaskedRowSoftmax", {na});
+  internal::Node* out = NewNode(std::move(value), na->requires_grad, kMaskedRowSoftmax, {na});
   Matrix mask_copy = mask;
   out->backward = [na, mask_copy](internal::Node* self) {
     if (!na->requires_grad) return;
@@ -506,6 +564,7 @@ Var Tape::MaskedRowSoftmax(Var a, const Matrix& mask) {
 
 Var Tape::SoftmaxCrossEntropy(Var logits, const Matrix& labels,
                               const std::vector<float>& row_mask) {
+  const obs::TraceSpan span(kSoftmaxCrossEntropy.forward_span);
   internal::Node* nl = logits.node_;
   PEEGA_CHECK(nl->value.SameShape(labels));
   PEEGA_CHECK_EQ(static_cast<int>(row_mask.size()), nl->value.rows());
@@ -526,7 +585,7 @@ Var Tape::SoftmaxCrossEntropy(Var logits, const Matrix& labels,
   if (count > 0.0) loss /= count;
   Matrix value(1, 1);
   value(0, 0) = static_cast<float>(loss);
-  internal::Node* out = NewNode(std::move(value), nl->requires_grad, "SoftmaxCrossEntropy", {nl});
+  internal::Node* out = NewNode(std::move(value), nl->requires_grad, kSoftmaxCrossEntropy, {nl});
   PEEGA_CHECK_FINITE_MAT(out->value, "SoftmaxCrossEntropy");
   if (nl->requires_grad) {
     auto probs_ptr = std::make_shared<Matrix>(std::move(probs));
@@ -556,6 +615,7 @@ Var Tape::SoftmaxCrossEntropy(Var logits, const Matrix& labels,
 Var Tape::SumEdgePNorm(Var x, const Matrix& ref,
                        const std::vector<std::pair<int, int>>& edges,
                        int p) {
+  const obs::TraceSpan span(kSumEdgePNorm.forward_span);
   internal::Node* nx = x.node_;
   PEEGA_CHECK_EQ(nx->value.cols(), ref.cols());
   PEEGA_CHECK_GE(p, 1);
@@ -578,7 +638,7 @@ Var Tape::SumEdgePNorm(Var x, const Matrix& ref,
   }
   Matrix value(1, 1);
   value(0, 0) = static_cast<float>(total);
-  internal::Node* out = NewNode(std::move(value), nx->requires_grad, "SumEdgePNorm", {nx});
+  internal::Node* out = NewNode(std::move(value), nx->requires_grad, kSumEdgePNorm, {nx});
   if (nx->requires_grad) {
     Matrix ref_copy = ref;
     std::vector<std::pair<int, int>> edges_copy = edges;
@@ -613,6 +673,7 @@ Var Tape::SumEdgePNorm(Var x, const Matrix& ref,
 }
 
 Var Tape::GcnNormalizeDense(Var a) {
+  const obs::TraceSpan span("autograd.GcnNormalizeDense");
   const int n = a.rows();
   PEEGA_CHECK_EQ(n, a.cols());
   Var a_hat = AddConst(a, Matrix::Identity(n));
@@ -734,6 +795,7 @@ void Tape::Backward(Var loss) {
       else continue;
     }
     if (node->backward && node->grad_initialized) {
+      const obs::TraceSpan op_span(node->backward_span);
       node->backward(node);
 #ifdef PEEGA_DEBUG_NUMERICS
       // Poison-check every gradient this backward node just produced; a

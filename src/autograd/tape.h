@@ -16,6 +16,15 @@ class Tape;
 
 namespace internal {
 
+/// A kind of tape op: its name in op-trace diagnostics and the trace
+/// spans of its forward and of its backward closure, all string
+/// literals ("MatMul", "autograd.MatMul", "autograd.MatMul.backward").
+struct OpKind {
+  const char* name;
+  const char* forward_span;
+  const char* backward_span;
+};
+
 /// One entry on the tape: a value, its (lazily allocated) gradient, and a
 /// backward closure that scatters this node's gradient into its parents.
 /// `op`, `parents`, and the shapes recorded at creation exist for the
@@ -28,6 +37,7 @@ struct Node {
   std::function<void(Node*)> backward;
 
   const char* op = "?";
+  const char* backward_span = "autograd.?.backward";
   int index = -1;               // position on the tape
   int recorded_rows = 0;        // value shape captured at creation
   int recorded_cols = 0;
@@ -184,7 +194,7 @@ class Tape {
 
  private:
   internal::Node* NewNode(linalg::Matrix value, bool requires_grad,
-                          const char* op,
+                          const internal::OpKind& kind,
                           std::initializer_list<internal::Node*> parents);
 
   std::vector<std::unique_ptr<internal::Node>> nodes_;

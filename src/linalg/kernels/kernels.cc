@@ -90,6 +90,13 @@ const KernelTable<SpMMRowsFn>& SpMMTable() {
   return table;
 }
 
+const KernelTable<BernoulliMaskFn>& BernoulliMaskTable() {
+  static const KernelTable<BernoulliMaskFn> table = {
+      "linalg.bernoulli_mask", &generic::BernoulliMask,
+      PEEGA_AVX2_FN(BernoulliMask), nullptr};
+  return table;
+}
+
 #undef PEEGA_AVX2_FN
 #undef PEEGA_NEON_FN
 
@@ -109,7 +116,8 @@ KernelTableInfo InfoOf(const KernelTable<Fn>& table) {
 
 std::vector<KernelTableInfo> AllKernelTables() {
   return {InfoOf(MatMulTable()), InfoOf(MatMulTransATable()),
-          InfoOf(DotTable()), InfoOf(SpMMTable())};
+          InfoOf(DotTable()), InfoOf(SpMMTable()),
+          InfoOf(BernoulliMaskTable())};
 }
 
 }  // namespace repro::linalg::kernels

@@ -83,6 +83,22 @@ void DotPanels(DotPanelFn kernel, const float* a, const std::vector<int>& rows,
                int64_t ldc);
 
 // ---------------------------------------------------------------------------
+// Bernoulli mask (linalg::Mt19937_64::FillBernoulli)
+// ---------------------------------------------------------------------------
+
+/// Fills out[0, n) from the MT19937-64 stream whose state block
+/// (mt64::kWords words) is `block`, at position `*index` in
+/// [0, mt64::kWords] (mt64::kWords: the block is spent). Cell i takes
+/// the next tempered value v and stores entry[always || v < cut]; the
+/// block is twisted in place whenever it is spent, and `*index` is left
+/// after the last value used. Cells and stream position match one
+/// scalar draw per cell, row-major; vector variants map lanes to
+/// distinct stream positions.
+using BernoulliMaskFn = void (*)(uint64_t* block, int* index, uint64_t cut,
+                                 bool always, const float* entry, float* out,
+                                 int64_t n);
+
+// ---------------------------------------------------------------------------
 // Per-op tables
 // ---------------------------------------------------------------------------
 
@@ -92,6 +108,7 @@ const KernelTable<MatMulTransAColsFn>& MatMulTransATable();
 /// all run `DotPanel` through DotPanels.
 const KernelTable<DotPanelFn>& DotTable();
 const KernelTable<SpMMRowsFn>& SpMMTable();
+const KernelTable<BernoulliMaskFn>& BernoulliMaskTable();
 
 /// Introspection row for the registry self-check and gen_op_docs: which
 /// variants of each dispatched op this binary actually compiled.

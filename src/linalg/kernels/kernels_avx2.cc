@@ -13,11 +13,17 @@
 // _mm256_fmadd_ps): the baseline x86-64 scalar reference has no FMA, so
 // a fused variant would differ in the last bit and flip greedy argmax
 // decisions. Scalar tails reuse the exact generic expressions.
+//
+// The Bernoulli mask kernel has no floats to round: its lanes are four
+// consecutive MT19937-64 stream positions, twisted, tempered and
+// compared as 64-bit integers, each the generic kernel's value for its
+// position.
 
 #include <immintrin.h>
 
 #include <algorithm>
 
+#include "linalg/kernels/mt64.h"
 #include "linalg/kernels/variants.h"
 
 namespace repro::linalg::kernels::avx2 {
@@ -172,6 +178,78 @@ void DotPanelRows(const float* a, const int* rows, int64_t num_rows,
   }
 }
 
+// MT19937-64 helpers for BernoulliMask. Internal linkage, so these
+// AVX2-compiled copies never stand in for the engine's own scalar code.
+namespace mt = mt64;
+
+inline __m256i Splat(uint64_t value) {
+  return _mm256_set1_epi64x(static_cast<int64_t>(value));
+}
+
+// y = upper bits of `word` | lower bits of `next`; returns
+// (y >> 1) ^ (y odd ? A : 0), the twist's mix of two adjacent words.
+inline __m256i Mix(__m256i word, __m256i next) {
+  const __m256i y =
+      _mm256_or_si256(_mm256_and_si256(word, Splat(mt::kUpperMask)),
+                      _mm256_and_si256(next, Splat(mt::kLowerMask)));
+  // 0 - (y & 1): all ones for an odd y.
+  const __m256i odd =
+      _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_and_si256(y, Splat(1)));
+  return _mm256_xor_si256(_mm256_srli_epi64(y, 1),
+                          _mm256_and_si256(odd, Splat(mt::kMatrixA)));
+}
+
+inline uint64_t MixScalar(uint64_t word, uint64_t next) {
+  const uint64_t y = (word & mt::kUpperMask) | (next & mt::kLowerMask);
+  return (y >> 1) ^ ((y & 1) != 0 ? mt::kMatrixA : 0);
+}
+
+// The twist, four words per vector. Word k of the new block reads old
+// words k and k + 1 and word k + 156 (mod 312); for k < 156 that word
+// is still old, for k >= 156 it is new and was written by the first
+// half. No lane reads a word another lane of its vector writes, so both
+// halves vectorize; only the last word, whose neighbour wraps to the
+// new word 0, is scalar.
+void Twist(uint64_t* block) {
+  constexpr int kHalf = mt::kWords - mt::kShift;
+  static_assert(kHalf % 4 == 0 && mt::kShift % 4 == 0);
+  const auto step = [block](int k, int from) {
+    const __m256i word = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(block + k));
+    const __m256i next = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(block + k + 1));
+    const __m256i far = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(block + from));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + k),
+                        _mm256_xor_si256(far, Mix(word, next)));
+  };
+  int k = 0;
+  for (; k < kHalf; k += 4) step(k, k + mt::kShift);
+  for (; k + 4 < mt::kWords; k += 4) step(k, k - kHalf);
+  for (; k < mt::kWords - 1; ++k) {
+    block[k] = block[k - kHalf] ^ MixScalar(block[k], block[k + 1]);
+  }
+  block[mt::kWords - 1] =
+      block[mt::kShift - 1] ^ MixScalar(block[mt::kWords - 1], block[0]);
+}
+
+inline __m256i Temper(__m256i z) {
+  z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_srli_epi64(z, mt::kTemperU),
+                                           Splat(mt::kTemperD)));
+  z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, mt::kTemperS),
+                                           Splat(mt::kTemperB)));
+  z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, mt::kTemperT),
+                                           Splat(mt::kTemperC)));
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, mt::kTemperL));
+}
+
+inline uint64_t TemperScalar(uint64_t z) {
+  z ^= (z >> mt::kTemperU) & mt::kTemperD;
+  z ^= (z << mt::kTemperS) & mt::kTemperB;
+  z ^= (z << mt::kTemperT) & mt::kTemperC;
+  return z ^ (z >> mt::kTemperL);
+}
+
 }  // namespace
 
 void MatMulRows(const float* a, const float* b, float* c, int64_t r0,
@@ -234,6 +312,43 @@ void DotPanel(const float* a, const int* rows, int64_t num_rows,
   } else {
     DotPanelRows<2>(a, rows, num_rows, panel, cols, num_cols, k, c, ldc);
   }
+}
+
+void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
+                   const float* entry, float* out, int64_t n) {
+  // v < cut as unsigned is (v ^ 2^63) < (cut ^ 2^63) as signed, the
+  // compare AVX2 has. Hits (all-ones 64-bit lanes) are narrowed to the
+  // four 32-bit lanes that select between the two entries.
+  const __m256i sign = Splat(uint64_t{1} << 63);
+  const __m256i signed_cut = _mm256_xor_si256(Splat(cut), sign);
+  const __m256i all = Splat(always ? ~uint64_t{0} : 0);
+  const __m256i low_halves = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const __m128 miss = _mm_set1_ps(entry[0]);
+  const __m128 hit = _mm_set1_ps(entry[1]);
+  int at = *index;
+  int64_t i = 0;
+  while (i < n) {
+    if (at == mt::kWords) {
+      Twist(block);
+      at = 0;
+    }
+    const int64_t end = i + std::min<int64_t>(n - i, mt::kWords - at);
+    for (; i + 4 <= end; i += 4, at += 4) {
+      const __m256i v = Temper(_mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(block + at)));
+      const __m256i below =
+          _mm256_or_si256(all, _mm256_cmpgt_epi64(
+                                   signed_cut, _mm256_xor_si256(v, sign)));
+      const __m128 select = _mm_castsi128_ps(_mm256_castsi256_si128(
+          _mm256_permutevar8x32_epi32(below, low_halves)));
+      _mm_storeu_ps(out + i, _mm_blendv_ps(miss, hit, select));
+    }
+    for (; i < end; ++i) {
+      const uint64_t v = TemperScalar(block[at++]);
+      out[i] = entry[always || v < cut];
+    }
+  }
+  *index = at;
 }
 
 }  // namespace repro::linalg::kernels::avx2

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "linalg/kernels/variants.h"
+#include "linalg/random.h"
 
 namespace repro::linalg::kernels::generic {
 
@@ -73,6 +74,20 @@ void DotPanel(const float* a, const int* rows, int64_t num_rows,
       crow[cols[l]] = dot;
     }
   }
+}
+
+void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
+                   const float* entry, float* out, int64_t n) {
+  int at = *index;
+  for (int64_t i = 0; i < n; ++i) {
+    if (at == mt64::kWords) {
+      Mt19937_64::Twist(block);
+      at = 0;
+    }
+    const uint64_t v = Mt19937_64::Temper(block[at++]);
+    out[i] = entry[always || v < cut];
+  }
+  *index = at;
 }
 
 }  // namespace repro::linalg::kernels::generic

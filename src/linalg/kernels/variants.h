@@ -29,6 +29,8 @@ void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
 void DotPanel(const float* a, const int* rows, int64_t num_rows,
               const float* b, const int* cols, int num_cols, int k, float* c,
               int64_t ldc, float* panel);
+void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
+                   const float* entry, float* out, int64_t n);
 }  // namespace generic
 
 #if defined(PEEGA_HAVE_AVX2)
@@ -42,6 +44,8 @@ void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
 void DotPanel(const float* a, const int* rows, int64_t num_rows,
               const float* b, const int* cols, int num_cols, int k, float* c,
               int64_t ldc, float* panel);
+void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
+                   const float* entry, float* out, int64_t n);
 }  // namespace avx2
 #endif  // PEEGA_HAVE_AVX2
 

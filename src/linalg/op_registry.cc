@@ -1,5 +1,6 @@
 #include "linalg/op_registry.h"
 
+#include <cmath>
 #include <set>
 #include <string_view>
 #include <tuple>
@@ -178,6 +179,40 @@ void ProbeDot(std::vector<float>* out) {
   ProbeDotCols(out);
 }
 
+void ProbeBernoulliMask(std::vector<float>* out) {
+  // Lengths straddle one and two 4-word vectors and the 312-word block;
+  // fills start on a spent block, a few words in and one word before a
+  // twist, and a scalar draw after each fill checks the stream position,
+  // so tails and twists land at every offset.
+  constexpr int64_t kLengths[] = {0, 1, 3, 4, 5, 7, 8, 9, 311, 312, 313, 1000};
+  const float entry[2] = {1.25f, -3.0f};
+  for (const double p : {0.0, 0.3, 0.5, 1.0}) {
+    const BernoulliCut cut(p);
+    for (const int skip : {0, 1, 6, 311}) {
+      Mt19937_64 engine(1000 + skip);
+      for (int i = 0; i < skip; ++i) engine();
+      for (const int64_t n : kLengths) {
+        std::vector<float> mask(static_cast<size_t>(n));
+        engine.FillBernoulli(cut, entry, mask.data(), n);
+        out->insert(out->end(), mask.begin(), mask.end());
+        out->push_back(static_cast<float>(engine() >> 40));  // exact
+      }
+    }
+  }
+  // Random values land far from a cut, where only their top bits
+  // decide; cuts taken from the stream's own values put the compare on
+  // the low bits too, in every lane and in the scalar tail.
+  for (const int at : {0, 1, 2, 3, 5, 150, 311, 312}) {
+    Mt19937_64 engine(2000 + at);
+    Mt19937_64 peek = engine;
+    for (int i = 0; i < at; ++i) peek();
+    const BernoulliCut cut(std::ldexp(static_cast<double>(peek()), -64));
+    std::vector<float> mask(315);
+    engine.FillBernoulli(cut, entry, mask.data(), 315);
+    out->insert(out->end(), mask.begin(), mask.end());
+  }
+}
+
 std::vector<OpInfo> BuildRegistry() {
   std::vector<OpInfo> ops;
   ops.push_back({"linalg.matmul", "linalg::MatMul",
@@ -212,6 +247,17 @@ std::vector<OpInfo> BuildRegistry() {
                  "disjoint output rows",
                  DeterminismClass::kLanePerOutput, true, true, true,
                  &ProbeSpMM});
+  ops.push_back({"linalg.bernoulli_mask",
+                 "linalg::Mt19937_64::FillBernoulli",
+                 "Bernoulli mask (nn::DropoutMask) straight from the "
+                 "MT19937-64 state block: twist, temper, compare each value "
+                 "with a 64-bit cut and store one of two floats, one stream "
+                 "value per cell.",
+                 "O(n) for n cells",
+                 "serial: one sequential stream, generated in 312-word "
+                 "blocks; vector lanes map to distinct stream positions",
+                 DeterminismClass::kLanePerOutput, true, true, false,
+                 &ProbeBernoulliMask});
   return ops;
 }
 

@@ -2,14 +2,17 @@
 #define PEEGA_LINALG_RANDOM_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <random>
 #include <vector>
+
+#include "linalg/kernels/mt64.h"
 
 namespace repro::linalg {
 
 /// A Bernoulli(p) trial as one comparison of a raw engine value.
 ///
-/// `std::bernoulli_distribution(p)` maps one `std::mt19937_64` value to
+/// `std::bernoulli_distribution(p)` maps one MT19937-64 value to
 /// a double in [0, 1) and succeeds when it lies below `p`; that map is
 /// nondecreasing, so the successes are exactly the values below one
 /// 64-bit cut. The constructor finds the cut by bisection, asking the
@@ -26,9 +29,80 @@ class BernoulliCut {
     return always_ || engine_value < cut_;
   }
 
+  uint64_t cut() const { return cut_; }
+  bool always() const { return always_; }
+
  private:
   uint64_t cut_ = 0;     // successes are the values below this
   bool always_ = false;  // every value succeeds (the cut would be 2^64)
+};
+
+/// The MT19937-64 engine: the stream of `std::mt19937_64`, value for
+/// value, from the same seeding recurrence, 312-word twist and
+/// tempering, so every `std::` distribution run on it returns what it
+/// returns on `std::mt19937_64`. Its text form is libstdc++'s byte for
+/// byte (the 312 state words, then the position in the block).
+///
+/// Besides one value per call it fills a whole Bernoulli mask through
+/// the dispatched `linalg.bernoulli_mask` kernel, which twists and
+/// tempers the block in vector lanes that map to distinct stream
+/// positions; the mask and the stream position afterwards are those of
+/// one scalar draw per cell.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr int kStateWords = kernels::mt64::kWords;
+
+  /// std::mt19937_64's seeding: word 0 is the seed, each next word
+  /// f·(w ^ (w >> 62)) + i of the word w before it; the block is spent.
+  explicit Mt19937_64(result_type seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (index_ == kStateWords) {
+      Twist(state_);
+      index_ = 0;
+    }
+    return Temper(state_[index_++]);
+  }
+
+  /// out[i] = entry[cut(v_i)] for the next n stream values v_i, one per
+  /// cell in order: the cells and the stream position afterwards are
+  /// those of n calls of `cut((*this)())`.
+  void FillBernoulli(const BernoulliCut& cut, const float entry[2],
+                     float* out, int64_t n);
+
+  /// The twist: regenerates all kStateWords words of `block` in place.
+  /// Used by the scalar draws and the generic mask kernel alike.
+  static void Twist(uint64_t* block);
+
+  /// The tempering that maps a state word to a stream value.
+  static uint64_t Temper(uint64_t z) {
+    namespace mt = kernels::mt64;
+    z ^= (z >> mt::kTemperU) & mt::kTemperD;
+    z ^= (z << mt::kTemperS) & mt::kTemperB;
+    z ^= (z << mt::kTemperT) & mt::kTemperC;
+    z ^= z >> mt::kTemperL;
+    return z;
+  }
+
+  /// libstdc++'s text: the 312 words, then the position, in decimal
+  /// and separated by single spaces.
+  friend std::ostream& operator<<(std::ostream& out,
+                                  const Mt19937_64& engine);
+
+  /// Reads the text `operator<<` writes, strictly: exactly 312 words of
+  /// decimal digits that fit 64 bits, then a position in [0, 312],
+  /// separated by whitespace and followed by nothing, not even
+  /// whitespace. Anything else sets failbit and leaves the engine
+  /// unchanged.
+  friend std::istream& operator>>(std::istream& in, Mt19937_64& engine);
+
+ private:
+  uint64_t state_[kStateWords];
+  int index_ = kStateWords;  // next word to temper; kStateWords: spent
 };
 
 /// Seeded random number generator used throughout the library.
@@ -74,10 +148,10 @@ class Rng {
   /// repetition of an experiment its own stream.
   Rng Fork() { return Rng(engine_()); }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace repro::linalg

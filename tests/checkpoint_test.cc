@@ -7,6 +7,7 @@
 // irrelevant, which is exactly what resumability relies on).
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "attack/attacker.h"
 #include "core/peega.h"
 #include "core/peega_batch.h"
+#include "core/peega_checkpoint.h"
 #include "debug/failpoints.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
@@ -429,6 +431,100 @@ TEST_F(CheckpointTest, SealedSelfLoopFlipIsRejectedAsCorrupt) {
             std::string::npos)
       << rejected.status.ToString();
   std::remove(path.c_str());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Rewrites the checkpoint at `path` with its rng_state replaced, through
+// the save API, so the record's CRC holds and only the state is wrong.
+void RewriteRngState(const std::string& path, const std::string& rng_state) {
+  obs::Json echo;
+  std::string error;
+  ASSERT_EQ(obs::Unseal(ReadFile(path), &echo, &error), obs::Unsealed::kOk)
+      << error;
+  status::StatusOr<core::PeegaCheckpoint> loaded =
+      core::LoadPeegaCheckpoint(path, echo);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  core::PeegaCheckpoint checkpoint = *loaded;
+  checkpoint.rng_state = rng_state;
+  ASSERT_TRUE(core::SavePeegaCheckpoint(echo, checkpoint, path).ok());
+}
+
+TEST_F(CheckpointTest, MalformedRngStateIsRejectedAsCorrupt) {
+  const Graph g = CampaignGraph();
+  const attack::AttackOptions attack_options = CampaignOptions();
+  const std::string path = TempCheckpoint("rng_state");
+  std::remove(path.c_str());
+  core::PeegaAttack::Options options;
+  options.checkpoint_path = path;
+  options.checkpoint_every = 1;
+  debug::ArmFailpoint("peega.interrupt", "3");
+  Rng rng(kAttackSeed);
+  ASSERT_EQ(core::PeegaAttack(options).Attack(g, attack_options, &rng)
+                .status.code(),
+            status::Code::kCancelled);
+  debug::DisarmAllFailpoints();
+
+  obs::Json doc;
+  std::string error;
+  ASSERT_EQ(obs::Unseal(ReadFile(path), &doc, &error), obs::Unsealed::kOk)
+      << error;
+  const std::string valid = doc.object["rng_state"].string_value;
+  ASSERT_FALSE(valid.empty());
+  const std::string words = valid.substr(0, valid.rfind(' ') + 1);
+  const std::string pristine = ReadFile(path);
+  const struct {
+    const char* name;
+    std::string rng_state;
+  } rows[] = {
+      {"truncated state", valid.substr(0, valid.size() / 2)},
+      {"index 313", words + "313"},
+      {"index 999", words + "999"},
+      {"trailing text", valid + " garbage"},
+      {"non-digit word", "12a4 " + valid.substr(valid.find(' ') + 1)},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << pristine;
+    }
+    RewriteRngState(path, row.rng_state);
+    Rng resume_rng(kAttackSeed);
+    const attack::AttackResult rejected =
+        core::PeegaAttack(options).Attack(g, attack_options, &resume_rng);
+    EXPECT_EQ(rejected.status.code(), status::Code::kInvalidInput)
+        << rejected.status.ToString();
+    EXPECT_NE(rejected.status.message().find(
+                  "corrupt checkpoint: unparsable rng_state"),
+              std::string::npos)
+        << rejected.status.ToString();
+    EXPECT_TRUE(rejected.flips.empty());
+  }
+  std::remove(path.c_str());
+}
+
+// Checkpoints hold the engine's text; one written by std::mt19937_64
+// (as every checkpoint before linalg::Mt19937_64 was) reads back into
+// the same stream.
+TEST(RngStateTest, StdEngineStateContinuesItsStreamBitwise) {
+  std::mt19937_64 reference(kAttackSeed);
+  for (int i = 0; i < 1000; ++i) reference();
+  std::ostringstream text;
+  text << reference;
+  Rng rng(0);
+  std::istringstream in(text.str());
+  in >> rng.engine();
+  ASSERT_FALSE(in.fail());
+  std::ostringstream again;
+  again << rng.engine();
+  EXPECT_EQ(again.str(), text.str());
+  for (int i = 0; i < 10000; ++i) ASSERT_EQ(rng.engine()(), reference());
 }
 
 }  // namespace

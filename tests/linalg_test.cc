@@ -1,11 +1,16 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <random>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "linalg/dispatch.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/ops.h"
@@ -352,6 +357,139 @@ TEST(RandomTest, BernoulliCutMatchesBernoulliDistribution) {
       ASSERT_EQ(cut(v), trial(gen)) << "p = " << p << ", value " << v;
     }
   }
+}
+
+constexpr uint64_t kStreamSeeds[] = {0, 1, 42, ~uint64_t{0}};
+
+std::string TextOf(const Mt19937_64& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
+}
+
+std::string TextOf(const std::mt19937_64& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
+}
+
+TEST(Mt19937Test, ScalarDrawsMatchStdEngine) {
+  for (const uint64_t seed : kStreamSeeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    int64_t mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) mismatches += engine() != reference();
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937Test, MaskFillsInterleavedWithDrawsMatchStdReference) {
+  // Every usable kernel variant fills masks of lengths around the
+  // 4-word vector and the 312-word block between distribution draws;
+  // the reference draws the same sequence on std::mt19937_64, the mask
+  // cell by cell through std::bernoulli_distribution.
+  constexpr int64_t kLengths[] = {0, 1, 3, 4, 5, 311, 312, 313, 580000};
+  const float entry[2] = {2.0f, 0.0f};
+  for (const SimdVariant variant :
+       {SimdVariant::kGeneric, SimdVariant::kAvx2, SimdVariant::kNeon}) {
+    if (!SimdVariantUsable(variant)) continue;
+    const ScopedSimdVariant forced(variant);
+    for (const uint64_t seed : kStreamSeeds) {
+      SCOPED_TRACE(std::string(SimdVariantName(variant)) + ", seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      std::mt19937_64 reference(seed);
+      for (const double p : {0.5, 0.3}) {
+        const BernoulliCut cut(p);
+        std::bernoulli_distribution trial(p);
+        for (const int64_t n : kLengths) {
+          std::vector<float> mask(static_cast<size_t>(n));
+          rng.engine().FillBernoulli(cut, entry, mask.data(), n);
+          int64_t mismatches = 0;
+          for (int64_t i = 0; i < n; ++i) {
+            mismatches += mask[i] != entry[trial(reference)];
+          }
+          ASSERT_EQ(mismatches, 0) << "p = " << p << ", length " << n;
+          ASSERT_EQ(rng.Uniform(-1.0, 3.0),
+                    std::uniform_real_distribution<double>(-1.0, 3.0)(
+                        reference));
+          ASSERT_EQ(rng.Normal(0.5, 2.0),
+                    std::normal_distribution<double>(0.5, 2.0)(reference));
+          std::vector<int> perm(13);
+          std::iota(perm.begin(), perm.end(), 0);
+          std::shuffle(perm.begin(), perm.end(), reference);
+          ASSERT_EQ(rng.Permutation(13), perm);
+          Rng child = rng.Fork();
+          std::mt19937_64 child_reference(reference());
+          for (int i = 0; i < 400; ++i) {
+            ASSERT_EQ(child.engine()(), child_reference());
+          }
+        }
+      }
+      EXPECT_EQ(TextOf(rng.engine()), TextOf(reference));
+    }
+  }
+}
+
+TEST(Mt19937Test, TextStateMatchesStdAtBlockStartMidBlockAndEnd) {
+  for (const uint64_t seed : kStreamSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 reference(seed);
+    Mt19937_64 engine(seed);
+    // Position 312: a freshly seeded, spent block.
+    EXPECT_EQ(TextOf(engine), TextOf(reference));
+    for (int i = 0; i < 100; ++i) ASSERT_EQ(engine(), reference());
+    // Mid-block.
+    EXPECT_EQ(TextOf(engine), TextOf(reference));
+    // Position 0 never follows a draw, so write it into the text of a
+    // twisted block; both engines read it and continue alike.
+    std::string text = TextOf(reference);
+    text = text.substr(0, text.rfind(' ') + 1) + "0";
+    std::istringstream in_reference(text);
+    in_reference >> reference;
+    std::istringstream in_engine(text);
+    in_engine >> engine;
+    ASSERT_FALSE(in_engine.fail());
+    EXPECT_EQ(TextOf(engine), text);
+    EXPECT_EQ(TextOf(reference), text);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(engine(), reference());
+    // Round trip through our text into the std engine and back.
+    std::istringstream back(TextOf(engine));
+    back >> reference;
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(engine(), reference());
+  }
+}
+
+TEST(Mt19937Test, StateTextIsReadStrictly) {
+  Mt19937_64 source(7);
+  for (int i = 0; i < 5; ++i) source();
+  const std::string valid = TextOf(source);
+  const std::string words = valid.substr(0, valid.rfind(' ') + 1);
+  const std::string bad[] = {
+      "",
+      words,                       // no position
+      words + "313",               // position past the block
+      words + "-1",                // signed position
+      words + "+5",
+      words + "5 ",                // trailing whitespace
+      words + "5 6",               // an extra word
+      "18446744073709551616 " + valid.substr(valid.find(' ') + 1),
+      "0x1 " + valid.substr(valid.find(' ') + 1),
+  };
+  const std::string untouched = TextOf(Mt19937_64(99));
+  for (const std::string& text : bad) {
+    Mt19937_64 engine(99);
+    std::istringstream in(text);
+    in >> engine;
+    EXPECT_TRUE(in.fail()) << "accepted: ..." << text.substr(
+        text.size() > 40 ? text.size() - 40 : 0);
+    EXPECT_EQ(TextOf(engine), untouched);
+  }
+  Mt19937_64 engine(99);
+  std::istringstream in(valid);
+  in >> engine;
+  EXPECT_FALSE(in.fail());
+  EXPECT_EQ(TextOf(engine), valid);
 }
 
 }  // namespace
