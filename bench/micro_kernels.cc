@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the numerical substrate: dense
 // matmul, SpMM, GCN normalization, truncated eigendecomposition, one
-// autodiff train step, one PEEGA greedy step, and GNAT's dropout mask
-// and kNN feature graph. These bound the cost of everything the
-// experiment harnesses do.
+// autodiff train step, one PEEGA greedy step, and GNAT's dropout masks
+// (dense and sparse) and kNN feature graph. These bound the cost of
+// everything the experiment harnesses do.
 //
 // The *Threads variants sweep the pool size (1/2/4/8) through
 // parallel::SetNumThreads so the speedup of the row-parallel kernels is
@@ -233,6 +233,26 @@ void BM_DropoutMask(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000 * 580);
 }
 BENCHMARK(BM_DropoutMask);
+
+// The sparse first-layer dropout (nn::DropoutSparse) over a 1000 x 580
+// input at Arg per mille density: 17 is gnat-cora's bag-of-words input
+// (1.7%), 1000 a dense feature matrix, where every cell is stored and
+// drawn. Items are the 580000 stream values walked.
+void BM_DropoutSparse(benchmark::State& state) {
+  Rng fill(14);
+  const double density = static_cast<double>(state.range(0)) / 1000.0;
+  Matrix x(1000, 580);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    if (fill.Bernoulli(density)) x.data()[i] = 1.0f;
+  }
+  const linalg::SparseMatrix xs = linalg::SparseMatrix::FromDense(x);
+  Rng rng(12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::DropoutSparse(xs, 0.5f, &rng));
+  }
+  state.SetItemsProcessed(state.iterations() * 1000 * 580);
+}
+BENCHMARK(BM_DropoutSparse)->Arg(17)->Arg(1000);
 
 // GNAT's top-k_f cosine feature graph (k_f = 15) on the gnat-cora graph
 // (Cora-like, n = 1000, F = 580). Items are row pairs scored.

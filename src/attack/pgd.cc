@@ -79,6 +79,8 @@ AttackResult PgdAttack::Attack(const graph::Graph& g,
   const Matrix labels = g.OneHotLabels();
   const std::vector<float> train_mask = g.NodeMask(g.train_nodes);
 
+  const linalg::SparseMatrix features =
+      linalg::SparseMatrix::FromDense(g.features);
   Matrix p(g.num_nodes, g.num_nodes);  // relaxed perturbation
   // Records the victim's training loss on A_hat = A + (1 - 2A) ⊙ P and
   // returns P's tape handle, the bound victim weights and the loss.
@@ -88,9 +90,8 @@ AttackResult PgdAttack::Attack(const graph::Graph& g,
                                a_dense);
     Var a_n = tape->GcnNormalizeDense(a_hat);
     auto bound = victim.BindParameters(tape);
-    Var x = tape->Input(g.features, /*requires_grad=*/false);
     Var logits = victim.ForwardWithDensePropagation(
-        tape, a_n, x, bound, /*training=*/false, rng);
+        tape, a_n, features, bound, /*training=*/false, rng);
     return std::make_tuple(
         p_var, bound, tape->SoftmaxCrossEntropy(logits, labels, train_mask));
   };

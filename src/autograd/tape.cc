@@ -97,16 +97,20 @@ Var Tape::MatMul(Var a, Var b) {
   return Var(out);
 }
 
-Var Tape::SpMMConst(const SparseMatrix& s, Var b) {
+ConstSparse::ConstSparse(SparseMatrix s) {
+  SparseMatrix transposed = s.Transposed();
+  pair_ = std::make_shared<const Pair>(
+      Pair{std::move(s), std::move(transposed)});
+}
+
+Var Tape::SpMMConst(const ConstSparse& s, Var b) {
   const obs::TraceSpan span(kSpMMConst.forward_span);
   internal::Node* nb = b.node_;
-  internal::Node* out =
-      NewNode(linalg::SpMM(s, nb->value), nb->requires_grad, kSpMMConst, {nb});
+  internal::Node* out = NewNode(linalg::SpMM(s.matrix(), nb->value),
+                                nb->requires_grad, kSpMMConst, {nb});
   if (nb->requires_grad) {
-    // Capture the transpose once; S is immutable for the tape's lifetime.
-    auto st = std::make_shared<SparseMatrix>(s.Transposed());
-    out->backward = [nb, st](internal::Node* self) {
-      Accumulate(nb, linalg::SpMM(*st, self->grad));
+    out->backward = [nb, s](internal::Node* self) {
+      Accumulate(nb, linalg::SpMM(s.transposed(), self->grad));
     };
   }
   return Var(out);
@@ -188,16 +192,16 @@ Var Tape::AddConst(Var a, const Matrix& c) {
   return Var(out);
 }
 
-Var Tape::MulConst(Var a, const Matrix& c) {
+Var Tape::MulConst(Var a, Matrix c) {
   const obs::TraceSpan span(kMulConst.forward_span);
   internal::Node* na = a.node_;
   internal::Node* out =
       NewNode(linalg::Mul(na->value, c), na->requires_grad, kMulConst, {na});
-  // The constant must outlive backward; copy it into the closure.
-  Matrix c_copy = c;
-  out->backward = [na, c_copy](internal::Node* self) {
-    if (na->requires_grad) Accumulate(na, linalg::Mul(self->grad, c_copy));
-  };
+  if (na->requires_grad) {
+    out->backward = [na, c = std::move(c)](internal::Node* self) {
+      Accumulate(na, linalg::Mul(self->grad, c));
+    };
+  }
   return Var(out);
 }
 
@@ -319,8 +323,8 @@ Var Tape::RsqrtNonNeg(Var a) {
   return Var(out);
 }
 
-Var Tape::Dropout(Var a, const Matrix& mask) {
-  return MulConst(a, mask);
+Var Tape::Dropout(Var a, Matrix mask) {
+  return MulConst(a, std::move(mask));
 }
 
 Var Tape::RowSums(Var a) {

@@ -77,6 +77,30 @@ class Var {
   internal::Node* node_;
 };
 
+/// A constant sparse operand of `Tape::SpMMConst`: S together with the
+/// transpose Sᵀ that the product's backward multiplies by. Building one
+/// transposes S once (a counting transpose, O(nnz + cols)); copies share
+/// both matrices, so a matrix that is fixed for a training run (A_n,
+/// GNAT's views) is transposed once in `Prepare` rather than on every
+/// forward. Converts implicitly from a `SparseMatrix` for an operand used
+/// once (the dropped-out input of a GCN's first layer). Immutable.
+class ConstSparse {
+ public:
+  ConstSparse() : ConstSparse(linalg::SparseMatrix()) {}
+  ConstSparse(linalg::SparseMatrix s);  // NOLINT(google-explicit-constructor)
+
+  const linalg::SparseMatrix& matrix() const { return pair_->matrix; }
+  const linalg::SparseMatrix& transposed() const { return pair_->transposed; }
+
+ private:
+  struct Pair {
+    linalg::SparseMatrix matrix;
+    linalg::SparseMatrix transposed;
+  };
+  // Shared with the backward closures of the tapes that multiply by it.
+  std::shared_ptr<const Pair> pair_;
+};
+
 /// Reverse-mode autodiff tape.
 ///
 /// A `Tape` records one computation (typically a single forward pass). Ops
@@ -99,8 +123,9 @@ class Tape {
 
   // --- Linear algebra -----------------------------------------------------
   Var MatMul(Var a, Var b);
-  /// C = S * B for a constant sparse S; gradient flows to B only.
-  Var SpMMConst(const linalg::SparseMatrix& s, Var b);
+  /// C = S * B for a constant sparse S; gradient flows to B only, as
+  /// Sᵀ * dC through the transpose `s` carries.
+  Var SpMMConst(const ConstSparse& s, Var b);
   Var Transpose(Var a);
 
   // --- Elementwise --------------------------------------------------------
@@ -110,8 +135,9 @@ class Tape {
   Var Scale(Var a, float s);
   /// a + c for a constant matrix c (shape match).
   Var AddConst(Var a, const linalg::Matrix& c);
-  /// a ⊙ c for a constant matrix c; used for masking.
-  Var MulConst(Var a, const linalg::Matrix& c);
+  /// a ⊙ c for a constant matrix c; used for masking. The backward
+  /// keeps c (moved in) only when `a` requires grad.
+  Var MulConst(Var a, linalg::Matrix c);
   /// Elementwise max(x,0) / LeakyReLU / sigmoid / exp.
   Var Relu(Var a);
   Var LeakyRelu(Var a, float slope);
@@ -128,7 +154,7 @@ class Tape {
   Var RsqrtNonNeg(Var a);
   /// Inverted-dropout with keep probability `keep`; `mask` entries are the
   /// precomputed 0 / (1/keep) multipliers.
-  Var Dropout(Var a, const linalg::Matrix& mask);
+  Var Dropout(Var a, linalg::Matrix mask);
 
   // --- Broadcast / reductions ---------------------------------------------
   /// Row sums: (n x m) -> (n x 1).

@@ -330,6 +330,17 @@ extern "C" gg_status gg_set_graph_csr(gg_ctx* ctx, int32_t num_nodes,
                     "gg_set_graph_csr: adjacency is not symmetric");
       }
     }
+    // Models multiply over the features' nonzeros, which equals the
+    // dense product only for finite features (inf · 0 is NaN).
+    const int64_t cells = static_cast<int64_t>(num_nodes) * num_features;
+    for (int64_t i = 0; i < cells; ++i) {
+      if (!std::isfinite(features[i])) {
+        return Fail(ctx, GG_INVALID_INPUT,
+                    "gg_set_graph_csr: feature of node " +
+                        std::to_string(i / num_features) + " column " +
+                        std::to_string(i % num_features) + " is not finite");
+      }
+    }
     g.features = repro::linalg::Matrix(num_nodes, num_features);
     if (num_features > 0) {
       std::memcpy(g.features.data(), features,

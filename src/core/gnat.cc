@@ -1,6 +1,7 @@
 #include "core/gnat.h"
 
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "autograd/tape.h"
@@ -128,8 +129,12 @@ class GnatModel : public nn::Model {
         gcn_(g.features.cols(), g.num_classes, options.gcn, rng) {}
 
   void Prepare(const graph::Graph& g) override {
-    views_ = BuildViews(options_, g);
+    views_.clear();
+    for (SparseMatrix& view : BuildViews(options_, g)) {
+      views_.emplace_back(std::move(view));
+    }
     PEEGA_CHECK_GT(views_.size(), 0u);
+    features_ = SparseMatrix::FromDense(g.features);
   }
 
   Forwarded Forward(Tape* tape, const graph::Graph& g, bool training,
@@ -138,11 +143,12 @@ class GnatModel : public nn::Model {
     static obs::Counter* const epochs = obs::GetCounter("gnat.epochs");
     if (training) epochs->Add(1);
     Forwarded result;
+    PEEGA_CHECK_EQ(g.features.rows(), features_.rows())
+        << " — Forward on a graph other than the one Prepare saw";
     result.bound = gcn_.BindParameters(tape);
-    Var x = tape->Input(g.features, /*requires_grad=*/false);
     for (size_t i = 0; i < views_.size(); ++i) {
-      Var z = gcn_.ForwardWithPropagation(tape, views_[i], x, result.bound,
-                                          training, rng);
+      Var z = gcn_.ForwardWithPropagation(tape, views_[i], features_,
+                                          result.bound, training, rng);
       result.logits = i == 0 ? z : tape->Add(result.logits, z);
     }
     if (views_.size() > 1) {
@@ -157,7 +163,9 @@ class GnatModel : public nn::Model {
  private:
   const GnatDefender::Options& options_;
   nn::Gcn gcn_;
-  std::vector<SparseMatrix> views_;
+  // Cached by Prepare.
+  std::vector<autograd::ConstSparse> views_;
+  SparseMatrix features_;
 };
 
 }  // namespace

@@ -69,6 +69,8 @@ DefenseReport ProGnnDefender::Run(const graph::Graph& g,
   const Matrix labels = g.OneHotLabels();
   const std::vector<float> train_mask = g.NodeMask(g.train_nodes);
 
+  const linalg::SparseMatrix features =
+      linalg::SparseMatrix::FromDense(g.features);
   nn::Gcn gcn(g.features.cols(), g.num_classes, options_.gcn, rng);
   nn::Adam gnn_optimizer(train_options.lr, train_options.weight_decay);
 
@@ -81,8 +83,7 @@ DefenseReport ProGnnDefender::Run(const graph::Graph& g,
     Var s_var = tape.Input(s, /*requires_grad=*/true);
     Var a_n = tape.GcnNormalizeDense(s_var);
     auto bound = gcn.BindParameters(&tape);
-    Var x = tape.Input(g.features, false);
-    Var logits = gcn.ForwardWithDensePropagation(&tape, a_n, x, bound,
+    Var logits = gcn.ForwardWithDensePropagation(&tape, a_n, features, bound,
                                                  /*training=*/true, rng);
     Var loss = tape.SoftmaxCrossEntropy(logits, labels, train_mask);
     tape.Backward(loss);

@@ -97,6 +97,13 @@ const KernelTable<BernoulliMaskFn>& BernoulliMaskTable() {
   return table;
 }
 
+const KernelTable<BernoulliAtFn>& BernoulliAtTable() {
+  static const KernelTable<BernoulliAtFn> table = {
+      "linalg.bernoulli_at", &generic::BernoulliAt, PEEGA_AVX2_FN(BernoulliAt),
+      nullptr};
+  return table;
+}
+
 #undef PEEGA_AVX2_FN
 #undef PEEGA_NEON_FN
 
@@ -117,7 +124,7 @@ KernelTableInfo InfoOf(const KernelTable<Fn>& table) {
 std::vector<KernelTableInfo> AllKernelTables() {
   return {InfoOf(MatMulTable()), InfoOf(MatMulTransATable()),
           InfoOf(DotTable()), InfoOf(SpMMTable()),
-          InfoOf(BernoulliMaskTable())};
+          InfoOf(BernoulliMaskTable()), InfoOf(BernoulliAtTable())};
 }
 
 }  // namespace repro::linalg::kernels

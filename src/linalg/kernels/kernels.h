@@ -99,6 +99,20 @@ using BernoulliMaskFn = void (*)(uint64_t* block, int* index, uint64_t cut,
                                  int64_t n);
 
 // ---------------------------------------------------------------------------
+// Bernoulli outcomes at listed stream offsets (Mt19937_64::BernoulliAt)
+// ---------------------------------------------------------------------------
+
+/// Walks the next n values of the MT19937-64 stream whose state block
+/// and position are `block` and `*index` (as for BernoulliMaskFn), and
+/// for each of the `count` strictly ascending offsets in [0, n) tempers
+/// only the value at that offset: outcome[i] = always || v < cut for the
+/// value v at offsets[i]. Every block the walk crosses is twisted in
+/// place, and `*index` is left where n scalar draws would leave it.
+using BernoulliAtFn = void (*)(uint64_t* block, int* index, uint64_t cut,
+                               bool always, const int64_t* offsets,
+                               int64_t count, uint8_t* outcome, int64_t n);
+
+// ---------------------------------------------------------------------------
 // Per-op tables
 // ---------------------------------------------------------------------------
 
@@ -109,6 +123,7 @@ const KernelTable<MatMulTransAColsFn>& MatMulTransATable();
 const KernelTable<DotPanelFn>& DotTable();
 const KernelTable<SpMMRowsFn>& SpMMTable();
 const KernelTable<BernoulliMaskFn>& BernoulliMaskTable();
+const KernelTable<BernoulliAtFn>& BernoulliAtTable();
 
 /// Introspection row for the registry self-check and gen_op_docs: which
 /// variants of each dispatched op this binary actually compiled.

@@ -17,7 +17,7 @@
 // The Bernoulli mask kernel has no floats to round: its lanes are four
 // consecutive MT19937-64 stream positions, twisted, tempered and
 // compared as 64-bit integers, each the generic kernel's value for its
-// position.
+// position. The listed-offset kernel shares its vector twist.
 
 #include <immintrin.h>
 
@@ -347,6 +347,30 @@ void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
       const uint64_t v = TemperScalar(block[at++]);
       out[i] = entry[always || v < cut];
     }
+  }
+  *index = at;
+}
+
+void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,
+                 const int64_t* offsets, int64_t count, uint8_t* outcome,
+                 int64_t n) {
+  // The generic walk with the vector twist: at a few percent of the
+  // values listed, the twists of the blocks crossed are the work.
+  int at = *index;
+  int64_t first = 0;  // stream offset of block[at]
+  int64_t i = 0;
+  while (first < n) {
+    if (at == mt::kWords) {
+      Twist(block);
+      at = 0;
+    }
+    const int64_t end = std::min<int64_t>(n, first + (mt::kWords - at));
+    for (; i < count && offsets[i] < end; ++i) {
+      const uint64_t v = TemperScalar(block[at + (offsets[i] - first)]);
+      outcome[i] = always || v < cut;
+    }
+    at += static_cast<int>(end - first);
+    first = end;
   }
   *index = at;
 }

@@ -90,4 +90,26 @@ void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
   *index = at;
 }
 
+void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,
+                 const int64_t* offsets, int64_t count, uint8_t* outcome,
+                 int64_t n) {
+  int at = *index;
+  int64_t first = 0;  // stream offset of block[at]
+  int64_t i = 0;
+  while (first < n) {
+    if (at == mt64::kWords) {
+      Mt19937_64::Twist(block);
+      at = 0;
+    }
+    const int64_t end = std::min<int64_t>(n, first + (mt64::kWords - at));
+    for (; i < count && offsets[i] < end; ++i) {
+      const uint64_t v = Mt19937_64::Temper(block[at + (offsets[i] - first)]);
+      outcome[i] = always || v < cut;
+    }
+    at += static_cast<int>(end - first);
+    first = end;
+  }
+  *index = at;
+}
+
 }  // namespace repro::linalg::kernels::generic

@@ -31,6 +31,9 @@ void DotPanel(const float* a, const int* rows, int64_t num_rows,
               int64_t ldc, float* panel);
 void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
                    const float* entry, float* out, int64_t n);
+void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,
+                 const int64_t* offsets, int64_t count, uint8_t* outcome,
+                 int64_t n);
 }  // namespace generic
 
 #if defined(PEEGA_HAVE_AVX2)
@@ -46,6 +49,9 @@ void DotPanel(const float* a, const int* rows, int64_t num_rows,
               int64_t ldc, float* panel);
 void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
                    const float* entry, float* out, int64_t n);
+void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,
+                 const int64_t* offsets, int64_t count, uint8_t* outcome,
+                 int64_t n);
 }  // namespace avx2
 #endif  // PEEGA_HAVE_AVX2
 

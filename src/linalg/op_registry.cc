@@ -213,6 +213,41 @@ void ProbeBernoulliMask(std::vector<float>* out) {
   }
 }
 
+void ProbeBernoulliAt(std::vector<float>* out) {
+  // Offset lists: none, every cell, the block edges (0, 311, 312, the
+  // last) and a sparse random subset. Each length walks from a fresh
+  // engine at a spent block, one word in, mid-block and one word before
+  // a twist, so walks also end exactly on a block edge; lengths are not
+  // all multiples of 312. A scalar draw after each walk checks the
+  // stream position.
+  for (const double p : {0.0, 0.3, 0.5, 1.0}) {
+    const BernoulliCut cut(p);
+    for (const int skip : {0, 1, 6, 311}) {
+      Rng pick(4000 + skip);
+      for (const int64_t n : {0, 1, 5, 311, 312, 313, 1000}) {
+        Mt19937_64 engine(3000 + skip);
+        for (int i = 0; i < skip; ++i) engine();
+        std::vector<std::vector<int64_t>> lists = {{}, {}, {}, {}};
+        for (int64_t c = 0; c < n; ++c) {
+          lists[1].push_back(c);
+          if (c == 0 || c == 311 || c == 312 || c == n - 1) {
+            lists[2].push_back(c);
+          }
+          if (pick.Bernoulli(0.05)) lists[3].push_back(c);
+        }
+        for (const std::vector<int64_t>& offsets : lists) {
+          std::vector<uint8_t> outcome(offsets.size());
+          engine.BernoulliAt(cut, offsets.data(),
+                             static_cast<int64_t>(offsets.size()),
+                             outcome.data(), n);
+          out->insert(out->end(), outcome.begin(), outcome.end());
+          out->push_back(static_cast<float>(engine() >> 40));  // exact
+        }
+      }
+    }
+  }
+}
+
 std::vector<OpInfo> BuildRegistry() {
   std::vector<OpInfo> ops;
   ops.push_back({"linalg.matmul", "linalg::MatMul",
@@ -258,6 +293,17 @@ std::vector<OpInfo> BuildRegistry() {
                  "blocks; vector lanes map to distinct stream positions",
                  DeterminismClass::kLanePerOutput, true, true, false,
                  &ProbeBernoulliMask});
+  ops.push_back({"linalg.bernoulli_at", "linalg::Mt19937_64::BernoulliAt",
+                 "Bernoulli outcomes (nn::DropoutSparse) at listed, ascending "
+                 "offsets of the next n MT19937-64 stream values: twist "
+                 "every block the walk crosses, temper and compare only the "
+                 "listed values.",
+                 "O(n / 312) block twists + O(count) for count listed "
+                 "offsets",
+                 "serial: one sequential stream; the AVX2 variant twists "
+                 "four state words per vector",
+                 DeterminismClass::kLanePerOutput, true, true, false,
+                 &ProbeBernoulliAt});
   return ops;
 }
 

@@ -103,6 +103,23 @@ void Mt19937_64::FillBernoulli(const BernoulliCut& cut, const float entry[2],
                                          cut.always(), entry, out, n);
 }
 
+void Mt19937_64::BernoulliAt(const BernoulliCut& cut, const int64_t* offsets,
+                             int64_t count, uint8_t* outcome, int64_t n) {
+  PEEGA_CHECK_GE(count, 0);
+  PEEGA_CHECK_LE(count, n);
+  if (count > 0) {
+    PEEGA_CHECK_GE(offsets[0], 0);
+    PEEGA_CHECK_LT(offsets[count - 1], n);
+  }
+  for (int64_t i = 1; i < count; ++i) {
+    PEEGA_DCHECK(offsets[i - 1] < offsets[i])
+        << " — offsets must ascend strictly, at " << i;
+  }
+  kernels::BernoulliAtTable().Select()(state_, &index_, cut.cut(),
+                                       cut.always(), offsets, count, outcome,
+                                       n);
+}
+
 std::ostream& operator<<(std::ostream& out, const Mt19937_64& engine) {
   const std::ios_base::fmtflags flags = out.flags();
   const char fill = out.fill();

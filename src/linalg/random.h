@@ -46,8 +46,9 @@ class BernoulliCut {
 /// Besides one value per call it fills a whole Bernoulli mask through
 /// the dispatched `linalg.bernoulli_mask` kernel, which twists and
 /// tempers the block in vector lanes that map to distinct stream
-/// positions; the mask and the stream position afterwards are those of
-/// one scalar draw per cell.
+/// positions, or draws the mask's listed cells only through
+/// `linalg.bernoulli_at`; the outcomes and the stream position
+/// afterwards are those of one scalar draw per cell.
 class Mt19937_64 {
  public:
   using result_type = uint64_t;
@@ -74,8 +75,17 @@ class Mt19937_64 {
   void FillBernoulli(const BernoulliCut& cut, const float entry[2],
                      float* out, int64_t n);
 
+  /// outcome[i] = cut(v_{offsets[i]}) over the next n stream values
+  /// v_0 … v_{n-1}, for `count` strictly ascending offsets in [0, n):
+  /// the outcomes of the listed cells of `FillBernoulli` over n cells,
+  /// without tempering or comparing the others. The stream is left
+  /// where n calls of `(*this)()` would leave it. O(n / 312) twists plus
+  /// O(count), through the dispatched `linalg.bernoulli_at` kernel.
+  void BernoulliAt(const BernoulliCut& cut, const int64_t* offsets,
+                   int64_t count, uint8_t* outcome, int64_t n);
+
   /// The twist: regenerates all kStateWords words of `block` in place.
-  /// Used by the scalar draws and the generic mask kernel alike.
+  /// Used by the scalar draws and the generic kernels alike.
   static void Twist(uint64_t* block);
 
   /// The tempering that maps a state word to a stream value.

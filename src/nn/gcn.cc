@@ -26,6 +26,7 @@ Gcn::Gcn(int in_dim, int num_classes, const Options& options,
 
 void Gcn::Prepare(const graph::Graph& g) {
   a_n_ = graph::GcnNormalize(g.adjacency);
+  features_ = SparseMatrix::FromDense(g.features);
 }
 
 std::vector<std::pair<Matrix*, Var>> Gcn::BindParameters(Tape* tape) {
@@ -42,19 +43,29 @@ std::vector<std::pair<Matrix*, Var>> Gcn::BindParameters(Tape* tape) {
 namespace {
 
 // The layer stack shared by both propagation forms; `propagate` maps
-// H W to A_n H W.
+// H W to A_n H W. Layer 0 runs over the stored entries of the constant
+// input x; the hidden layers are dense.
 template <typename Propagate>
-Var ForwardLayers(Tape* tape, const Gcn::Options& options, Var x,
+Var ForwardLayers(Tape* tape, const Gcn::Options& options,
+                  const SparseMatrix& x,
                   const std::vector<std::pair<Matrix*, Var>>& bound,
                   bool training, linalg::Rng* rng, Propagate propagate) {
   const int num_layers = options.num_layers;
-  Var h = x;
+  const bool dropout = training && options.dropout > 0.0f;
+  Var h;
   for (int l = 0; l < num_layers; ++l) {
-    if (training && options.dropout > 0.0f) {
-      h = tape->Dropout(
-          h, DropoutMask(h.rows(), h.cols(), options.dropout, rng));
+    Var hw;
+    if (l == 0) {
+      hw = tape->SpMMConst(dropout ? DropoutSparse(x, options.dropout, rng) : x,
+                           bound[0].second);
+    } else {
+      if (dropout) {
+        h = tape->Dropout(
+            h, DropoutMask(h.rows(), h.cols(), options.dropout, rng));
+      }
+      hw = tape->MatMul(h, bound[l].second);
     }
-    h = propagate(tape->MatMul(h, bound[l].second));
+    h = propagate(hw);
     if (options.bias) {
       h = tape->AddRowVector(h, bound[num_layers + l].second);
     }
@@ -66,7 +77,7 @@ Var ForwardLayers(Tape* tape, const Gcn::Options& options, Var x,
 }  // namespace
 
 Var Gcn::ForwardWithPropagation(
-    Tape* tape, const SparseMatrix& a_n, Var x,
+    Tape* tape, const autograd::ConstSparse& a_n, const SparseMatrix& x,
     const std::vector<std::pair<Matrix*, Var>>& bound, bool training,
     linalg::Rng* rng) {
   return ForwardLayers(tape, options_, x, bound, training, rng,
@@ -74,7 +85,7 @@ Var Gcn::ForwardWithPropagation(
 }
 
 Var Gcn::ForwardWithDensePropagation(
-    Tape* tape, Var a_n, Var x,
+    Tape* tape, Var a_n, const SparseMatrix& x,
     const std::vector<std::pair<Matrix*, Var>>& bound, bool training,
     linalg::Rng* rng) {
   return ForwardLayers(tape, options_, x, bound, training, rng,
@@ -83,10 +94,11 @@ Var Gcn::ForwardWithDensePropagation(
 
 Gcn::Forwarded Gcn::Forward(Tape* tape, const graph::Graph& g,
                             bool training, linalg::Rng* rng) {
+  PEEGA_CHECK_EQ(g.features.rows(), features_.rows())
+      << " — Forward on a graph other than the one Prepare saw";
   Forwarded result;
   result.bound = BindParameters(tape);
-  Var x = tape->Input(g.features, /*requires_grad=*/false);
-  result.logits = ForwardWithPropagation(tape, a_n_, x, result.bound,
+  result.logits = ForwardWithPropagation(tape, a_n_, features_, result.bound,
                                          training, rng);
   return result;
 }

@@ -32,20 +32,27 @@ class Gcn : public Model {
   std::vector<linalg::Matrix*> Parameters() override;
 
   /// Forward pass through the layer stack with an externally supplied
-  /// propagation matrix and feature Var. `bound` must come from
-  /// `BindParameters` on the same tape. Exposed so GNAT can run the same
-  /// weights over several augmented graphs and attacks can propagate
-  /// through a dense differentiable adjacency.
+  /// propagation matrix and the constant input features `x` in CSR form
+  /// (built once per graph: `linalg::SparseMatrix::FromDense`). `bound`
+  /// must come from `BindParameters` on the same tape. Exposed so GNAT
+  /// can run the same weights over several augmented graphs and attacks
+  /// can propagate through a dense differentiable adjacency.
+  ///
+  /// The first layer multiplies over x's stored entries: its dropout is
+  /// `DropoutSparse` and its product one `SpMMConst`, which give bitwise
+  /// the floats, weight gradients and stream position of a dense mask
+  /// and matmul for finite x (the dense kernels skip exact zeros and sum
+  /// in the same ascending order; DESIGN.md).
   autograd::Var ForwardWithPropagation(
-      autograd::Tape* tape, const linalg::SparseMatrix& a_n,
-      autograd::Var x,
+      autograd::Tape* tape, const autograd::ConstSparse& a_n,
+      const linalg::SparseMatrix& x,
       const std::vector<std::pair<linalg::Matrix*, autograd::Var>>& bound,
       bool training, linalg::Rng* rng);
 
   /// Dense variant: propagation is a tape Var (e.g. a normalized relaxed
   /// adjacency under attack).
   autograd::Var ForwardWithDensePropagation(
-      autograd::Tape* tape, autograd::Var a_n, autograd::Var x,
+      autograd::Tape* tape, autograd::Var a_n, const linalg::SparseMatrix& x,
       const std::vector<std::pair<linalg::Matrix*, autograd::Var>>& bound,
       bool training, linalg::Rng* rng);
 
@@ -59,7 +66,9 @@ class Gcn : public Model {
   Options options_;
   std::vector<linalg::Matrix> weights_;
   std::vector<linalg::Matrix> biases_;
-  linalg::SparseMatrix a_n_;  // cached by Prepare
+  // Cached by Prepare.
+  autograd::ConstSparse a_n_;
+  linalg::SparseMatrix features_;
 };
 
 }  // namespace repro::nn

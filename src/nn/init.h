@@ -3,6 +3,7 @@
 
 #include "linalg/matrix.h"
 #include "linalg/random.h"
+#include "linalg/sparse.h"
 
 namespace repro::nn {
 
@@ -18,6 +19,16 @@ linalg::Matrix GlorotUniform(int rows, int cols, linalg::Rng* rng);
 /// `linalg::Mt19937_64::FillBernoulli`; O(rows · cols).
 linalg::Matrix DropoutMask(int rows, int cols, float drop,
                            linalg::Rng* rng);
+
+/// x ⊙ DropoutMask(x.rows(), x.cols(), drop, rng) over x's stored
+/// entries: a kept entry is x·(1/(1-drop)), the product the dense mask
+/// gives, and a dropped one is left out. Draws from the same stream
+/// positions as `DropoutMask` (cell (r, c) is value r·cols + c) and
+/// leaves the stream where it does, but tempers and compares only the
+/// stored cells (`linalg::Mt19937_64::BernoulliAt`). `drop <= 0` draws
+/// nothing and returns x. O(rows · cols / 312) twists plus O(nnz).
+linalg::SparseMatrix DropoutSparse(const linalg::SparseMatrix& x, float drop,
+                                   linalg::Rng* rng);
 
 }  // namespace repro::nn
 

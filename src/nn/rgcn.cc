@@ -55,7 +55,7 @@ RGcn::Forwarded RGcn::Forward(Tape* tape, const graph::Graph& g,
     // Reparameterized sample z = mu + eps .* sqrt(sigma).
     Matrix eps =
         linalg::RandomNormal(mu2.rows(), mu2.cols(), 1.0f, rng);
-    Var noise = tape->MulConst(tape->PowNonNeg(sigma2, 0.5f), eps);
+    Var noise = tape->MulConst(tape->PowNonNeg(sigma2, 0.5f), std::move(eps));
     result.logits = tape->Add(mu2, noise);
   } else {
     result.logits = mu2;

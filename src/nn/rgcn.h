@@ -39,7 +39,7 @@ class RGcn : public Model {
  private:
   Options options_;
   linalg::Matrix w_mu1_, w_sigma1_, w_mu2_, w_sigma2_;
-  linalg::SparseMatrix a_n_;
+  autograd::ConstSparse a_n_;
 };
 
 }  // namespace repro::nn

@@ -41,8 +41,8 @@ class SimPGcn : public Model {
   Options options_;
   linalg::Matrix w1_, w2_;
   linalg::Matrix gate_w1_, gate_b1_, gate_w2_, gate_b2_;
-  linalg::SparseMatrix a_n_;
-  linalg::SparseMatrix s_n_;
+  autograd::ConstSparse a_n_;
+  autograd::ConstSparse s_n_;
 };
 
 }  // namespace repro::nn

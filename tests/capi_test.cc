@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -345,6 +346,35 @@ TEST(CapiCsrTest, ValidatesAndInstallsCallerBuffers) {
 
   // A failed install leaves the previous (valid) graph in place.
   EXPECT_EQ(gg_num_nodes(gg), 3);
+  gg_free(gg);
+}
+
+TEST(CapiCsrTest, RejectsNonFiniteFeaturesNamingNodeAndColumn) {
+  gg_ctx* gg = gg_init();
+  ASSERT_NE(gg, nullptr);
+  const int64_t row_ptr[] = {0, 1, 3, 4};
+  const int32_t col_idx[] = {1, 0, 2, 1};
+  const int32_t labels[] = {0, 1, 0};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const struct {
+    const char* name;
+    float features[6];
+    const char* error;
+  } cases[] = {
+      {"NaN", {1.0f, 0.0f, 0.0f, nan, 1.0f, 1.0f},
+       "gg_set_graph_csr: feature of node 1 column 1 is not finite"},
+      {"Inf", {1.0f, 0.0f, 0.0f, 1.0f, -inf, 1.0f},
+       "gg_set_graph_csr: feature of node 2 column 0 is not finite"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(gg_set_graph_csr(gg, 3, 2, row_ptr, col_idx, 2, c.features,
+                               labels),
+              GG_INVALID_INPUT);
+    EXPECT_STREQ(gg_last_error(gg), c.error);
+    EXPECT_EQ(gg_num_nodes(gg), 0);  // nothing installed
+  }
   gg_free(gg);
 }
 

@@ -135,7 +135,8 @@ TEST(ModelShapeDeathTest, MisshapenGcnForwardDies) {
   nn::Gcn gcn(/*in_dim=*/2, /*num_classes=*/2, options, &rng);
   Tape tape;
   auto bound = gcn.BindParameters(&tape);
-  Var bad_x = tape.Input(Matrix(3, 2, 1.0f), /*requires_grad=*/false);
+  const linalg::SparseMatrix bad_x =
+      linalg::SparseMatrix::FromDense(Matrix(3, 2, 1.0f));
   EXPECT_DEATH((void)gcn.ForwardWithPropagation(&tape, a_n, bad_x, bound,
                                                 /*training=*/false, &rng),
                "CHECK failed");

@@ -460,6 +460,64 @@ TEST(Mt19937Test, TextStateMatchesStdAtBlockStartMidBlockAndEnd) {
   }
 }
 
+TEST(Mt19937Test, BernoulliAtMatchesScalarDrawsAtListedOffsets) {
+  // Every usable kernel variant walks n values from a spent block, from
+  // mid-block and from one word before a twist, for n below, at and past
+  // the 312-word block and not a multiple of it. The lists: none, the
+  // block edges (0, 311, 312 and the last), a sparse random subset and
+  // every offset. Each outcome is the cut of the scalar engine's value
+  // at its offset, and both engines draw alike afterwards.
+  constexpr int64_t kLengths[] = {0, 1, 5, 311, 312, 313, 1000, 4999};
+  for (const SimdVariant variant :
+       {SimdVariant::kGeneric, SimdVariant::kAvx2, SimdVariant::kNeon}) {
+    if (!SimdVariantUsable(variant)) continue;
+    const ScopedSimdVariant forced(variant);
+    for (const uint64_t seed : kStreamSeeds) {
+      Rng pick(seed + 5);
+      for (const int skip : {0, 100, 311}) {
+        for (const int64_t n : kLengths) {
+          std::vector<std::vector<int64_t>> lists(4);
+          for (int64_t c = 0; c < n; ++c) {
+            if (c == 0 || c == 311 || c == 312 || c == n - 1) {
+              lists[1].push_back(c);
+            }
+            if (pick.Bernoulli(0.02)) lists[2].push_back(c);
+            lists[3].push_back(c);
+          }
+          for (const double p : {0.3, 0.5}) {
+            const BernoulliCut cut(p);
+            for (const std::vector<int64_t>& offsets : lists) {
+              SCOPED_TRACE(std::string(SimdVariantName(variant)) +
+                           ", seed " + std::to_string(seed) + ", skip " +
+                           std::to_string(skip) + ", n " + std::to_string(n) +
+                           ", " + std::to_string(offsets.size()) +
+                           " offsets, p " + std::to_string(p));
+              Mt19937_64 engine(seed);
+              Mt19937_64 reference(seed);
+              for (int i = 0; i < skip; ++i) {
+                engine();
+                reference();
+              }
+              std::vector<uint64_t> values(static_cast<size_t>(n));
+              for (uint64_t& v : values) v = reference();
+              std::vector<uint8_t> outcome(offsets.size(), 7);
+              engine.BernoulliAt(cut, offsets.data(),
+                                 static_cast<int64_t>(offsets.size()),
+                                 outcome.data(), n);
+              int64_t mismatches = 0;
+              for (size_t i = 0; i < offsets.size(); ++i) {
+                mismatches += outcome[i] != (cut(values[offsets[i]]) ? 1 : 0);
+              }
+              ASSERT_EQ(mismatches, 0);
+              ASSERT_EQ(engine(), reference());
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Mt19937Test, StateTextIsReadStrictly) {
   Mt19937_64 source(7);
   for (int i = 0; i < 5; ++i) source();

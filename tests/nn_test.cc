@@ -68,6 +68,44 @@ TEST(InitTest, DropoutMaskDrawsOneBernoulliPerEntryRowMajor) {
   }
 }
 
+TEST(InitTest, DropoutSparseIsTheDenseMaskOverStoredEntries) {
+  // X has empty rows (first, middle, last), one full row, and
+  // non-binary values of both signs. At every rate the sparse dropout is
+  // X ⊙ DropoutMask entry for entry: kept entries are the same product,
+  // dropped ones are not stored; the stream continues alike.
+  Rng fill(9);
+  Matrix x(23, 41);
+  for (int r = 0; r < x.rows(); ++r) {
+    if (r == 0 || r == 7 || r == x.rows() - 1) continue;
+    for (int c = 0; c < x.cols(); ++c) {
+      if (r != 11 && !fill.Bernoulli(0.15)) continue;
+      const float magnitude = static_cast<float>(fill.Uniform(0.25, 3.0));
+      x(r, c) = fill.Bernoulli(0.5) ? -magnitude : magnitude;
+    }
+  }
+  const linalg::SparseMatrix xs = linalg::SparseMatrix::FromDense(x);
+  for (const float drop : {0.0f, 0.3f, 0.5f, 0.9f}) {
+    SCOPED_TRACE("drop " + std::to_string(drop));
+    Rng rng(5);
+    Rng reference(5);
+    const linalg::SparseMatrix dropped = DropoutSparse(xs, drop, &rng);
+    const Matrix expected =
+        linalg::Mul(x, DropoutMask(x.rows(), x.cols(), drop, &reference));
+    ASSERT_EQ(dropped.rows(), x.rows());
+    ASSERT_EQ(dropped.cols(), x.cols());
+    int64_t stored = 0;
+    for (int64_t i = 0; i < expected.size(); ++i) {
+      stored += expected.data()[i] != 0.0f ? 1 : 0;
+    }
+    EXPECT_EQ(dropped.nnz(), stored);
+    const Matrix dense = dropped.ToDense();
+    for (int64_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(dense.data()[i], expected.data()[i]) << "entry " << i;
+    }
+    EXPECT_EQ(rng.engine()(), reference.engine()());
+  }
+}
+
 TEST(AdamTest, ConvergesOnQuadratic) {
   // Minimize ||w - target||^2.
   const Matrix target = Matrix::FromRows({{1.0f, -2.0f, 3.0f}});
