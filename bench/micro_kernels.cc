@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the numerical substrate: dense
 // matmul, SpMM, GCN normalization, truncated eigendecomposition, one
-// autodiff train step, one PEEGA greedy step, and GNAT's dropout masks
+// autodiff train step, one PEEGA greedy step, a features-only PEEGA
+// campaign at n = 1e5, and GNAT's dropout masks
 // (dense and sparse) and kNN feature graph. These bound the cost of
 // everything the experiment harnesses do.
 //
@@ -22,6 +23,7 @@
 #include "bench_common.h"
 #include "core/peega.h"
 #include "graph/generators.h"
+#include "graph/streaming_sbm.h"
 #include "linalg/dispatch.h"
 #include "linalg/eigen.h"
 #include "linalg/incremental.h"
@@ -129,6 +131,29 @@ void BM_PeegaGreedyStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PeegaGreedyStep);
+
+// A features-only PEEGA campaign at scale: n = 1e5 streaming SBM (the
+// ggbench peega-sbm-1e5 graph at seed 1), budget pinned at 20 flips.
+// Each iteration builds the engine and runs 20 incremental refreshes
+// and cached feature scans plus the final objective-only refresh, so
+// the per-refresh serial work shows against the O(N F) build. Items
+// are flips.
+void BM_PeegaFeaturesOnlyCampaign(benchmark::State& state) {
+  graph::StreamingSbmConfig config;
+  config.seed = 1;
+  const graph::Graph g = graph::StreamingSbm(config).Materialize();
+  core::PeegaAttack::Options peega;
+  peega.mode = core::PeegaAttack::Mode::kFeaturesOnly;
+  attack::AttackOptions options;
+  options.perturbation_rate = 20.5 / static_cast<double>(g.NumEdges());
+  for (auto _ : state) {
+    core::PeegaAttack attacker(peega);
+    Rng rng(8);
+    benchmark::DoNotOptimize(attacker.Attack(g, options, &rng));
+  }
+  state.SetItemsProcessed(state.iterations() * 20);
+}
+BENCHMARK(BM_PeegaFeaturesOnlyCampaign)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // Thread-count sweeps of the parallel hot paths (see file comment for

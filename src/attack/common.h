@@ -228,9 +228,14 @@ class ScanCache {
   /// Names the rows whose candidates may have changed score or freeze
   /// state since the last scan. For edges, a pair may have changed only
   /// if an endpoint is named: `rows` are changed rows AND columns. A
-  /// superset is safe; a missing row makes the next scan wrong.
+  /// superset is safe; a missing row makes the next scan wrong. Costs
+  /// O(|rows|), whatever the row count.
   void Invalidate(const std::vector<int>& rows) {
-    for (const int r : rows) changed_[static_cast<size_t>(r)] = 1;
+    for (const int r : rows) {
+      char& changed = changed_[static_cast<size_t>(r)];
+      if (!changed) changed_rows_.push_back(r);
+      changed = 1;
+    }
   }
 
   template <typename ScoreFn>
@@ -330,6 +335,8 @@ class ScanCache {
   // entries.
   std::vector<Entry> best_;
   std::vector<int> count_;
+  // The rows named since the last scan, once each, and their flags.
+  std::vector<int> changed_rows_;
   std::vector<char> changed_;
   bool all_changed_ = true;
 };
@@ -351,12 +358,10 @@ std::vector<FlipCandidate> ScanCache<is_feature>::Scan(
       obs::GetCounter("attack.row_fallbacks");
   scans[is_feature]->Add(1);
   const bool incremental = keep_ > 0 && !all_changed_;
-  // A clean edge row rescores its changed columns: the changed nodes.
-  std::vector<int> changed_cols;
+  // A clean edge row rescores its changed columns: the changed nodes,
+  // ascending.
   if (!is_feature && incremental) {
-    for (int r = 0; r < rows_; ++r) {
-      if (changed_[static_cast<size_t>(r)]) changed_cols.push_back(r);
-    }
+    std::sort(changed_rows_.begin(), changed_rows_.end());
   }
   std::vector<std::vector<FlipCandidate>> per_chunk(static_cast<size_t>(
       parallel::NumChunks(rows_, internal::kScanRowGrain)));
@@ -384,7 +389,7 @@ std::vector<FlipCandidate> ScanCache<is_feature>::Scan(
           }
           bool rescan = all_changed_ || changed_[static_cast<size_t>(a)];
           if (!rescan && !is_feature) {
-            rescan = !MergeChanged(a, changed_cols, access, frozen(), score,
+            rescan = !MergeChanged(a, changed_rows_, access, frozen(), score,
                                    &scored);
             fallbacks += rescan ? 1 : 0;
           }
@@ -406,7 +411,8 @@ std::vector<FlipCandidate> ScanCache<is_feature>::Scan(
         if (fallbacks > 0) row_fallbacks->Add(fallbacks);
       });
   all_changed_ = false;
-  std::fill(changed_.begin(), changed_.end(), 0);
+  for (const int r : changed_rows_) changed_[static_cast<size_t>(r)] = 0;
+  changed_rows_.clear();
   std::vector<FlipCandidate> merged;
   for (const auto& chunk : per_chunk) {
     merged.insert(merged.end(), chunk.begin(), chunk.end());

@@ -58,8 +58,9 @@ using GreedySaveFn = std::function<status::Status(
 /// campaign); `save` runs after every iteration. The deadline and the
 /// `peega.interrupt` failpoint are polled once per iteration, and a
 /// failed refresh stops the campaign; either way `result` holds the
-/// flips committed so far. The campaign ends with one more refresh for
-/// `final_objective`, and commits the poisoned graph to `result`.
+/// flips committed so far. The campaign ends with an objective-only
+/// refresh for `final_objective`, and commits the poisoned graph to
+/// `result`.
 ///
 /// One scan cache per flip kind lives for the whole campaign, told after
 /// each refresh which rows the oracle changed. The freeze sets change
@@ -67,9 +68,9 @@ using GreedySaveFn = std::function<status::Status(
 ///
 /// A template rather than a virtual interface: the scan calls the oracle
 /// once per candidate, O(N²) times per iteration, and must inline it.
-/// The oracle provides RefreshScores, EdgeScore, FeatureScore,
-/// changed_edge_rows, changed_feature_rows, FlipEdge, FlipFeature,
-/// Objective, PoisonedAdjacency and features.
+/// The oracle provides RefreshScores, RefreshObjective, EdgeScore,
+/// FeatureScore, changed_edge_rows, changed_feature_rows, FlipEdge,
+/// FlipFeature, Objective, PoisonedAdjacency and features.
 template <typename Oracle>
 void GreedyCampaign(const GreedyConfig& config, const graph::Graph& g,
                     const AttackOptions& attack_options,
@@ -193,18 +194,18 @@ void GreedyCampaign(const GreedyConfig& config, const graph::Graph& g,
     }
   }
 
-  // Bring the scores up to date with the final flip for the objective.
-  // After a numeric fault the refresh stays latched; the committed graph
-  // state is still valid but the objective is not, so it is left at 0
-  // for the degraded result.
-  const status::Status final_refresh = oracle->RefreshScores();
+  // Bring the objective up to date with the final flip; no scan follows,
+  // so the scores are not refreshed. After a numeric fault the refresh
+  // stays latched; the committed graph state is still valid but the
+  // objective is not, so it is left at 0 for the degraded result.
+  const status::Status final_refresh = oracle->RefreshObjective();
   if (final_refresh.ok()) {
     result->final_objective = oracle->Objective();
   } else if (result->status.ok()) {
     result->status = final_refresh.WithContext(config.name + " final refresh");
   }
-  result->poisoned = g.WithAdjacency(oracle->PoisonedAdjacency())
-                         .WithFeatures(oracle->features());
+  result->poisoned = g.WithAdjacencyAndFeatures(oracle->PoisonedAdjacency(),
+                                                oracle->features());
 }
 
 /// A score oracle on the autograd tape: every RefreshScores re-derives
@@ -237,21 +238,10 @@ class TapeOracle {
   // Latches a non-finite objective like the engine does: NaN gradients
   // would make every scan comparison false and the loop would end
   // silently OK.
-  status::Status RefreshScores() {
-    if (!status_.ok()) return status_;
-    tape_.emplace();
-    autograd::Var a = tape_->Input(dense_, attack_topology_);
-    autograd::Var x = tape_->Input(features_, attack_features_);
-    autograd::Var obj = objective_fn_(&*tape_, a, x);
-    tape_->Backward(obj);
-    grad_a_ = attack_topology_ ? &a.grad() : nullptr;
-    grad_x_ = attack_features_ ? &x.grad() : nullptr;
-    objective_ = obj.value()(0, 0);
-    if (!std::isfinite(objective_)) {
-      status_ = status::NumericFault("non-finite objective on the tape");
-    }
-    return status_;
-  }
+  status::Status RefreshScores() { return Pass(/*gradients=*/true); }
+  // The forward pass alone, for Objective(): no scores until the next
+  // RefreshScores.
+  status::Status RefreshObjective() { return Pass(/*gradients=*/false); }
 
   float EdgeScore(int u, int v) const {
     const float direction = 1.0f - 2.0f * dense_(u, v);  // +1 add, -1 del
@@ -282,6 +272,22 @@ class TapeOracle {
   const linalg::Matrix& features() const { return features_; }
 
  private:
+  status::Status Pass(bool gradients) {
+    if (!status_.ok()) return status_;
+    tape_.emplace();
+    autograd::Var a = tape_->Input(dense_, gradients && attack_topology_);
+    autograd::Var x = tape_->Input(features_, gradients && attack_features_);
+    autograd::Var obj = objective_fn_(&*tape_, a, x);
+    if (gradients) tape_->Backward(obj);
+    grad_a_ = gradients && attack_topology_ ? &a.grad() : nullptr;
+    grad_x_ = gradients && attack_features_ ? &x.grad() : nullptr;
+    objective_ = obj.value()(0, 0);
+    if (!std::isfinite(objective_)) {
+      status_ = status::NumericFault("non-finite objective on the tape");
+    }
+    return status_;
+  }
+
   const bool attack_topology_;
   const bool attack_features_;
   const ObjectiveFn objective_fn_;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -30,14 +31,10 @@ namespace {
 constexpr int64_t kGmRowGrain = 4;   // O(pairs * F) work per row
 constexpr int64_t kSumRowGrain = 16; // O(l * N) work per row
 
-std::vector<int> CollectRows(const std::vector<char>& mask) {
-  std::vector<int> rows;
-  rows.reserve(mask.size());
-  for (size_t r = 0; r < mask.size(); ++r) {
-    if (mask[r]) rows.push_back(static_cast<int>(r));
-  }
-  return rows;
-}
+// The sentinel takes the exact objective once a running view total
+// comes within 2x of FLT_MAX (see Refresh).
+constexpr double kNearFloatOverflow =
+    static_cast<double>(std::numeric_limits<float>::max()) / 2.0;
 
 // 1 when row `r` of `m` holds a nonzero entry.
 char RowNonzero(const Matrix& m, int r) {
@@ -111,25 +108,27 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
       attack_topology_(config.attack_topology),
       attack_features_(config.attack_features),
       targeted_(!config.target_nodes.empty()),
-      is_target_(g.num_nodes, config.target_nodes.empty() ? 1 : 0),
+      target_count_(static_cast<size_t>(g.num_nodes),
+                    config.target_nodes.empty() ? 1 : 0),
       target_order_(config.target_nodes),
-      pair_row_ptr_(g.adjacency.row_ptr()),
-      pair_col_(g.adjacency.col_idx()),
-      features_(g.features) {
+      clean_(g.adjacency),
+      features_(g.features),
+      row_marks_((static_cast<size_t>(g.num_nodes) + 63) / 64, 0) {
   PEEGA_CHECK_GE(layers_, 1);
   PEEGA_CHECK_GE(p_, 1);
   for (int v : target_order_) {
     PEEGA_CHECK_GE(v, 0);
     PEEGA_CHECK_LT(v, n_);
-    is_target_[v] = 1;
+    ++target_count_[static_cast<size_t>(v)];
   }
 
   // The global-view pairs are fixed on the CLEAN topology (Eq. 6), so
   // the clean CSR doubles as the pair index: pair k of row v is the
-  // directed pair (v, pair_col_[k]) in the tape's NeighborPairs order.
+  // directed pair (v, col_idx[k]) in the tape's NeighborPairs order.
   const auto clean_neighbors = [&](int u) {
-    return std::span<const int>(pair_col_.data() + pair_row_ptr_[u],
-                                pair_col_.data() + pair_row_ptr_[u + 1]);
+    return std::span<const int>(
+        clean_.col_idx().data() + clean_.row_ptr()[u],
+        clean_.col_idx().data() + clean_.row_ptr()[u + 1]);
   };
   scale_.resize(static_cast<size_t>(n_));
   for (int u = 0; u < n_; ++u) {
@@ -170,25 +169,34 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
 
   self_term_.assign(static_cast<size_t>(n_), 0.0);
   self_norm_.assign(static_cast<size_t>(n_), 0.0f);
-  pair_term_.assign(static_cast<size_t>(pair_col_.size()), 0.0);
-  pair_norm_.assign(static_cast<size_t>(pair_col_.size()), 0.0f);
-
-  pending_rows_a_.assign(static_cast<size_t>(n_), 0);
-  pending_rows_h0_.assign(static_cast<size_t>(n_), 0);
+  pair_term_.assign(static_cast<size_t>(clean_.nnz()), 0.0);
+  pair_norm_.assign(static_cast<size_t>(clean_.nnz()), 0.0f);
 }
 
-std::vector<char> PeegaEngine::ExpandChanged(
-    const std::vector<char>& mask) const {
-  std::vector<char> out = mask;
+std::vector<int> PeegaEngine::TakeMarked() {
+  size_t marked = 0;
+  for (const uint64_t word : row_marks_) marked += std::popcount(word);
+  std::vector<int> rows;
+  rows.reserve(marked);
+  for (size_t w = 0; w < row_marks_.size(); ++w) {
+    for (uint64_t word = row_marks_[w]; word != 0; word &= word - 1) {
+      rows.push_back(static_cast<int>(w * 64) + std::countr_zero(word));
+    }
+    row_marks_[w] = 0;
+  }
+  return rows;
+}
+
+std::vector<int> PeegaEngine::Expand(const std::vector<int>& rows,
+                                     const std::vector<int>& extra) {
   const auto& row_ptr = a_n_.row_ptr();
   const auto& col_idx = a_n_.col_idx();
-  for (int r = 0; r < n_; ++r) {
-    if (!mask[static_cast<size_t>(r)]) continue;
-    for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-      out[static_cast<size_t>(col_idx[p])] = 1;
-    }
+  // Row r of A_n lists r itself: the expansion keeps every listed row.
+  for (const int r : rows) {
+    for (int64_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) Mark(col_idx[p]);
   }
-  return out;
+  for (const int r : extra) Mark(r);
+  return TakeMarked();
 }
 
 // One objective pair (r, ref_row): forward term + cached norm + the
@@ -219,31 +227,49 @@ void PeegaEngine::AccumulatePairTerm(float* grow, const float* xrow,
   }
 }
 
-void PeegaEngine::RecomputeGmRow(int r) {
+PeegaEngine::ViewTotals PeegaEngine::RecomputeGmRow(int r) {
   float* grow = w_[0].row(r);
   for (int j = 0; j < f_; ++j) grow[j] = 0.0f;
-  if (!is_target_[static_cast<size_t>(r)]) {
+  const int count = target_count_[static_cast<size_t>(r)];
+  if (count == 0) {
     w_nonzero_[0][static_cast<size_t>(r)] = 0;
-    return;
+    return {};
   }
+  ViewTotals delta;
   const float* xrow = h_[static_cast<size_t>(layers_)].row(r);
   // Global-view pairs first: the global SumEdgePNorm node is created
   // after the self one, so its backward (weight lambda from the Scale
   // node) lands in M̂'s gradient before the self pair's does.
   if (lambda_ != 0.0f) {
-    for (int64_t k = pair_row_ptr_[r]; k < pair_row_ptr_[r + 1]; ++k) {
-      AccumulatePairTerm(grow, xrow, pair_col_[k], lambda_,
-                         &pair_term_[static_cast<size_t>(k)],
+    const auto& row_ptr = clean_.row_ptr();
+    const auto& col_idx = clean_.col_idx();
+    for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      double& term = pair_term_[static_cast<size_t>(k)];
+      delta.global -= term;
+      AccumulatePairTerm(grow, xrow, col_idx[k], lambda_, &term,
                          &pair_norm_[static_cast<size_t>(k)]);
+      delta.global += term;
     }
   }
-  AccumulatePairTerm(grow, xrow, r, 1.0f,
-                     &self_term_[static_cast<size_t>(r)],
+  double& self = self_term_[static_cast<size_t>(r)];
+  const double old_self = self;
+  AccumulatePairTerm(grow, xrow, r, 1.0f, &self,
                      &self_norm_[static_cast<size_t>(r)]);
+  delta.self = count * (self - old_self);
   w_nonzero_[0][static_cast<size_t>(r)] = RowNonzero(w_[0], r);
+  return delta;
 }
 
-status::Status PeegaEngine::RefreshScores() {
+status::Status PeegaEngine::RefreshScores() { return Refresh(true); }
+
+status::Status PeegaEngine::RefreshObjective() {
+  const status::Status status = Refresh(false);
+  objective_only_ = true;
+  return status;
+}
+
+status::Status PeegaEngine::Refresh(bool scores) {
+  PEEGA_CHECK(!objective_only_) << kNoScores;
   changed_feature_rows_.clear();
   changed_edge_rows_.clear();
   if (!status_.ok()) return status_;  // latched failure
@@ -266,33 +292,30 @@ status::Status PeegaEngine::RefreshScores() {
   }
 
   const bool full = fresh_;
-  // Changed-row sets, one per cache level. d[k] holds the rows of H_k a
-  // pending flip reaches (feature flips enter at H_0, edge flips at
-  // every level through the A_n rows they rescale); e[k] holds the rows
-  // of W_k = A_n^k G_M the same flips reach on the backward side.
+  // Changed-row sets, one per cache level, each ascending. d[k] holds the
+  // rows of H_k a pending flip reaches (feature flips enter at H_0, edge
+  // flips at every level through the A_n rows they rescale); e[k] holds
+  // the rows of W_k = A_n^k G_M the same flips reach on the backward
+  // side. An objective-only refresh needs e[0] alone. Each level costs
+  // the previous level's A_n nnz plus an N/64-word scan of row_marks_.
   std::vector<std::vector<int>> d(static_cast<size_t>(layers_) + 1);
-  std::vector<std::vector<int>> e(static_cast<size_t>(layers_) + 1);
-  if (full) {
-    for (auto& rows : d) rows = AllRows(n_);
-    for (auto& rows : e) rows = AllRows(n_);
-  } else {
-    std::vector<char> mask = pending_rows_h0_;
-    d[0] = CollectRows(mask);
-    for (int k = 1; k <= layers_; ++k) {
-      mask = ExpandChanged(mask);
-      for (int r = 0; r < n_; ++r) {
-        if (pending_rows_a_[static_cast<size_t>(r)]) {
-          mask[static_cast<size_t>(r)] = 1;
-        }
+  std::vector<std::vector<int>> e(scores ? static_cast<size_t>(layers_) + 1
+                                         : 1);
+  {
+    const obs::TraceSpan rows_span("peega_engine.row_sets");
+    if (full) {
+      for (auto& rows : d) rows = AllRows(n_);
+      for (auto& rows : e) rows = AllRows(n_);
+    } else {
+      d[0] = Expand({}, pending_rows_h0_);
+      for (size_t k = 1; k < d.size(); ++k) {
+        d[k] = Expand(d[k - 1], pending_rows_a_);
       }
-      d[static_cast<size_t>(k)] = CollectRows(mask);
-    }
-    // e[0] = d[l] (G_M rows follow M̂ rows); pending A_n rows are already
-    // contained in it, so each further level is a plain expansion.
-    e[0] = d[static_cast<size_t>(layers_)];
-    for (int k = 1; k <= layers_; ++k) {
-      mask = ExpandChanged(mask);
-      e[static_cast<size_t>(k)] = CollectRows(mask);
+      // e[0] = d[l] (G_M rows follow M̂ rows); pending A_n rows are
+      // already contained in it, so each further level is a plain
+      // expansion.
+      e[0] = d.back();
+      for (size_t k = 1; k < e.size(); ++k) e[k] = Expand(e[k - 1], {});
     }
   }
   for (const auto& rows : d) rows_touched->Add(rows.size());
@@ -305,17 +328,66 @@ status::Status PeegaEngine::RefreshScores() {
   }
 
   // 2. G_M rows (and the objective pair terms riding along).
+  std::vector<ViewTotals> deltas(e[0].size());
   {
     const obs::TraceSpan gm_span("peega_engine.gm_rows");
     const auto& rows = e[0];
     parallel::ParallelFor(0, static_cast<int64_t>(rows.size()), kGmRowGrain,
                           [&](int64_t i0, int64_t i1) {
                             for (int64_t i = i0; i < i1; ++i) {
-                              RecomputeGmRow(rows[static_cast<size_t>(i)]);
+                              deltas[static_cast<size_t>(i)] = RecomputeGmRow(
+                                  rows[static_cast<size_t>(i)]);
                             }
                           });
   }
 
+  if (scores) RefreshGradients(full, d, std::move(e));
+
+  fresh_ = false;
+  pending_rows_a_.clear();
+  pending_rows_h0_.clear();
+  any_pending_ = false;
+
+  // NaN scores silently break the greedy scans (NaN comparisons are all
+  // false, so the best-flip search would just find nothing); surface the
+  // fault instead so callers can stop with an attributable status. The
+  // objective aggregates every self/pair term, making it a one-number
+  // sentinel for the whole score state, but summing it is O(N + pairs),
+  // so the sentinel follows the terms this refresh rewrote. Terms are
+  // p-norms, >= 0 or NaN/inf, and every other term was finite when
+  // written. So a non-finite rewritten term makes a running total and
+  // the exact sum non-finite, and with every term finite only the float
+  // composition can overflow, which it cannot while global and
+  // self + |lambda| * global stay below FLT_MAX / 2 (DESIGN.md, "The NaN
+  // sentinel"). The latch fires on exactly the refresh the exact sum
+  // would.
+  const obs::TraceSpan objective_span("peega_engine.objective");
+  bool exact = full || !scores;
+  if (!exact) {
+    for (const ViewTotals& delta : deltas) {
+      running_.self += delta.self;
+      running_.global += delta.global;
+    }
+    if (!std::isfinite(running_.self) || !std::isfinite(running_.global)) {
+      status_ = status::NumericFault("non-finite PEEGA objective");
+      return status_;
+    }
+    exact = running_.global >= kNearFloatOverflow ||
+            running_.self + std::fabs(lambda_) * running_.global >=
+                kNearFloatOverflow;
+  }
+  if (exact) {
+    running_ = ExactTotals();
+    if (!std::isfinite(Compose(running_))) {
+      status_ = status::NumericFault("non-finite PEEGA objective");
+    }
+  }
+  return status_;
+}
+
+void PeegaEngine::RefreshGradients(bool full,
+                                   const std::vector<std::vector<int>>& d,
+                                   std::vector<std::vector<int>> e) {
   // 3. Backward chains W_k = A_n W_{k-1}, rows e[k]; nonzero flags track
   //    freshly written rows so the U updates can skip zero-support rows.
   for (size_t k = 1; k < w_.size(); ++k) {
@@ -345,10 +417,7 @@ status::Status PeegaEngine::RefreshScores() {
     //    it) and columns d[l-1] (likewise for the column sets).
     {
       const obs::TraceSpan sum_span("peega_engine.gn_sum");
-      std::vector<char> row_changed(static_cast<size_t>(n_), 0);
-      for (const int r : e[static_cast<size_t>(layers_) - 1]) {
-        row_changed[static_cast<size_t>(r)] = 1;
-      }
+      for (const int r : e[static_cast<size_t>(layers_) - 1]) Mark(r);
       const auto& cols = d[static_cast<size_t>(layers_) - 1];
       parallel::ParallelFor(
           0, n_, kSumRowGrain, [&](int64_t r0, int64_t r1) {
@@ -366,7 +435,7 @@ status::Status PeegaEngine::RefreshScores() {
                 }
                 grow[j] = acc;
               };
-              if (full || row_changed[static_cast<size_t>(i)]) {
+              if (full || Marked(i)) {
                 for (int j = 0; j < n_; ++j) sum_entry(j);
               } else {
                 for (const int j : cols) sum_entry(j);
@@ -377,12 +446,8 @@ status::Status PeegaEngine::RefreshScores() {
 
     // Edge rows R: G_N moved only in rows e[l-1] and columns d[l-1],
     // and d[l-1] ⊆ d[l] = e[0] ⊆ e[l-1]. The flipped endpoints are
-    // pending A_n rows, so e[0] holds them too. ddeg_ is marked below
-    // where its bits move.
-    std::vector<char> edge_rows(static_cast<size_t>(n_), 0);
-    for (const int r : e[static_cast<size_t>(layers_) - 1]) {
-      edge_rows[static_cast<size_t>(r)] = 1;
-    }
+    // pending A_n rows, so e[0] holds them too. e[l-1] is still marked
+    // from the sum above; ddeg_ is marked below where its bits move.
 
     // 6. Degree chain rule. The tape's s-gradient accumulates the
     //    ScaleColsVar backward (column sums of G_N against the
@@ -410,7 +475,7 @@ status::Status PeegaEngine::RefreshScores() {
         const float next = s_grad * dscale;
         if (std::bit_cast<uint32_t>(next) !=
             std::bit_cast<uint32_t>(ddeg_[static_cast<size_t>(a)])) {
-          edge_rows[static_cast<size_t>(a)] = 1;
+          Mark(a);
         }
         ddeg_[static_cast<size_t>(a)] = next;
       }
@@ -420,7 +485,7 @@ status::Status PeegaEngine::RefreshScores() {
                                 __FILE__, __LINE__);
       }
     }
-    changed_edge_rows_ = CollectRows(edge_rows);
+    changed_edge_rows_ = TakeMarked();
   }
 
   // 7. G_X = A_n W_{l-1}: one more propagation hop past the last W level.
@@ -429,26 +494,10 @@ status::Status PeegaEngine::RefreshScores() {
                          &gx_);
     changed_feature_rows_ = std::move(e[static_cast<size_t>(layers_)]);
   }
-
-  fresh_ = false;
-  if (any_pending_) {
-    std::fill(pending_rows_a_.begin(), pending_rows_a_.end(), 0);
-    std::fill(pending_rows_h0_.begin(), pending_rows_h0_.end(), 0);
-    any_pending_ = false;
-  }
-
-  // NaN scores silently break the greedy scans (NaN comparisons are all
-  // false, so the best-flip search would just find nothing); surface the
-  // fault instead so callers can stop with an attributable status. The
-  // objective aggregates every self/pair term, making it a one-number
-  // sentinel for the whole score state.
-  if (!std::isfinite(Objective())) {
-    status_ = status::NumericFault("non-finite PEEGA objective");
-  }
-  return status_;
 }
 
 void PeegaEngine::FlipEdge(int u, int v) {
+  PEEGA_CHECK(!objective_only_) << kNoScores;
   PEEGA_CHECK(attack_topology_) << " — FlipEdge on a features-only engine";
   PEEGA_CHECK_NE(u, v) << " — self-loop flips are not valid perturbations";
   PEEGA_CHECK_GE(u, 0);
@@ -460,10 +509,9 @@ void PeegaEngine::FlipEdge(int u, int v) {
   // an entry s_i * s_{u|v} that rescales with it. Post-flip neighbor
   // sets only add the opposite endpoint, which is already marked.
   auto mark = [&](int a) {
-    pending_rows_a_[static_cast<size_t>(a)] = 1;
-    for (const int k : neighbors_[static_cast<size_t>(a)]) {
-      pending_rows_a_[static_cast<size_t>(k)] = 1;
-    }
+    const auto& list = neighbors_[static_cast<size_t>(a)];
+    pending_rows_a_.push_back(a);
+    pending_rows_a_.insert(pending_rows_a_.end(), list.begin(), list.end());
   };
   mark(u);
   mark(v);
@@ -488,6 +536,7 @@ void PeegaEngine::FlipEdge(int u, int v) {
 }
 
 void PeegaEngine::FlipFeature(int v, int j) {
+  PEEGA_CHECK(!objective_only_) << kNoScores;
   PEEGA_CHECK_GE(v, 0);
   PEEGA_CHECK_LT(v, n_);
   PEEGA_CHECK_GE(j, 0);
@@ -495,42 +544,47 @@ void PeegaEngine::FlipFeature(int v, int j) {
   const float flipped = features_(v, j) > 0.5f ? 0.0f : 1.0f;
   features_(v, j) = flipped;
   h_[0](v, j) = flipped;
-  pending_rows_h0_[static_cast<size_t>(v)] = 1;
+  pending_rows_h0_.push_back(v);
   any_pending_ = true;
+}
+
+PeegaEngine::ViewTotals PeegaEngine::ExactTotals() const {
+  // Each view double-accumulated in the tape's pair order.
+  ViewTotals totals;
+  if (targeted_) {
+    for (const int v : target_order_) {
+      totals.self += self_term_[static_cast<size_t>(v)];
+    }
+  } else {
+    for (int v = 0; v < n_; ++v) totals.self += self_term_[static_cast<size_t>(v)];
+  }
+  if (lambda_ == 0.0f) return totals;  // no pair terms
+  const auto& row_ptr = clean_.row_ptr();
+  for (int v = 0; v < n_; ++v) {
+    if (target_count_[static_cast<size_t>(v)] == 0) continue;
+    for (int64_t k = row_ptr[v]; k < row_ptr[v + 1]; ++k) {
+      totals.global += pair_term_[static_cast<size_t>(k)];
+    }
+  }
+  return totals;
 }
 
 double PeegaEngine::Objective() const {
   PEEGA_CHECK(!fresh_ && !any_pending_)
       << " — call RefreshScores() before Objective()";
-  // Double-accumulate each view in the tape's pair order, then compose
-  // in float: float(self) + float(lambda * float(global)).
-  double total_self = 0.0;
-  if (targeted_) {
-    for (const int v : target_order_) {
-      total_self += self_term_[static_cast<size_t>(v)];
-    }
-  } else {
-    for (int v = 0; v < n_; ++v) total_self += self_term_[static_cast<size_t>(v)];
-  }
-  const float self_view = static_cast<float>(total_self);
+  return Compose(ExactTotals());
+}
+
+double PeegaEngine::Compose(const ViewTotals& totals) const {
+  // In float like the tape: float(self) + float(lambda * float(global)).
+  const float self_view = static_cast<float>(totals.self);
   if (lambda_ == 0.0f) return static_cast<double>(self_view);
-  double total_global = 0.0;
-  for (int v = 0; v < n_; ++v) {
-    if (!is_target_[static_cast<size_t>(v)]) continue;
-    for (int64_t k = pair_row_ptr_[v]; k < pair_row_ptr_[v + 1]; ++k) {
-      total_global += pair_term_[static_cast<size_t>(k)];
-    }
-  }
-  const float global_view = static_cast<float>(total_global);
+  const float global_view = static_cast<float>(totals.global);
   return static_cast<double>(self_view + global_view * lambda_);
 }
 
 SparseMatrix PeegaEngine::PoisonedAdjacency() const {
-  // Only WithFlips' structure walk reads the clean matrix's values.
-  const SparseMatrix clean = SparseMatrix::FromCsr(
-      n_, n_, pair_row_ptr_, pair_col_,
-      std::vector<float>(pair_col_.size(), 1.0f));
-  return graph::WithFlips(clean, edge_flips_);
+  return graph::WithFlips(clean_, edge_flips_);
 }
 
 }  // namespace repro::core

@@ -2,6 +2,7 @@
 #define PEEGA_CORE_PEEGA_ENGINE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -61,6 +62,7 @@ namespace repro::core {
 ///   ... name changed_edge_rows() / changed_feature_rows() to the
 ///       attack::ScanCache scans, which read EdgeScore / FeatureScore ...
 ///   engine.FlipEdge(u, v);   // or FlipFeature(v, j); repeatable
+/// and, after the last commit, engine.RefreshObjective() for Objective().
 class PeegaEngine {
  public:
   struct Config {
@@ -91,10 +93,19 @@ class PeegaEngine {
   /// graph state (PoisonedAdjacency()/features(), which stay valid).
   status::Status RefreshScores();
 
+  /// The final refresh of a campaign: brings only the forward chain and
+  /// the objective terms up to date, for Objective(), and checks the
+  /// objective exactly. Same latch and status as RefreshScores(). The
+  /// engine then holds no scores: it refuses further refreshes, flips
+  /// and changed-row reads (PEEGA_CHECK), and score reads in debug
+  /// builds (PEEGA_DCHECK; they sit in the scans' inner loops).
+  status::Status RefreshObjective();
+
   /// Scan score of flipping edge (u, v), u < v: the tape's
   /// (1 - 2A[u][v]) * (grad[u][v] + grad[v][u]) from closed-form
   /// gradients. Valid after RefreshScores().
   float EdgeScore(int u, int v) const {
+    PEEGA_DCHECK(!objective_only_);
     const float direction = HasEdge(u, v) ? -1.0f : 1.0f;
     return direction * (PairGradient(u, v) + PairGradient(v, u));
   }
@@ -103,6 +114,7 @@ class PeegaEngine {
   /// normalization, exactly like the raw tape gradient scan.
   float FeatureScore(int v, int j) const {
     PEEGA_DCHECK_LT(j, f_);
+    PEEGA_DCHECK(!objective_only_);
     const float direction = 1.0f - 2.0f * features_.row(v)[j];
     return direction * gx_.row(v)[j];
   }
@@ -110,8 +122,9 @@ class PeegaEngine {
   /// Rows whose FeatureScore may have changed in the last
   /// RefreshScores(): the rows e[l] of G_X it rewrote, which hold every
   /// feature flipped since the refresh before. Every row after the full
-  /// build, none after a refresh with nothing pending.
+  /// build, none after a refresh with nothing pending. Ascending.
   const std::vector<int>& changed_feature_rows() const {
+    PEEGA_CHECK(!objective_only_) << kNoScores;
     return changed_feature_rows_;
   }
 
@@ -120,8 +133,9 @@ class PeegaEngine {
   /// columns) ∪ the endpoints of the flips since the refresh before
   /// (their scale_ and adjacency moved) ∪ the nodes whose ddeg_ changed
   /// bitwise. The first three are all e[l-1]. Every node after the full
-  /// build, none after a refresh with nothing pending.
+  /// build, none after a refresh with nothing pending. Ascending.
   const std::vector<int>& changed_edge_rows() const {
+    PEEGA_CHECK(!objective_only_) << kNoScores;
     return changed_edge_rows_;
   }
 
@@ -129,13 +143,17 @@ class PeegaEngine {
   /// gradient (exposed for the gradcheck property tests).
   float PairGradient(int a, int b) const {
     PEEGA_DCHECK_LT(b, n_);
+    PEEGA_DCHECK(!objective_only_);
     const float t = gn_.row(a)[b] * scale_[b];
     const float t2 = t * scale_[a];
     return t2 + ddeg_[a];
   }
 
   /// Closed-form ∂J/∂X[v][j] (exposed for the gradcheck property tests).
-  float FeatureGradient(int v, int j) const { return gx_(v, j); }
+  float FeatureGradient(int v, int j) const {
+    PEEGA_DCHECK(!objective_only_);
+    return gx_(v, j);
+  }
 
   /// Whether (u, v) is an edge of the poisoned graph. Topology engines
   /// only (Config::attack_topology), like FlipEdge.
@@ -151,12 +169,15 @@ class PeegaEngine {
   void FlipFeature(int v, int j);
 
   /// Current objective value, composed float-for-float like the tape's
-  /// forward pass. Valid after RefreshScores().
+  /// forward pass. Valid after RefreshScores() or RefreshObjective().
+  /// O(N + pairs): a refresh reads it only on a full build, near float
+  /// overflow and in RefreshObjective() (see the sentinel in the .cc).
   double Objective() const;
 
   /// Sparse poisoned adjacency: graph::WithFlips of the committed edge
-  /// flips on the clean topology — no O(N²) dense rescan, and valid
-  /// after a latched refresh failure.
+  /// flips on the clean topology — no O(N²) dense rescan, a copy of the
+  /// clean adjacency when no edge was flipped, and valid after a
+  /// latched refresh failure.
   linalg::SparseMatrix PoisonedAdjacency() const;
 
   const linalg::Matrix& features() const { return features_; }
@@ -168,10 +189,38 @@ class PeegaEngine {
   int num_features() const { return f_; }
 
  private:
-  void RecomputeGmRow(int r);
+  static constexpr const char* kNoScores =
+      " — RefreshObjective() ended the campaign; the engine holds no scores";
+
+  // The objective's two views before their float composition, or what
+  // one G_M row recompute moved them by.
+  struct ViewTotals {
+    double self = 0.0;
+    double global = 0.0;
+  };
+
+  status::Status Refresh(bool scores);
+  // Steps 3-7 of a refresh: the backward caches and the changed rows.
+  void RefreshGradients(bool full, const std::vector<std::vector<int>>& d,
+                        std::vector<std::vector<int>> e);
+  ViewTotals RecomputeGmRow(int r);
   void AccumulatePairTerm(float* grow, const float* xrow, int ref_row,
                           float weight, double* term, float* norm);
-  std::vector<char> ExpandChanged(const std::vector<char>& mask) const;
+  ViewTotals ExactTotals() const;
+  double Compose(const ViewTotals& totals) const;
+  // Marks row r in row_marks_.
+  void Mark(int r) {
+    row_marks_[static_cast<size_t>(r) >> 6] |= uint64_t{1} << (r & 63);
+  }
+  bool Marked(int r) const {
+    return (row_marks_[static_cast<size_t>(r) >> 6] >> (r & 63)) & 1;
+  }
+  // The marked rows, ascending; clears every mark. An N/64-word scan.
+  std::vector<int> TakeMarked();
+  // The closed neighbourhood of `rows` over A_n's rows, with `extra`
+  // added; ascending.
+  std::vector<int> Expand(const std::vector<int>& rows,
+                          const std::vector<int>& extra);
 
   // --- immutable configuration -------------------------------------------
   int n_ = 0;
@@ -182,17 +231,19 @@ class PeegaEngine {
   bool attack_topology_ = true;
   bool attack_features_ = true;
   bool targeted_ = false;
-  std::vector<char> is_target_;
+  // How often the self view sums row v: 1 for every row when untargeted,
+  // else v's count in target_nodes. Rows at 0 have no objective terms.
+  std::vector<int> target_count_;
   // Targeted self-view rows in caller order: the tape sums the self view
   // over `target_nodes` as given, and double addition only commutes up
   // to rounding, so Objective() must follow the same order.
   std::vector<int> target_order_;
   linalg::Matrix reference_;  // clean A_n^l X
-  // Clean-topology CSR: the global-view pair index (Eq. 6 always sums
-  // over the ORIGINAL neighborhoods, even as edges are flipped) and the
+  // The clean adjacency: the global-view pair index (Eq. 6 always sums
+  // over the ORIGINAL neighborhoods, even as edges are flipped; pair k
+  // is (v, col_idx[k]) for row_ptr[v] <= k < row_ptr[v + 1]) and the
   // base PoisonedAdjacency() toggles the committed edge flips on.
-  std::vector<int64_t> pair_row_ptr_;
-  std::vector<int> pair_col_;
+  linalg::SparseMatrix clean_;
 
   // --- poisoned state -----------------------------------------------------
   std::vector<std::pair<int, int>> edge_flips_;  // committed, in order
@@ -224,13 +275,25 @@ class PeegaEngine {
   std::vector<int> changed_feature_rows_;
   std::vector<int> changed_edge_rows_;
 
+  // Running sums of the self (count-weighted) and pair terms: the
+  // sentinel's overflow threshold. Reset to the exact sums whenever
+  // those are taken, so rounding drift never accumulates far.
+  ViewTotals running_;
+
   // Latched failure: set on the first bad refresh, never cleared.
   status::Status status_;
+  // Set by RefreshObjective(): the backward caches are stale for good.
+  bool objective_only_ = false;
+
+  // One bit per row, all clear between uses: the changed-row sets are
+  // marked here and emitted ascending by TakeMarked().
+  std::vector<uint64_t> row_marks_;
 
   // --- pending perturbations since the last refresh -----------------------
+  // Lists with repeats; the refresh dedupes them through row_marks_.
   bool fresh_ = true;
-  std::vector<char> pending_rows_a_;   // rows whose A_n row changed
-  std::vector<char> pending_rows_h0_;  // rows whose feature row changed
+  std::vector<int> pending_rows_a_;   // rows whose A_n row changed
+  std::vector<int> pending_rows_h0_;  // rows whose feature row changed
   bool any_pending_ = false;
 };
 

@@ -56,14 +56,26 @@ std::vector<float> Graph::NodeMask(const std::vector<int>& nodes) const {
 }
 
 Graph Graph::WithAdjacency(SparseMatrix new_adjacency) const {
-  Graph g = *this;
-  g.adjacency = std::move(new_adjacency);
-  return g;
+  return WithAdjacencyAndFeatures(std::move(new_adjacency), features);
 }
 
 Graph Graph::WithFeatures(Matrix new_features) const {
-  Graph g = *this;
+  return WithAdjacencyAndFeatures(adjacency, std::move(new_features));
+}
+
+Graph Graph::WithAdjacencyAndFeatures(SparseMatrix new_adjacency,
+                                      Matrix new_features) const {
+  // Every other member, copied; keep in step with the struct.
+  Graph g;
+  g.num_nodes = num_nodes;
+  g.num_classes = num_classes;
+  g.adjacency = std::move(new_adjacency);
   g.features = std::move(new_features);
+  g.labels = labels;
+  g.train_nodes = train_nodes;
+  g.val_nodes = val_nodes;
+  g.test_nodes = test_nodes;
+  g.name = name;
   return g;
 }
 
@@ -191,6 +203,7 @@ SparseMatrix WithFlips(const linalg::SparseMatrix& adjacency,
                        const std::vector<std::pair<int, int>>& flips) {
   const int n = adjacency.rows();
   PEEGA_CHECK_EQ(n, adjacency.cols());
+  if (flips.empty()) return adjacency;
   // Directed toggle keys, parity-cancelled: flipping a pair twice is the
   // identity, so only keys with an odd count survive.
   std::vector<int64_t> keys;

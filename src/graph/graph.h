@@ -51,6 +51,9 @@ struct Graph {
   /// value copy). Used by attackers and defenders producing new graphs.
   Graph WithAdjacency(linalg::SparseMatrix new_adjacency) const;
   Graph WithFeatures(linalg::Matrix new_features) const;
+  /// Both replaced: copies only the labels, splits and name.
+  Graph WithAdjacencyAndFeatures(linalg::SparseMatrix new_adjacency,
+                                 linalg::Matrix new_features) const;
 
   /// Validates structural invariants (symmetry, binary entries, no
   /// self-loops, label range); aborts on violation. Cheap enough to call
@@ -94,7 +97,7 @@ linalg::SparseMatrix AdjacencyFromEdges(
 /// attack::DenseToAdjacency: sorted columns, every value exactly 1.0f.
 /// This is the sparse-first commit path: attackers turn their flip list
 /// into the poisoned adjacency directly instead of rescanning a dense
-/// matrix.
+/// matrix. With no flips it returns a copy of `adjacency` as it is.
 linalg::SparseMatrix WithFlips(
     const linalg::SparseMatrix& adjacency,
     const std::vector<std::pair<int, int>>& flips);

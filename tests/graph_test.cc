@@ -87,6 +87,23 @@ void ExpectSameCsr(const SparseMatrix& a, const SparseMatrix& b) {
   EXPECT_EQ(a.values(), b.values());
 }
 
+TEST(GraphTest, WithAdjacencyAndFeaturesReplacesBothKeepsTheRest) {
+  Graph g = TinyPathGraph();
+  g.name = "path";
+  const SparseMatrix adjacency = AdjacencyFromEdges(4, {{0, 3}});
+  const Matrix features = Matrix::FromRows({{0, 1}, {0, 1}, {1, 0}, {1, 0}});
+  const Graph g2 = g.WithAdjacencyAndFeatures(adjacency, features);
+  ExpectSameCsr(g2.adjacency, adjacency);
+  EXPECT_EQ(linalg::MaxAbsDiff(g2.features, features), 0.0f);
+  EXPECT_EQ(g2.num_nodes, g.num_nodes);
+  EXPECT_EQ(g2.num_classes, g.num_classes);
+  EXPECT_EQ(g2.labels, g.labels);
+  EXPECT_EQ(g2.train_nodes, g.train_nodes);
+  EXPECT_EQ(g2.val_nodes, g.val_nodes);
+  EXPECT_EQ(g2.test_nodes, g.test_nodes);
+  EXPECT_EQ(g2.name, g.name);
+}
+
 TEST(CsrFlipTest, FlipEdgeAddsAndRemovesSymmetrically) {
   const SparseMatrix adj = TinyPathGraph().adjacency;
   const SparseMatrix added = CsrFlipEdge(adj, 0, 3);  // absent -> added
@@ -159,6 +176,13 @@ SparseMatrix WithFlipsByTriplets(
   std::vector<std::tuple<int, int, float>> triplets;
   for (const auto& [u, v] : edges) triplets.emplace_back(u, v, 1.0f);
   return SparseMatrix::FromTriplets(adj.rows(), adj.cols(), triplets);
+}
+
+TEST(CsrFlipTest, WithNoFlipsReturnsTheInput) {
+  Rng rng(29);
+  const SparseMatrix adj = MakeCoraLike(&rng, 0.05).adjacency;
+  ExpectSameCsr(WithFlips(adj, {}), adj);
+  ExpectSameCsr(WithFlips(adj, {}), WithFlipsByTriplets(adj, {}));
 }
 
 TEST(CsrFlipTest, WithFlipsMatchesTripletPath) {

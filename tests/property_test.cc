@@ -7,6 +7,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -662,6 +664,238 @@ TEST(EngineCacheProperty, ChangedRowSetsCoverEveryMovedScore) {
         ExpectChangedSetsCoverMovedScores(g, config, ++seed);
       }
     }
+  }
+}
+
+
+// Ascending rows of a 0/1 mask.
+std::vector<int> MaskRows(const std::vector<char>& mask) {
+  std::vector<int> rows;
+  for (size_t r = 0; r < mask.size(); ++r) {
+    if (mask[r]) rows.push_back(static_cast<int>(r));
+  }
+  return rows;
+}
+
+// The changed-row lists against a mask expansion written from their
+// definitions, over the dense poisoned adjacency A kept in step with the
+// flips. P holds both endpoints of every edge flip and their neighbours
+// just before it; d[0] holds the feature-flipped rows, d[k] is
+// N[d[k-1]] ∪ P over A + I, e[0] = d[l] and e[k] = N[e[k-1]]. The
+// feature rows are e[l]; the edge rows hold e[l-1] and lie inside e[l]
+// (a degree term moves only next to e[l-1]). Batches of 2-5 flips.
+TEST(EngineCacheProperty, ChangedRowListsMatchBruteForceExpansion) {
+  const Graph g = TestGraph(607);
+  const int n = g.num_nodes;
+  const int f = g.features.cols();
+  std::vector<int> targets;
+  for (int v = 0; v < n; v += 3) targets.push_back(v);
+  targets.push_back(0);  // a repeat counts twice in the self view
+  const struct {
+    const char* name;
+    bool topology;
+    bool features;
+  } modes[] = {{"both", true, true}, {"tm", true, false}, {"fp", false, true}};
+  uint64_t seed = 40;
+  for (const auto& mode : modes) {
+    for (const int layers : {1, 2, 3}) {
+      for (const bool targeted : {false, true}) {
+        SCOPED_TRACE(testing::Message() << mode.name << ", l = " << layers
+                                        << (targeted ? ", targeted" : ""));
+        core::PeegaEngine::Config config = EngineConfig(layers);
+        config.attack_topology = mode.topology;
+        config.attack_features = mode.features;
+        if (targeted) config.target_nodes = targets;
+        core::PeegaEngine engine(g, config);
+        ASSERT_TRUE(engine.RefreshScores().ok());
+        Matrix adjacency = g.adjacency.ToDense();
+        const auto expand = [&](const std::vector<char>& mask) {
+          std::vector<char> out = mask;
+          for (int r = 0; r < n; ++r) {
+            if (!mask[static_cast<size_t>(r)]) continue;
+            for (int c = 0; c < n; ++c) {
+              if (adjacency(r, c) > 0.5f) out[static_cast<size_t>(c)] = 1;
+            }
+          }
+          return out;
+        };
+        Rng rng(++seed);
+        for (int step = 0; step < 4; ++step) {
+          SCOPED_TRACE(testing::Message() << "step " << step);
+          std::vector<char> pending_a(static_cast<size_t>(n), 0);
+          std::vector<char> pending_h0(static_cast<size_t>(n), 0);
+          for (int i = static_cast<int>(rng.UniformInt(2, 5)); i > 0; --i) {
+            const bool edge =
+                mode.topology && (!mode.features || rng.UniformInt(0, 1) == 0);
+            const int u = static_cast<int>(rng.UniformInt(0, n - 1));
+            if (edge) {
+              const int v =
+                  static_cast<int>((u + 1 + rng.UniformInt(0, n - 2)) % n);
+              for (const int a : {u, v}) {
+                pending_a[static_cast<size_t>(a)] = 1;
+                for (int c = 0; c < n; ++c) {
+                  if (adjacency(a, c) > 0.5f) pending_a[static_cast<size_t>(c)] = 1;
+                }
+              }
+              attack::FlipEdge(&adjacency, u, v);
+              engine.FlipEdge(u, v);
+            } else {
+              pending_h0[static_cast<size_t>(u)] = 1;
+              engine.FlipFeature(u, static_cast<int>(rng.UniformInt(0, f - 1)));
+            }
+          }
+          ASSERT_TRUE(engine.RefreshScores().ok());
+          std::vector<char> level = pending_h0;
+          for (int k = 1; k <= layers; ++k) {
+            level = expand(level);
+            for (int r = 0; r < n; ++r) {
+              if (pending_a[static_cast<size_t>(r)]) level[static_cast<size_t>(r)] = 1;
+            }
+          }
+          for (int k = 1; k < layers; ++k) level = expand(level);
+          const std::vector<char> e_before_last = level;  // e[l-1]
+          const std::vector<char> e_last = expand(level);  // e[l]
+
+          if (mode.features) {
+            EXPECT_EQ(engine.changed_feature_rows(), MaskRows(e_last));
+          } else {
+            EXPECT_TRUE(engine.changed_feature_rows().empty());
+          }
+          const std::vector<int>& edge_rows = engine.changed_edge_rows();
+          if (!mode.topology) {
+            EXPECT_TRUE(edge_rows.empty());
+            continue;
+          }
+          EXPECT_TRUE(std::adjacent_find(edge_rows.begin(), edge_rows.end(),
+                                         std::greater_equal<int>()) ==
+                      edge_rows.end())
+              << "edge rows not strictly ascending";
+          for (const int r : MaskRows(e_before_last)) {
+            EXPECT_TRUE(std::binary_search(edge_rows.begin(), edge_rows.end(), r))
+                << "e[l-1] row " << r << " missing";
+          }
+          for (const int r : edge_rows) {
+            EXPECT_TRUE(e_last[static_cast<size_t>(r)])
+                << "edge row " << r << " outside e[l]";
+          }
+        }
+      }
+    }
+  }
+}
+
+// The sentinel checks only the terms a refresh rewrote, and takes the
+// exact objective near float overflow. On a ring whose nodes all hold
+// the same feature row, A_n X = X and the clean objective is exactly 0;
+// zeroing the set bits, three per refresh, grows both views. Scaling
+// the features by a power of two B scales every cached float and
+// double term exactly, so each objective is B times the one at B = 1
+// until a float view, its lambda product or their sum overflows. B is
+// picked from a B = 1 run of the same flips so that a late refresh
+// overflows while every term and cached matrix stays finite. After
+// every refresh the status must be OK exactly when the exact objective
+// is finite: the latch fires on the refresh that overflows, not later
+// and not before.
+TEST(EngineCacheProperty, SentinelLatchesExactlyWhenTheObjectiveOverflows) {
+  const int n = 60;
+  const int f = 16;
+  Graph clean;
+  clean.num_nodes = n;
+  clean.num_classes = 1;
+  std::vector<std::pair<int, int>> ring;
+  for (int v = 0; v < n; ++v) ring.emplace_back(v, (v + 1) % n);
+  clean.adjacency = graph::AdjacencyFromEdges(n, ring);
+  clean.features = Matrix(n, f);
+  clean.labels.assign(static_cast<size_t>(n), 0);
+  std::vector<std::pair<int, int>> set_bits;
+  for (int v = 0; v < n; ++v) {
+    for (int j = 0; j < f / 2; ++j) {
+      clean.features(v, j) = 1.0f;
+      set_bits.emplace_back(v, j);
+    }
+  }
+  std::vector<int> every_node_one_twice(static_cast<size_t>(n));
+  for (int v = 0; v < n; ++v) every_node_one_twice[static_cast<size_t>(v)] = v;
+  every_node_one_twice.push_back(n / 2);
+  const struct {
+    float lambda;
+    bool targeted;
+  } cases[] = {{0.0f, false}, {0.01f, false}, {-0.01f, false},
+               {8.0f, false},  {0.0f, true},   {0.01f, true}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "lambda " << c.lambda
+                                    << (c.targeted ? ", targeted" : ""));
+    core::PeegaEngine::Config config = EngineConfig(1, 2, c.lambda);
+    config.attack_topology = false;
+    if (c.targeted) config.target_nodes = every_node_one_twice;
+    // Runs the flips on `g`; `step(ok, objective)` after every refresh
+    // returns false to stop.
+    const auto run = [&](const Graph& g, const auto& step) {
+      core::PeegaEngine engine(g, config);
+      const auto refresh = [&] {
+        const bool ok = engine.RefreshScores().ok();
+        return step(ok, engine.Objective());
+      };
+      if (!refresh()) return;
+      for (size_t i = 0; i + 3 <= set_bits.size(); i += 3) {
+        for (size_t b = i; b < i + 3; ++b) {
+          engine.FlipFeature(set_bits[b].first, set_bits[b].second);
+        }
+        if (!refresh()) return;
+      }
+    };
+    std::vector<double> unit;
+    run(clean, [&](bool ok, double objective) {
+      EXPECT_TRUE(ok);
+      unit.push_back(std::fabs(objective));
+      return true;
+    });
+    const double peak = *std::max_element(unit.begin(), unit.end());
+    const double scale = std::exp2(std::ceil(
+        std::log2(2.0 * std::numeric_limits<float>::max() / peak)));
+    ASSERT_EQ(unit[0], 0.0);
+    Graph g = clean;
+    for (int64_t i = 0; i < g.features.size(); ++i) {
+      g.features.data()[i] *= static_cast<float>(scale);
+    }
+    int refresh = 0;
+    int latched_at = -1;
+    run(g, [&](bool ok, double objective) {
+      EXPECT_EQ(ok, std::isfinite(objective))
+          << "refresh " << refresh << ", objective " << objective;
+      if (!ok) latched_at = refresh;
+      ++refresh;
+      return ok;
+    });
+    EXPECT_GT(latched_at, 0) << "the float objective never overflowed";
+  }
+}
+
+// The final refresh of a campaign updates the objective alone: its
+// objective is bitwise the full refresh's, and the engine then refuses
+// score work.
+TEST(EngineCacheProperty, ObjectiveOnlyRefreshMatchesFullRefresh) {
+  const Graph g = TestGraph(611);
+  for (const bool topology : {true, false}) {
+    SCOPED_TRACE(topology ? "both" : "fp");
+    core::PeegaEngine::Config config = EngineConfig();
+    config.attack_topology = topology;
+    core::PeegaEngine full(g, config);
+    core::PeegaEngine objective_only(g, config);
+    for (core::PeegaEngine* engine : {&full, &objective_only}) {
+      ASSERT_TRUE(engine->RefreshScores().ok());
+      engine->FlipFeature(3, 1);
+      engine->FlipFeature(40, 0);
+      if (topology) engine->FlipEdge(5, 17);
+    }
+    ASSERT_TRUE(full.RefreshScores().ok());
+    ASSERT_TRUE(objective_only.RefreshObjective().ok());
+    EXPECT_EQ(std::bit_cast<uint64_t>(full.Objective()),
+              std::bit_cast<uint64_t>(objective_only.Objective()));
+    EXPECT_DEATH((void)objective_only.changed_feature_rows(),
+                 "holds no scores");
+    EXPECT_DEATH((void)objective_only.RefreshScores(), "holds no scores");
+    EXPECT_DEATH(objective_only.FlipFeature(3, 1), "holds no scores");
   }
 }
 
