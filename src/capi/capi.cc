@@ -330,16 +330,20 @@ extern "C" gg_status gg_set_graph_csr(gg_ctx* ctx, int32_t num_nodes,
                     "gg_set_graph_csr: adjacency is not symmetric");
       }
     }
-    // Models multiply over the features' nonzeros, which equals the
-    // dense product only for finite features (inf · 0 is NaN).
+    // Features are binary: the graph file stores the 1 coordinates,
+    // and feature flips and Jaccard read a cell as 0 or 1. NaN and Inf
+    // get their own message (models multiply over the features'
+    // nonzeros, which equals the dense product only for finite values).
     const int64_t cells = static_cast<int64_t>(num_nodes) * num_features;
     for (int64_t i = 0; i < cells; ++i) {
-      if (!std::isfinite(features[i])) {
-        return Fail(ctx, GG_INVALID_INPUT,
-                    "gg_set_graph_csr: feature of node " +
-                        std::to_string(i / num_features) + " column " +
-                        std::to_string(i % num_features) + " is not finite");
-      }
+      const float value = features[i];
+      if (value == 0.0f || value == 1.0f) continue;
+      return Fail(ctx, GG_INVALID_INPUT,
+                  "gg_set_graph_csr: feature of node " +
+                      std::to_string(i / num_features) + " column " +
+                      std::to_string(i % num_features) +
+                      (std::isfinite(value) ? " is not 0 or 1"
+                                            : " is not finite"));
     }
     g.features = repro::linalg::Matrix(num_nodes, num_features);
     if (num_features > 0) {

@@ -93,9 +93,10 @@ gg_status gg_save_graph(gg_ctx* ctx, const char* path);
  *   row_ptr:  num_nodes+1 entries, row_ptr[0] == 0, nondecreasing;
  *   col_idx:  row_ptr[num_nodes] entries, each in [0, num_nodes) and
  *             listed at most once per row;
- *   features: row-major num_nodes x num_features, every value finite
- *             (NaN or Inf is GG_INVALID_INPUT naming the node and
- *             column), may be NULL when num_features == 0;
+ *   features: row-major num_nodes x num_features, every value 0 or 1
+ *             (any other value is GG_INVALID_INPUT naming the node and
+ *             column: "is not finite" for NaN or Inf, "is not 0 or 1"
+ *             otherwise), may be NULL when num_features == 0;
  *   labels:   num_nodes entries in [0, num_classes), or NULL for all-0.
  * Buffers are copied; the caller keeps ownership. Train/val/test splits
  * start empty — call gg_assign_splits before gg_defend/gg_eval/

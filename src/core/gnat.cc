@@ -49,7 +49,10 @@ std::vector<SparseMatrix> BuildViews(const GnatDefender::Options& options,
   // Optional pruning pass (conclusion extension): drop edges whose
   // endpoints look feature-dissimilar — candidates for adversarial
   // inter-class additions.
-  graph::Graph g = input;
+  // Only the adjacency can change, so only a pruned one is held; X and
+  // the node count are read from `input`.
+  SparseMatrix pruned;
+  const SparseMatrix* adjacency = &input.adjacency;
   if (options.prune_threshold > 0.0f) {
     std::vector<std::pair<int, int>> kept;
     for (const auto& [u, v] : input.EdgeList()) {
@@ -62,7 +65,8 @@ std::vector<SparseMatrix> BuildViews(const GnatDefender::Options& options,
     // similarity is 0 everywhere) pruning would delete the whole graph;
     // keep the topology when less than a quarter of the edges survive.
     if (kept.size() * 4 >= static_cast<size_t>(input.NumEdges())) {
-      g.adjacency = graph::AdjacencyFromEdges(input.num_nodes, kept);
+      pruned = graph::AdjacencyFromEdges(input.num_nodes, kept);
+      adjacency = &pruned;
     }
   }
   std::vector<SparseMatrix> views;
@@ -70,7 +74,7 @@ std::vector<SparseMatrix> BuildViews(const GnatDefender::Options& options,
   bool feature_available = false;
   if (options.use_feature) {
     const obs::TraceSpan feature_span("gnat.build_feature_graph");
-    feature_graph = graph::FeatureKnnGraph(g.features, options.k_f, 1e-6f);
+    feature_graph = graph::FeatureKnnGraph(input.features, options.k_f, 1e-6f);
     // Identity features (Polblogs) give an empty cosine graph; the view
     // is then dropped as in the paper's Tab. VI footnote.
     feature_available = feature_graph.nnz() > 0;
@@ -89,12 +93,12 @@ std::vector<SparseMatrix> BuildViews(const GnatDefender::Options& options,
       }
     };
     if (options.use_topology) {
-      append(GnatDefender::BuildTopologyGraph(g.adjacency, options.k_t));
+      append(GnatDefender::BuildTopologyGraph(*adjacency, options.k_t));
     }
     if (feature_available) append(feature_graph);
-    if (options.use_ego || triplets.empty()) append(g.adjacency);
+    if (options.use_ego || triplets.empty()) append(*adjacency);
     SparseMatrix merged =
-        SparseMatrix::FromTriplets(g.num_nodes, g.num_nodes, triplets);
+        SparseMatrix::FromTriplets(input.num_nodes, input.num_nodes, triplets);
     for (float& v : merged.mutable_values()) v = v > 0.0f ? 1.0f : 0.0f;
     const float self_weight =
         options.use_ego ? static_cast<float>(options.k_e) + 1.0f : 1.0f;
@@ -104,17 +108,17 @@ std::vector<SparseMatrix> BuildViews(const GnatDefender::Options& options,
 
   if (options.use_topology) {
     views.push_back(graph::GcnNormalize(
-        GnatDefender::BuildTopologyGraph(g.adjacency, options.k_t)));
+        GnatDefender::BuildTopologyGraph(*adjacency, options.k_t)));
   }
   if (feature_available) {
     views.push_back(graph::GcnNormalize(feature_graph));
   }
   if (options.use_ego) {
     views.push_back(graph::GcnNormalizeWeighted(
-        g.adjacency, static_cast<float>(options.k_e) + 1.0f));
+        *adjacency, static_cast<float>(options.k_e) + 1.0f));
   }
   if (views.empty()) {
-    views.push_back(graph::GcnNormalize(g.adjacency));
+    views.push_back(graph::GcnNormalize(*adjacency));
   }
   return views;
 }

@@ -148,6 +148,27 @@ status::Status SaveGraph(const Graph& g, const std::string& path) {
   if (PEEGA_FAILPOINT("io.write")) {
     return IoError("injected failpoint io.write: " + path);
   }
+  if (g.features.rows() != g.num_nodes) {
+    return InvalidInput("save graph " + path + ": " +
+                        std::to_string(g.features.rows()) +
+                        " feature rows for " + std::to_string(g.num_nodes) +
+                        " nodes");
+  }
+  // The file lists the coordinates of X's ones, so any value but 0 or 1
+  // is refused before the file is created rather than lost.
+  std::vector<std::pair<int, int>> coords;
+  for (int v = 0; v < g.num_nodes; ++v) {
+    const float* row = g.features.row(v);
+    for (int j = 0; j < g.features.cols(); ++j) {
+      if (row[j] == 0.0f) continue;
+      if (row[j] != 1.0f) {
+        return InvalidInput("save graph " + path + ": feature of node " +
+                            std::to_string(v) + " column " +
+                            std::to_string(j) + " is not 0 or 1");
+      }
+      coords.emplace_back(v, j);
+    }
+  }
   std::ofstream out(path);
   if (!out) return IoError("cannot create " + path);
   out << "peega-graph 1\n";
@@ -157,13 +178,6 @@ status::Status SaveGraph(const Graph& g, const std::string& path) {
   const auto edges = g.EdgeList();
   out << edges.size() << "\n";
   for (const auto& [u, v] : edges) out << u << " " << v << "\n";
-  // Sparse feature coordinates (binary features dominate).
-  std::vector<std::pair<int, int>> coords;
-  for (int v = 0; v < g.num_nodes; ++v) {
-    for (int j = 0; j < g.features.cols(); ++j) {
-      if (g.features(v, j) > 0.5f) coords.emplace_back(v, j);
-    }
-  }
   out << coords.size() << "\n";
   for (const auto& [v, j] : coords) out << v << " " << j << "\n";
   for (int v = 0; v < g.num_nodes; ++v) {

@@ -9,9 +9,11 @@
 
 namespace repro::graph {
 
-/// Saves a graph to a self-describing text file (header, edge list,
-/// sparse feature coordinates, labels, splits). Returns kIoError when
-/// the file cannot be created or written.
+/// Saves a graph to a self-describing text file (header, edge list, the
+/// coordinates of the features' ones, labels, splits). Features must be
+/// 0 or 1, one row per node: any other value is kInvalidInput naming its
+/// node and column, and no file is created. Returns kIoError when the file cannot be
+/// created or written.
 status::Status SaveGraph(const Graph& g, const std::string& path);
 
 /// Whitespace tokenizer over a text file, read whole up front, for the

@@ -29,46 +29,6 @@ constexpr int64_t kRowGrain = 64;         // rows per chunk, O(n) work/row
 constexpr int64_t kElemGrain = 1 << 14;   // flat elements per chunk
 constexpr int64_t kReduceGrain = 1 << 15; // flat elements per reduce chunk
 
-/// sim[j] = CosineSimilarity(x, i, j) for every row j, given each row's
-/// norm as the square root CosineSimilarity takes. Four dot products
-/// share each pass over row i; each is summed in ascending column order,
-/// as CosineSimilarity sums it, so every entry is the same float.
-void CosineRow(const Matrix& x, const std::vector<double>& norm, int i,
-               float* sim) {
-  const int n = x.rows();
-  const int f = x.cols();
-  const float* a = x.row(i);
-  const auto cosine = [&](double dot, int j) {
-    if (norm[i] == 0.0 || norm[j] == 0.0) return 0.0f;
-    return static_cast<float>(dot / (norm[i] * norm[j]));
-  };
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const float* b0 = x.row(j);
-    const float* b1 = x.row(j + 1);
-    const float* b2 = x.row(j + 2);
-    const float* b3 = x.row(j + 3);
-    double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-    for (int c = 0; c < f; ++c) {
-      const double ac = a[c];
-      d0 += ac * b0[c];
-      d1 += ac * b1[c];
-      d2 += ac * b2[c];
-      d3 += ac * b3[c];
-    }
-    sim[j] = cosine(d0, j);
-    sim[j + 1] = cosine(d1, j + 1);
-    sim[j + 2] = cosine(d2, j + 2);
-    sim[j + 3] = cosine(d3, j + 3);
-  }
-  for (; j < n; ++j) {
-    const float* b = x.row(j);
-    double dot = 0.0;
-    for (int c = 0; c < f; ++c) dot += static_cast<double>(a[c]) * b[c];
-    sim[j] = cosine(dot, j);
-  }
-}
-
 std::vector<int> Iota(int n) {
   std::vector<int> v(static_cast<size_t>(n));
   std::iota(v.begin(), v.end(), 0);
@@ -423,29 +383,70 @@ std::vector<std::vector<int>> TopCosineNeighbors(const Matrix& x, int k,
   const int n = x.rows();
   std::vector<std::vector<int>> top(static_cast<size_t>(n));
   if (k <= 0) return top;
-  // Each row's norm: the square root of its squared norm, summed as
-  // CosineSimilarity sums it.
+  // X's stored entries by row and, through the counting transpose, by
+  // column (feature -> nodes, ascending). A dense dot product differs
+  // from the sum of the stored products only by ±0 terms, which leave a
+  // double sum unchanged, and a float × float product is exact in
+  // double; so summing the stored products in ascending column order
+  // gives CosineSimilarity's double for any finite X.
+  const SparseMatrix by_row = SparseMatrix::FromDense(x);
+  const SparseMatrix by_col = by_row.Transposed();
+  const auto& row_ptr = by_row.row_ptr();
+  const auto& row_col = by_row.col_idx();
+  const auto& row_val = by_row.values();
+  const auto& col_ptr = by_col.row_ptr();
+  const auto& col_row = by_col.col_idx();
+  const auto& col_val = by_col.values();
   std::vector<double> norm(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const float* a = x.row(i);
     double na = 0.0;
-    for (int c = 0; c < x.cols(); ++c) na += static_cast<double>(a[c]) * a[c];
+    for (int64_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+      na += static_cast<double>(row_val[p]) * row_val[p];
+    }
     norm[i] = std::sqrt(na);
   }
+  // A row j that shares no stored column with row i has cosine 0, which
+  // passes only a negative floor; otherwise the touched rows are all the
+  // candidates there are.
+  const bool list_every_row = !(min_similarity >= 0.0f);
   // Row-parallel: chunk [r0, r1) writes only top[r0..r1). Candidates are
   // listed in ascending j and partially sorted as a serial scan would,
   // so ties keep the same order at any thread count.
   parallel::ParallelFor(0, n, kMatMulRowGrain, [&](int64_t r0, int64_t r1) {
-    std::vector<float> sim(static_cast<size_t>(n));
+    std::vector<double> dot(static_cast<size_t>(n), 0.0);
+    std::vector<int> touched_by(static_cast<size_t>(n), -1);
+    std::vector<int> touched;
     std::vector<std::pair<float, int>> candidates;
     for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-      CosineRow(x, norm, i, sim.data());
-      candidates.clear();
-      for (int j = 0; j < n; ++j) {
-        if (j != i && sim[j] > min_similarity) {
-          candidates.emplace_back(sim[j], j);
+      touched.clear();
+      for (int64_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+        const double a = row_val[p];
+        const int c = row_col[p];
+        for (int64_t q = col_ptr[c]; q < col_ptr[c + 1]; ++q) {
+          const int j = col_row[q];
+          dot[j] += a * col_val[q];
+          if (touched_by[j] != i) {
+            touched_by[j] = i;
+            touched.push_back(j);
+          }
         }
       }
+      const auto consider = [&](int j) {
+        if (j == i) return;
+        const float sim =
+            norm[i] == 0.0 || norm[j] == 0.0
+                ? 0.0f
+                : static_cast<float>(dot[j] / (norm[i] * norm[j]));
+        if (sim > min_similarity) candidates.emplace_back(sim, j);
+      };
+      candidates.clear();
+      if (list_every_row) {
+        for (int j = 0; j < n; ++j) consider(j);
+      } else {
+        std::sort(touched.begin(), touched.end());
+        for (const int j : touched) consider(j);
+      }
+      for (const int j : touched) dot[j] = 0.0;
       const int take = std::min<int>(k, static_cast<int>(candidates.size()));
       std::partial_sort(candidates.begin(), candidates.begin() + take,
                         candidates.end(), [](const auto& a, const auto& b) {

@@ -135,9 +135,15 @@ float CosineSimilarity(const Matrix& x, int i, int j);
 /// For each row i of `x`, the rows j != i with the `k` largest
 /// `CosineSimilarity(x, i, j)` above `min_similarity`, most similar
 /// first; ties fall as `std::partial_sort` leaves them from a list in
-/// ascending j. Every similarity is the float `CosineSimilarity`
-/// returns, with each row's norm computed once. Row-parallel; O(rows² ·
-/// cols); bitwise-deterministic at any thread count.
+/// ascending j. `x` must be finite. Works over x's stored (nonzero)
+/// entries: each row walks its columns in ascending order and, through a
+/// feature -> row column index, adds each product into the dot of every
+/// row sharing that column, so every similarity is the float
+/// `CosineSimilarity` returns. Row-parallel after a serial O(rows ·
+/// cols) read of x; O(nnz + Σ_c nnz_c²) for column c's nnz_c stored
+/// rows, plus O(rows) scratch per 8-row chunk and, only when
+/// `min_similarity` < 0 (every row is then a candidate), O(rows) per
+/// row; bitwise-deterministic at any thread count.
 std::vector<std::vector<int>> TopCosineNeighbors(const Matrix& x, int k,
                                                  float min_similarity);
 

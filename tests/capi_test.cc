@@ -4,6 +4,7 @@
 // and demand the identical flip sequence, objective, and output bytes;
 // they also pin the error-code mapping, gg_last_error's contract, the
 // cancellation handshake, and the hex-float model round-trip.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -376,6 +377,82 @@ TEST(CapiCsrTest, RejectsNonFiniteFeaturesNamingNodeAndColumn) {
     EXPECT_EQ(gg_num_nodes(gg), 0);  // nothing installed
   }
   gg_free(gg);
+}
+
+// Features are binary: the graph file keeps only the ones, so any other
+// finite value is refused where it enters, naming the first bad cell.
+TEST(CapiCsrTest, RejectsNonBinaryFeaturesNamingTheFirstBadCell) {
+  gg_ctx* gg = gg_init();
+  ASSERT_NE(gg, nullptr);
+  const int64_t row_ptr[] = {0, 1, 3, 4};
+  const int32_t col_idx[] = {1, 0, 2, 1};
+  const int32_t labels[] = {0, 1, 0};
+  const float mixed[] = {0.3f, 0.7f, 2.5f, -1.0f, 0.0f, 0.5f};
+  EXPECT_EQ(gg_set_graph_csr(gg, 3, 2, row_ptr, col_idx, 2, mixed, labels),
+            GG_INVALID_INPUT);
+  EXPECT_STREQ(gg_last_error(gg),
+               "gg_set_graph_csr: feature of node 0 column 0 is not 0 or 1");
+  EXPECT_EQ(gg_num_nodes(gg), 0);  // nothing installed
+
+  // Each of those values alone in an otherwise binary matrix.
+  const float binary[] = {1.0f, 0.0f, 0.0f, 1.0f, 1.0f, 1.0f};
+  for (int cell = 0; cell < 6; ++cell) {
+    if (mixed[cell] == 0.0f) continue;
+    float features[6];
+    std::copy(binary, binary + 6, features);
+    features[cell] = mixed[cell];
+    SCOPED_TRACE("value " + std::to_string(mixed[cell]));
+    EXPECT_EQ(gg_set_graph_csr(gg, 3, 2, row_ptr, col_idx, 2, features,
+                               labels),
+              GG_INVALID_INPUT);
+    EXPECT_EQ(gg_last_error(gg),
+              "gg_set_graph_csr: feature of node " + std::to_string(cell / 2) +
+                  " column " + std::to_string(cell % 2) + " is not 0 or 1");
+    EXPECT_EQ(gg_num_nodes(gg), 0);
+  }
+  // -0 is 0.
+  const float signed_zero[] = {1.0f, -0.0f, 0.0f, 1.0f, 1.0f, 1.0f};
+  EXPECT_EQ(gg_set_graph_csr(gg, 3, 2, row_ptr, col_idx, 2, signed_zero,
+                             labels),
+            GG_OK)
+      << gg_last_error(gg);
+  gg_free(gg);
+}
+
+// A binary graph set through the ABI and saved by it loads back through
+// the native reader with the same features, adjacency and labels.
+TEST(CapiCsrTest, BinaryGraphSurvivesSaveAndNativeLoad) {
+  linalg::Rng rng(kGraphSeed);
+  const graph::Graph g = graph::MakeCoraLike(&rng, 0.1);
+  const std::vector<int64_t>& row_ptr = g.adjacency.row_ptr();
+  const std::vector<int32_t> col_idx(g.adjacency.col_idx().begin(),
+                                     g.adjacency.col_idx().end());
+  const std::vector<int32_t> labels(g.labels.begin(), g.labels.end());
+  gg_ctx* gg = gg_init();
+  ASSERT_NE(gg, nullptr);
+  ASSERT_EQ(gg_set_graph_csr(gg, g.num_nodes, g.num_classes, row_ptr.data(),
+                             col_idx.data(), g.features.cols(),
+                             g.features.data(), labels.data()),
+            GG_OK)
+      << gg_last_error(gg);
+  const std::string path = TempPath("csr_roundtrip.txt");
+  ASSERT_EQ(gg_save_graph(gg, path.c_str()), GG_OK) << gg_last_error(gg);
+  gg_free(gg);
+
+  status::StatusOr<graph::Graph> loaded = graph::LoadGraph(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_nodes, g.num_nodes);
+  EXPECT_EQ(loaded->num_classes, g.num_classes);
+  EXPECT_EQ(loaded->labels, g.labels);
+  EXPECT_EQ(loaded->adjacency.row_ptr(), g.adjacency.row_ptr());
+  EXPECT_EQ(loaded->adjacency.col_idx(), g.adjacency.col_idx());
+  EXPECT_EQ(loaded->adjacency.values(), g.adjacency.values());
+  ASSERT_EQ(loaded->features.rows(), g.features.rows());
+  ASSERT_EQ(loaded->features.cols(), g.features.cols());
+  EXPECT_TRUE(std::equal(g.features.data(),
+                         g.features.data() + g.features.size(),
+                         loaded->features.data()));
+  std::remove(path.c_str());
 }
 
 TEST(CapiDeadlineTest, TinyBudgetDegradesNotHangs) {

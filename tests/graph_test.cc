@@ -378,6 +378,20 @@ TEST(IoTest, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(IoTest, SaveRefusesNonBinaryFeatureNamingNodeAndColumn) {
+  // The file lists the coordinates of the ones; 0.3 would be lost.
+  Graph g = TinyPathGraph();
+  g.features(2, 1) = 0.3f;
+  const std::string path = ::testing::TempDir() + "/graph_non_binary.txt";
+  std::remove(path.c_str());
+  const repro::status::Status saved = SaveGraph(g, path);
+  EXPECT_EQ(saved.code(), repro::status::Code::kInvalidInput);
+  EXPECT_NE(saved.message().find("feature of node 2 column 1 is not 0 or 1"),
+            std::string::npos)
+      << saved.ToString();
+  EXPECT_FALSE(std::ifstream(path).good());  // no file created
+}
+
 TEST(IoTest, LoadRejectsMissingFile) {
   const auto result = LoadGraph("/nonexistent/path/graph.txt");
   ASSERT_FALSE(result.ok());
@@ -631,6 +645,57 @@ TEST(FeatureKnnTest, MatchesSerialReferenceAtAnyThreadCount) {
         }
         parallel::SetNumThreads(0);
       }
+    }
+  }
+}
+
+// GNAT's own input (gnat-cora's graph: n = 1000, F = 580) at its k_f
+// and floor, plus rows whose mixed-sign products cancel to a dot of
+// exactly 0: such a pair is touched by the column walk but has cosine 0,
+// so a negative floor lists it and a floor of 0 does not.
+TEST(FeatureKnnTest, CoraLikeAndCancellingRowsMatchSerialReference) {
+  Rng rng(13);
+  const Graph g = MakeCoraLike(&rng, 2.0);
+  const int n = g.num_nodes;
+  const int f = g.features.cols();
+  ASSERT_EQ(n, 1000);
+  ASSERT_EQ(f, 580);
+  // Rows n..n+2 are p = e0 + e1, q = e0 - e1 and r = 0.5 e0 - 0.5 e1 +
+  // 2 e2: p·q = 1 - 1 and p·r = 0.5 - 0.5.
+  Matrix x(n + 3, f);
+  std::copy(g.features.data(), g.features.data() + g.features.size(),
+            x.data());
+  const int p = n, q = n + 1, r = n + 2;
+  x(p, 0) = 1.0f;
+  x(p, 1) = 1.0f;
+  x(q, 0) = 1.0f;
+  x(q, 1) = -1.0f;
+  x(r, 0) = 0.5f;
+  x(r, 1) = -0.5f;
+  x(r, 2) = 2.0f;
+  ASSERT_EQ(linalg::CosineSimilarity(x, p, q), 0.0f);
+  ASSERT_EQ(linalg::CosineSimilarity(x, p, r), 0.0f);
+  const auto lists = [&](float floor) {
+    const std::vector<std::vector<int>> top =
+        linalg::TopCosineNeighbors(x, n + 3, floor);
+    return std::set<int>(top[p].begin(), top[p].end());
+  };
+  EXPECT_EQ(lists(-1.0f).count(q), 1u);
+  EXPECT_EQ(lists(-1.0f).count(r), 1u);
+  EXPECT_EQ(lists(0.0f).count(q), 0u);
+  EXPECT_EQ(lists(0.0f).count(r), 0u);
+
+  for (const int k : {10, 15}) {
+    for (const float floor : {-1.0f, 0.0f, 1e-6f}) {
+      const SparseMatrix expected = SerialFeatureKnnGraph(x, k, floor);
+      for (const int threads : {1, 2, 8}) {
+        parallel::SetNumThreads(threads);
+        SCOPED_TRACE("k=" + std::to_string(k) + " floor=" +
+                     std::to_string(floor) +
+                     " threads=" + std::to_string(threads));
+        ExpectSameCsr(FeatureKnnGraph(x, k, floor), expected);
+      }
+      parallel::SetNumThreads(0);
     }
   }
 }
