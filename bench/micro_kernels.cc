@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/tape.h"
@@ -201,51 +202,71 @@ BENCHMARK(BM_PeegaGreedyStepThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // The incremental engine's U_k refresh at the peega-cora shape: n = 2500
 // nodes, F = 1450 features, 185 rows (or columns) per refresh, the
-// traced core.rows_per_refresh. Items are FLOPs, so items_per_second is
-// the kernel's GF/s ×1e9; compare variants with PEEGA_SIMD=generic.
+// traced core.rows_per_refresh. The right factor B stores the second
+// argument's entries per row on average, peega-cora's measured
+// densities: 10 for X, 49 for H_1 = A_n·X. Items are the products
+// computed (stored entries walked times rows); compare variants with
+// PEEGA_SIMD=generic.
 constexpr int kDotNodes = 2500, kDotFeatures = 1450, kDotSubset = 185;
 
 struct DotCase {
   Matrix a, b, out;
+  linalg::RowEntries entries;
   std::vector<int> subset;
   std::vector<char> nonzero;
 };
 
-DotCase MakeDotCase() {
+DotCase MakeDotCase(int per_row) {
   Rng rng(11);
+  Matrix b(kDotNodes, kDotFeatures);
+  const double density = static_cast<double>(per_row) / kDotFeatures;
+  for (int64_t i = 0; i < b.size(); ++i) {
+    if (rng.Bernoulli(density)) {
+      b.data()[i] = static_cast<float>(rng.Uniform(0.0, 1.0));
+    }
+  }
   DotCase c{linalg::RandomNormal(kDotNodes, kDotFeatures, 1.0f, &rng),
-            linalg::RandomNormal(kDotNodes, kDotFeatures, 1.0f, &rng),
-            Matrix(kDotNodes, kDotNodes), rng.Permutation(kDotNodes),
+            std::move(b),
+            Matrix(kDotNodes, kDotNodes),
+            {},
+            rng.Permutation(kDotNodes),
             std::vector<char>(kDotNodes, 1)};
+  c.entries = linalg::RowEntries(c.b);
   c.subset.resize(kDotSubset);
   return c;
 }
 
 void BM_DotRowsInto(benchmark::State& state) {
   const ScopedThreads scope(state, static_cast<int>(state.range(0)));
-  DotCase c = MakeDotCase();
+  DotCase c = MakeDotCase(static_cast<int>(state.range(1)));
+  int64_t walked = 0;
+  for (int j = 0; j < kDotNodes; ++j) walked += c.entries.row(j).count;
   for (auto _ : state) {
-    linalg::DotRowsInto(c.a, c.b, c.subset, &c.nonzero, &c.out);
+    linalg::DotRowsInto(c.a, c.b, c.entries, c.subset, &c.nonzero, &c.out);
     benchmark::DoNotOptimize(c.out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 2 * int64_t{kDotSubset} *
-                          kDotNodes * kDotFeatures);
+  state.SetItemsProcessed(state.iterations() * int64_t{kDotSubset} * walked);
 }
-BENCHMARK(BM_DotRowsInto)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_DotRowsInto)
+    ->ArgsProduct({{1, 2, 4, 8}, {10, 49}})
+    ->UseRealTime();
 
 void BM_DotColsInto(benchmark::State& state) {
   const ScopedThreads scope(state, static_cast<int>(state.range(0)));
-  DotCase c = MakeDotCase();
+  DotCase c = MakeDotCase(static_cast<int>(state.range(1)));
+  int64_t walked = 0;
+  for (const int j : c.subset) walked += c.entries.row(j).count;
   for (auto _ : state) {
-    linalg::DotColsInto(c.a, c.b, c.subset, &c.nonzero, &c.out);
+    linalg::DotColsInto(c.a, c.b, c.entries, c.subset, &c.nonzero, &c.out);
     benchmark::DoNotOptimize(c.out.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 2 * int64_t{kDotSubset} *
-                          kDotNodes * kDotFeatures);
+  state.SetItemsProcessed(state.iterations() * int64_t{kDotNodes} * walked);
 }
-BENCHMARK(BM_DotColsInto)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_DotColsInto)
+    ->ArgsProduct({{1, 2, 4, 8}, {10, 49}})
+    ->UseRealTime();
 
 // GNAT's per-epoch input dropout mask at the gnat-cora shape (n = 1000
 // nodes, F = 580 features, drop 0.5): one engine value per entry, so

@@ -160,6 +160,7 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
       const std::span<const int> list = clean_neighbors(u);
       neighbors_[static_cast<size_t>(u)].assign(list.begin(), list.end());
     }
+    h_entries_.resize(static_cast<size_t>(layers_));
     u_.resize(static_cast<size_t>(layers_));
     for (int k = 0; k < layers_; ++k) u_[static_cast<size_t>(k)] = Matrix(n_, n_);
     gn_ = Matrix(n_, n_);
@@ -399,18 +400,41 @@ void PeegaEngine::RefreshGradients(bool full,
 
   if (attack_topology_) {
     // 4. U_k = W_k H_{l-1-k}^T — rows where W_k moved, columns where
-    //    H_{l-1-k} moved (redundant on a full build).
-    for (int k = 0; k < layers_; ++k) {
-      Matrix* uk = &u_[static_cast<size_t>(k)];
-      const Matrix& hk = h_[static_cast<size_t>(layers_ - 1 - k)];
-      const Matrix& wk = w_[static_cast<size_t>(k)];
-      const std::vector<char>* nonzero = &w_nonzero_[static_cast<size_t>(k)];
-      linalg::DotRowsInto(wk, hk, e[static_cast<size_t>(k)], nonzero, uk);
-      const auto& cols = d[static_cast<size_t>(layers_ - 1 - k)];
-      if (!full && !cols.empty()) {
-        linalg::DotColsInto(wk, hk, cols, nonzero, uk);
+    //    H_{l-1-k} moved (redundant on a full build). The dots walk the
+    //    stored entries of H_{l-1-k}, so first re-list the rows d[m] of
+    //    each H_m (m < l) that the forward chain, or at m = 0 a feature
+    //    flip, rewrote.
+    {
+      const obs::TraceSpan relist_span("peega_engine.relist");
+      for (int m = 0; m < layers_; ++m) {
+        const Matrix& hm = h_[static_cast<size_t>(m)];
+        auto& entries = h_entries_[static_cast<size_t>(m)];
+        if (full) {
+          entries = linalg::RowEntries(hm);
+        } else {
+          entries.Relist(hm, d[static_cast<size_t>(m)]);
+        }
       }
     }
+    for (int k = 0; k < layers_; ++k) {
+      Matrix* uk = &u_[static_cast<size_t>(k)];
+      const size_t m = static_cast<size_t>(layers_ - 1 - k);
+      const Matrix& wk = w_[static_cast<size_t>(k)];
+      const std::vector<char>* nonzero = &w_nonzero_[static_cast<size_t>(k)];
+      linalg::DotRowsInto(wk, h_[m], h_entries_[m], e[static_cast<size_t>(k)],
+                          nonzero, uk);
+      if (!full && !d[m].empty()) {
+        linalg::DotColsInto(wk, h_[m], h_entries_[m], d[m], nonzero, uk);
+      }
+    }
+
+    // ddeg_[a] (step 6) reads G_N, scale_ and the degree over the closed
+    // neighbourhood of a. G_N moves only in rows e[l-1] and columns
+    // d[l-1] ⊆ e[l-1] (step 5), and scale_, degrees and neighbourhoods
+    // only at flipped endpoints, which are in e[0] ⊆ e[l-1]. So ddeg_[a]
+    // can move only for a in the closed neighbourhood of e[l-1].
+    const std::vector<int> deg_rows =
+        full ? AllRows(n_) : Expand(e[static_cast<size_t>(layers_) - 1], {});
 
     // 5. G_N = U_0 + U_1 + ... in the tape's reverse-layer Axpy order.
     //    Changed entries live in rows e[l-1] (all U row sets nest into
@@ -455,13 +479,13 @@ void PeegaEngine::RefreshGradients(bool full,
     //    against A + I), then scales by d(1/sqrt)/d(deg). A + I is 0/1,
     //    so both reduce to sums over the closed neighborhood — row a of
     //    A_n, in ascending column order; zero entries contribute exact
-    //    zeros in the tape and are skipped here. O(nnz) total —
-    //    recomputed in full every refresh.
+    //    zeros in the tape and are skipped here. O(nnz) over the rows
+    //    deg_rows; every other ddeg_ keeps its bits.
     {
       const obs::TraceSpan deg_span("peega_engine.degree_chain");
       const auto& row_ptr = a_n_.row_ptr();
       const auto& col_idx = a_n_.col_idx();
-      for (int a = 0; a < n_; ++a) {
+      for (const int a : deg_rows) {
         float ds_col = 0.0f;
         float ds_row = 0.0f;
         for (int64_t p = row_ptr[a]; p < row_ptr[a + 1]; ++p) {

@@ -8,6 +8,7 @@
 
 #include "debug/check.h"
 #include "graph/graph.h"
+#include "linalg/incremental.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
 #include "status/status.h"
@@ -260,6 +261,9 @@ class PeegaEngine {
   std::vector<std::vector<char>> w_nonzero_;  // per W_k: rows with a nonzero
   // Topology state (attack_topology_ only).
   std::vector<std::vector<int>> neighbors_;  // sorted poisoned adjacency
+  // Stored entries of H_0..H_{layers-1}, the U_k dots' right factors;
+  // re-listed where the refresh rewrote H.
+  std::vector<linalg::RowEntries> h_entries_;
   std::vector<linalg::Matrix> u_;  // U_k = W_k H_{layers-1-k}^T
   linalg::Matrix gn_;              // U_0 + U_1 + ... (tape backward order)
   std::vector<float> ddeg_;

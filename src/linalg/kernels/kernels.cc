@@ -83,6 +83,13 @@ const KernelTable<DotPanelFn>& DotTable() {
   return table;
 }
 
+const KernelTable<SparseDotTileFn>& SparseDotTable() {
+  static const KernelTable<SparseDotTileFn> table = {
+      "linalg.sparse_dot", &generic::SparseDotTile,
+      PEEGA_AVX2_FN(SparseDotTile), nullptr};
+  return table;
+}
+
 const KernelTable<SpMMRowsFn>& SpMMTable() {
   static const KernelTable<SpMMRowsFn> table = {
       "linalg.spmm", &generic::SpMMRows, PEEGA_AVX2_FN(SpMMRows),
@@ -123,7 +130,7 @@ KernelTableInfo InfoOf(const KernelTable<Fn>& table) {
 
 std::vector<KernelTableInfo> AllKernelTables() {
   return {InfoOf(MatMulTable()), InfoOf(MatMulTransATable()),
-          InfoOf(DotTable()), InfoOf(SpMMTable()),
+          InfoOf(DotTable()), InfoOf(SparseDotTable()), InfoOf(SpMMTable()),
           InfoOf(BernoulliMaskTable()), InfoOf(BernoulliAtTable())};
 }
 

@@ -17,8 +17,9 @@ namespace repro::linalg::kernels {
 /// function pointer per call from the op's `KernelTable`; the pointed-to
 /// functions below do the arithmetic for one chunk of rows or columns
 /// (matmul, matmul_ta, spmm; `linalg::SpMMRowsInto` runs the spmm kernel
-/// one listed row at a time) or one column panel (the dot family, whose
-/// chunking `DotPanels` below shares between its three ops).
+/// one listed row at a time), one column panel (the dense dot, whose
+/// chunking `DotPanels` below shares between its callers) or one tile
+/// of A rows (the sparse-B dot of `linalg::DotRowsInto`/`DotColsInto`).
 /// Signatures are raw pointers + sizes on purpose: the AVX2/NEON
 /// translation units are compiled with instruction-set flags the rest
 /// of the tree must not assume, so they must not instantiate inline
@@ -56,7 +57,8 @@ using SpMMRowsFn = void (*)(const int64_t* row_ptr, const int* col_idx,
                             int64_t r0, int64_t r1, int n);
 
 // ---------------------------------------------------------------------------
-// Dot panels (linalg::MatMulTransB, DotRowsInto, DotColsInto)
+// Dense dot panels (linalg::MatMulTransB; the non-finite A rows of
+// DotRowsInto and DotColsInto)
 // ---------------------------------------------------------------------------
 
 /// One column panel of C = A · Bᵀ over a row subset:
@@ -71,7 +73,7 @@ using DotPanelFn = void (*)(const float* a, const int* rows, int64_t num_rows,
                             const float* b, const int* cols, int num_cols,
                             int k, float* c, int64_t ldc, float* panel);
 
-/// The dot family's shared driver: computes c[r·ldc + j] =
+/// The dense dot's shared driver: computes c[r·ldc + j] =
 /// dot(a + r·k, b + j·k) for every r in `rows` and j in `cols` with
 /// `kernel`, in parallel over (column panel × row block) tasks (sizes in
 /// kernels.cc). Each task packs its own panel into a per-thread scratch
@@ -81,6 +83,43 @@ using DotPanelFn = void (*)(const float* a, const int* rows, int64_t num_rows,
 void DotPanels(DotPanelFn kernel, const float* a, const std::vector<int>& rows,
                const float* b, const std::vector<int>& cols, int k, float* c,
                int64_t ldc);
+
+// ---------------------------------------------------------------------------
+// Sparse-B dot tiles (linalg::DotRowsInto, DotColsInto)
+// ---------------------------------------------------------------------------
+
+/// One stored entry of a sparse row: its column and value.
+struct StoredEntry {
+  int col;
+  float value;
+};
+
+/// One row of a sparse B: `count` stored entries, ascending by column.
+struct EntryRow {
+  const StoredEntry* entries;
+  int64_t count;
+};
+
+/// A rows per sparse-B dot tile.
+inline constexpr int kSparseDotTile = 8;
+
+/// One tile of C = A · Bᵀ with B given by its stored entries: for t in
+/// [0, num_rows), num_rows <= kSparseDotTile, and l in [0, num_cols),
+///   c[rows[t]·ldc + cols[l]] = Σ a[rows[t]·k + col] · value
+/// over b[l]'s entries (col, value) in ascending column order, from 0.0f,
+/// each product and sum rounded separately. `b[l]` is the B row of
+/// output column cols[l]. While row a[rows[t]] is finite this is the
+/// float of the dense ascending-k dot, because every skipped product is
+/// an exact ±0 that cannot change a sum which starts at +0 (DESIGN.md,
+/// "Incremental objective engine"). Returns a mask with bit t set when
+/// a[rows[t]] holds a NaN or ±Inf: those rows are not written, and the
+/// caller computes them with the dense DotPanel. `panel` is scratch of
+/// kSparseDotTile·k floats: packing variants copy the tile there
+/// k-major; the generic reference reads `a` directly.
+using SparseDotTileFn = uint32_t (*)(const float* a, const int* rows,
+                                     int num_rows, int k, const EntryRow* b,
+                                     const int* cols, int64_t num_cols,
+                                     float* c, int64_t ldc, float* panel);
 
 // ---------------------------------------------------------------------------
 // Bernoulli mask (linalg::Mt19937_64::FillBernoulli)
@@ -118,9 +157,11 @@ using BernoulliAtFn = void (*)(uint64_t* block, int* index, uint64_t cut,
 
 const KernelTable<MatMulRowsFn>& MatMulTable();
 const KernelTable<MatMulTransAColsFn>& MatMulTransATable();
-/// The dot family's one table: MatMulTransB, DotRowsInto and DotColsInto
-/// all run `DotPanel` through DotPanels.
+/// The dense dot: MatMulTransB, and the non-finite rows of DotRowsInto
+/// and DotColsInto, run `DotPanel` through DotPanels.
 const KernelTable<DotPanelFn>& DotTable();
+/// DotRowsInto's and DotColsInto's dots over B's stored entries.
+const KernelTable<SparseDotTileFn>& SparseDotTable();
 const KernelTable<SpMMRowsFn>& SpMMTable();
 const KernelTable<BernoulliMaskFn>& BernoulliMaskTable();
 const KernelTable<BernoulliAtFn>& BernoulliAtTable();

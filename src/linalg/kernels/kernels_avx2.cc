@@ -8,11 +8,12 @@
 // saxpy kernels vectorize across the contiguous j (output-column) loop;
 // the dot kernel keeps the ascending-k scan per output and spreads the
 // 16 outputs of a packed B panel across two vectors, for up to four A
-// rows at once (a register tile). Multiplies and
-// adds round separately (_mm256_mul_ps + _mm256_add_ps, never
-// _mm256_fmadd_ps): the baseline x86-64 scalar reference has no FMA, so
-// a fused variant would differ in the last bit and flip greedy argmax
-// decisions. Scalar tails reuse the exact generic expressions.
+// rows at once (a register tile); the sparse-B dot packs 8 A rows and
+// gives each lane one A row's chain over a B row's stored entries.
+// Multiplies and adds round separately (_mm256_mul_ps + _mm256_add_ps,
+// never _mm256_fmadd_ps): the baseline x86-64 scalar reference has no
+// FMA, so a fused variant would differ in the last bit and flip greedy
+// argmax decisions. Scalar tails reuse the exact generic expressions.
 //
 // The Bernoulli mask kernel has no floats to round: its lanes are four
 // consecutive MT19937-64 stream positions, twisted, tempered and
@@ -22,6 +23,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "linalg/kernels/mt64.h"
 #include "linalg/kernels/variants.h"
@@ -48,12 +51,82 @@ inline void AxpyRow(float av, const float* brow, float* crow, int n) {
 // accumulator chains, enough to hide the add latency without spilling.
 constexpr int kTileRows = 4;
 
+// Copies the 8 rows src[0, 8) (nullptr: a row of zeros) of length k
+// into `dst` k-major, dst[kk·stride + l] = src[l][kk], in 8×8 blocks: 8
+// row loads, an in-register transpose, 8 stores. With kCheck it also
+// returns the mask of rows holding a NaN or ±Inf, read off the same
+// loads; without it, 0.
+template <bool kCheck>
+uint32_t PackBlock8(const float* const (&src)[8], int k, float* dst,
+                    int stride) {
+  const auto row = [&](int l, int kk) {
+    return src[l] != nullptr ? _mm256_loadu_ps(src[l] + kk)
+                             : _mm256_setzero_ps();
+  };
+  // |x| >= Inf, or unordered: all ones for NaN and ±Inf.
+  const __m256 abs_mask =
+      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  __m256 bad[8] = {};
+  int kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    // r[l] holds row l at k-steps kk..kk+7; after the transpose t[j]
+    // holds rows 0..7 at k-step kk + j.
+    const __m256 r[8] = {row(0, kk), row(1, kk), row(2, kk), row(3, kk),
+                         row(4, kk), row(5, kk), row(6, kk), row(7, kk)};
+    if constexpr (kCheck) {
+      for (int l = 0; l < 8; ++l) {
+        bad[l] = _mm256_or_ps(
+            bad[l], _mm256_cmp_ps(_mm256_and_ps(r[l], abs_mask), inf,
+                                  _CMP_NLT_UQ));
+      }
+    }
+    const __m256 u0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const __m256 u1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const __m256 u2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const __m256 u3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const __m256 u4 = _mm256_unpacklo_ps(r[4], r[5]);
+    const __m256 u5 = _mm256_unpackhi_ps(r[4], r[5]);
+    const __m256 u6 = _mm256_unpacklo_ps(r[6], r[7]);
+    const __m256 u7 = _mm256_unpackhi_ps(r[6], r[7]);
+    const __m256 v0 = _mm256_shuffle_ps(u0, u2, 0x44);
+    const __m256 v1 = _mm256_shuffle_ps(u0, u2, 0xEE);
+    const __m256 v2 = _mm256_shuffle_ps(u1, u3, 0x44);
+    const __m256 v3 = _mm256_shuffle_ps(u1, u3, 0xEE);
+    const __m256 v4 = _mm256_shuffle_ps(u4, u6, 0x44);
+    const __m256 v5 = _mm256_shuffle_ps(u4, u6, 0xEE);
+    const __m256 v6 = _mm256_shuffle_ps(u5, u7, 0x44);
+    const __m256 v7 = _mm256_shuffle_ps(u5, u7, 0xEE);
+    const __m256 t[8] = {
+        _mm256_permute2f128_ps(v0, v4, 0x20),
+        _mm256_permute2f128_ps(v1, v5, 0x20),
+        _mm256_permute2f128_ps(v2, v6, 0x20),
+        _mm256_permute2f128_ps(v3, v7, 0x20),
+        _mm256_permute2f128_ps(v0, v4, 0x31),
+        _mm256_permute2f128_ps(v1, v5, 0x31),
+        _mm256_permute2f128_ps(v2, v6, 0x31),
+        _mm256_permute2f128_ps(v3, v7, 0x31)};
+    float* out = dst + static_cast<int64_t>(kk) * stride;
+    for (int j = 0; j < 8; ++j) _mm256_storeu_ps(out + j * stride, t[j]);
+  }
+  uint32_t non_finite = 0;
+  for (int l = 0; l < 8; ++l) {
+    if (_mm256_movemask_ps(bad[l]) != 0) non_finite |= uint32_t{1} << l;
+  }
+  for (; kk < k; ++kk) {
+    float* out = dst + static_cast<int64_t>(kk) * stride;
+    for (int l = 0; l < 8; ++l) {
+      out[l] = src[l] != nullptr ? src[l][kk] : 0.0f;
+      if (kCheck && !std::isfinite(out[l])) non_finite |= uint32_t{1} << l;
+    }
+  }
+  return non_finite;
+}
+
 // Copies B rows cols[0, num_cols) into `panel` k-major,
 // panel[kk·kDotPanelWidth + l] = b[cols[l]·k + kk], so one k-step of a
 // tile is two contiguous loads. Lanes past num_cols are zeroed: their
-// results are discarded, and zeros keep them finite. Each group of 8
-// lanes moves in 8×8 blocks: 8 row loads, an in-register transpose,
-// 8 panel stores.
+// results are discarded, and zeros keep them finite.
 void PackPanel(const float* b, const int* cols, int num_cols, int k,
                float* panel) {
   for (int l0 = 0; l0 < kDotPanelWidth; l0 += 8) {
@@ -61,53 +134,7 @@ void PackPanel(const float* b, const int* cols, int num_cols, int k,
     for (int l = 0; l < 8 && l0 + l < num_cols; ++l) {
       brow[l] = b + static_cast<int64_t>(cols[l0 + l]) * k;
     }
-    const auto row = [&](int l, int kk) {
-      return brow[l] != nullptr ? _mm256_loadu_ps(brow[l] + kk)
-                                : _mm256_setzero_ps();
-    };
-    int kk = 0;
-    for (; kk + 8 <= k; kk += 8) {
-      // r_l holds lane l0 + l at k-steps kk..kk+7; after the transpose
-      // t_j holds lanes l0..l0+7 at k-step kk + j.
-      const __m256 r0 = row(0, kk), r1 = row(1, kk), r2 = row(2, kk),
-                   r3 = row(3, kk), r4 = row(4, kk), r5 = row(5, kk),
-                   r6 = row(6, kk), r7 = row(7, kk);
-      const __m256 u0 = _mm256_unpacklo_ps(r0, r1);
-      const __m256 u1 = _mm256_unpackhi_ps(r0, r1);
-      const __m256 u2 = _mm256_unpacklo_ps(r2, r3);
-      const __m256 u3 = _mm256_unpackhi_ps(r2, r3);
-      const __m256 u4 = _mm256_unpacklo_ps(r4, r5);
-      const __m256 u5 = _mm256_unpackhi_ps(r4, r5);
-      const __m256 u6 = _mm256_unpacklo_ps(r6, r7);
-      const __m256 u7 = _mm256_unpackhi_ps(r6, r7);
-      const __m256 v0 = _mm256_shuffle_ps(u0, u2, 0x44);
-      const __m256 v1 = _mm256_shuffle_ps(u0, u2, 0xEE);
-      const __m256 v2 = _mm256_shuffle_ps(u1, u3, 0x44);
-      const __m256 v3 = _mm256_shuffle_ps(u1, u3, 0xEE);
-      const __m256 v4 = _mm256_shuffle_ps(u4, u6, 0x44);
-      const __m256 v5 = _mm256_shuffle_ps(u4, u6, 0xEE);
-      const __m256 v6 = _mm256_shuffle_ps(u5, u7, 0x44);
-      const __m256 v7 = _mm256_shuffle_ps(u5, u7, 0xEE);
-      const __m256 t[8] = {
-          _mm256_permute2f128_ps(v0, v4, 0x20),
-          _mm256_permute2f128_ps(v1, v5, 0x20),
-          _mm256_permute2f128_ps(v2, v6, 0x20),
-          _mm256_permute2f128_ps(v3, v7, 0x20),
-          _mm256_permute2f128_ps(v0, v4, 0x31),
-          _mm256_permute2f128_ps(v1, v5, 0x31),
-          _mm256_permute2f128_ps(v2, v6, 0x31),
-          _mm256_permute2f128_ps(v3, v7, 0x31)};
-      float* dst = panel + static_cast<int64_t>(kk) * kDotPanelWidth + l0;
-      for (int j = 0; j < 8; ++j) {
-        _mm256_storeu_ps(dst + j * kDotPanelWidth, t[j]);
-      }
-    }
-    for (; kk < k; ++kk) {
-      float* dst = panel + static_cast<int64_t>(kk) * kDotPanelWidth + l0;
-      for (int l = 0; l < 8; ++l) {
-        dst[l] = brow[l] != nullptr ? brow[l][kk] : 0.0f;
-      }
-    }
+    PackBlock8<false>(brow, k, panel + l0, kDotPanelWidth);
   }
 }
 
@@ -175,6 +202,25 @@ void DotPanelRows(const float* a, const int* rows, int64_t num_rows,
       break;
     default:
       break;
+  }
+}
+
+// One stored entry of a B row: acc += P[col] · value, the packed tile's
+// k-step `col` times the entry, mul and add rounded separately.
+inline __m256 AddEntry(__m256 acc, const float* panel, const StoredEntry& e) {
+  const __m256 p =
+      _mm256_loadu_ps(panel + static_cast<int64_t>(e.col) * kSparseDotTile);
+  return _mm256_add_ps(acc, _mm256_mul_ps(p, _mm256_set1_ps(e.value)));
+}
+
+// Writes lane t of `acc` to c[rows[t]·ldc + col] for the tile's finite
+// rows.
+inline void StoreColumn(__m256 acc, const int* rows, int num_rows,
+                        uint32_t skip, float* c, int64_t ldc, int col) {
+  alignas(32) float lanes[kSparseDotTile];
+  _mm256_store_ps(lanes, acc);
+  for (int t = 0; t < num_rows; ++t) {
+    if (((skip >> t) & 1) == 0) c[rows[t] * ldc + col] = lanes[t];
   }
 }
 
@@ -312,6 +358,53 @@ void DotPanel(const float* a, const int* rows, int64_t num_rows,
   } else {
     DotPanelRows<2>(a, rows, num_rows, panel, cols, num_cols, k, c, ldc);
   }
+}
+
+uint32_t SparseDotTile(const float* a, const int* rows, int num_rows, int k,
+                       const EntryRow* b, const int* cols, int64_t num_cols,
+                       float* c, int64_t ldc, float* panel) {
+  const float* arow[kSparseDotTile] = {};
+  for (int t = 0; t < num_rows; ++t) {
+    arow[t] = a + static_cast<int64_t>(rows[t]) * k;
+  }
+  const uint32_t non_finite = PackBlock8<true>(arow, k, panel, kSparseDotTile);
+  // Lane t of a column's accumulator runs the generic chain of output
+  // (rows[t], cols[l]). Four columns walk their entries side by side,
+  // so four add chains overlap; each then finishes alone.
+  constexpr int kColumns = 4;
+  int64_t l = 0;
+  for (; l + kColumns <= num_cols; l += kColumns) {
+    __m256 acc[kColumns] = {};
+    int64_t common = b[l].count;
+    for (int q = 1; q < kColumns; ++q) {
+      common = std::min(common, b[l + q].count);
+    }
+    const StoredEntry* e0 = b[l].entries;
+    const StoredEntry* e1 = b[l + 1].entries;
+    const StoredEntry* e2 = b[l + 2].entries;
+    const StoredEntry* e3 = b[l + 3].entries;
+    for (int64_t i = 0; i < common; ++i) {
+      acc[0] = AddEntry(acc[0], panel, e0[i]);
+      acc[1] = AddEntry(acc[1], panel, e1[i]);
+      acc[2] = AddEntry(acc[2], panel, e2[i]);
+      acc[3] = AddEntry(acc[3], panel, e3[i]);
+    }
+    for (int q = 0; q < kColumns; ++q) {
+      const EntryRow& row = b[l + q];
+      for (int64_t i = common; i < row.count; ++i) {
+        acc[q] = AddEntry(acc[q], panel, row.entries[i]);
+      }
+      StoreColumn(acc[q], rows, num_rows, non_finite, c, ldc, cols[l + q]);
+    }
+  }
+  for (; l < num_cols; ++l) {
+    __m256 acc = _mm256_setzero_ps();
+    for (int64_t i = 0; i < b[l].count; ++i) {
+      acc = AddEntry(acc, panel, b[l].entries[i]);
+    }
+    StoreColumn(acc, rows, num_rows, non_finite, c, ldc, cols[l]);
+  }
+  return non_finite;
 }
 
 void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,

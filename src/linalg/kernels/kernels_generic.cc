@@ -7,6 +7,7 @@
 // variants reproduce lane-for-lane.
 
 #include <algorithm>
+#include <cmath>
 
 #include "linalg/kernels/variants.h"
 #include "linalg/random.h"
@@ -74,6 +75,32 @@ void DotPanel(const float* a, const int* rows, int64_t num_rows,
       crow[cols[l]] = dot;
     }
   }
+}
+
+uint32_t SparseDotTile(const float* a, const int* rows, int num_rows, int k,
+                       const EntryRow* b, const int* cols, int64_t num_cols,
+                       float* c, int64_t ldc, float* /*panel*/) {
+  // Straight from A: one float chain per output over B's stored
+  // entries, in the order every packed variant replays per lane.
+  uint32_t non_finite = 0;
+  for (int t = 0; t < num_rows; ++t) {
+    const float* arow = a + static_cast<int64_t>(rows[t]) * k;
+    if (!std::all_of(arow, arow + k,
+                     [](float v) { return std::isfinite(v); })) {
+      non_finite |= uint32_t{1} << t;
+      continue;
+    }
+    float* crow = c + static_cast<int64_t>(rows[t]) * ldc;
+    for (int64_t l = 0; l < num_cols; ++l) {
+      const StoredEntry* e = b[l].entries;
+      float dot = 0.0f;
+      for (int64_t i = 0; i < b[l].count; ++i) {
+        dot += arow[e[i].col] * e[i].value;
+      }
+      crow[cols[l]] = dot;
+    }
+  }
+  return non_finite;
 }
 
 void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,

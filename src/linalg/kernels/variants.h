@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "linalg/kernels/kernels.h"
+
 // Internal declarations shared by the variant translation units and the
 // table definitions in kernels.cc. Each namespace mirrors a subset of
 // the signatures in kernels.h; an op/variant pair missing here is
@@ -29,6 +31,9 @@ void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
 void DotPanel(const float* a, const int* rows, int64_t num_rows,
               const float* b, const int* cols, int num_cols, int k, float* c,
               int64_t ldc, float* panel);
+uint32_t SparseDotTile(const float* a, const int* rows, int num_rows, int k,
+                       const EntryRow* b, const int* cols, int64_t num_cols,
+                       float* c, int64_t ldc, float* panel);
 void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
                    const float* entry, float* out, int64_t n);
 void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,
@@ -47,6 +52,9 @@ void SpMMRows(const int64_t* row_ptr, const int* col_idx, const float* values,
 void DotPanel(const float* a, const int* rows, int64_t num_rows,
               const float* b, const int* cols, int num_cols, int k, float* c,
               int64_t ldc, float* panel);
+uint32_t SparseDotTile(const float* a, const int* rows, int num_rows, int k,
+                       const EntryRow* b, const int* cols, int64_t num_cols,
+                       float* c, int64_t ldc, float* panel);
 void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
                    const float* entry, float* out, int64_t n);
 void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,

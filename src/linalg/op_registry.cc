@@ -1,10 +1,12 @@
 #include "linalg/op_registry.h"
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string_view>
 #include <tuple>
 
+#include "debug/numerics.h"
 #include "linalg/incremental.h"
 #include "linalg/kernels/kernels.h"
 #include "linalg/matrix.h"
@@ -112,71 +114,100 @@ void ProbeSpMM(std::vector<float>* out) {
   }
 }
 
-void ProbeDotRows(std::vector<float>* out) {
-  Rng rng(108);
-  for (const int n : kProbeDims) {
-    const Matrix a = ProbeMatrix(7, 9, &rng);
-    const Matrix b = ProbeMatrix(n, 9, &rng);
-    Matrix c(a.rows(), b.rows());
-    std::vector<char> nonzero(a.rows(), 1);
-    nonzero[2] = 0;
-    DotRowsInto(a, b, {0, 2, 4, 6}, &nonzero, &c);
-    Append(c, out);
-  }
-  // An unsorted 11-row subset of a 13-row A: two full 4-row tiles plus
-  // a 2-row remainder once the zero-flag row (5, inside the first tile)
-  // is dropped; n straddles one 16-column panel, and k = 131 passes any
-  // k-block.
-  const std::vector<int> rows = {12, 5, 0, 7, 3, 9, 1, 11, 4, 8, 2};
-  for (const int n : {15, 16, 17, 37}) {
-    const Matrix a = ProbeMatrix(13, 131, &rng);
-    const Matrix b = ProbeMatrix(n, 131, &rng);
-    Matrix c(a.rows(), b.rows());
-    std::vector<char> nonzero(a.rows(), 1);
-    nonzero[5] = 0;
-    DotRowsInto(a, b, rows, &nonzero, &c);
-    Append(c, out);
-  }
+// The NaN this machine's arithmetic makes (Inf · 0). Which NaN operand
+// an add returns depends on operand order, which a compiler may swap in
+// the scalar reference, so the probes' input NaNs carry the generated
+// NaN's bits: every NaN in a dot chain is then the same float.
+float GeneratedNaN() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return inf * 0.0f;
 }
 
-void ProbeDotCols(std::vector<float>* out) {
-  Rng rng(109);
-  const Matrix a = ProbeMatrix(9, 9, &rng);
-  const Matrix b = ProbeMatrix(21, 9, &rng);
-  std::vector<char> nonzero(a.rows(), 1);
-  nonzero[4] = 0;
-  // Unsorted column subsets: one column, a part-filled first vector of
-  // a panel, and one spilling into its second vector.
+// A sparse right factor for the dot probes: about 70% unstored zeros,
+// some of them -0; the rest uniform in (-1, 1), with subnormals, a NaN
+// and ±Inf among them. Row 0 stores nothing, row 1 every entry.
+Matrix ProbeSparseMatrix(int rows, int cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (int i = 0; i < rows; ++i) {
+    float* row = m.row(i);
+    for (int j = 0; j < cols; ++j) {
+      if (i == 0 || (i > 1 && rng->Bernoulli(0.7))) {
+        row[j] = rng->Bernoulli(0.2) ? -0.0f : 0.0f;
+      } else {
+        row[j] = static_cast<float>(rng->Uniform(-1.0, 1.0));
+        if (rng->Bernoulli(0.05)) row[j] *= 1e-38f;  // subnormal
+      }
+    }
+  }
+  // A debug-numerics build aborts on the non-finite outputs these make.
+  if (rows > 2 && cols > 2 && !debug::NumericsGuardEnabled()) {
+    m(2, cols - 1) = GeneratedNaN();
+    m(rows - 1, 0) = std::numeric_limits<float>::infinity();
+    m(rows - 1, cols / 2) = -std::numeric_limits<float>::infinity();
+  }
+  return m;
+}
+
+// DotRowsInto over every row-subset length of a 13-row A (one 8-row tile
+// plus remainders of 1-7 rows, unsorted, a zero-flag row at 5), then
+// DotColsInto over unsorted column subsets, for B of n rows.
+void ProbeDotSubsets(const Matrix& a, const Matrix& b,
+                     std::vector<float>* out) {
+  const RowEntries entries(b);
+  std::vector<char> nonzero(static_cast<size_t>(a.rows()), 1);
+  nonzero[5] = 0;
+  const std::vector<int> order = {12, 5, 0, 7, 3, 9, 1, 11, 4, 8, 2, 6, 10};
+  for (size_t count = 1; count <= order.size(); ++count) {
+    const std::vector<int> rows(order.begin(), order.begin() + count);
+    Matrix c(a.rows(), b.rows(), 2.0f);
+    DotRowsInto(a, b, entries, rows, &nonzero, &c);
+    Append(c, out);
+  }
+  const int n = b.rows();
+  std::vector<int> reversed(static_cast<size_t>(n));
+  for (int j = 0; j < n; ++j) reversed[static_cast<size_t>(j)] = n - 1 - j;
   const std::vector<std::vector<int>> col_sets = {
-      {5}, {2, 19, 7}, {0, 1, 2, 3, 4, 5, 6, 7, 20, 11, 9}};
+      {n - 1}, {n / 2, 0, n - 1}, reversed};
   for (const auto& cols : col_sets) {
-    Matrix c(a.rows(), b.rows());
-    DotColsInto(a, b, cols, &nonzero, &c);
-    Append(c, out);
-  }
-  // Unsorted subsets of 17 and 21 columns span two panels; 13 rows
-  // with a zero-flag row inside the first tile; k = 131.
-  const Matrix a2 = ProbeMatrix(13, 131, &rng);
-  const Matrix b2 = ProbeMatrix(37, 131, &rng);
-  std::vector<char> nonzero2(a2.rows(), 1);
-  nonzero2[2] = 0;
-  const std::vector<std::vector<int>> wide_sets = {
-      {36, 0, 17, 5, 22, 9, 31, 14, 2, 27, 11, 33, 6, 19, 25, 1, 30},
-      {3, 35, 8, 16, 29, 12, 21, 0, 34, 7, 26, 15, 32, 4, 23, 10, 28, 18,
-       36, 13, 24}};
-  for (const auto& cols : wide_sets) {
-    Matrix c(a2.rows(), b2.rows());
-    DotColsInto(a2, b2, cols, &nonzero2, &c);
+    Matrix c(a.rows(), n, 2.0f);
+    DotColsInto(a, b, entries, cols, &nonzero, &c);
     Append(c, out);
   }
 }
 
-// The dot family shares one kernel table, so its probe runs all three
-// public ops, one after the other.
+void ProbeSparseDot(std::vector<float>* out) {
+  Rng rng(108);
+  for (const int k : kProbeDims) {
+    const Matrix a = ProbeMatrix(13, k, &rng);
+    ProbeDotSubsets(a, ProbeSparseMatrix(11, k, &rng), out);
+  }
+  // k past any vector block; B of 3 to 37 rows.
+  for (const int n : {3, 16, 37}) {
+    const Matrix a = ProbeMatrix(13, 131, &rng);
+    ProbeDotSubsets(a, ProbeSparseMatrix(n, 131, &rng), out);
+  }
+}
+
+// The dense route of DotRowsInto / DotColsInto: A rows holding ±Inf or
+// NaN, inside full tiles and in a remainder. Not in a debug-numerics
+// build, which aborts on the non-finite outputs.
+void ProbeDotNonFinite(std::vector<float>* out) {
+  if (debug::NumericsGuardEnabled()) return;
+  Rng rng(109);
+  for (const int k : {1, 9, 131}) {
+    Matrix a = ProbeMatrix(13, k, &rng);
+    a(3, k - 1) = std::numeric_limits<float>::infinity();
+    a(10, 0) = -std::numeric_limits<float>::infinity();
+    a(12, k / 2) = GeneratedNaN();
+    ProbeDotSubsets(a, ProbeSparseMatrix(21, k, &rng), out);
+  }
+}
+
+// The dense dot serves MatMulTransB and the non-finite rows of the
+// sparse-B dots.
 void ProbeDot(std::vector<float>* out) {
   ProbeMatMulTransB(out);
-  ProbeDotRows(out);
-  ProbeDotCols(out);
+  ProbeDotNonFinite(out);
 }
 
 void ProbeBernoulliMask(std::vector<float>* out) {
@@ -263,9 +294,9 @@ std::vector<OpInfo> BuildRegistry() {
                  DeterminismClass::kLanePerOutput, true, true, true,
                  &ProbeMatMulTransA});
   ops.push_back({"linalg.dot",
-                 "linalg::MatMulTransB / linalg::DotRowsInto / "
-                 "linalg::DotColsInto",
-                 "Dense C = A · Bᵀ, or a row or column subset of it, as "
+                 "linalg::MatMulTransB (and the non-finite A rows of "
+                 "linalg::DotRowsInto / linalg::DotColsInto)",
+                 "Dense C = A · Bᵀ, or a subset of its rows and columns, as "
                  "ascending-k float dot products, in register tiles over "
                  "packed 16-row panels of B.",
                  "O(|rows| · |cols| · k)",
@@ -273,6 +304,19 @@ std::vector<OpInfo> BuildRegistry() {
                  "disjoint outputs",
                  DeterminismClass::kLanePerOutput, true, true, false,
                  &ProbeDot});
+  ops.push_back({"linalg.sparse_dot",
+                 "linalg::DotRowsInto / linalg::DotColsInto",
+                 "Row or column subset of C = A · Bᵀ with B given by its "
+                 "stored entries (linalg::RowEntries): each dot walks B's "
+                 "entries in ascending column order against a k-major pack "
+                 "of 8 A rows, one vector lane per A row. Rows of A holding "
+                 "±Inf or NaN go to linalg.dot.",
+                 "O(|rows| · Σ_{j ∈ cols} nnz_j + |rows| · k), the second "
+                 "term the tile pack",
+                 "tasks of one 8-row tile of A × every listed column; "
+                 "disjoint outputs",
+                 DeterminismClass::kLanePerOutput, true, true, false,
+                 &ProbeSparseDot});
   ops.push_back({"linalg.spmm", "linalg::SpMM / linalg::SpMMRowsInto",
                  "CSR sparse × dense product, nonzeros in stored order, "
                  "over every row or a listed row subset (the incremental "

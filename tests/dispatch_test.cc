@@ -6,14 +6,18 @@
 // PEEGA_SIMD=generic and PEEGA_SIMD=avx2 at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "attack/attacker.h"
 #include "core/peega.h"
+#include "debug/numerics.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
 #include "linalg/dispatch.h"
@@ -198,8 +202,8 @@ TEST(SimdDifferential, DotFamilyBitwiseEqualAtCoraScale) {
   cols.resize(37);
   const auto run = [&] {
     Matrix c(n, n, 1.0f);
-    DotRowsInto(a, b, rows, &nonzero, &c);
-    DotColsInto(a, b, cols, &nonzero, &c);
+    DotRowsInto(a, b, RowEntries(b), rows, &nonzero, &c);
+    DotColsInto(a, b, RowEntries(b), cols, &nonzero, &c);
     const Matrix full = MatMulTransB(a, b);
     std::vector<float> got(c.data(), c.data() + c.size());
     got.insert(got.end(), full.data(), full.data() + full.size());
@@ -216,6 +220,118 @@ TEST(SimdDifferential, DotFamilyBitwiseEqualAtCoraScale) {
     EXPECT_TRUE(StreamsBitwiseEqual(reference, run(), "dot family",
                                     ActiveSimdVariant()))
         << "at " << threads << " threads";
+  }
+  parallel::SetNumThreads(0);
+}
+
+// The sparse-B dots against the dense oracle: every output DotRowsInto
+// and DotColsInto write is MatMulTransB's float bit for bit (+0 for a
+// zero-flag row), under every usable variant at 1, 2 and 8 threads. B
+// holds -0, subnormals, NaN and ±Inf, an empty row and a fully stored
+// one; A holds rows with ±Inf or NaN, which take the dense route, and
+// row subsets leave tile remainders of every size.
+TEST(SparseDot, MatchesDenseOracleBitwise) {
+  constexpr int kRows = 29, kCols = 45, kDepth = 37;
+  constexpr float kUntouched = 7.0f;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(77);
+  Matrix a(kRows, kDepth);
+  for (int64_t i = 0; i < a.size(); ++i) {
+    a.data()[i] = rng.Bernoulli(0.2)
+                      ? 0.0f
+                      : static_cast<float>(rng.Uniform(-2.0, 2.0));
+  }
+  // A debug-numerics build aborts on the non-finite outputs NaN and ±Inf
+  // make, so there the test keeps every value finite. Input NaNs carry
+  // the bits of the NaN arithmetic makes (Inf · 0): which NaN operand an
+  // add returns depends on operand order, which a compiler may swap.
+  const bool non_finite = !debug::NumericsGuardEnabled();
+  volatile float inf = kInf;
+  const float generated_nan = inf * 0.0f;
+  if (non_finite) {
+    a(4, 36) = kInf;
+    a(11, 0) = generated_nan;
+    a(19, 17) = -kInf;
+  }
+  std::vector<char> nonzero(kRows, 1);
+  for (const int r : {6, 23}) {
+    std::fill_n(a.row(r), kDepth, 0.0f);
+    nonzero[static_cast<size_t>(r)] = 0;
+  }
+  Matrix b(kCols, kDepth);
+  for (int j = 2; j < kCols; ++j) {
+    for (int c = 0; c < kDepth; ++c) {
+      if (rng.Bernoulli(0.15)) {
+        b(j, c) = static_cast<float>(rng.Uniform(-1.0, 1.0));
+        if (rng.Bernoulli(0.1)) b(j, c) *= 1e-39f;  // subnormal
+      } else if (rng.Bernoulli(0.3)) {
+        b(j, c) = -0.0f;
+      }
+    }
+  }
+  for (int c = 0; c < kDepth; ++c) {
+    b(1, c) = static_cast<float>(rng.Uniform(0.5, 1.0));  // fully stored
+  }
+  if (non_finite) {
+    b(3, 5) = generated_nan;
+    b(8, 0) = kInf;
+    b(8, 20) = -kInf;
+  }
+  const RowEntries entries(b);
+  ASSERT_EQ(entries.row(0).count, 0);
+  ASSERT_EQ(entries.row(1).count, kDepth);
+
+  Matrix oracle;
+  {
+    parallel::SetNumThreads(1);
+    ScopedSimdVariant forced(SimdVariant::kGeneric);
+    oracle = MatMulTransB(a, b);
+  }
+  const auto expect_output = [&](const Matrix& c, int r, int j,
+                                 bool written) {
+    const float want = !written ? kUntouched
+                       : nonzero[static_cast<size_t>(r)] != 0 ? oracle(r, j)
+                                                               : 0.0f;
+    return std::bit_cast<uint32_t>(c(r, j)) == std::bit_cast<uint32_t>(want);
+  };
+  const std::vector<int> order = rng.Permutation(kRows);
+  const std::vector<int> col_order = rng.Permutation(kCols);
+  for (const SimdVariant v : UsableSimdVariants()) {
+    ScopedSimdVariant forced(v);
+    for (const int threads : {1, 2, 8}) {
+      parallel::SetNumThreads(threads);
+      for (int count = 1; count <= kRows; ++count) {
+        const std::vector<int> rows(order.begin(), order.begin() + count);
+        std::vector<char> listed(kRows, 0);
+        for (const int r : rows) listed[static_cast<size_t>(r)] = 1;
+        Matrix c(kRows, kCols, kUntouched);
+        DotRowsInto(a, b, entries, rows, &nonzero, &c);
+        for (int r = 0; r < kRows; ++r) {
+          for (int j = 0; j < kCols; ++j) {
+            ASSERT_TRUE(expect_output(c, r, j, listed[static_cast<size_t>(r)]))
+                << "DotRowsInto [" << SimdVariantName(v) << ", " << threads
+                << " threads, " << count << " rows]: (" << r << ", " << j
+                << ") = " << c(r, j) << ", oracle " << oracle(r, j);
+          }
+        }
+      }
+      for (const int count : {1, 5, 17, kCols}) {
+        const std::vector<int> cols(col_order.begin(),
+                                    col_order.begin() + count);
+        std::vector<char> listed(kCols, 0);
+        for (const int j : cols) listed[static_cast<size_t>(j)] = 1;
+        Matrix c(kRows, kCols, kUntouched);
+        DotColsInto(a, b, entries, cols, &nonzero, &c);
+        for (int r = 0; r < kRows; ++r) {
+          for (int j = 0; j < kCols; ++j) {
+            ASSERT_TRUE(expect_output(c, r, j, listed[static_cast<size_t>(j)]))
+                << "DotColsInto [" << SimdVariantName(v) << ", " << threads
+                << " threads, " << count << " columns]: (" << r << ", " << j
+                << ") = " << c(r, j) << ", oracle " << oracle(r, j);
+          }
+        }
+      }
+    }
   }
   parallel::SetNumThreads(0);
 }

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/attacker.h"
@@ -209,6 +211,103 @@ TEST(EngineEquivalence, AgreesAtOneTwoAndEightThreads) {
     }
   }
   parallel::SetNumThreads(0);
+}
+
+// The engine's dots walk per-row stored-entry lists of H_0..H_{l-1},
+// re-listed where a refresh rewrote H. These cases hold the lists to
+// the tape bit for bit at 1, 2 and 8 threads, flips and final_objective,
+// on feature patterns the lists must follow exactly. Returns the
+// incremental result at one thread.
+AttackResult ExpectEnginesAgreeBitwise(const Graph& g,
+                                       PeegaAttack::Options peega,
+                                       const AttackOptions& options) {
+  AttackResult first;
+  for (const int threads : {1, 2, 8}) {
+    parallel::SetNumThreads(threads);
+    peega.engine = PeegaAttack::Engine::kTape;
+    Rng rng_tape(99);
+    const AttackResult tape = PeegaAttack(peega).Attack(g, options, &rng_tape);
+    peega.engine = PeegaAttack::Engine::kIncremental;
+    Rng rng_inc(99);
+    AttackResult inc = PeegaAttack(peega).Attack(g, options, &rng_inc);
+    EXPECT_EQ(FlipString(tape.flips), FlipString(inc.flips))
+        << "at " << threads << " threads";
+    EXPECT_EQ(std::bit_cast<uint64_t>(tape.final_objective),
+              std::bit_cast<uint64_t>(inc.final_objective))
+        << tape.final_objective << " vs " << inc.final_objective << " at "
+        << threads << " threads";
+    EXPECT_EQ(graph::FeatureDiffCount(tape.poisoned, inc.poisoned), 0);
+    EXPECT_EQ(graph::ComputeEdgeDiff(tape.poisoned, inc.poisoned).total(), 0);
+    if (threads == 1) first = std::move(inc);
+  }
+  parallel::SetNumThreads(0);
+  return first;
+}
+
+int StoredBits(const Graph& g, int v) {
+  const float* row = g.features.row(v);
+  return static_cast<int>(
+      std::count_if(row, row + g.features.cols(),
+                    [](float x) { return x != 0.0f; }));
+}
+
+TEST(EngineEquivalence, ListsFollowAnAllZeroFeatureRow) {
+  Graph g = SbmGraph(41);
+  for (const int v : {0, 7}) {
+    std::fill_n(g.features.row(v), g.features.cols(), 0.0f);
+  }
+  ASSERT_EQ(StoredBits(g, 7), 0);
+  AttackOptions options;
+  options.perturbation_rate = 0.1;
+  ExpectEnginesAgreeBitwise(g, PeegaAttack::Options(), options);
+}
+
+// Every fourth row stores nothing, the others one bit (of two
+// columns), so feature flips empty a row's list or fill an empty one;
+// the test checks that this campaign does both.
+TEST(EngineEquivalence, ListsFollowFlipsThatEmptyAndFillRows) {
+  Graph g = SbmGraph(48);
+  const int f = g.features.cols();
+  for (int v = 0; v < g.num_nodes; ++v) {
+    std::fill_n(g.features.row(v), f, 0.0f);
+    if (v % 4 != 0) g.features(v, v % 2 == 1 ? 14 : 20) = 1.0f;
+  }
+  AttackOptions options;
+  options.perturbation_rate = 0.3;
+  const AttackResult inc =
+      ExpectEnginesAgreeBitwise(g, PeegaAttack::Options(), options);
+  linalg::Matrix x = g.features;
+  bool emptied = false, filled = false;
+  for (const Flip& flip : inc.flips) {
+    if (!flip.is_feature) continue;
+    const float* row = x.row(flip.a);
+    const int bits = static_cast<int>(std::count_if(
+        row, row + f, [](float v) { return v != 0.0f; }));
+    emptied |= bits == 1 && x(flip.a, flip.b) != 0.0f;
+    filled |= bits == 0;
+    x(flip.a, flip.b) = x(flip.a, flip.b) != 0.0f ? 0.0f : 1.0f;
+  }
+  EXPECT_TRUE(emptied) << "no flip cleared a row's last stored bit:\n"
+                       << FlipString(inc.flips);
+  EXPECT_TRUE(filled) << "no flip set a bit in an empty row";
+}
+
+TEST(EngineEquivalence, ListsFollowIdentityFeatures) {
+  const Graph g = PolblogsGraph(43);
+  for (int v = 0; v < g.num_nodes; ++v) ASSERT_EQ(StoredBits(g, v), 1);
+  AttackOptions options;
+  options.perturbation_rate = 0.05;
+  ExpectEnginesAgreeBitwise(g, PeegaAttack::Options(), options);
+}
+
+// Three layers make H_2 a right factor too.
+TEST(EngineEquivalence, ListsFollowAThreeLayerSurrogate) {
+  PeegaAttack::Options peega;
+  peega.layers = 3;
+  AttackOptions options;
+  options.perturbation_rate = 0.08;
+  options.feature_cost = 0.5;
+  ExpectEnginesAgreeBitwise(SbmGraph(44), peega, options);
 }
 
 TEST(BatchEngineEquivalence, DeterministicTopK) {

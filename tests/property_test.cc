@@ -668,6 +668,91 @@ TEST(EngineCacheProperty, ChangedRowSetsCoverEveryMovedScore) {
 }
 
 
+// Counts the entries of the engine's closed-form gradients that differ
+// bitwise from the autograd tape's on the engine's poisoned state (the
+// tape built as in ClosedFormGradientsMatchTapeAndFiniteDifference).
+int GradientEntriesOffTape(const Graph& g, const core::PeegaEngine& engine,
+                           int layers) {
+  const Matrix reference =
+      core::PeegaAttack::SurrogateRepresentation(g.adjacency, g.features,
+                                                 layers);
+  std::vector<std::pair<int, int>> self_pairs;
+  for (int v = 0; v < g.num_nodes; ++v) self_pairs.emplace_back(v, v);
+  std::vector<std::pair<int, int>> neighbor_pairs;
+  const auto& row_ptr = g.adjacency.row_ptr();
+  const auto& col_idx = g.adjacency.col_idx();
+  for (int v = 0; v < g.num_nodes; ++v) {
+    for (int64_t k = row_ptr[v]; k < row_ptr[v + 1]; ++k) {
+      neighbor_pairs.emplace_back(v, col_idx[k]);
+    }
+  }
+  autograd::Tape tape;
+  autograd::Var a = tape.Input(engine.PoisonedAdjacency().ToDense(), true);
+  autograd::Var x = tape.Input(engine.features(), true);
+  autograd::Var a_n = tape.GcnNormalizeDense(a);
+  autograd::Var m_hat = x;
+  for (int l = 0; l < layers; ++l) m_hat = tape.MatMul(a_n, m_hat);
+  autograd::Var self_view = tape.SumEdgePNorm(m_hat, reference, self_pairs, 2);
+  autograd::Var global_view =
+      tape.SumEdgePNorm(m_hat, reference, neighbor_pairs, 2);
+  tape.Backward(tape.Add(self_view, tape.Scale(global_view, 0.01f)));
+  int off = 0;
+  for (int u = 0; u < g.num_nodes; ++u) {
+    for (int v = 0; v < g.num_nodes; ++v) {
+      if (u != v && std::bit_cast<uint32_t>(engine.PairGradient(u, v)) !=
+                        std::bit_cast<uint32_t>(a.grad()(u, v))) {
+        ++off;
+      }
+    }
+    for (int j = 0; j < g.features.cols(); ++j) {
+      if (std::bit_cast<uint32_t>(engine.FeatureGradient(u, j)) !=
+          std::bit_cast<uint32_t>(x.grad()(u, j))) {
+        ++off;
+      }
+    }
+  }
+  return off;
+}
+
+// The refresh recomputes only the rows a flip can move — G_N's rows and
+// columns, the U_k dots over H's stored-entry lists, and the degree
+// terms over the closed neighbourhood of E_{l-1}. After every
+// incremental refresh, every closed-form gradient must still be the
+// tape's float on the poisoned state, so no row the refresh skipped
+// held a stale value.
+TEST(EngineCacheProperty, IncrementalGradientsMatchTapeAfterEveryRefresh) {
+  graph::SyntheticConfig sbm;
+  sbm.num_nodes = 60;
+  sbm.num_classes = 3;
+  sbm.feature_dim = 48;
+  sbm.avg_degree = 4.0;
+  Rng sbm_rng(13);
+  const Graph g = graph::MakeSynthetic(sbm, &sbm_rng);
+  for (const int layers : {1, 2, 3}) {
+    SCOPED_TRACE(testing::Message() << "l = " << layers);
+    core::PeegaEngine engine(g, EngineConfig(layers));
+    engine.FlipEdge(1, 2);
+    ASSERT_TRUE(engine.RefreshScores().ok());  // the full build
+    Rng rng(61 + layers);
+    for (int round = 0; round < 6; ++round) {
+      // One edge flip, one feature flip, or both in one refresh.
+      if (round % 3 != 1) {
+        const int u = rng.UniformInt(0, g.num_nodes - 1);
+        const int v =
+            (u + 1 + rng.UniformInt(0, g.num_nodes - 2)) % g.num_nodes;
+        engine.FlipEdge(u, v);
+      }
+      if (round % 3 != 0) {
+        engine.FlipFeature(rng.UniformInt(0, g.num_nodes - 1),
+                           rng.UniformInt(0, g.features.cols() - 1));
+      }
+      ASSERT_TRUE(engine.RefreshScores().ok());
+      EXPECT_EQ(GradientEntriesOffTape(g, engine, layers), 0)
+          << "after round " << round;
+    }
+  }
+}
+
 // Ascending rows of a 0/1 mask.
 std::vector<int> MaskRows(const std::vector<char>& mask) {
   std::vector<int> rows;
