@@ -156,6 +156,26 @@ void BM_PeegaFeaturesOnlyCampaign(benchmark::State& state) {
 }
 BENCHMARK(BM_PeegaFeaturesOnlyCampaign)->Unit(benchmark::kMillisecond);
 
+// A topology + features PEEGA campaign at the peega-cora shape: a
+// Cora-like graph with n = 2500 and F = 1450, budget pinned at 20
+// flips. Each iteration pays the full build and first full scans once,
+// then 20 incremental refreshes, G_N transpose updates and cached edge
+// and feature scans, which BM_PeegaGreedyStep (one flip) never reaches.
+// Items are flips.
+void BM_PeegaTopologyCampaign(benchmark::State& state) {
+  Rng rng(1);
+  const graph::Graph g = graph::MakeCoraLike(&rng, 5.0);
+  attack::AttackOptions options;
+  options.perturbation_rate = 20.5 / static_cast<double>(g.NumEdges());
+  for (auto _ : state) {
+    core::PeegaAttack attacker;
+    Rng attack_rng(8);
+    benchmark::DoNotOptimize(attacker.Attack(g, options, &attack_rng));
+  }
+  state.SetItemsProcessed(state.iterations() * 20);
+}
+BENCHMARK(BM_PeegaTopologyCampaign)->Unit(benchmark::kMillisecond);
+
 // --------------------------------------------------------------------------
 // Thread-count sweeps of the parallel hot paths (see file comment for
 // how to record these as BENCH_*.json).

@@ -153,6 +153,19 @@ namespace internal {
 /// Rows per chunk of a scan; any partition gives the serial result.
 constexpr int64_t kScanRowGrain = 32;
 
+/// Slots an edge row keeps at least (see ScanCache): d = max(keep, 8).
+/// At keep 1 a `peega-cora` campaign falls back to whole-row rescans 37k
+/// times with one slot, 1.1k times with 8 and 458 times with 16. At
+/// keep 16 (PEEGA-Batch on `gnat-cora`'s n = 1000 graph) nearly every
+/// row is rescanned anyway: d = 32 ends every fallback but scores only
+/// 3% fewer candidates and makes the scan a third slower than d = keep
+/// (EXPERIMENTS.md, "Row depth at keep > 1").
+constexpr int kEdgeRowDepth = 8;
+
+/// Slots a rescan keeps in a local heap before copying them out; deeper
+/// rows (keep > 16) use their slots directly.
+constexpr int kLocalRowDepth = 16;
+
 /// Calls `visit(b)` for every candidate column of row `a` in ascending
 /// order (b > a for edges): allowed by `access`, not frozen in `frozen`.
 template <bool is_feature, typename Visit>
@@ -194,15 +207,20 @@ void Admit(T* slots, int* count, int cap, const T& item,
 /// under RanksBefore, in rank order. NaN and -inf scores are never
 /// returned.
 ///
-/// Between scans the cache keeps each row's best `keep`, and a scan
-/// rescores only what `Invalidate` named since the last one:
+/// Between scans the cache keeps slots per row, and a scan rescores
+/// only what `Invalidate` named since the last one:
 ///  - a changed row is rescanned whole;
-///  - a clean feature row keeps its best;
-///  - a clean edge row a rescores only its changed columns b > a and
-///    merges them into its best. When that cannot be exact — the row was
-///    full and its worst kept candidate now ranks lower, as only a kept
-///    candidate in a changed column can make it — it is rescanned whole
-///    (a fallback, counted in `attack.row_fallbacks`).
+///  - a clean feature row keeps its best `keep`, its only slots;
+///  - a clean edge row a keeps d = max(keep, kEdgeRowDepth) slots and a
+///    bar: no candidate outside the slots ranks before the bar. A whole
+///    rescan fills the slots with the row's best d and sets the bar to
+///    the worst of them, or marks the row complete when it has fewer
+///    candidates. A merge drops the slots in changed columns b > a,
+///    rescores those columns and admits them; an entry it evicts, or
+///    rescores and does not admit, becomes the bar if it ranks before
+///    it. The row is exact if it is complete or at least `keep` slots
+///    rank at or before the bar, and returns those slots. Otherwise it
+///    is rescanned whole (a fallback, counted in `attack.row_fallbacks`).
 /// RanksBefore is a strict total order, so the best of the row bests is
 /// the full scan's at any partition and thread count. The first scan
 /// rescans every row.
@@ -221,8 +239,12 @@ class ScanCache {
         cols_(cols),
         keep_(std::max(keep, 0)),
         row_keep_(std::min(keep_, cols)),
-        best_(static_cast<size_t>(rows) * static_cast<size_t>(row_keep_)),
+        depth_(is_feature || keep_ == 0
+                   ? row_keep_
+                   : std::min(std::max(keep_, internal::kEdgeRowDepth), cols)),
+        best_(static_cast<size_t>(rows) * static_cast<size_t>(depth_)),
         count_(keep_ > 0 ? static_cast<size_t>(rows) : 0),
+        bars_(!is_feature && keep_ > 0 ? static_cast<size_t>(rows) : 0),
         changed_(static_cast<size_t>(rows), 0) {}
 
   /// Names the rows whose candidates may have changed score or freeze
@@ -252,13 +274,16 @@ class ScanCache {
   static bool RowRanksBefore(const Entry& lhs, const Entry& rhs) {
     return lhs.score != rhs.score ? lhs.score > rhs.score : lhs.col < rhs.col;
   }
+  // The bar of a complete row: every keepable entry ranks before it.
+  static constexpr Entry kComplete{std::numeric_limits<int>::max(),
+                                   -std::numeric_limits<float>::infinity()};
 
   Entry* Slots(int a) {
-    return best_.data() +
-           static_cast<size_t>(a) * static_cast<size_t>(row_keep_);
+    return best_.data() + static_cast<size_t>(a) * static_cast<size_t>(depth_);
   }
 
-  // Rescans row `a` whole into its slots; returns the candidates scored.
+  // Rescans row `a` whole into its slots and resets its bar; returns the
+  // candidates scored.
   template <typename ScoreFn>
   uint64_t RescanRow(int a, const AccessControl& access,
                      FlipSet::RowCursor frozen, const ScoreFn& score) {
@@ -276,35 +301,48 @@ class ScanCache {
             if (s > bar) bar = admit(Entry{b, s});
           });
     };
-    if (row_keep_ == 1) {
-      // Locals, not `slots`: a store or call in the loop blocks hoisting.
+    const auto scan_into = [&](Entry* heap) {
+      scan([&](const Entry& e) {
+        internal::Admit(heap, &count, depth_, e, RowRanksBefore);
+        return count == depth_ ? heap[0].score : bar;
+      });
+    };
+    // Locals, not `slots`, where they fit: a store through `slots` in
+    // the loop blocks hoisting the score's loads.
+    if (depth_ == 1) {
       Entry top;
       scan([&](const Entry& e) { return (top = e).score; });
       if (top.col >= 0) slots[count++] = top;
+    } else if (depth_ <= internal::kLocalRowDepth) {
+      Entry heap[internal::kLocalRowDepth];
+      scan_into(heap);
+      std::copy(heap, heap + count, slots);
     } else {
-      scan([&](const Entry& e) {
-        internal::Admit(slots, &count, row_keep_, e, RowRanksBefore);
-        return count == row_keep_ ? slots[0].score : bar;
-      });
+      scan_into(slots);
+    }
+    if (!bars_.empty()) {
+      bars_[static_cast<size_t>(a)] = count == depth_ ? slots[0] : kComplete;
     }
     return scored;
   }
 
   // Updates clean edge row `a` from the changed columns `cols`
-  // (ascending): drops its kept candidates there, rescores those columns
-  // and merges them in. Every other candidate kept its score, and when
-  // the row was full it ranked after the old worst kept one. So the
-  // merge is the row's best `keep_` unless the row was full and now has
-  // fewer, or a worst that ranks after the old worst. Returns false then:
-  // the row must be rescanned whole.
+  // (ascending): drops its slots there, rescores those columns and
+  // admits them, raising the bar to each entry that leaves the slots or
+  // stays out and ranks before it. Every other candidate kept its score,
+  // so none outside the slots ranks before the bar. Returns whether the
+  // row is exact: complete, or with `row_keep_` slots at or before the
+  // bar. If not, it must be rescanned whole.
   template <typename ScoreFn>
   bool MergeChanged(int a, const std::vector<int>& cols,
                     const AccessControl& access, FlipSet::RowCursor frozen,
                     const ScoreFn& score, uint64_t* scored) {
     Entry* slots = Slots(a);
     int& count = count_[static_cast<size_t>(a)];
-    const bool was_full = count == row_keep_;
-    const Entry old_worst = was_full ? slots[0] : Entry();
+    Entry& bar = bars_[static_cast<size_t>(a)];
+    const auto raise_bar = [&](const Entry& e) {
+      if (RowRanksBefore(e, bar)) bar = e;
+    };
     count = static_cast<int>(
         std::remove_if(slots, slots + count,
                        [&](const Entry& e) {
@@ -319,11 +357,27 @@ class ScanCache {
         continue;
       }
       ++*scored;
-      internal::Admit(slots, &count, row_keep_, Entry{b, score(a, b)},
-                      RowRanksBefore);
+      const Entry e{b, score(a, b)};
+      // NaN and -inf are never kept, so they bound nothing.
+      if (!(e.score > -std::numeric_limits<float>::infinity())) continue;
+      if (count < depth_) {
+        slots[count++] = e;
+        std::push_heap(slots, slots + count, RowRanksBefore);
+      } else if (RowRanksBefore(e, slots[0])) {
+        raise_bar(slots[0]);
+        std::pop_heap(slots, slots + count, RowRanksBefore);
+        slots[count - 1] = e;
+        std::push_heap(slots, slots + count, RowRanksBefore);
+      } else {
+        raise_bar(e);
+      }
     }
-    return !was_full ||
-           (count == row_keep_ && !RowRanksBefore(old_worst, slots[0]));
+    if (bar.col == kComplete.col) return true;
+    int certain = 0;
+    for (int i = 0; i < count; ++i) {
+      certain += RowRanksBefore(bar, slots[i]) ? 0 : 1;
+    }
+    return certain >= row_keep_;
   }
 
   int rows_;
@@ -331,10 +385,13 @@ class ScanCache {
   int keep_;
   // A row has at most cols_ candidates, so it keeps at most that many.
   int row_keep_;
-  // row_keep_ slots per row: a heap under RowRanksBefore of count_
-  // entries.
+  // Slots per row: row_keep_ for feature rows, d for edge rows.
+  int depth_;
+  // depth_ slots per row: a heap under RowRanksBefore of count_ entries.
   std::vector<Entry> best_;
   std::vector<int> count_;
+  // Per edge row: the bar, kComplete when the slots hold every candidate.
+  std::vector<Entry> bars_;
   // The rows named since the last scan, once each, and their flags.
   std::vector<int> changed_rows_;
   std::vector<char> changed_;
@@ -396,10 +453,13 @@ std::vector<FlipCandidate> ScanCache<is_feature>::Scan(
           if (rescan) scored += RescanRow(a, access, frozen(), score);
           const Entry* slots = Slots(a);
           const int count = count_[static_cast<size_t>(a)];
+          const Entry bar =
+              bars_.empty() ? kComplete : bars_[static_cast<size_t>(a)];
           // Grows only to the candidates the chunk holds, not to keep_.
           const auto need = static_cast<size_t>(std::min(keep_, kept + count));
           if (top.size() < need) top.resize(need);
           for (int i = 0; i < count; ++i) {
+            if (RowRanksBefore(bar, slots[i])) continue;
             internal::Admit(top.data(), &kept, keep_,
                             FlipCandidate{{is_feature, a, slots[i].col},
                                           slots[i].score},

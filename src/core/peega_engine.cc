@@ -30,6 +30,11 @@ namespace {
 // load balance, never the cached values.
 constexpr int64_t kGmRowGrain = 4;   // O(pairs * F) work per row
 constexpr int64_t kSumRowGrain = 16; // O(l * N) work per row
+// Rows of gnt_ per transpose chunk: the tile of gnt_ rows a chunk writes
+// stays cached while G_N rows stream through it. Each tile row is one
+// store stream; tiles of 32 rows made the update 25-35% slower than 8
+// on peega-cora and on gnat-cora's PEEGA-Batch poisoning, 4 no faster.
+constexpr int kTransposeTile = 8;
 
 // The sentinel takes the exact objective once a running view total
 // comes within 2x of FLT_MAX (see Refresh).
@@ -112,7 +117,6 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
                     config.target_nodes.empty() ? 1 : 0),
       target_order_(config.target_nodes),
       clean_(g.adjacency),
-      features_(g.features),
       row_marks_((static_cast<size_t>(g.num_nodes) + 63) / 64, 0) {
   PEEGA_CHECK_GE(layers_, 1);
   PEEGA_CHECK_GE(p_, 1);
@@ -137,7 +141,7 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
   a_n_ = NormalizedAdjacency(scale_, clean_neighbors);
 
   h_.resize(static_cast<size_t>(layers_) + 1);
-  h_[0] = features_;
+  h_[0] = g.features;
   const std::vector<int> all_rows = AllRows(n_);
   for (int k = 1; k <= layers_; ++k) {
     h_[static_cast<size_t>(k)] = Matrix(n_, f_);
@@ -164,6 +168,7 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
     u_.resize(static_cast<size_t>(layers_));
     for (int k = 0; k < layers_; ++k) u_[static_cast<size_t>(k)] = Matrix(n_, n_);
     gn_ = Matrix(n_, n_);
+    gnt_ = Matrix(n_, n_);
     ddeg_.assign(static_cast<size_t>(n_), 0.0f);
   }
   if (attack_features_) gx_ = Matrix(n_, f_);
@@ -467,6 +472,11 @@ void PeegaEngine::RefreshGradients(bool full,
             }
           });
     }
+    {
+      const obs::TraceSpan transpose_span("peega_engine.gn_transpose");
+      TransposeGn(full, e[static_cast<size_t>(layers_) - 1],
+                  d[static_cast<size_t>(layers_) - 1]);
+    }
 
     // Edge rows R: G_N moved only in rows e[l-1] and columns d[l-1],
     // and d[l-1] ⊆ d[l] = e[0] ⊆ e[l-1]. The flipped endpoints are
@@ -490,7 +500,7 @@ void PeegaEngine::RefreshGradients(bool full,
         float ds_row = 0.0f;
         for (int64_t p = row_ptr[a]; p < row_ptr[a + 1]; ++p) {
           const int i = col_idx[p];
-          ds_col += gn_(i, a) * scale_[static_cast<size_t>(i)];
+          ds_col += gnt_(a, i) * scale_[static_cast<size_t>(i)];
           ds_row += gn_(a, i) * scale_[static_cast<size_t>(i)];
         }
         const float s_grad = ds_col + ds_row;
@@ -517,6 +527,42 @@ void PeegaEngine::RefreshGradients(bool full,
     linalg::SpMMRowsInto(a_n_, e[static_cast<size_t>(layers_)], w_.back(),
                          &gx_);
     changed_feature_rows_ = std::move(e[static_cast<size_t>(layers_)]);
+  }
+}
+
+void PeegaEngine::TransposeGn(bool full, const std::vector<int>& rows,
+                              const std::vector<int>& cols) {
+  // Chunks own kTransposeTile rows of gnt_ (columns of G_N) outright.
+  // Each G_N row a chunk reads is read contiguously, the chunk's columns
+  // of it, while the tile's gnt_ rows stay cached.
+  parallel::ParallelFor(0, n_, kTransposeTile, [&](int64_t j0, int64_t j1) {
+    const int jb = static_cast<int>(j0);
+    const int je = static_cast<int>(j1);
+    // G_N's rewritten rows become columns of the tile.
+    for (const int i : rows) {
+      const float* src = gn_.row(i);
+      for (int j = jb; j < je; ++j) gnt_.row(j)[i] = src[j];
+    }
+    if (full) return;  // `rows` were every row
+    // Its rewritten columns in the tile become whole rows, ascending,
+    // past the rows `rows` (marked by the G_N sum) already copied whole.
+    const auto first = std::lower_bound(cols.begin(), cols.end(), jb);
+    const auto last = std::lower_bound(first, cols.end(), je);
+    if (first == last) return;
+    for (int i = 0; i < n_; ++i) {
+      if (Marked(i)) continue;
+      const float* src = gn_.row(i);
+      for (auto c = first; c != last; ++c) gnt_.row(*c)[i] = src[*c];
+    }
+  });
+  if constexpr (debug::NumericsGuardEnabled()) {
+    for (int i = 0; i < n_; ++i) {
+      for (int j = 0; j < n_; ++j) {
+        PEEGA_CHECK(std::bit_cast<uint32_t>(gnt_(j, i)) ==
+                    std::bit_cast<uint32_t>(gn_(i, j)))
+            << " gnt_ is not G_N^T at (" << j << ", " << i << ")";
+      }
+    }
   }
 }
 
@@ -565,9 +611,8 @@ void PeegaEngine::FlipFeature(int v, int j) {
   PEEGA_CHECK_LT(v, n_);
   PEEGA_CHECK_GE(j, 0);
   PEEGA_CHECK_LT(j, f_);
-  const float flipped = features_(v, j) > 0.5f ? 0.0f : 1.0f;
-  features_(v, j) = flipped;
-  h_[0](v, j) = flipped;
+  float& x = h_[0](v, j);
+  x = x > 0.5f ? 0.0f : 1.0f;
   pending_rows_h0_.push_back(v);
   any_pending_ = true;
 }

@@ -108,7 +108,11 @@ class PeegaEngine {
   float EdgeScore(int u, int v) const {
     PEEGA_DCHECK(!objective_only_);
     const float direction = HasEdge(u, v) ? -1.0f : 1.0f;
-    return direction * (PairGradient(u, v) + PairGradient(v, u));
+    // PairGradient(v, u) in its own operation order, with G_N[v][u] read
+    // along row u of gnt_: the scan walks v, so both terms read by rows.
+    const float t = gnt_.row(u)[v] * scale_[u];
+    const float t2 = t * scale_[v];
+    return direction * (PairGradient(u, v) + (t2 + ddeg_[v]));
   }
 
   /// Scan score of flipping feature bit (v, j) — WITHOUT the 1/beta
@@ -116,7 +120,7 @@ class PeegaEngine {
   float FeatureScore(int v, int j) const {
     PEEGA_DCHECK_LT(j, f_);
     PEEGA_DCHECK(!objective_only_);
-    const float direction = 1.0f - 2.0f * features_.row(v)[j];
+    const float direction = 1.0f - 2.0f * h_[0].row(v)[j];
     return direction * gx_.row(v)[j];
   }
 
@@ -181,7 +185,7 @@ class PeegaEngine {
   /// latched refresh failure.
   linalg::SparseMatrix PoisonedAdjacency() const;
 
-  const linalg::Matrix& features() const { return features_; }
+  const linalg::Matrix& features() const { return h_[0]; }
   /// Cached surrogate M̂ = A_n^l X̂ (exposed for the delta-update
   /// property tests).
   const linalg::Matrix& surrogate() const { return h_[layers_]; }
@@ -207,6 +211,11 @@ class PeegaEngine {
   ViewTotals RecomputeGmRow(int r);
   void AccumulatePairTerm(float* grow, const float* xrow, int ref_row,
                           float weight, double* term, float* norm);
+  // Brings gnt_ up to G_N^T after a G_N sum that rewrote rows `rows` and
+  // columns `cols` of G_N (every entry when `full`); `rows` are marked in
+  // row_marks_ and no other row is.
+  void TransposeGn(bool full, const std::vector<int>& rows,
+                   const std::vector<int>& cols);
   ViewTotals ExactTotals() const;
   double Compose(const ViewTotals& totals) const;
   // Marks row r in row_marks_.
@@ -249,14 +258,13 @@ class PeegaEngine {
   // --- poisoned state -----------------------------------------------------
   std::vector<std::pair<int, int>> edge_flips_;  // committed, in order
   std::vector<float> scale_;                     // s_i = 1/sqrt(deg_i + 1)
-  linalg::Matrix features_;
   // A_n = D^{-1/2}(A + I)D^{-1/2} in graph::GcnNormalize's CSR layout;
   // rebuilt by the first refresh after an edge flip.
   linalg::SparseMatrix a_n_;
   bool a_n_stale_ = false;
 
   // --- caches (see class comment) ----------------------------------------
-  std::vector<linalg::Matrix> h_;  // H_0..H_layers (H_0 mirrors features_)
+  std::vector<linalg::Matrix> h_;  // H_0..H_layers (H_0 is the poisoned X)
   std::vector<linalg::Matrix> w_;  // W_k = A_n^k G_M, k = 0..layers-1
   std::vector<std::vector<char>> w_nonzero_;  // per W_k: rows with a nonzero
   // Topology state (attack_topology_ only).
@@ -266,6 +274,7 @@ class PeegaEngine {
   std::vector<linalg::RowEntries> h_entries_;
   std::vector<linalg::Matrix> u_;  // U_k = W_k H_{layers-1-k}^T
   linalg::Matrix gn_;              // U_0 + U_1 + ... (tape backward order)
+  linalg::Matrix gnt_;             // G_N^T, for row-order reads of G_N[v][u]
   std::vector<float> ddeg_;
   linalg::Matrix gx_;              // G_X = A_n W_{layers-1}
   // Per-pair objective terms: double for the objective sum, float for

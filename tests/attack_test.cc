@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "linalg/ops.h"
 #include "nn/gcn.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 
 namespace repro::attack {
@@ -275,6 +278,164 @@ void ExpectCacheMatchesFullScan(int keep, bool restricted, uint64_t seed) {
   }
 }
 
+// Edge rounds aimed at the bar of one row t, the only row with more
+// than one candidate: the attacker controls t alone, so the scan returns
+// t's best and shows any fault in it. Moves name only columns b > t, so
+// row t stays clean and merges round after round. Each round is one
+// move:
+//  - promote: columns outside the row's best rise above its best, so
+//    admitting them evicts kept entries;
+//  - demote: the row's best m columns (up to 40, past any row depth)
+//    sink below every other candidate, so with m at the depth every
+//    slot drops below the bar and the row must fall back;
+//  - reshuffle: the best m columns take fresh grid scores, interleaving
+//    with entries evicted in earlier rounds;
+//  - revive: NaN and -inf columns become candidates. When `sparse`, row
+//    t starts with about 1 candidate in 40 and is complete; reviving
+//    fills it, evicts from it and leaves rescored entries out.
+// Scores keep ties, NaN and ±inf. Fallbacks must happen.
+void ExpectBarMovesMatchFullScan(int keep, bool sparse, uint64_t seed) {
+  Rng rng(seed);
+  const int n = 150;
+  const float inf = std::numeric_limits<float>::infinity();
+  const int t = static_cast<int>(rng.UniformInt(0, 20));
+  const AccessControl access(n, {t});
+  Matrix scores(n, n);
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      scores(a, b) = RandomScore(&rng);
+      if (sparse && a == t && rng.UniformInt(0, 39) != 0) {
+        scores(a, b) = b % 2 == 0 ? std::numeric_limits<float>::quiet_NaN()
+                                  : -inf;
+      }
+    }
+  }
+  FlipSet frozen(n);
+  for (int i = 0; i < 10; ++i) {
+    const int b = static_cast<int>(rng.UniformInt(t + 1, n - 1));
+    frozen.InsertSymmetric(t, b);
+  }
+  const auto score = [&](int a, int b) { return scores(a, b); };
+  obs::Counter* const fallbacks = obs::GetCounter("attack.row_fallbacks");
+  const uint64_t fallbacks_before = fallbacks->value();
+  ScanCache</*is_feature=*/false> cache(n, n, keep);
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE(testing::Message() << "row " << t << " round " << round);
+    std::vector<char> changed(static_cast<size_t>(n), 0);
+    if (round > 0) {
+      // Row t's candidates, best first.
+      std::vector<FlipCandidate> row;
+      for (int b = t + 1; b < n; ++b) {
+        if (!frozen.Contains(t, b) && scores(t, b) > -inf) {
+          row.push_back(FlipCandidate{{false, t, b}, scores(t, b)});
+        }
+      }
+      std::sort(row.begin(), row.end(), RanksBefore);
+      const float best = row.empty() ? 0.0f : row.front().score;
+      const int kind = static_cast<int>(rng.UniformInt(sparse ? 1 : 0, 3));
+      const int m = std::min(static_cast<int>(row.size()),
+                             static_cast<int>(rng.UniformInt(1, 40)));
+      std::vector<int> cols;
+      if (kind == 0 || kind == 3) {
+        for (int i = 0; i < 12; ++i) {
+          cols.push_back(static_cast<int>(rng.UniformInt(t + 1, n - 1)));
+        }
+      } else {
+        for (int i = 0; i < m; ++i) cols.push_back(row[i].flip.b);
+      }
+      for (const int b : cols) {
+        float& s = scores(t, b);
+        switch (kind) {
+          case 0:  // promote
+            s = std::isfinite(best)
+                    ? best + 0.5f * static_cast<float>(rng.UniformInt(1, 3))
+                    : inf;
+            break;
+          case 1:  // demote
+            s = -3.5f - 0.5f * static_cast<float>(rng.UniformInt(0, 2));
+            break;
+          case 2:  // reshuffle
+            s = RandomScore(&rng);
+            break;
+          default:  // revive
+            if (!(s > -inf)) {
+              s = 0.5f * static_cast<float>(rng.UniformInt(-6, 6));
+            }
+        }
+        changed[static_cast<size_t>(b)] = 1;
+      }
+    }
+    std::vector<int> named;
+    for (int r = 0; r < n; ++r) {
+      if (changed[static_cast<size_t>(r)]) named.push_back(r);
+    }
+    cache.Invalidate(named);
+    const std::vector<FlipCandidate> cached =
+        cache.Scan(access, &frozen, score);
+    const std::vector<FlipCandidate> full =
+        TopFlips<false>(n, n, access, &frozen, keep, score);
+    ASSERT_TRUE(SameCandidates(cached, full));
+    ASSERT_TRUE(SameCandidates(
+        full, ReferenceTop<false>(scores, access, frozen, keep)));
+  }
+  if (!sparse) {
+    EXPECT_GT(fallbacks->value(), fallbacks_before);
+  }
+}
+
+// A complete row overfilled by one merge, then demoted. Row 0, the only
+// row with candidates, starts with two; one merge revives 60 columns in
+// ascending order. With `rising` scores each revived column evicts the
+// worst kept one; otherwise the row fills and the rest stay out. A
+// second merge demotes the row's best m columns, for every m up to 40,
+// so at m equal to the row's depth only what the first merge evicted or
+// left out still ranks high.
+void ExpectOverfilledRowMatchesFullScan(int keep) {
+  const int n = 80;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const AccessControl access(n, {0});
+  const FlipSet frozen(n);
+  for (const bool rising : {false, true}) {
+    for (int m = 1; m <= 40; ++m) {
+      SCOPED_TRACE(testing::Message() << "rising " << rising << " m " << m);
+      Matrix scores(n, n, nan);
+      scores(0, 1) = 200.0f;  // above every revived score
+      scores(0, 2) = 150.0f;
+      const auto score = [&](int a, int b) { return scores(a, b); };
+      ScanCache</*is_feature=*/false> cache(n, n, keep);
+      for (int round = 0; round < 3; ++round) {
+        std::vector<int> named;
+        if (round == 1) {
+          for (int b = 10; b < 70; ++b) {
+            const float step = static_cast<float>(b - 10);
+            scores(0, b) = rising ? step : 100.0f - step;
+            named.push_back(b);
+          }
+        } else if (round == 2) {
+          std::vector<FlipCandidate> row;
+          for (int b = 1; b < n; ++b) {
+            if (scores(0, b) > -1.0f) {
+              row.push_back(FlipCandidate{{false, 0, b}, scores(0, b)});
+            }
+          }
+          std::sort(row.begin(), row.end(), RanksBefore);
+          for (int i = 0; i < m; ++i) {
+            scores(0, row[static_cast<size_t>(i)].flip.b) = -2.0f;
+            named.push_back(row[static_cast<size_t>(i)].flip.b);
+          }
+          std::sort(named.begin(), named.end());
+        }
+        cache.Invalidate(named);
+        const std::vector<FlipCandidate> cached =
+            cache.Scan(access, &frozen, score);
+        ASSERT_TRUE(SameCandidates(
+            cached, ReferenceTop<false>(scores, access, frozen, keep)))
+            << "round " << round;
+      }
+    }
+  }
+}
+
 TEST(ScanCacheTest, CachedScanEqualsFullScanAtAnyThreadCount) {
   uint64_t seed = 700;
   for (const int threads : {1, 2, 8}) {
@@ -290,6 +451,22 @@ TEST(ScanCacheTest, CachedScanEqualsFullScanAtAnyThreadCount) {
         ExpectCacheMatchesFullScan</*is_feature=*/true>(keep, restricted,
                                                         ++seed);
       }
+    }
+  }
+  // Rows whose bar has moved. Keep 20 rows are deeper than the rescan's
+  // local heap.
+  for (const int threads : {1, 2, 8}) {
+    const ScopedThreads scope(threads);
+    for (const int keep : {1, 3, 16, 20}) {
+      for (const bool sparse : {false, true}) {
+        for (int run = 0; run < 6; ++run) {
+          SCOPED_TRACE(testing::Message() << "threads " << threads << " keep "
+                                          << keep << " sparse " << sparse
+                                          << " bar moves");
+          ExpectBarMovesMatchFullScan(keep, sparse, ++seed);
+        }
+      }
+      ExpectOverfilledRowMatchesFullScan(keep);
     }
   }
 }

@@ -753,6 +753,78 @@ TEST(EngineCacheProperty, IncrementalGradientsMatchTapeAfterEveryRefresh) {
   }
 }
 
+// Every EdgeScore(u, v) reads G_N[v][u] from the engine's transposed
+// copy. Each must be the bits of EdgeScore(v, u) and of the score
+// composed from PairGradient, which reads G_N itself.
+void ExpectEdgeScoresReadGnTranspose(const core::PeegaEngine& engine) {
+  const int n = engine.num_nodes();
+  for (int u = 0; u < n; ++u) {
+    for (int v = 0; v < n; ++v) {
+      if (u == v) continue;
+      const float direction = engine.HasEdge(u, v) ? -1.0f : 1.0f;
+      const float composed =
+          direction * (engine.PairGradient(u, v) + engine.PairGradient(v, u));
+      const uint32_t bits = std::bit_cast<uint32_t>(engine.EdgeScore(u, v));
+      ASSERT_EQ(bits, std::bit_cast<uint32_t>(engine.EdgeScore(v, u)))
+          << "(" << u << ", " << v << ")";
+      ASSERT_EQ(bits, std::bit_cast<uint32_t>(composed))
+          << "(" << u << ", " << v << ")";
+    }
+  }
+}
+
+// The transposed G_N is kept by the full build, by every incremental
+// refresh (edge flips, feature flips, both) and by the full build after
+// a checkpoint replay, which commits the flips before the first refresh.
+// The replayed engine scores every pair as the incremental one does.
+TEST(EngineCacheProperty, EdgeScoresReadTransposedGnAfterEveryRefresh) {
+  graph::SyntheticConfig sbm;
+  sbm.num_nodes = 60;
+  sbm.num_classes = 3;
+  sbm.feature_dim = 48;
+  sbm.avg_degree = 4.0;
+  Rng sbm_rng(17);
+  const Graph g = graph::MakeSynthetic(sbm, &sbm_rng);
+  for (const int layers : {1, 2, 3}) {
+    SCOPED_TRACE(testing::Message() << "l = " << layers);
+    core::PeegaEngine engine(g, EngineConfig(layers));
+    ASSERT_TRUE(engine.RefreshScores().ok());  // the full build
+    ExpectEdgeScoresReadGnTranspose(engine);
+    std::vector<std::pair<int, int>> edges;
+    std::vector<std::pair<int, int>> bits;
+    Rng rng(71 + layers);
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      if (round % 3 != 1) {
+        const int u = rng.UniformInt(0, g.num_nodes - 1);
+        const int v =
+            (u + 1 + rng.UniformInt(0, g.num_nodes - 2)) % g.num_nodes;
+        engine.FlipEdge(u, v);
+        edges.emplace_back(u, v);
+      }
+      if (round % 3 != 0) {
+        bits.emplace_back(rng.UniformInt(0, g.num_nodes - 1),
+                          rng.UniformInt(0, g.features.cols() - 1));
+        engine.FlipFeature(bits.back().first, bits.back().second);
+      }
+      ASSERT_TRUE(engine.RefreshScores().ok());
+      ExpectEdgeScoresReadGnTranspose(engine);
+    }
+    core::PeegaEngine replayed(g, EngineConfig(layers));
+    for (const auto& [u, v] : edges) replayed.FlipEdge(u, v);
+    for (const auto& [v, j] : bits) replayed.FlipFeature(v, j);
+    ASSERT_TRUE(replayed.RefreshScores().ok());
+    ExpectEdgeScoresReadGnTranspose(replayed);
+    for (int u = 0; u < g.num_nodes; ++u) {
+      for (int v = u + 1; v < g.num_nodes; ++v) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(replayed.EdgeScore(u, v)),
+                  std::bit_cast<uint32_t>(engine.EdgeScore(u, v)))
+            << "(" << u << ", " << v << ")";
+      }
+    }
+  }
+}
+
 // Ascending rows of a 0/1 mask.
 std::vector<int> MaskRows(const std::vector<char>& mask) {
   std::vector<int> rows;
