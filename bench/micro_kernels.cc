@@ -16,6 +16,7 @@
 // demonstrates the determinism contract (identical outputs, no gain).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -287,6 +288,59 @@ void BM_DotColsInto(benchmark::State& state) {
 BENCHMARK(BM_DotColsInto)
     ->ArgsProduct({{1, 2, 4, 8}, {10, 49}})
     ->UseRealTime();
+
+// The greedy scan's pair-score op (linalg::PairScores) at peega-cora's
+// n = 2500. Run 0 is the row form over the upper part of every row, a
+// full rescan. Otherwise the column form, as a scan's clean chunks merge
+// 256 changed columns spread over the matrix: for each chunk of that
+// many rows, one run down every changed column b past the chunk's first
+// row, over the chunk's rows a < b. Items are the scores written;
+// compare variants with PEEGA_SIMD=generic.
+void BM_PairScores(benchmark::State& state) {
+  using linalg::kernels::PairScoreForm;
+  using linalg::kernels::PairScoreRun;
+  constexpr int n = 2500;
+  const int run = static_cast<int>(state.range(0));
+  Rng rng(15);
+  const Matrix gn = linalg::RandomNormal(n, n, 1.0f, &rng);
+  const Matrix gnt = linalg::RandomNormal(n, n, 1.0f, &rng);
+  const Matrix terms = linalg::RandomNormal(2, n, 1.0f, &rng);
+  const float* scale = terms.row(0);
+  const float* ddeg = terms.row(1);
+  std::vector<int> changed;
+  for (int b = 5; b < n; b += n / 256) changed.push_back(b);
+  std::vector<float> out(n);
+  int64_t items = 0;
+  for (auto _ : state) {
+    if (run == 0) {
+      for (int a = 0; a + 1 < n; ++a) {
+        const PairScoreRun row = {gn.row(a) + a + 1, gnt.row(a) + a + 1,
+                                  scale + a + 1,     ddeg + a + 1,
+                                  scale[a],          ddeg[a]};
+        linalg::PairScores(PairScoreForm::kRow, row, {}, a + 1, out.data(),
+                           n - a - 1);
+        items += n - a - 1;
+      }
+    } else {
+      for (int a0 = 0; a0 < n; a0 += run) {
+        for (const int b : changed) {
+          const int a1 = std::min(a0 + run, b);
+          if (a1 <= a0) continue;
+          const PairScoreRun column = {gnt.row(b) + a0, gn.row(b) + a0,
+                                       scale + a0,      ddeg + a0,
+                                       scale[b],        ddeg[b]};
+          linalg::PairScores(PairScoreForm::kColumn, column, {}, a0,
+                             out.data(), a1 - a0);
+          items += a1 - a0;
+        }
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(items);
+}
+BENCHMARK(BM_PairScores)->ArgName("run")->Arg(0)->Arg(32)->Arg(64);
 
 // GNAT's per-epoch input dropout mask at the gnat-cora shape (n = 1000
 // nodes, F = 580 features, drop 0.5): one engine value per entry, so

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <tuple>
@@ -26,12 +27,12 @@ class AccessControl {
  public:
   AccessControl(int num_nodes, const std::vector<int>& attacker_nodes);
 
+  /// True iff the attacker controls node v.
+  bool Controls(int v) const { return controlled_[v]; }
   /// True iff the edge (u, v) may be flipped.
-  bool EdgeAllowed(int u, int v) const {
-    return controlled_[u] || controlled_[v];
-  }
+  bool EdgeAllowed(int u, int v) const { return Controls(u) || Controls(v); }
   /// True iff features of node v may be flipped.
-  bool FeatureAllowed(int v) const { return controlled_[v]; }
+  bool FeatureAllowed(int v) const { return Controls(v); }
   bool all_nodes() const { return all_nodes_; }
 
  private:
@@ -150,7 +151,9 @@ void KeepTop(std::vector<FlipCandidate>* candidates, int keep);
 
 namespace internal {
 
-/// Rows per chunk of a scan; any partition gives the serial result.
+/// Rows per chunk of a scan; any partition gives the serial result. A
+/// chunk's clean edge rows merge a changed column as one run of at most
+/// this many scores.
 constexpr int64_t kScanRowGrain = 32;
 
 /// Slots an edge row keeps at least (see ScanCache): d = max(keep, 8).
@@ -166,18 +169,25 @@ constexpr int kEdgeRowDepth = 8;
 /// rows (keep > 16) use their slots directly.
 constexpr int kLocalRowDepth = 16;
 
-/// Calls `visit(b)` for every candidate column of row `a` in ascending
-/// order (b > a for edges): allowed by `access`, not frozen in `frozen`.
+/// Calls `visit(b0, b1)` for every run [b0, b1) of candidate columns of
+/// row `a`, in ascending order (b > a for edges): allowed by `access`,
+/// not frozen in `frozen`. A row the attacker controls allows every
+/// column, so its runs end only at frozen columns; in another edge row
+/// each allowed column is a run of its own.
 template <bool is_feature, typename Visit>
-void ForEachCandidate(int a, int cols, const AccessControl& access,
-                      FlipSet::RowCursor frozen, const Visit& visit) {
-  if (is_feature && !access.FeatureAllowed(a)) return;
+void ForEachCandidateRun(int a, int cols, const AccessControl& access,
+                         FlipSet::RowCursor frozen, const Visit& visit) {
+  const bool whole_row = access.Controls(a);
+  if (is_feature && !whole_row) return;
   // The outer ++b steps over the frozen column each inner run stops at.
   for (int b = is_feature ? 0 : a + 1; b < cols; ++b) {
     const int stop = frozen.NextFrozen(b, cols);
+    if (whole_row) {
+      if (b < stop) visit(b, stop);
+      b = stop;
+    }
     for (; b < stop; ++b) {
-      if (!is_feature && !access.EdgeAllowed(a, b)) continue;
-      visit(b);
+      if (access.Controls(b)) visit(b, b + 1);
     }
   }
 }
@@ -199,6 +209,31 @@ void Admit(T* slots, int* count, int cap, const T& item,
   }
 }
 
+/// A scan's scores in blocks. Row(a, b0, b1, out) writes score(a, b) for
+/// b in [b0, b1) to out[b - b0]; an edge scorer also has Column(b, a0,
+/// a1, out), which writes score(a, b) for a in [a0, a1) to out[a - a0].
+/// operator()(a, b) is the scalar score every block equals bit for bit.
+template <typename Scorer>
+concept BlockScorer = requires(const Scorer& scorer, float* out) {
+  scorer.Row(0, 0, 0, out);
+  { scorer(0, 0) } -> std::convertible_to<float>;
+};
+
+/// The block scorer of a per-candidate score(a, b): each block is a loop
+/// over it.
+template <typename ScoreFn>
+struct LoopScorer {
+  const ScoreFn& score;
+
+  float operator()(int a, int b) const { return score(a, b); }
+  void Row(int a, int b0, int b1, float* out) const {
+    for (int b = b0; b < b1; ++b) out[b - b0] = score(a, b);
+  }
+  void Column(int b, int a0, int a1, float* out) const {
+    for (int a = a0; a < a1; ++a) out[a - a0] = score(a, b);
+  }
+};
+
 }  // namespace internal
 
 /// The greedy candidate scan, with memory across scans. It scores each
@@ -216,21 +251,34 @@ void Admit(T* slots, int* count, int cap, const T& item,
 ///    rescan fills the slots with the row's best d and sets the bar to
 ///    the worst of them, or marks the row complete when it has fewer
 ///    candidates. A merge drops the slots in changed columns b > a,
-///    rescores those columns and admits them; an entry it evicts, or
-///    rescores and does not admit, becomes the bar if it ranks before
-///    it. The row is exact if it is complete or at least `keep` slots
-///    rank at or before the bar, and returns those slots. Otherwise it
-///    is rescanned whole (a fallback, counted in `attack.row_fallbacks`).
+///    rescores those columns and admits them in ascending b; an entry
+///    it evicts, or rescores and does not admit, becomes the bar if it
+///    ranks before it. The row is exact if it is complete or at least
+///    `keep` slots rank at or before the bar, and returns those slots.
+///    Otherwise it is rescanned whole (a fallback, counted in
+///    `attack.row_fallbacks`).
 /// RanksBefore is a strict total order, so the best of the row bests is
 /// the full scan's at any partition and thread count. The first scan
 /// rescans every row.
+///
+/// Scores come in blocks (internal::BlockScorer): a rescan scores its
+/// row in one block, and a chunk of clean edge rows merges each changed
+/// column b as one column run over its rows a < b. Every row still
+/// admits its changed columns in ascending b. A per-row gate skips a
+/// merged candidate that can change neither the slots nor the bar: the
+/// gate is -inf while the row has a free slot, else the lower score of
+/// the worst slot and the bar, and a candidate passes when its score is
+/// >= the gate, so ties still reach the row's order and NaN never does.
+/// `attack.edges_scanned` / `attack.features_scanned` count the allowed,
+/// unfrozen candidates a scan read, gated or not.
 ///
 /// keep <= 0 returns every candidate in row-major order, for Gumbel
 /// noise drawn in that order. That needs every score, so it keeps no
 /// state and always scans in full.
 ///
 /// In a debug-numerics build every scan that reused rows also runs the
-/// full scan and PEEGA_CHECKs that both lists are equal.
+/// full scan over the scalar scores, one call per candidate, and
+/// PEEGA_CHECKs that both lists are equal.
 template <bool is_feature>
 class ScanCache {
  public:
@@ -260,10 +308,12 @@ class ScanCache {
     }
   }
 
-  template <typename ScoreFn>
+  /// `score` is an internal::BlockScorer, or a per-candidate
+  /// float(int a, int b) that the scan runs as an internal::LoopScorer.
+  template <typename Scorer>
   std::vector<FlipCandidate> Scan(const AccessControl& access,
                                   const FlipSet* exclude,
-                                  const ScoreFn& score);
+                                  const Scorer& score);
 
  private:
   struct Entry {
@@ -282,11 +332,17 @@ class ScanCache {
     return best_.data() + static_cast<size_t>(a) * static_cast<size_t>(depth_);
   }
 
-  // Rescans row `a` whole into its slots and resets its bar; returns the
-  // candidates scored.
-  template <typename ScoreFn>
+  template <typename Scorer>
+  std::vector<FlipCandidate> ScanBlocks(const AccessControl& access,
+                                        const FlipSet* exclude,
+                                        const Scorer& score);
+
+  // Rescans row `a` whole into its slots and resets its bar, reading the
+  // score of column b at scores[b - first]; returns the candidates
+  // scored.
   uint64_t RescanRow(int a, const AccessControl& access,
-                     FlipSet::RowCursor frozen, const ScoreFn& score) {
+                     FlipSet::RowCursor frozen, const float* scores,
+                     int first) {
     Entry* slots = Slots(a);
     int& count = count_[static_cast<size_t>(a)];
     count = 0;
@@ -294,11 +350,13 @@ class ScanCache {
     float bar = -std::numeric_limits<float>::infinity();
     // Columns ascend, so a tie with the bar ranks after it.
     const auto scan = [&](const auto& admit) {
-      internal::ForEachCandidate<is_feature>(
-          a, cols_, access, frozen, [&](int b) {
-            ++scored;
-            const float s = score(a, b);
-            if (s > bar) bar = admit(Entry{b, s});
+      internal::ForEachCandidateRun<is_feature>(
+          a, cols_, access, frozen, [&](int b0, int b1) {
+            scored += static_cast<uint64_t>(b1 - b0);
+            for (int b = b0; b < b1; ++b) {
+              const float s = scores[b - first];
+              if (s > bar) bar = admit(Entry{b, s});
+            }
           });
     };
     const auto scan_into = [&](Entry* heap) {
@@ -326,55 +384,136 @@ class ScanCache {
     return scored;
   }
 
-  // Updates clean edge row `a` from the changed columns `cols`
-  // (ascending): drops its slots there, rescores those columns and
-  // admits them, raising the bar to each entry that leaves the slots or
-  // stays out and ranks before it. Every other candidate kept its score,
-  // so none outside the slots ranks before the bar. Returns whether the
-  // row is exact: complete, or with `row_keep_` slots at or before the
-  // bar. If not, it must be rescanned whole.
-  template <typename ScoreFn>
-  bool MergeChanged(int a, const std::vector<int>& cols,
-                    const AccessControl& access, FlipSet::RowCursor frozen,
-                    const ScoreFn& score, uint64_t* scored) {
+  // A merge of clean edge row `a`, in three steps. BeginMerge drops its
+  // slots in changed columns; a row that lost none is still a heap.
+  // Merge admits one rescored changed column that passed the row's
+  // Gate, raising the bar to each entry that leaves the slots or stays
+  // out and ranks before it. Every other candidate kept its score, so
+  // none outside the slots ranks before the bar. MergeExact then says
+  // whether the row is exact: complete, or with `row_keep_` slots at or
+  // before the bar. If not, it must be rescanned whole.
+  void BeginMerge(int a) {
     Entry* slots = Slots(a);
     int& count = count_[static_cast<size_t>(a)];
-    Entry& bar = bars_[static_cast<size_t>(a)];
-    const auto raise_bar = [&](const Entry& e) {
-      if (RowRanksBefore(e, bar)) bar = e;
-    };
     count = static_cast<int>(
         std::remove_if(slots, slots + count,
                        [&](const Entry& e) {
                          return changed_[static_cast<size_t>(e.col)] != 0;
                        }) -
         slots);
-    std::make_heap(slots, slots + count, RowRanksBefore);
-    for (auto it = std::upper_bound(cols.begin(), cols.end(), a);
-         it != cols.end(); ++it) {
-      const int b = *it;
-      if (!access.EdgeAllowed(a, b) || frozen.NextFrozen(b, cols_) == b) {
-        continue;
+  }
+
+  // Below this score a merged candidate ranks before neither the worst
+  // slot of a full row nor the bar, and changes nothing.
+  float Gate(int a) {
+    if (count_[static_cast<size_t>(a)] < depth_) {
+      return -std::numeric_limits<float>::infinity();
+    }
+    return std::min(Slots(a)[0].score, bars_[static_cast<size_t>(a)].score);
+  }
+
+  void Merge(int a, const Entry& e) {
+    // NaN and -inf are never kept, so they bound nothing.
+    if (!(e.score > -std::numeric_limits<float>::infinity())) return;
+    Entry* slots = Slots(a);
+    int& count = count_[static_cast<size_t>(a)];
+    Entry& bar = bars_[static_cast<size_t>(a)];
+    const auto raise_bar = [&](const Entry& out) {
+      if (RowRanksBefore(out, bar)) bar = out;
+    };
+    if (count < depth_) {
+      // The row keeps a heap only when full, where its front bounds it.
+      slots[count++] = e;
+      if (count == depth_) std::make_heap(slots, slots + count, RowRanksBefore);
+    } else if (RowRanksBefore(e, slots[0])) {
+      raise_bar(slots[0]);
+      std::pop_heap(slots, slots + count, RowRanksBefore);
+      slots[count - 1] = e;
+      std::push_heap(slots, slots + count, RowRanksBefore);
+    } else {
+      raise_bar(e);
+    }
+  }
+
+  // Merges the clean edge rows a of chunk [a0, a1), those with
+  // rescan[a - a0] == 0, with the changed columns, and flags in `rescan`
+  // the rows that must fall back; returns how many. Adds the candidates
+  // merged, gated or not, to *scored: each row's allowed changed columns
+  // b > a, counted from `allowed_after` (see ScanBlocks), less its frozen
+  // ones.
+  template <typename Scorer>
+  uint64_t MergeChunk(int a0, int a1, const AccessControl& access,
+                      const FlipSet* exclude, const Scorer& score,
+                      const std::vector<int>& allowed_after, char* rescan,
+                      uint64_t* scored) {
+    const auto at = [a0](int a) { return static_cast<size_t>(a - a0); };
+    thread_local std::vector<float> gate;
+    thread_local std::vector<FlipSet::RowCursor> cursors;
+    thread_local std::vector<float> run;
+    // A NaN gate passes nothing: the rows rescanned whole keep it.
+    gate.assign(at(a1), std::numeric_limits<float>::quiet_NaN());
+    cursors.resize(at(a1));
+    // The clean rows lie in [lo, hi).
+    int lo = a1;
+    int hi = a0;
+    for (int a = a0; a < a1; ++a) {
+      if (rescan[at(a)]) continue;
+      BeginMerge(a);
+      gate[at(a)] = Gate(a);
+      cursors[at(a)] =
+          exclude != nullptr ? exclude->Row(a) : FlipSet::RowCursor();
+      lo = std::min(lo, a);
+      hi = a + 1;
+      const auto past = static_cast<size_t>(
+          std::upper_bound(changed_rows_.begin(), changed_rows_.end(), a) -
+          changed_rows_.begin());
+      uint64_t candidates =
+          access.Controls(a) ? changed_rows_.size() - past
+                             : static_cast<uint64_t>(allowed_after[past]);
+      FlipSet::RowCursor walk = cursors[at(a)];
+      for (int c = walk.NextFrozen(a + 1, cols_); c < cols_;
+           c = walk.NextFrozen(c + 1, cols_)) {
+        candidates -=
+            changed_[static_cast<size_t>(c)] && access.EdgeAllowed(a, c) ? 1
+                                                                         : 0;
       }
-      ++*scored;
-      const Entry e{b, score(a, b)};
-      // NaN and -inf are never kept, so they bound nothing.
-      if (!(e.score > -std::numeric_limits<float>::infinity())) continue;
-      if (count < depth_) {
-        slots[count++] = e;
-        std::push_heap(slots, slots + count, RowRanksBefore);
-      } else if (RowRanksBefore(e, slots[0])) {
-        raise_bar(slots[0]);
-        std::pop_heap(slots, slots + count, RowRanksBefore);
-        slots[count - 1] = e;
-        std::push_heap(slots, slots + count, RowRanksBefore);
-      } else {
-        raise_bar(e);
+      *scored += candidates;
+    }
+    if (lo >= hi) return 0;
+    // Column b's run covers the clean rows a < b.
+    run.resize(at(a1));
+    for (auto it = std::upper_bound(changed_rows_.begin(),
+                                    changed_rows_.end(), lo);
+         it != changed_rows_.end(); ++it) {
+      const int b = *it;
+      const int end = std::min(hi, b);
+      score.Column(b, lo, end, run.data());
+      for (int a = lo; a < end; ++a) {
+        const float s = run[static_cast<size_t>(a - lo)];
+        // A tie with the gate still reaches RowRanksBefore; NaN fails.
+        if (!(s >= gate[at(a)]) || !access.EdgeAllowed(a, b) ||
+            cursors[at(a)].NextFrozen(b, cols_) == b) {
+          continue;
+        }
+        Merge(a, Entry{b, s});
+        gate[at(a)] = Gate(a);
       }
     }
+    uint64_t fallbacks = 0;
+    for (int a = lo; a < hi; ++a) {
+      if (rescan[at(a)] || MergeExact(a)) continue;
+      rescan[at(a)] = 1;
+      ++fallbacks;
+    }
+    return fallbacks;
+  }
+
+  bool MergeExact(int a) {
+    const Entry bar = bars_[static_cast<size_t>(a)];
     if (bar.col == kComplete.col) return true;
+    const Entry* slots = Slots(a);
     int certain = 0;
-    for (int i = 0; i < count; ++i) {
+    for (int i = 0; i < count_[static_cast<size_t>(a)]; ++i) {
       certain += RowRanksBefore(bar, slots[i]) ? 0 : 1;
     }
     return certain >= row_keep_;
@@ -387,7 +526,9 @@ class ScanCache {
   int row_keep_;
   // Slots per row: row_keep_ for feature rows, d for edge rows.
   int depth_;
-  // depth_ slots per row: a heap under RowRanksBefore of count_ entries.
+  // depth_ slots per row, count_ of them used; a heap under
+  // RowRanksBefore whenever all are (a merge appends to a row with free
+  // slots).
   std::vector<Entry> best_;
   std::vector<int> count_;
   // Per edge row: the bar, kComplete when the slots hold every candidate.
@@ -399,10 +540,44 @@ class ScanCache {
 };
 
 template <bool is_feature>
-template <typename ScoreFn>
+template <typename Scorer>
 std::vector<FlipCandidate> ScanCache<is_feature>::Scan(
     const AccessControl& access, const FlipSet* exclude,
-    const ScoreFn& score) {
+    const Scorer& score) {
+  if constexpr (!internal::BlockScorer<Scorer>) {
+    return Scan(access, exclude, internal::LoopScorer<Scorer>{score});
+  } else {
+    const bool incremental = keep_ > 0 && !all_changed_;
+    std::vector<FlipCandidate> merged = ScanBlocks(access, exclude, score);
+    if constexpr (debug::NumericsGuardEnabled()) {
+      if (incremental) {
+        // The same list, bit for bit, as a scan with every row changed
+        // that calls the scalar score once per candidate.
+        const std::vector<FlipCandidate> full =
+            ScanCache(rows_, cols_, keep_)
+                .ScanBlocks(access, exclude,
+                            internal::LoopScorer<Scorer>{score});
+        PEEGA_CHECK_EQ(merged.size(), full.size()) << " cached vs full scan";
+        for (size_t i = 0; i < merged.size(); ++i) {
+          PEEGA_CHECK(merged[i].flip == full[i].flip &&
+                      std::bit_cast<uint32_t>(merged[i].score) ==
+                          std::bit_cast<uint32_t>(full[i].score))
+              << " cached vs full scan at rank " << i << ": ("
+              << merged[i].flip.a << ", " << merged[i].flip.b << ") "
+              << merged[i].score << " vs (" << full[i].flip.a << ", "
+              << full[i].flip.b << ") " << full[i].score;
+        }
+      }
+    }
+    return merged;
+  }
+}
+
+template <bool is_feature>
+template <typename Scorer>
+std::vector<FlipCandidate> ScanCache<is_feature>::ScanBlocks(
+    const AccessControl& access, const FlipSet* exclude,
+    const Scorer& score) {
   const obs::TraceSpan span(is_feature ? "attack.best_feature_flip"
                                        : "attack.best_edge_flip");
   static obs::Counter* const scans[2] = {
@@ -414,43 +589,81 @@ std::vector<FlipCandidate> ScanCache<is_feature>::Scan(
   static obs::Counter* const row_fallbacks =
       obs::GetCounter("attack.row_fallbacks");
   scans[is_feature]->Add(1);
-  const bool incremental = keep_ > 0 && !all_changed_;
-  // A clean edge row rescores its changed columns: the changed nodes,
+  // A clean edge row merges its changed columns: the changed nodes,
   // ascending.
-  if (!is_feature && incremental) {
+  const bool merge = !is_feature && keep_ > 0 && !all_changed_;
+  // allowed_after[k]: the changed nodes from the k-th on the attacker
+  // controls.
+  std::vector<int> allowed_after;
+  if (merge) {
     std::sort(changed_rows_.begin(), changed_rows_.end());
+    allowed_after.resize(changed_rows_.size() + 1, 0);
+    for (size_t k = changed_rows_.size(); k-- > 0;) {
+      allowed_after[k] =
+          allowed_after[k + 1] + (access.Controls(changed_rows_[k]) ? 1 : 0);
+    }
   }
   std::vector<std::vector<FlipCandidate>> per_chunk(static_cast<size_t>(
       parallel::NumChunks(rows_, internal::kScanRowGrain)));
   parallel::ParallelForChunked(
       0, rows_, internal::kScanRowGrain,
-      [&](int64_t a0, int64_t a1, int64_t chunk) {
+      [&](int64_t c0, int64_t c1, int64_t chunk) {
+        const int a0 = static_cast<int>(c0);
+        const int a1 = static_cast<int>(c1);
+        const auto at = [a0](int a) { return static_cast<size_t>(a - a0); };
         auto& top = per_chunk[static_cast<size_t>(chunk)];
         uint64_t scored = 0;  // one atomic add per chunk
         uint64_t fallbacks = 0;
-        int kept = 0;
-        for (int a = static_cast<int>(a0); a < static_cast<int>(a1); ++a) {
-          const auto frozen = [&] {
-            return exclude != nullptr ? exclude->Row(a) : FlipSet::RowCursor();
-          };
-          if (keep_ == 0) {
-            internal::ForEachCandidate<is_feature>(
-                a, cols_, access, frozen(), [&](int b) {
-                  ++scored;
-                  const float s = score(a, b);
-                  if (s > -std::numeric_limits<float>::infinity()) {
-                    top.push_back(FlipCandidate{{is_feature, a, b}, s});
+        const auto frozen = [&](int a) {
+          return exclude != nullptr ? exclude->Row(a) : FlipSet::RowCursor();
+        };
+        // One row's scores, at columns [first, cols_).
+        thread_local std::vector<float> row_scores;
+        row_scores.resize(static_cast<size_t>(cols_));
+        const auto score_row = [&](int a) {
+          const int first = is_feature ? 0 : a + 1;
+          // A feature row the attacker does not control has no candidates.
+          if (!is_feature || access.FeatureAllowed(a)) {
+            score.Row(a, first, cols_, row_scores.data());
+          }
+          return first;
+        };
+        if (keep_ == 0) {
+          for (int a = a0; a < a1; ++a) {
+            const int first = score_row(a);
+            internal::ForEachCandidateRun<is_feature>(
+                a, cols_, access, frozen(a), [&](int b0, int b1) {
+                  scored += static_cast<uint64_t>(b1 - b0);
+                  for (int b = b0; b < b1; ++b) {
+                    const float s = row_scores[static_cast<size_t>(b - first)];
+                    if (s > -std::numeric_limits<float>::infinity()) {
+                      top.push_back(FlipCandidate{{is_feature, a, b}, s});
+                    }
                   }
                 });
-            continue;
           }
-          bool rescan = all_changed_ || changed_[static_cast<size_t>(a)];
-          if (!rescan && !is_feature) {
-            rescan = !MergeChanged(a, changed_rows_, access, frozen(), score,
-                                   &scored);
-            fallbacks += rescan ? 1 : 0;
+          scanned[is_feature]->Add(scored);
+          return;
+        }
+        // Rows rescanned whole: the changed ones, then the clean edge
+        // rows whose merge is not exact.
+        thread_local std::vector<char> rescan;
+        rescan.resize(static_cast<size_t>(a1 - a0));
+        for (int a = a0; a < a1; ++a) {
+          rescan[at(a)] = all_changed_ || changed_[static_cast<size_t>(a)];
+        }
+        if constexpr (!is_feature) {
+          if (merge) {
+            fallbacks = MergeChunk(a0, a1, access, exclude, score,
+                                   allowed_after, rescan.data(), &scored);
           }
-          if (rescan) scored += RescanRow(a, access, frozen(), score);
+        }
+        int kept = 0;
+        for (int a = a0; a < a1; ++a) {
+          if (rescan[at(a)]) {
+            const int first = score_row(a);
+            scored += RescanRow(a, access, frozen(a), row_scores.data(), first);
+          }
           const Entry* slots = Slots(a);
           const int count = count_[static_cast<size_t>(a)];
           const Entry bar =
@@ -466,7 +679,7 @@ std::vector<FlipCandidate> ScanCache<is_feature>::Scan(
                             RanksBefore);
           }
         }
-        if (keep_ > 0) top.resize(static_cast<size_t>(kept));
+        top.resize(static_cast<size_t>(kept));
         scanned[is_feature]->Add(scored);
         if (fallbacks > 0) row_fallbacks->Add(fallbacks);
       });
@@ -478,23 +691,6 @@ std::vector<FlipCandidate> ScanCache<is_feature>::Scan(
     merged.insert(merged.end(), chunk.begin(), chunk.end());
   }
   KeepTop(&merged, keep_);
-  if constexpr (debug::NumericsGuardEnabled()) {
-    if (incremental) {
-      // The same list, bit for bit, as a scan with every row changed.
-      const std::vector<FlipCandidate> full =
-          ScanCache(rows_, cols_, keep_).Scan(access, exclude, score);
-      PEEGA_CHECK_EQ(merged.size(), full.size()) << " cached vs full scan";
-      for (size_t i = 0; i < merged.size(); ++i) {
-        PEEGA_CHECK(merged[i].flip == full[i].flip &&
-                    std::bit_cast<uint32_t>(merged[i].score) ==
-                        std::bit_cast<uint32_t>(full[i].score))
-            << " cached vs full scan at rank " << i << ": ("
-            << merged[i].flip.a << ", " << merged[i].flip.b << ") "
-            << merged[i].score << " vs (" << full[i].flip.a << ", "
-            << full[i].flip.b << ") " << full[i].score;
-      }
-    }
-  }
   return merged;
 }
 

@@ -37,6 +37,39 @@ struct GreedyConfig {
   float gumbel_scale = 0.0f;
 };
 
+namespace internal {
+
+/// An oracle's edge scores as a scan's block scorer.
+template <typename Oracle>
+struct EdgeScorer {
+  const Oracle& oracle;
+
+  float operator()(int u, int v) const { return oracle.EdgeScore(u, v); }
+  void Row(int a, int b0, int b1, float* out) const {
+    oracle.EdgeScoreRow(a, b0, b1, out);
+  }
+  void Column(int b, int a0, int a1, float* out) const {
+    oracle.EdgeScoreColumn(b, a0, a1, out);
+  }
+};
+
+/// An oracle's normalized feature scores S_f / beta (Sec. V-D1) as a
+/// scan's block scorer.
+template <typename Oracle>
+struct FeatureScorer {
+  const Oracle& oracle;
+  float beta;
+
+  float operator()(int v, int j) const {
+    return oracle.FeatureScore(v, j) / beta;
+  }
+  void Row(int v, int j0, int j1, float* out) const {
+    oracle.FeatureScoreRow(v, j0, j1, beta, out);
+  }
+};
+
+}  // namespace internal
+
 /// Called after each iteration's commits with the flip count before the
 /// iteration, every committed flip and the budget spent; a non-OK status
 /// stops the campaign. PEEGA saves its checkpoint here.
@@ -66,11 +99,12 @@ using GreedySaveFn = std::function<status::Status(
 /// each refresh which rows the oracle changed. The freeze sets change
 /// only at flipped rows, and the oracles always count those as changed.
 ///
-/// A template rather than a virtual interface: the scan calls the oracle
-/// once per candidate, O(N²) times per iteration, and must inline it.
 /// The oracle provides RefreshScores, RefreshObjective, EdgeScore,
-/// FeatureScore, changed_edge_rows, changed_feature_rows, FlipEdge,
-/// FlipFeature, Objective, PoisonedAdjacency and features.
+/// FeatureScore, their blocks EdgeScoreRow, EdgeScoreColumn and
+/// FeatureScoreRow (each block the bits of the scalar scores; the scan
+/// reads only blocks, and a debug-numerics build checks them against
+/// the scalar scores), changed_edge_rows, changed_feature_rows,
+/// FlipEdge, FlipFeature, Objective, PoisonedAdjacency and features.
 template <typename Oracle>
 void GreedyCampaign(const GreedyConfig& config, const graph::Graph& g,
                     const AttackOptions& attack_options,
@@ -155,15 +189,13 @@ void GreedyCampaign(const GreedyConfig& config, const graph::Graph& g,
     {
       const obs::TraceSpan scan_span("peega.scan");
       if (can_edge) {
-        candidates = edge_scan->Scan(
-            access, &edge_done,
-            [&](int u, int v) { return oracle->EdgeScore(u, v); });
+        candidates = edge_scan->Scan(access, &edge_done,
+                                     internal::EdgeScorer<Oracle>{*oracle});
       }
       if (can_feature) {
-        // Normalized feature score S_f / beta (Sec. V-D1).
         const std::vector<FlipCandidate> features = feature_scan->Scan(
             access, &feature_done,
-            [&](int v, int j) { return oracle->FeatureScore(v, j) / beta; });
+            internal::FeatureScorer<Oracle>{*oracle, beta});
         candidates.insert(candidates.end(), features.begin(), features.end());
       }
     }
@@ -250,6 +282,16 @@ class TapeOracle {
   float FeatureScore(int v, int j) const {
     const float direction = 1.0f - 2.0f * features_(v, j);
     return direction * (*grad_x_)(v, j);
+  }
+  // The scan's blocks, as loops over the scores above.
+  void EdgeScoreRow(int a, int b0, int b1, float* out) const {
+    for (int b = b0; b < b1; ++b) out[b - b0] = EdgeScore(a, b);
+  }
+  void EdgeScoreColumn(int b, int a0, int a1, float* out) const {
+    for (int a = a0; a < a1; ++a) out[a - a0] = EdgeScore(a, b);
+  }
+  void FeatureScoreRow(int v, int j0, int j1, float beta, float* out) const {
+    for (int j = j0; j < j1; ++j) out[j - j0] = FeatureScore(v, j) / beta;
   }
 
   // Every pass re-derives every gradient: every row counts as changed.

@@ -118,6 +118,9 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
       target_order_(config.target_nodes),
       clean_(g.adjacency),
       row_marks_((static_cast<size_t>(g.num_nodes) + 63) / 64, 0) {
+  // The set-up's allocations: the H chain, the W_k and, for topology
+  // engines, the L + 2 dense N x N caches.
+  const obs::TraceSpan span("peega_engine.setup");
   PEEGA_CHECK_GE(layers_, 1);
   PEEGA_CHECK_GE(p_, 1);
   for (int v : target_order_) {
@@ -177,6 +180,48 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
   self_norm_.assign(static_cast<size_t>(n_), 0.0f);
   pair_term_.assign(static_cast<size_t>(clean_.nnz()), 0.0);
   pair_norm_.assign(static_cast<size_t>(clean_.nnz()), 0.0f);
+}
+
+namespace {
+
+// The entries of the ascending `list` in [first, last).
+std::span<const int> Within(const std::vector<int>& list, int first,
+                            int last) {
+  const auto lo = std::lower_bound(list.begin(), list.end(), first);
+  return {lo, std::lower_bound(lo, list.end(), last)};
+}
+
+}  // namespace
+
+void PeegaEngine::EdgeScoreRow(int a, int b0, int b1, float* out) const {
+  PEEGA_DCHECK(!objective_only_);
+  const linalg::kernels::PairScoreRun run = {
+      gn_.row(a) + b0,    gnt_.row(a) + b0,
+      scale_.data() + b0, ddeg_.data() + b0,
+      scale_[static_cast<size_t>(a)], ddeg_[static_cast<size_t>(a)]};
+  linalg::PairScores(linalg::kernels::PairScoreForm::kRow, run,
+                     Within(neighbors_[static_cast<size_t>(a)], b0, b1), b0,
+                     out, b1 - b0);
+}
+
+void PeegaEngine::EdgeScoreColumn(int b, int a0, int a1, float* out) const {
+  PEEGA_DCHECK(!objective_only_);
+  const linalg::kernels::PairScoreRun run = {
+      gnt_.row(b) + a0,   gn_.row(b) + a0,
+      scale_.data() + a0, ddeg_.data() + a0,
+      scale_[static_cast<size_t>(b)], ddeg_[static_cast<size_t>(b)]};
+  linalg::PairScores(linalg::kernels::PairScoreForm::kColumn, run,
+                     Within(neighbors_[static_cast<size_t>(b)], a0, a1), a0,
+                     out, a1 - a0);
+}
+
+void PeegaEngine::FeatureScoreRow(int v, int j0, int j1, float beta,
+                                  float* out) const {
+  PEEGA_DCHECK(!objective_only_);
+  const linalg::kernels::PairScoreRun run = {
+      h_[0].row(v) + j0, gx_.row(v) + j0, nullptr, nullptr, beta, 0.0f};
+  linalg::PairScores(linalg::kernels::PairScoreForm::kFeature, run, {}, j0,
+                     out, j1 - j0);
 }
 
 std::vector<int> PeegaEngine::TakeMarked() {

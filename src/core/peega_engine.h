@@ -124,6 +124,19 @@ class PeegaEngine {
     return direction * gx_.row(v)[j];
   }
 
+  /// The scan's blocks of scores, each the bits of the scalar score it
+  /// replaces (linalg::PairScores). EdgeScoreRow writes EdgeScore(a, b)
+  /// for b in [b0, b1) to out[b - b0], from rows a of G_N and gnt_.
+  void EdgeScoreRow(int a, int b0, int b1, float* out) const;
+  /// EdgeScore(a, b) for a in [a0, a1) to out[a - a0]: a run down
+  /// column b of G_N, read along rows b of gnt_ and G_N (G_N[a][b] =
+  /// gnt_[b][a]).
+  void EdgeScoreColumn(int b, int a0, int a1, float* out) const;
+  /// FeatureScore(v, j) / beta for j in [j0, j1) to out[j - j0], from
+  /// rows v of H_0 and G_X: the scan's normalized feature scores, and
+  /// FeatureScore's own bits at beta = 1.
+  void FeatureScoreRow(int v, int j0, int j1, float beta, float* out) const;
+
   /// Rows whose FeatureScore may have changed in the last
   /// RefreshScores(): the rows e[l] of G_X it rewrote, which hold every
   /// feature flipped since the refresh before. Every row after the full

@@ -221,4 +221,12 @@ void DotColsInto(const Matrix& a, const Matrix& b,
   }
 }
 
+void PairScores(kernels::PairScoreForm form, const kernels::PairScoreRun& run,
+                std::span<const int> negate, int first, float* out,
+                int64_t n) {
+  kernels::PairScoresTable().Select()(form, run, out, n);
+  // The scalar scores' `direction *`, with direction -1.
+  for (const int v : negate) out[v - first] = -1.0f * out[v - first];
+}
+
 }  // namespace repro::linalg

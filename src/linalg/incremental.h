@@ -2,6 +2,7 @@
 #define PEEGA_LINALG_INCREMENTAL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/kernels/kernels.h"
@@ -87,6 +88,19 @@ void DotRowsInto(const Matrix& a, const Matrix& b,
 void DotColsInto(const Matrix& a, const Matrix& b,
                  const RowEntries& b_entries, const std::vector<int>& cols,
                  const std::vector<char>* row_nonzero, Matrix* out);
+
+/// One run of n greedy-scan scores (`linalg.pair_scores`): out[i] by
+/// `form`'s formula in kernels::PairScoreForm, then -1.0f · out[v −
+/// first] for every v in `negate` (ascending, each in [first, first +
+/// n)): the candidates that are edges, whose flip removes them. The
+/// engine's EdgeScoreRow, EdgeScoreColumn and FeatureScoreRow; every
+/// output is the float of the engine's scalar EdgeScore, or of its
+/// FeatureScore / β. No span or counter: a scan makes thousands of
+/// calls.
+/// O(n + |negate|).
+void PairScores(kernels::PairScoreForm form, const kernels::PairScoreRun& run,
+                std::span<const int> negate, int first, float* out,
+                int64_t n);
 
 }  // namespace repro::linalg
 

@@ -111,6 +111,13 @@ const KernelTable<BernoulliAtFn>& BernoulliAtTable() {
   return table;
 }
 
+const KernelTable<PairScoresFn>& PairScoresTable() {
+  static const KernelTable<PairScoresFn> table = {
+      "linalg.pair_scores", &generic::PairScores, PEEGA_AVX2_FN(PairScores),
+      nullptr};
+  return table;
+}
+
 #undef PEEGA_AVX2_FN
 #undef PEEGA_NEON_FN
 
@@ -131,7 +138,8 @@ KernelTableInfo InfoOf(const KernelTable<Fn>& table) {
 std::vector<KernelTableInfo> AllKernelTables() {
   return {InfoOf(MatMulTable()), InfoOf(MatMulTransATable()),
           InfoOf(DotTable()), InfoOf(SparseDotTable()), InfoOf(SpMMTable()),
-          InfoOf(BernoulliMaskTable()), InfoOf(BernoulliAtTable())};
+          InfoOf(BernoulliMaskTable()), InfoOf(BernoulliAtTable()),
+          InfoOf(PairScoresTable())};
 }
 
 }  // namespace repro::linalg::kernels

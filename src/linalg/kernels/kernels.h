@@ -152,6 +152,46 @@ using BernoulliAtFn = void (*)(uint64_t* block, int* index, uint64_t cut,
                                int64_t count, uint8_t* outcome, int64_t n);
 
 // ---------------------------------------------------------------------------
+// Greedy scan scores over a run of candidates (linalg::PairScores)
+// ---------------------------------------------------------------------------
+
+/// Which scores a PairScoresFn run writes. An edge score of the pair
+/// (u, o) is PeegaEngine::EdgeScore(u, o) before its direction:
+///   ((x·s_o)·s_u + d_u) + ((y·s_u)·s_o + d_o)
+/// with x = G_N[u][o], y = G_N[o][u], s the GCN scales and d the degree
+/// terms. One endpoint is fixed for the whole run and the other runs.
+enum class PairScoreForm : int {
+  /// u fixed, o runs: a run along a row u (x, y from rows u of G_N and
+  /// G_Nᵀ).
+  kRow,
+  /// o fixed, u runs: a run down a column o (x, y from rows o of G_Nᵀ
+  /// and G_N).
+  kColumn,
+  /// Feature scores divided by the feature cost β, ((1 − 2·x)·y) / β:
+  /// x a row of X, y the same row of G_X, β the fixed scale. The scan
+  /// ranks S_f / β (Sec. V-D1); β = 1 gives the raw score.
+  kFeature,
+};
+
+/// The inputs of one run of n scores. x, y, and for the edge forms
+/// scale and ddeg (the running endpoint's), hold n floats each; the
+/// fixed endpoint's scale and ddeg are broadcast. The feature form
+/// reads x, y and fixed_scale (β).
+struct PairScoreRun {
+  const float* x;
+  const float* y;
+  const float* scale;
+  const float* ddeg;
+  float fixed_scale;
+  float fixed_ddeg;
+};
+
+/// out[i] for i in [0, n), each operation rounded separately in the
+/// order of the formulas above.
+using PairScoresFn = void (*)(PairScoreForm form, const PairScoreRun& run,
+                              float* out, int64_t n);
+
+// ---------------------------------------------------------------------------
 // Per-op tables
 // ---------------------------------------------------------------------------
 
@@ -165,6 +205,7 @@ const KernelTable<SparseDotTileFn>& SparseDotTable();
 const KernelTable<SpMMRowsFn>& SpMMTable();
 const KernelTable<BernoulliMaskFn>& BernoulliMaskTable();
 const KernelTable<BernoulliAtFn>& BernoulliAtTable();
+const KernelTable<PairScoresFn>& PairScoresTable();
 
 /// Introspection row for the registry self-check and gen_op_docs: which
 /// variants of each dispatched op this binary actually compiled.

@@ -19,6 +19,10 @@
 // consecutive MT19937-64 stream positions, twisted, tempered and
 // compared as 64-bit integers, each the generic kernel's value for its
 // position. The listed-offset kernel shares its vector twist.
+//
+// The pair-score kernel gives each lane one candidate of the run and
+// replays the generic expression for it; the fixed endpoint's terms
+// are broadcast.
 
 #include <immintrin.h>
 
@@ -466,6 +470,59 @@ void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,
     first = end;
   }
   *index = at;
+}
+
+void PairScores(PairScoreForm form, const PairScoreRun& run, float* out,
+                int64_t n) {
+  const __m256 s = _mm256_set1_ps(run.fixed_scale);
+  const __m256 d = _mm256_set1_ps(run.fixed_ddeg);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  int64_t i = 0;
+  switch (form) {
+    case PairScoreForm::kRow:
+      for (; i + 8 <= n; i += 8) {
+        const __m256 so = _mm256_loadu_ps(run.scale + i);
+        const __m256 first = _mm256_add_ps(
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(run.x + i), so), s),
+            d);
+        const __m256 second = _mm256_add_ps(
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(run.y + i), s), so),
+            _mm256_loadu_ps(run.ddeg + i));
+        _mm256_storeu_ps(out + i, _mm256_add_ps(first, second));
+      }
+      break;
+    case PairScoreForm::kColumn:
+      for (; i + 8 <= n; i += 8) {
+        const __m256 su = _mm256_loadu_ps(run.scale + i);
+        const __m256 first = _mm256_add_ps(
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(run.x + i), s), su),
+            _mm256_loadu_ps(run.ddeg + i));
+        const __m256 second = _mm256_add_ps(
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(run.y + i), su), s),
+            d);
+        _mm256_storeu_ps(out + i, _mm256_add_ps(first, second));
+      }
+      break;
+    case PairScoreForm::kFeature:
+      for (; i + 8 <= n; i += 8) {
+        const __m256 direction =
+            _mm256_sub_ps(one, _mm256_mul_ps(two, _mm256_loadu_ps(run.x + i)));
+        _mm256_storeu_ps(
+            out + i,
+            _mm256_div_ps(
+                _mm256_mul_ps(direction, _mm256_loadu_ps(run.y + i)), s));
+      }
+      break;
+  }
+  if (i == n) return;
+  // The tail: the generic kernel on the rest of the run.
+  const PairScoreRun rest = {
+      run.x + i, run.y + i,
+      run.scale != nullptr ? run.scale + i : nullptr,
+      run.ddeg != nullptr ? run.ddeg + i : nullptr,
+      run.fixed_scale, run.fixed_ddeg};
+  generic::PairScores(form, rest, out + i, n - i);
 }
 
 }  // namespace repro::linalg::kernels::avx2

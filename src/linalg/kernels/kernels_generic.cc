@@ -139,4 +139,33 @@ void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,
   *index = at;
 }
 
+void PairScores(PairScoreForm form, const PairScoreRun& run, float* out,
+                int64_t n) {
+  // PeegaEngine::EdgeScore's and FeatureScore's expressions, with the
+  // running endpoint's terms read at i.
+  const float* x = run.x;
+  const float* y = run.y;
+  const float s = run.fixed_scale;
+  const float d = run.fixed_ddeg;
+  switch (form) {
+    case PairScoreForm::kRow:
+      for (int64_t i = 0; i < n; ++i) {
+        out[i] = ((x[i] * run.scale[i]) * s + d) +
+                 ((y[i] * s) * run.scale[i] + run.ddeg[i]);
+      }
+      break;
+    case PairScoreForm::kColumn:
+      for (int64_t i = 0; i < n; ++i) {
+        out[i] = ((x[i] * s) * run.scale[i] + run.ddeg[i]) +
+                 ((y[i] * run.scale[i]) * s + d);
+      }
+      break;
+    case PairScoreForm::kFeature:
+      for (int64_t i = 0; i < n; ++i) {
+        out[i] = ((1.0f - 2.0f * x[i]) * y[i]) / s;
+      }
+      break;
+  }
+}
+
 }  // namespace repro::linalg::kernels::generic

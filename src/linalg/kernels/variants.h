@@ -39,6 +39,8 @@ void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
 void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,
                  const int64_t* offsets, int64_t count, uint8_t* outcome,
                  int64_t n);
+void PairScores(PairScoreForm form, const PairScoreRun& run, float* out,
+                int64_t n);
 }  // namespace generic
 
 #if defined(PEEGA_HAVE_AVX2)
@@ -60,6 +62,8 @@ void BernoulliMask(uint64_t* block, int* index, uint64_t cut, bool always,
 void BernoulliAt(uint64_t* block, int* index, uint64_t cut, bool always,
                  const int64_t* offsets, int64_t count, uint8_t* outcome,
                  int64_t n);
+void PairScores(PairScoreForm form, const PairScoreRun& run, float* out,
+                int64_t n);
 }  // namespace avx2
 #endif  // PEEGA_HAVE_AVX2
 

@@ -279,6 +279,56 @@ void ProbeBernoulliAt(std::vector<float>* out) {
   }
 }
 
+// Inputs of one pair-score run: uniform in (-1, 1), with about one
+// value in twelve -0, subnormal, the generated NaN or ±Inf.
+std::vector<float> ProbePairInputs(int n, Rng* rng) {
+  const float special[] = {-0.0f, 3e-39f, GeneratedNaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity()};
+  std::vector<float> v(static_cast<size_t>(n));
+  for (float& x : v) {
+    x = rng->UniformInt(0, 11) == 0
+            ? special[rng->UniformInt(0, 4)]
+            : static_cast<float>(rng->Uniform(-1.0, 1.0));
+  }
+  return v;
+}
+
+// Every form over runs of 1-40 candidates at starts 0-7 (so runs start
+// off a vector boundary and end in every tail length), each with fresh
+// inputs, the fixed endpoint's terms finite, -0, subnormal, NaN or Inf,
+// and the first, the last or both lanes negated.
+void ProbePairScores(std::vector<float>* out) {
+  Rng rng(110);
+  const float fixed[][2] = {{0.375f, -0.625f},
+                            {-0.0f, 1e-40f},
+                            {GeneratedNaN(), 0.5f},
+                            {0.5f, std::numeric_limits<float>::infinity()}};
+  for (const kernels::PairScoreForm form :
+       {kernels::PairScoreForm::kRow, kernels::PairScoreForm::kColumn,
+        kernels::PairScoreForm::kFeature}) {
+    for (const auto& [fixed_scale, fixed_ddeg] : fixed) {
+      for (int n = 1; n <= 40; ++n) {
+        const int first = n % 8;
+        const std::vector<float> x = ProbePairInputs(first + n, &rng);
+        const std::vector<float> y = ProbePairInputs(first + n, &rng);
+        const std::vector<float> scale = ProbePairInputs(first + n, &rng);
+        const std::vector<float> ddeg = ProbePairInputs(first + n, &rng);
+        const kernels::PairScoreRun run = {
+            x.data() + first,    y.data() + first, scale.data() + first,
+            ddeg.data() + first, fixed_scale,      fixed_ddeg};
+        // None, the first lane, the last, or both.
+        std::vector<int> negate;
+        if (n % 2 == 1) negate.push_back(first);
+        if (n % 4 >= 2) negate.push_back(first + n - 1);
+        std::vector<float> scores(static_cast<size_t>(n));
+        PairScores(form, run, negate, first, scores.data(), n);
+        out->insert(out->end(), scores.begin(), scores.end());
+      }
+    }
+  }
+}
+
 std::vector<OpInfo> BuildRegistry() {
   std::vector<OpInfo> ops;
   ops.push_back({"linalg.matmul", "linalg::MatMul",
@@ -348,6 +398,18 @@ std::vector<OpInfo> BuildRegistry() {
                  "four state words per vector",
                  DeterminismClass::kLanePerOutput, true, true, false,
                  &ProbeBernoulliAt});
+  ops.push_back({"linalg.pair_scores", "linalg::PairScores",
+                 "The greedy scan's scores over a run of candidates: edge "
+                 "scores along a row or down a column of G_N (one endpoint's "
+                 "scale and degree term broadcast, the other's read along "
+                 "the run), or feature scores ((1 − 2·x)·g) / β along a row; "
+                 "then "
+                 "the sign of every edge in the run flipped.",
+                 "O(n) for a run of n candidates",
+                 "serial per run; the scan's row chunks call it in parallel "
+                 "on disjoint outputs",
+                 DeterminismClass::kLanePerOutput, true, true, false,
+                 &ProbePairScores});
   return ops;
 }
 

@@ -12,6 +12,7 @@
 #include "attack/metattack.h"
 #include "attack/pgd.h"
 #include "attack/random_attack.h"
+#include "debug/numerics.h"
 #include "graph/generators.h"
 #include "graph/metrics.h"
 #include "linalg/ops.h"
@@ -467,6 +468,182 @@ TEST(ScanCacheTest, CachedScanEqualsFullScanAtAnyThreadCount) {
         }
       }
       ExpectOverfilledRowMatchesFullScan(keep);
+    }
+  }
+}
+
+// Scores of a matrix in blocks: the scan's block scorer form, copying
+// rows and columns out as the engine's kernels write them.
+struct MatrixScorer {
+  const Matrix& scores;
+
+  float operator()(int a, int b) const { return scores(a, b); }
+  void Row(int a, int b0, int b1, float* out) const {
+    std::copy(scores.row(a) + b0, scores.row(a) + b1, out);
+  }
+  void Column(int b, int a0, int a1, float* out) const {
+    for (int a = a0; a < a1; ++a) out[a - a0] = scores(a, b);
+  }
+};
+
+// The allowed, unfrozen candidates of row `a` whose column passes
+// `column`: what a scan reads there, one per candidate.
+template <bool is_feature, typename ColumnFn>
+uint64_t RowCandidates(int a, int cols, const AccessControl& access,
+                       const FlipSet& frozen, const ColumnFn& column) {
+  uint64_t count = 0;
+  for (int b = is_feature ? 0 : a + 1; b < cols; ++b) {
+    const bool allowed =
+        is_feature ? access.FeatureAllowed(a) : access.EdgeAllowed(a, b);
+    if (allowed && !frozen.Contains(a, b) && column(b)) ++count;
+  }
+  return count;
+}
+
+// Block scans against a per-candidate reference on inputs aimed at the
+// column merge and its gate: restricted attackers, frozen pairs inside
+// changed columns, and rows whose only candidates are NaN or -inf. Each
+// round scans one cache through MatrixScorer and one through a
+// per-candidate lambda. Both lists must equal the brute-force best, and
+// both caches must count the same candidates: a full scan every allowed,
+// unfrozen one; an incremental scan those of its changed rows, of the
+// changed columns b > a of its clean edge rows, and of the rows it
+// falls back on.
+template <bool is_feature>
+void ExpectBlockScanCountsPerCandidate(int keep, uint64_t seed) {
+  Rng rng(seed);
+  const int rows = 150;
+  const int cols = is_feature ? 40 : rows;
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<int> attackers;
+  for (int v = 0; v < rows; ++v) {
+    if (rng.UniformInt(0, 2) == 0) attackers.push_back(v);
+  }
+  const AccessControl access(rows, attackers);
+  Matrix scores(rows, cols);
+  for (int a = 0; a < rows; ++a) {
+    for (int b = 0; b < cols; ++b) scores(a, b) = RandomScore(&rng);
+  }
+  // Rows (and, for edges, their mirrored columns) with no finite score.
+  const std::vector<int> dead = {attackers.front(), 77, rows - 2};
+  const auto kill = [&](int r) {
+    for (int b = 0; b < cols; ++b) {
+      scores(r, b) = b % 2 == 0 ? std::numeric_limits<float>::quiet_NaN()
+                                : -inf;
+      if (!is_feature) scores(b, r) = scores(r, b);
+    }
+  };
+  for (const int r : dead) kill(r);
+  FlipSet frozen(cols);
+  const auto freeze = [&](int a, int b) {
+    if (is_feature) frozen.Insert(a, b);
+    else if (a != b) frozen.InsertSymmetric(a, b);
+  };
+  for (int i = 0; i < 30; ++i) {
+    freeze(static_cast<int>(rng.UniformInt(0, rows - 1)),
+           static_cast<int>(rng.UniformInt(0, cols - 1)));
+  }
+  const auto per_candidate = [&](int a, int b) { return scores(a, b); };
+  obs::Counter* const scanned = obs::GetCounter(
+      is_feature ? "attack.features_scanned" : "attack.edges_scanned");
+  obs::Counter* const fallbacks = obs::GetCounter("attack.row_fallbacks");
+  ScanCache<is_feature> blocks(rows, cols, keep);
+  ScanCache<is_feature> loops(rows, cols, keep);
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    std::vector<char> changed(static_cast<size_t>(rows), round == 0);
+    if (round > 0) {
+      const int picks = static_cast<int>(rng.UniformInt(1, rows / 5));
+      for (int i = 0; i < picks; ++i) {
+        changed[static_cast<size_t>(rng.UniformInt(0, rows - 1))] = 1;
+      }
+      std::vector<int> named_now;
+      for (int r = 0; r < rows; ++r) {
+        if (changed[static_cast<size_t>(r)]) named_now.push_back(r);
+      }
+      for (int a = 0; a < rows; ++a) {
+        for (int b = 0; b < cols; ++b) {
+          const bool covered = changed[static_cast<size_t>(a)] ||
+                               (!is_feature && changed[static_cast<size_t>(b)]);
+          if (covered && rng.UniformInt(0, 1) == 0) {
+            scores(a, b) = RandomScore(&rng);
+            if (!is_feature && a != b) scores(b, a) = scores(a, b);
+          }
+        }
+      }
+      // A changed row's scores die; frozen pairs land in changed columns.
+      if (round % 3 == 0) kill(named_now.back());
+      for (int i = 0; i < 6; ++i) {
+        const int b = named_now[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(named_now.size()) - 1))];
+        const int a = static_cast<int>(rng.UniformInt(0, rows - 1));
+        if (is_feature) freeze(b, a % cols);
+        else freeze(a, b);
+      }
+    }
+    std::vector<int> named;
+    for (int r = 0; r < rows; ++r) {
+      if (changed[static_cast<size_t>(r)]) named.push_back(r);
+    }
+    // What a scan with no fallback reads.
+    uint64_t expected = 0;
+    for (int a = 0; a < rows; ++a) {
+      expected += RowCandidates<is_feature>(
+          a, cols, access, frozen, [&](int b) {
+            return keep == 0 || round == 0 ||
+                   changed[static_cast<size_t>(a)] ||
+                   (!is_feature && changed[static_cast<size_t>(b)]);
+          });
+    }
+    // A full scan reads every allowed, unfrozen candidate once.
+    uint64_t all = 0;
+    for (int a = 0; a < rows; ++a) {
+      all += RowCandidates<is_feature>(a, cols, access, frozen,
+                                       [](int) { return true; });
+    }
+    // A debug-numerics build also counts the full scan it checks an
+    // incremental one against.
+    const uint64_t check =
+        debug::NumericsGuardEnabled() && keep > 0 && round > 0 ? all : 0;
+    blocks.Invalidate(named);
+    loops.Invalidate(named);
+    const uint64_t fallbacks_before = fallbacks->value();
+    uint64_t before = scanned->value();
+    const std::vector<FlipCandidate> block_list =
+        blocks.Scan(access, &frozen, MatrixScorer{scores});
+    const uint64_t block_count = scanned->value() - before - check;
+    const uint64_t block_fallbacks = fallbacks->value() - fallbacks_before;
+    before = scanned->value();
+    const std::vector<FlipCandidate> loop_list =
+        loops.Scan(access, &frozen, per_candidate);
+    const uint64_t loop_count = scanned->value() - before - check;
+    ASSERT_TRUE(SameCandidates(block_list, loop_list));
+    ASSERT_TRUE(SameCandidates(
+        block_list, ReferenceTop<is_feature>(scores, access, frozen, keep)));
+    EXPECT_EQ(block_count, loop_count);
+    if (block_fallbacks == 0) {
+      EXPECT_EQ(block_count, expected);
+    } else {
+      EXPECT_GE(block_count, expected);
+    }
+    before = scanned->value();
+    ASSERT_TRUE(SameCandidates(
+        TopFlips<is_feature>(rows, cols, access, &frozen, keep,
+                             MatrixScorer{scores}),
+        block_list));
+    EXPECT_EQ(scanned->value() - before, all);
+  }
+}
+
+TEST(ScanCacheTest, BlockScansMatchPerCandidateScansAndCounts) {
+  uint64_t seed = 900;
+  for (const int threads : {1, 2, 8}) {
+    const ScopedThreads scope(threads);
+    for (const int keep : {0, 1, 16, 20}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads << " keep "
+                                      << keep);
+      ExpectBlockScanCountsPerCandidate</*is_feature=*/false>(keep, ++seed);
+      ExpectBlockScanCountsPerCandidate</*is_feature=*/true>(keep, ++seed);
     }
   }
 }

@@ -336,6 +336,76 @@ TEST(SparseDot, MatchesDenseOracleBitwise) {
   parallel::SetNumThreads(0);
 }
 
+// The scan's pair-score op under every usable variant, bit for bit
+// against generic: all three forms over runs of 1-40 candidates at every
+// start 0-7 (so runs begin off a vector boundary and end in every tail),
+// each with fresh inputs holding -0, subnormals, NaN and ±Inf in every
+// array, with those in the fixed endpoint's terms too, and no lane, the
+// first, the last or both negated. Input NaNs carry the bits of the NaN arithmetic makes
+// (Inf · 0), as in the registry's probes: which NaN operand an operation
+// returns depends on operand order, which a compiler may swap.
+TEST(PairScores, VariantsBitwiseEqualGeneric) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  volatile float inf = kInf;
+  const float generated_nan = inf * 0.0f;
+  const float special[] = {-0.0f, 3e-39f, generated_nan, kInf, -kInf};
+  Rng rng(91);
+  // Fresh inputs for every run: uniform in (-1, 1), about one value in
+  // twelve special.
+  const auto inputs = [&](int size) {
+    std::vector<float> v(static_cast<size_t>(size));
+    for (float& x : v) {
+      x = rng.UniformInt(0, 11) == 0
+              ? special[rng.UniformInt(0, 4)]
+              : static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+    return v;
+  };
+  const float fixed[][2] = {{0.375f, -0.625f}, {-0.8125f, 0.2f},
+                            {-0.0f, 3e-39f},   {generated_nan, 0.5f},
+                            {0.5f, generated_nan}, {kInf, 0.25f},
+                            {0.25f, -kInf}};
+  for (const kernels::PairScoreForm form :
+       {kernels::PairScoreForm::kRow, kernels::PairScoreForm::kColumn,
+        kernels::PairScoreForm::kFeature}) {
+    for (const auto& terms : fixed) {
+      for (int n = 1; n <= 40; ++n) {
+        for (int first = 0; first < 8; ++first) {
+          const std::vector<float> x = inputs(first + n);
+          const std::vector<float> y = inputs(first + n);
+          const std::vector<float> scale = inputs(first + n);
+          const std::vector<float> ddeg = inputs(first + n);
+          const kernels::PairScoreRun run = {
+              x.data() + first,    y.data() + first, scale.data() + first,
+              ddeg.data() + first, terms[0],         terms[1]};
+          const std::vector<std::vector<int>> negates = {
+              {}, {first}, {first + n - 1}, {first, first + n - 1}};
+          for (size_t k = 0; k < negates.size(); ++k) {
+            if (n == 1 && k == 3) continue;  // one lane, negated twice
+            const auto scores = [&] {
+              std::vector<float> out(static_cast<size_t>(n));
+              PairScores(form, run, negates[k], first, out.data(), n);
+              return out;
+            };
+            std::vector<float> ref;
+            {
+              ScopedSimdVariant forced(SimdVariant::kGeneric);
+              ref = scores();
+            }
+            for (const SimdVariant v : UsableSimdVariants()) {
+              ScopedSimdVariant forced(v);
+              ASSERT_TRUE(StreamsBitwiseEqual(ref, scores(),
+                                              "linalg.pair_scores", v))
+                  << " form " << static_cast<int>(form) << ", n " << n
+                  << ", first " << first << ", negated " << k;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace repro::linalg
 

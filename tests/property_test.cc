@@ -1056,5 +1056,89 @@ TEST(EngineCacheProperty, ObjectiveOnlyRefreshMatchesFullRefresh) {
   }
 }
 
+// Every block of scores the scan reads, bit for bit against the scalar
+// score it replaces: each row's EdgeScoreRow over b > a and over a
+// shorter run from an unaligned start, EdgeScoreColumn down every column
+// b over a < b in runs of 1-40 rows, and FeatureScoreRow over whole rows
+// and shorter runs, at feature costs 1 and 0.7. Edges in a run have
+// their direction applied.
+void ExpectBlockScoresEqualScalarScores(const core::PeegaEngine& engine) {
+  const auto bits = [](float x) { return std::bit_cast<uint32_t>(x); };
+  const int n = engine.num_nodes();
+  const int f = engine.num_features();
+  std::vector<float> out(static_cast<size_t>(std::max(n, f)));
+  for (int a = 0; a < n; ++a) {
+    for (const int b0 : {a + 1, a + 1 + a % 7}) {
+      const int b1 = std::max(b0, n - a % 5);
+      engine.EdgeScoreRow(a, b0, b1, out.data());
+      for (int b = b0; b < b1; ++b) {
+        ASSERT_EQ(bits(out[static_cast<size_t>(b - b0)]),
+                  bits(engine.EdgeScore(a, b)))
+            << "row " << a << " run [" << b0 << ", " << b1 << "), b " << b;
+      }
+    }
+  }
+  for (int b = 1; b < n; ++b) {
+    for (int a0 = 0; a0 < b;) {
+      const int a1 = std::min(b, a0 + 1 + (a0 + b) % 40);
+      engine.EdgeScoreColumn(b, a0, a1, out.data());
+      for (int a = a0; a < a1; ++a) {
+        ASSERT_EQ(bits(out[static_cast<size_t>(a - a0)]),
+                  bits(engine.EdgeScore(a, b)))
+            << "column " << b << " run [" << a0 << ", " << a1 << "), a " << a;
+      }
+      a0 = a1;
+    }
+  }
+  for (int v = 0; v < n; ++v) {
+    for (const int j0 : {0, v % 9}) {
+      const int j1 = std::max(j0, f - v % 4);
+      for (const float beta : {1.0f, 0.7f}) {
+        engine.FeatureScoreRow(v, j0, j1, beta, out.data());
+        for (int j = j0; j < j1; ++j) {
+          ASSERT_EQ(bits(out[static_cast<size_t>(j - j0)]),
+                    bits(engine.FeatureScore(v, j) / beta))
+              << "feature row " << v << " run [" << j0 << ", " << j1
+              << "), j " << j << ", beta " << beta;
+        }
+      }
+    }
+  }
+}
+
+// The scan's blocks after the full build and after incremental refreshes
+// of edge flips, of feature flips and of both, for l = 1, 2 and 3.
+TEST(EngineCacheProperty, BlockScoresEqualScalarScoresAfterEveryRefresh) {
+  graph::SyntheticConfig sbm;
+  sbm.num_nodes = 60;
+  sbm.num_classes = 3;
+  sbm.feature_dim = 48;
+  sbm.avg_degree = 4.0;
+  Rng sbm_rng(19);
+  const Graph g = graph::MakeSynthetic(sbm, &sbm_rng);
+  for (const int layers : {1, 2, 3}) {
+    SCOPED_TRACE(testing::Message() << "l = " << layers);
+    core::PeegaEngine engine(g, EngineConfig(layers));
+    ASSERT_TRUE(engine.RefreshScores().ok());  // the full build
+    ExpectBlockScoresEqualScalarScores(engine);
+    Rng rng(83 + layers);
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      if (round % 3 != 1) {
+        const int u = rng.UniformInt(0, g.num_nodes - 1);
+        const int v =
+            (u + 1 + rng.UniformInt(0, g.num_nodes - 2)) % g.num_nodes;
+        engine.FlipEdge(u, v);
+      }
+      if (round % 3 != 0) {
+        engine.FlipFeature(rng.UniformInt(0, g.num_nodes - 1),
+                           rng.UniformInt(0, g.features.cols() - 1));
+      }
+      ASSERT_TRUE(engine.RefreshScores().ok());
+      ExpectBlockScoresEqualScalarScores(engine);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace repro
